@@ -196,11 +196,10 @@ impl TransitionMatrix {
     /// The incoming transitions of state `j`: every `(i, log a_ij)` with a
     /// non-zero probability.  This is the "matrix column" the hardware Viterbi
     /// unit streams per destination state.
-    pub fn column(&self, j: usize) -> Vec<(usize, LogProb)> {
+    pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, LogProb)> + '_ {
         (0..self.num_states())
-            .map(|i| (i, self.log_prob(i, j)))
+            .map(move |i| (i, self.log_prob(i, j)))
             .filter(|(_, p)| !p.is_zero())
-            .collect()
     }
 
     /// Expected number of frames spent in this HMM (sum over states of
@@ -330,9 +329,9 @@ mod tests {
     #[test]
     fn columns_list_incoming_transitions() {
         let t = TransitionMatrix::bakis(HmmTopology::Five, 0.5).unwrap();
-        let col0 = t.column(0);
+        let col0: Vec<_> = t.column(0).collect();
         assert_eq!(col0, vec![(0, t.log_prob(0, 0))]);
-        let col2 = t.column(2);
+        let col2: Vec<_> = t.column(2).collect();
         assert_eq!(col2.len(), 2); // from state 1 (forward) and 2 (self)
         assert!(col2.iter().any(|&(i, _)| i == 1));
         assert!(col2.iter().any(|&(i, _)| i == 2));

@@ -17,9 +17,9 @@
 //!   shards.  The default [`ShardDispatch::Pooled`] keeps N−1 long-lived
 //!   worker threads for the *life of the scorer* (spawned lazily on the
 //!   first parallel frame, fed jobs over channels, joined when the scorer
-//!   is dropped or [`SenoneScorer::reset`]); shard 0 always scores inline
-//!   on the calling thread.  Because [`SenoneScorer::finish_utterance`]
-//!   leaves the pool warm, a batch — or a serving worker decoding
+//!   is dropped); shard 0 always scores inline on the calling thread.
+//!   Because [`SenoneScorer::finish_utterance`] and
+//!   [`SenoneScorer::reset`] leave the pool warm, a batch — or a serving worker decoding
 //!   indefinitely — spawns its threads exactly once, not once per
 //!   utterance.  [`ShardDispatch::ScopedSpawn`] is the historical
 //!   thread-per-frame dispatch, kept as the overhead baseline the
@@ -325,8 +325,9 @@ fn fill_bounds(bounds: &mut Vec<usize>, n: usize, active: &[SenoneId], costs: Op
 ///   [`UtteranceReport::merge_parallel`], which also records the per-shard
 ///   scored-senone balance ([`UtteranceReport::shard_senones`] /
 ///   [`UtteranceReport::worst_shard_share`]).  The worker pool stays warm
-///   across utterances; it joins when the scorer is dropped (or
-///   [`SenoneScorer::reset`]), so a batch — or a serving worker — spawns
+///   across utterances (neither `finish_utterance` nor
+///   [`SenoneScorer::reset`] touches it); it joins when the scorer is
+///   dropped, so a batch — or a serving worker — spawns
 ///   threads once, not once per utterance.
 /// * The host-side bookkeeping calls ([`SenoneScorer::dma_fetch`], the
 ///   software-stage charge of [`SenoneScorer::end_frame`]) go to shard 0
@@ -353,7 +354,7 @@ pub struct ShardedScorer {
     model_cache: Option<ModelCache>,
     /// The long-lived worker pool (pooled dispatch only; `None` until the
     /// first parallel frame, then warm across utterances until the scorer
-    /// drops or `reset`s).
+    /// drops).
     pool: Option<WorkerPool>,
     /// Cumulative OS threads spawned (pool workers + scoped threads) — the
     /// observable the zero-spawns-per-utterance property is asserted on.
@@ -458,8 +459,8 @@ impl ShardedScorer {
 
     /// Whether the worker pool is currently live (pooled dispatch, any time
     /// after the first parallel frame; the pool survives
-    /// [`SenoneScorer::finish_utterance`] and joins on drop or
-    /// [`SenoneScorer::reset`]).
+    /// [`SenoneScorer::finish_utterance`] and [`SenoneScorer::reset`] and
+    /// joins on drop).
     pub fn pool_is_live(&self) -> bool {
         self.pool.is_some()
     }
@@ -799,7 +800,7 @@ impl SenoneScorer for ShardedScorer {
         // cache (cost table, pooled model clone), it is cross-utterance
         // state, so the next utterance of a batch — or the next request on a
         // warm serving worker — reuses the same threads.  The pool joins
-        // when the scorer drops (`WorkerPool::drop`) or on `reset`.
+        // when the scorer drops (`WorkerPool::drop`).
         let mut merged: Option<UtteranceReport> = None;
         for slot in &mut self.shards {
             if let Some(report) = slot.as_mut().expect(SHARD_PRESENT).finish_utterance() {
@@ -814,9 +815,9 @@ impl SenoneScorer for ShardedScorer {
 
     fn reset(&mut self) {
         self.next_hmm_shard = 0;
-        // A full reset is the one explicit way to release the pool threads
-        // without dropping the scorer; the next parallel frame respawns them.
-        self.pool = None;
+        // The pool is cross-utterance state like the model cache: the
+        // decoder resets its scorer at the start of every utterance, so
+        // dropping the pool here would respawn N−1 threads per utterance.
         for slot in &mut self.shards {
             slot.as_mut().expect(SHARD_PRESENT).reset();
         }
@@ -933,14 +934,14 @@ mod tests {
             assert!(pooled.pool_is_live(), "finish_utterance keeps the pool");
             assert_eq!(pooled.threads_spawned(), 2);
         }
-        // reset() is the explicit thread-release path; the next parallel
-        // frame respawns.
+        // reset() — what the decoder calls at every utterance start — keeps
+        // the pool too: the next parallel frame reuses the same workers.
         pooled.reset();
-        assert!(!pooled.pool_is_live(), "reset joins the pool");
+        assert!(pooled.pool_is_live(), "reset keeps the pool");
         let x = vec![0.1f32; m.feature_dim()];
         pooled.begin_frame(&x);
         pooled.score_senones(&m, &ids, &x).unwrap();
-        assert_eq!(pooled.threads_spawned(), 4);
+        assert_eq!(pooled.threads_spawned(), 2);
         // The scoped baseline pays the spawn on every scored frame.
         let mut scoped = soc_shards(3)
             .with_parallelism(true)

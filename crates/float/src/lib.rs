@@ -13,9 +13,10 @@
 //! * [`MantissaWidth`] / [`Quantizer`] — reduced-mantissa IEEE-754 storage
 //!   (23 / 15 / 12-bit mantissas) used for the memory-and-bandwidth study in
 //!   the paper's results table.
-//! * [`SoftFloat`] — a bit-level software model of the 32-bit floating-point
-//!   datapath elements ( (X−Y)²·Z, add, fused multiply-add ) so the hardware
-//!   simulator in `asr-hw` computes exactly what a fixed-width datapath would.
+//! * [`SoftFloat`] — the 32-bit floating-point datapath elements
+//!   ( (X−Y)²·Z, add, fused multiply-add ) as IEEE-754 single operations
+//!   with per-operation mantissa quantisation, so the hardware simulator in
+//!   `asr-hw` computes exactly what a fixed-width datapath would.
 //! * [`Q16_16`] — a fixed-point type used by the software-baseline decoder
 //!   (the paper contrasts its floating-point ASIC against fixed-point
 //!   software ports).

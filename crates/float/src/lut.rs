@@ -178,22 +178,27 @@ impl LogAddTable {
     }
 
     /// Maximum absolute error of [`LogAddTable::correction`] versus the exact
-    /// correction, measured over a dense sweep.  Used by the experiment
-    /// harness to report the quality of the 512-byte table.
+    /// correction `ln(1 + e^-d)` over every `d >= 0`.  The exact correction
+    /// falls monotonically while a cell returns one constant, so each cell's
+    /// worst error sits at one of its two edges; past `max_difference` the
+    /// lookup returns 0, so the worst error there is the exact correction at
+    /// `max_difference`.  Used by the experiment harness to report the
+    /// quality of the 512-byte table.
     pub fn max_abs_error(&self) -> f32 {
-        let samples = self.config.entries * 16;
-        let mut worst = 0.0f32;
-        for i in 0..samples {
-            let d = self.config.max_difference * (i as f32 + 0.5) / samples as f32;
-            let exact = (1.0 + (-(d as f64)).exp()).ln() as f32;
-            let err = (exact - self.correction(d)).abs();
-            if err > worst {
-                worst = err;
-            }
+        let exact = |d: f64| (1.0 + (-d).exp()).ln();
+        let scale = (1u32 << self.config.fraction_bits) as f64;
+        let step = self.step as f64;
+        let max_difference = self.config.max_difference as f64;
+        let mut worst = exact(max_difference);
+        for (i, &entry) in self.entries.iter().enumerate() {
+            let value = entry as f64 / scale;
+            let lo = i as f64 * step;
+            let hi = ((i + 1) as f64 * step).min(max_difference);
+            worst = worst
+                .max((exact(lo) - value).abs())
+                .max((exact(hi) - value).abs());
         }
-        // Also check the saturated region boundary.
-        let exact_at_max = (1.0 + (-(self.config.max_difference as f64)).exp()).ln() as f32;
-        worst.max(exact_at_max)
+        worst as f32
     }
 
     /// Mean absolute error over a dense sweep of the covered range.
@@ -298,6 +303,45 @@ mod tests {
         assert!(t.max_abs_error() < 0.02, "max err {}", t.max_abs_error());
         assert!(t.mean_abs_error() < 0.01);
         assert!(t.mean_abs_error() <= t.max_abs_error());
+    }
+
+    #[test]
+    fn max_abs_error_is_the_maximum_over_the_whole_domain() {
+        for entries in [64, 256, 1024] {
+            let config = LogAddTableConfig {
+                entries,
+                ..LogAddTableConfig::PAPER
+            };
+            let t = LogAddTable::with_config(config).unwrap();
+            let step = config.max_difference / entries as f32;
+            let error = |d: f32| ((1.0 + (-(d as f64)).exp()).ln() - t.correction(d) as f64).abs();
+            // Every cell edge and the f32 values either side of it, a dense
+            // sweep inside every cell, then the saturated region out to 4×
+            // the range and beyond.
+            let edges = (0..=entries)
+                .map(|cell| cell as f32 * step)
+                .flat_map(|edge| {
+                    let bits = edge.to_bits();
+                    [
+                        edge,
+                        f32::from_bits(bits + 1),
+                        f32::from_bits(bits.max(1) - 1),
+                    ]
+                });
+            let cells = (0..entries * 32).map(|k| k as f32 * step / 32.0);
+            let saturated = (0..1000).map(|k| config.max_difference * (1.0 + k as f32 / 333.0));
+            let swept = edges
+                .chain(cells)
+                .chain(saturated)
+                .chain([f32::MAX])
+                .map(error)
+                .fold(0.0, f64::max);
+            let claimed = t.max_abs_error() as f64;
+            assert!(
+                (swept - claimed).abs() < 1e-6,
+                "{entries} entries: swept maximum {swept} vs max_abs_error {claimed}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! Since the original units exist only as Verilog synthesised with a 0.18 µm
 //! library, this crate reproduces them as *cycle-accurate simulators*:
-//! identical arithmetic (via [`asr_float::SoftFloat`] and
+//! identical arithmetic (IEEE-754 single with per-operation mantissa
+//! quantisation via [`asr_float::SoftFloat`], and the SRAM log-add table of
 //! [`asr_float::LogAddTable`]), explicit cycle counting per pipeline stage,
 //! activity tracking for clock gating, a flash/DMA memory system with
 //! bandwidth counters, and a power/area model calibrated to the paper's

@@ -49,8 +49,10 @@ pub struct FlashMemory {
     stats: MemoryStats,
     /// Per-frame byte counter, reset by [`FlashMemory::begin_frame`].
     frame_bytes: u64,
-    /// History of per-frame byte counts (one entry per completed frame).
-    frame_history: Vec<u64>,
+    /// Completed frames, their summed bytes and the largest single count.
+    completed_frames: u64,
+    completed_bytes: u64,
+    completed_peak: u64,
 }
 
 impl FlashMemory {
@@ -60,7 +62,9 @@ impl FlashMemory {
             parameter_width,
             stats: MemoryStats::default(),
             frame_bytes: 0,
-            frame_history: Vec::new(),
+            completed_frames: 0,
+            completed_bytes: 0,
+            completed_peak: 0,
         }
     }
 
@@ -92,16 +96,22 @@ impl FlashMemory {
 
     /// Starts a new 10 ms frame window for bandwidth accounting.
     pub fn begin_frame(&mut self) {
-        if self.frame_bytes > 0 || !self.frame_history.is_empty() {
-            self.frame_history.push(self.frame_bytes);
+        if self.frame_bytes > 0 || self.completed_frames > 0 {
+            self.complete_frame();
         }
         self.frame_bytes = 0;
     }
 
     /// Finishes the utterance, flushing the current frame counter.
     pub fn end_utterance(&mut self) {
-        self.frame_history.push(self.frame_bytes);
+        self.complete_frame();
         self.frame_bytes = 0;
+    }
+
+    fn complete_frame(&mut self) {
+        self.completed_frames += 1;
+        self.completed_bytes += self.frame_bytes;
+        self.completed_peak = self.completed_peak.max(self.frame_bytes);
     }
 
     /// Cumulative traffic statistics.
@@ -111,20 +121,15 @@ impl FlashMemory {
 
     /// Bytes read during the worst single frame so far.
     pub fn peak_frame_bytes(&self) -> u64 {
-        self.frame_history
-            .iter()
-            .copied()
-            .chain([self.frame_bytes])
-            .max()
-            .unwrap_or(0)
+        self.completed_peak.max(self.frame_bytes)
     }
 
     /// Mean bytes per completed frame.
     pub fn mean_frame_bytes(&self) -> f64 {
-        if self.frame_history.is_empty() {
+        if self.completed_frames == 0 {
             return self.frame_bytes as f64;
         }
-        self.frame_history.iter().sum::<u64>() as f64 / self.frame_history.len() as f64
+        self.completed_bytes as f64 / self.completed_frames as f64
     }
 
     /// Peak per-frame bandwidth in GB/s for a given frame period.
@@ -139,7 +144,9 @@ impl FlashMemory {
     pub fn reset(&mut self) {
         self.stats = MemoryStats::default();
         self.frame_bytes = 0;
-        self.frame_history.clear();
+        self.completed_frames = 0;
+        self.completed_bytes = 0;
+        self.completed_peak = 0;
     }
 }
 

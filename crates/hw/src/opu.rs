@@ -11,8 +11,9 @@
 //! 5. the `logadd` unit folds mixture components together using the identity
 //!    `log(A+B) = log(A) + log(1 + B/A)` and a 512-byte SRAM lookup table.
 //!
-//! The model computes exactly what that datapath computes (section by section
-//! through [`asr_float::SoftFloat`] and [`asr_float::LogAddTable`]) and counts
+//! The model computes exactly what that datapath computes (IEEE-754 single
+//! operations quantised to the datapath width by [`asr_float::SoftFloat`],
+//! and the SRAM table of [`asr_float::LogAddTable`]) and counts
 //! cycles per pipeline stage so the SoC model can answer the paper's
 //! real-time and power questions.
 
@@ -155,7 +156,9 @@ impl ObservationProbabilityUnit {
         self.stats.cycles += cycles;
         self.stats.feature_loads += x.len() as u64;
         self.gate.record_active(cycles);
-        self.feature = Some(x.to_vec());
+        let buffer = self.feature.get_or_insert_with(Vec::new);
+        buffer.clear();
+        buffer.extend_from_slice(x);
     }
 
     /// Records idle time (no senones to score) during which the unit's clock
@@ -178,7 +181,7 @@ impl ObservationProbabilityUnit {
         model: &AcousticModel,
         id: SenoneId,
     ) -> Result<LogProb, HwError> {
-        let x = self.feature.clone().ok_or(HwError::NoFeatureLoaded)?;
+        let x = self.feature.as_deref().ok_or(HwError::NoFeatureLoaded)?;
         if x.len() != model.feature_dim() {
             return Err(HwError::ShapeMismatch(format!(
                 "feature dim {} vs model dim {}",
@@ -201,12 +204,9 @@ impl ObservationProbabilityUnit {
             // computed on the reduced-width datapath exactly as the pipeline
             // would.
             let constant = mix.log_weight_consts()[k];
-            let exponent = self.datapath.gaussian_exponent(
-                &x,
-                gaussian.mean(),
-                gaussian.precision(),
-                constant,
-            );
+            let exponent =
+                self.datapath
+                    .gaussian_exponent(x, gaussian.mean(), gaussian.precision(), constant);
             cycles += self.config.pipeline_fill_cycles
                 + self.config.cycles_per_dimension * gaussian.dim() as u64
                 + self.config.swa_cycles;

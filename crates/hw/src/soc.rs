@@ -367,7 +367,9 @@ pub struct SpeechSoc {
     dma: DmaEngine,
     frames: Vec<FrameReport>,
     next_structure: usize,
-    host_cycles_total: CycleCount,
+    /// Senones and HMM updates already counted in `frames`.
+    reported_senones: u64,
+    reported_hmms: u64,
 }
 
 impl SpeechSoc {
@@ -395,7 +397,8 @@ impl SpeechSoc {
             dma: DmaEngine::new(),
             frames: Vec::new(),
             next_structure: 0,
-            host_cycles_total: 0,
+            reported_senones: 0,
+            reported_hmms: 0,
         })
     }
 
@@ -536,17 +539,17 @@ impl SpeechSoc {
             senones += s.opu.stats().senones_evaluated;
             hmms += s.viterbi.stats().hmm_updates;
         }
-        // Convert cumulative unit stats into per-frame counts using history.
-        let prev_senones: u64 = self.frames.iter().map(|f| f.senones_scored as u64).sum();
-        let prev_hmms: u64 = self.frames.iter().map(|f| f.hmm_updates as u64).sum();
-        let frame_senones = senones - prev_senones;
-        let frame_hmms = hmms - prev_hmms;
+        // Cumulative unit stats minus the totals already reported give this
+        // frame's counts.
+        let frame_senones = senones - self.reported_senones;
+        let frame_hmms = hmms - self.reported_hmms;
+        self.reported_senones = senones;
+        self.reported_hmms = hmms;
 
         let host_cycles = self
             .config
             .host
             .software_cycles_per_frame(active_triphones, lattice_edges);
-        self.host_cycles_total += host_cycles;
 
         let accel_busy = worst_opu + worst_vit;
         let accelerator_rtf = accel_busy as f64 / budget as f64;
@@ -616,14 +619,9 @@ impl SpeechSoc {
 
         UtteranceReport {
             frames,
-            senones_scored: self.frames.iter().map(|f| f.senones_scored as u64).sum(),
-            hmm_updates: self.frames.iter().map(|f| f.hmm_updates as u64).sum(),
-            mean_senones_per_frame: self
-                .frames
-                .iter()
-                .map(|f| f.senones_scored as f64)
-                .sum::<f64>()
-                / frames as f64,
+            senones_scored: self.reported_senones,
+            hmm_updates: self.reported_hmms,
+            mean_senones_per_frame: self.reported_senones as f64 / frames as f64,
             worst_frame_rtf: worst_rtf,
             mean_rtf,
             real_time_fraction: rt_frames as f64 / frames as f64,
@@ -658,7 +656,8 @@ impl SpeechSoc {
         self.dma.reset();
         self.frames.clear();
         self.next_structure = 0;
-        self.host_cycles_total = 0;
+        self.reported_senones = 0;
+        self.reported_hmms = 0;
     }
 }
 

@@ -22,7 +22,7 @@
 use crate::sink::{Fact, ObsSink};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Identifier of one trace (one admitted request / session).  Ids are minted
 /// by [`Telemetry::begin_trace`], start at 1, and never repeat within a
@@ -248,7 +248,9 @@ impl SpanEvent {
 struct TelemetryInner {
     sink: Arc<dyn ObsSink>,
     next_trace: AtomicU64,
-    seq: AtomicU64,
+    /// The next sequence number.  Held across the sink append, so sink
+    /// order is `seq` order.
+    seq: Mutex<u64>,
 }
 
 /// The tracing handle instrumented code holds.  Cheap to clone (an
@@ -272,7 +274,7 @@ impl Telemetry {
             inner: Some(Arc::new(TelemetryInner {
                 sink,
                 next_trace: AtomicU64::new(1),
-                seq: AtomicU64::new(1),
+                seq: Mutex::new(1),
             })),
         }
     }
@@ -300,9 +302,17 @@ impl Telemetry {
     /// Records `event` under `trace` as one `span` fact.  No-op when
     /// disabled.  `trace` may be [`TraceId::NONE`] for worker- or
     /// process-scope events (recorded with `trace` 0).
+    ///
+    /// The sequence number is allocated, and the fact stamped and appended,
+    /// under one lock, so every sink sees facts in strictly increasing `seq`
+    /// order with monotone timestamps, whichever threads emit them.
     pub fn emit(&self, trace: TraceId, event: &SpanEvent) {
         let Some(inner) = &self.inner else { return };
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
+        // The counter is advanced before the append, so it stays valid even
+        // if a sink panics while the guard is held.
+        let mut next_seq = inner.seq.lock().unwrap_or_else(PoisonError::into_inner);
+        let seq = *next_seq;
+        *next_seq += 1;
         let fact = Fact::new("span")
             .with("trace", trace.raw())
             .with("seq", seq)
@@ -389,6 +399,28 @@ mod tests {
         t.emit(TraceId::NONE, &SpanEvent::DecodeStarted { worker: 0 }); // must not panic
         t.flush();
         assert!(t.sink().is_none());
+    }
+
+    #[test]
+    fn concurrent_emitters_append_in_seq_order() {
+        let (t, sink) = Telemetry::to_memory();
+        std::thread::scope(|scope| {
+            for worker in 0..4 {
+                let t = t.clone();
+                scope.spawn(move || {
+                    for _ in 0..500 {
+                        t.emit(TraceId::NONE, &SpanEvent::DecodeStarted { worker });
+                    }
+                });
+            }
+        });
+        let facts = sink.facts();
+        let seqs: Vec<u64> = facts
+            .iter()
+            .map(|f| f.field("seq").and_then(|v| v.as_u64()).unwrap())
+            .collect();
+        assert_eq!(seqs, (1..=2000).collect::<Vec<u64>>());
+        assert!(facts.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
     }
 
     #[test]

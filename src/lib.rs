@@ -5,7 +5,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`float`] | `asr-float` | log-domain math, the 512-byte log-add SRAM table, reduced-mantissa storage, the softfloat datapath |
+//! | [`float`] | `asr-float` | log-domain math, the 512-byte log-add SRAM table, reduced-mantissa storage, the OP/Viterbi datapath model (IEEE-754 single with per-operation mantissa quantisation) |
 //! | [`frontend`] | `asr-frontend` | the MFCC frontend (25 ms windows / 10 ms shift, 39-dim features) |
 //! | [`acoustic`] | `asr-acoustic` | senones, Gaussian mixtures, triphone HMMs, flash storage layout |
 //! | [`lexicon`] | `asr-lexicon` | phone set, pronunciation dictionary, lexical tree, n-gram LM |

@@ -62,15 +62,20 @@ fn decode_batch_pays_at_most_one_pool_spawn_for_16_utterances() {
 }
 
 /// A warm multi-worker server decodes indefinitely with zero thread spawns:
-/// after each worker's long-lived decoder has warmed its pool, further
-/// traffic leaves the global spawn counter untouched.
+/// each worker's long-lived decoder spawns its pool once, on its first
+/// parallel frame, and further traffic leaves the global spawn counter
+/// untouched.  Which worker takes which micro-batch is up to the scheduler,
+/// so the test bounds the total over many rounds by one pool per worker
+/// instead of waiting for a quiet round.
 #[test]
 fn a_warm_multi_worker_server_decodes_with_zero_thread_spawns() {
+    const WORKERS: usize = 2;
+    const SHARDS: usize = 3;
     let _serial = COUNTER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let task = build_task();
     let server = AsrServer::spawn(
-        build_recognizer(&task, DecoderConfig::sharded_hardware(3)),
-        ServeConfig::default().workers(2),
+        build_recognizer(&task, DecoderConfig::sharded_hardware(SHARDS)),
+        ServeConfig::default().workers(WORKERS),
     )
     .expect("server");
     let (features, reference) = task.synthesize_utterance(1, 0.2, 7);
@@ -82,25 +87,17 @@ fn a_warm_multi_worker_server_decodes_with_zero_thread_spawns() {
             assert_eq!(future.wait().expect("decode").hypothesis.words, reference);
         }
     };
-    // Warm-up: each worker's pool spawns once, on its first parallel frame;
-    // loop until a whole round adds nothing (at most workers+1 rounds).
-    let mut warm = shard_threads_spawned_total();
-    loop {
-        decode_round(4);
-        let now = shard_threads_spawned_total();
-        if now == warm {
-            break;
-        }
-        warm = now;
-    }
-    // Steady state: 16 more utterances across both workers spawn nothing.
-    for _ in 0..4 {
+    let before = shard_threads_spawned_total();
+    // 32 utterances across both workers: a per-utterance pool would spawn
+    // SHARDS - 1 threads for each of them.
+    for _ in 0..8 {
         decode_round(4);
     }
-    assert_eq!(
-        shard_threads_spawned_total(),
-        warm,
-        "a warm server must not spawn threads per utterance"
+    let spawned = shard_threads_spawned_total() - before;
+    assert!(
+        spawned <= WORKERS * (SHARDS - 1),
+        "a warm server must not spawn threads per utterance: {spawned} threads \
+         for 32 utterances on {WORKERS} workers of {SHARDS} shards"
     );
     server.close();
 }
