@@ -7,6 +7,7 @@ use crate::senone::{SenoneId, SenonePool};
 use crate::triphone::{Triphone, TriphoneId, TriphoneInventory};
 use crate::AcousticError;
 use asr_float::LogProb;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dimensions of an acoustic model; the defaults are the paper's system
 /// (6 000 senones, 8 Gaussians each, 39-dimensional features, 3-state HMMs,
@@ -97,8 +98,14 @@ impl Default for AcousticModelConfig {
 }
 
 /// A complete acoustic model.
+///
+/// Immutable once built: every constructor goes through
+/// [`AcousticModel::new`], which stamps the model with a process-unique
+/// [`AcousticModel::id`].  A `Clone` keeps the id, because it keeps every
+/// parameter.
 #[derive(Debug, Clone)]
 pub struct AcousticModel {
+    id: u64,
     config: AcousticModelConfig,
     senones: SenonePool,
     triphones: TriphoneInventory,
@@ -138,7 +145,9 @@ impl AcousticModel {
                 "triphone inventory / transition topology disagrees with config".into(),
             ));
         }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         Ok(AcousticModel {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             config,
             senones,
             triphones,
@@ -187,6 +196,13 @@ impl AcousticModel {
         }
         let transitions = TransitionMatrix::bakis(config.topology, config.self_loop_prob)?;
         AcousticModel::new(config, senones, triphones, transitions)
+    }
+
+    /// Process-unique identity of this model's parameters: two models share
+    /// an id only if one is a clone of the other.  Scorers key their derived
+    /// per-model caches on it.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The model configuration.
@@ -287,6 +303,9 @@ mod tests {
         assert_eq!(m.config(), &cfg);
         assert_eq!(m.gaussian_param_count(), cfg.total_gaussian_params());
         assert_eq!(m.transitions().topology(), cfg.topology);
+        // A clone keeps the identity; a fresh build of the same shape does not.
+        assert_eq!(m.clone().id(), m.id());
+        assert_ne!(AcousticModel::untrained(cfg.clone()).unwrap().id(), m.id());
         // Every registered triphone's senones are valid.
         for (id, _, senones) in m.triphones().iter() {
             assert_eq!(m.triphone_senones(id).unwrap(), senones);

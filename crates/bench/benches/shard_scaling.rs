@@ -1,27 +1,19 @@
 //! Shard dispatch-overhead bench: the same 200-frame scoring workload
-//! driven through a 4-shard `ShardedScorer` under the three dispatch
-//! regimes —
+//! driven through a 4-shard `ShardedScorer` two ways —
 //!
-//! * `pool_200f`   — persistent worker pool (threads spawned once per
-//!   utterance, per-frame jobs over channels; the production default),
-//! * `scoped_200f` — a fresh scoped thread per shard per frame (the
-//!   historical dispatch, ~10 µs spawn each),
+//! * `pool_200f`   — the persistent worker pool (threads spawned once per
+//!   scorer, per-frame jobs over channels),
 //! * `inline_200f` — sequential fan-out on the calling thread (the
 //!   dispatch-free floor).
 //!
 //! The shards run the *software* backend on purpose: its per-senone cost is
 //! tiny, so these numbers are dominated by dispatch overhead rather than
-//! arithmetic — exactly the recurring cost the persistent pool exists to
-//! cut.  `bench_gate` requires `pool_200f` to beat `scoped_200f` on
-//! multi-core hosts (bounded overhead on single-core hosts, where both
-//! dispatches serialise), and the measured per-frame pool dispatch overhead
-//! over the inline floor is recorded into the `LVCSR_BENCH_JSON` document
-//! as `shard_scaling/pool_dispatch_overhead_per_frame_seconds`.
+//! arithmetic.  The measured per-frame pool dispatch overhead over the
+//! inline floor is recorded into the `LVCSR_BENCH_JSON` document as
+//! `shard_scaling/pool_dispatch_overhead_per_frame_seconds`.
 
 use asr_acoustic::{AcousticModel, AcousticModelConfig, SenoneId};
-use asr_core::{
-    GmmSelectionConfig, ScoringBackendKind, SenoneScorer, ShardDispatch, ShardedScorer,
-};
+use asr_core::{GmmSelectionConfig, ScoringBackendKind, SenoneScorer, ShardedScorer};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 
@@ -32,7 +24,7 @@ fn bench_model() -> AcousticModel {
     AcousticModel::untrained(AcousticModelConfig::tiny()).expect("bench model")
 }
 
-fn build_sharded(dispatch: ShardDispatch, parallel: bool) -> ShardedScorer {
+fn build_sharded(parallel: bool) -> ShardedScorer {
     let selection = GmmSelectionConfig::default();
     let shards: Vec<Box<dyn SenoneScorer>> = (0..SHARDS)
         .map(|_| {
@@ -44,7 +36,6 @@ fn build_sharded(dispatch: ShardDispatch, parallel: bool) -> ShardedScorer {
     ShardedScorer::new(shards)
         .expect("sharded scorer")
         .with_parallelism(parallel)
-        .with_dispatch(dispatch)
 }
 
 /// One utterance: `FRAMES` frames, every senone active each frame, pool
@@ -73,17 +64,12 @@ fn bench_shard_scaling(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
-    let mut pooled = build_sharded(ShardDispatch::Pooled, true);
+    let mut pooled = build_sharded(true);
     group.bench_function("pool_200f", |b| {
         b.iter(|| run_utterance(&mut pooled, &model, &ids, &x))
     });
 
-    let mut scoped = build_sharded(ShardDispatch::ScopedSpawn, true);
-    group.bench_function("scoped_200f", |b| {
-        b.iter(|| run_utterance(&mut scoped, &model, &ids, &x))
-    });
-
-    let mut inline = build_sharded(ShardDispatch::Pooled, false);
+    let mut inline = build_sharded(false);
     group.bench_function("inline_200f", |b| {
         b.iter(|| run_utterance(&mut inline, &model, &ids, &x))
     });
@@ -95,9 +81,8 @@ fn bench_shard_scaling(c: &mut Criterion) {
 /// Records two pseudo-entries next to the criterion results:
 ///
 /// * the shared `host/cpus` metadata record (see
-///   `asr_bench::bench_json::record_host_metadata`), so the gate applies the
-///   strict pool-beats-scoped rule only when the numbers were measured with
-///   real parallelism available;
+///   `asr_bench::bench_json::record_host_metadata`), naming the CPU count
+///   the numbers were measured with;
 /// * `shard_scaling/pool_dispatch_overhead_per_frame_seconds` — pooled
 ///   minus inline wall-clock per frame on a directly timed run (clamped at
 ///   zero: on multi-core hosts the pool can beat the inline floor outright).
@@ -107,8 +92,8 @@ fn record_dispatch_metadata(model: &AcousticModel, ids: &[SenoneId], x: &[f32]) 
         Ok(p) if !p.is_empty() => p,
         _ => return,
     };
-    let time_utterances = |dispatch: ShardDispatch, parallel: bool| -> f64 {
-        let mut scorer = build_sharded(dispatch, parallel);
+    let time_utterances = |parallel: bool| -> f64 {
+        let mut scorer = build_sharded(parallel);
         run_utterance(&mut scorer, model, ids, x); // warm-up
         let rounds = 3;
         let start = Instant::now();
@@ -117,8 +102,8 @@ fn record_dispatch_metadata(model: &AcousticModel, ids: &[SenoneId], x: &[f32]) 
         }
         start.elapsed().as_secs_f64() / (rounds * FRAMES) as f64
     };
-    let pooled = time_utterances(ShardDispatch::Pooled, true);
-    let inline = time_utterances(ShardDispatch::Pooled, false);
+    let pooled = time_utterances(true);
+    let inline = time_utterances(false);
     let overhead = (pooled - inline).max(0.0);
     if let Err(e) = asr_bench::bench_json::record_entry(
         &path,

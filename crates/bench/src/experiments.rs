@@ -349,7 +349,6 @@ pub fn f1_pipeline_breakdown(scale: usize) -> F1Report {
     let soc_cfg = SocConfig::default();
     // Recover per-frame means from the per-utterance report by decoding once
     // and averaging the per-frame numbers the stats carry.
-    let frames = result.stats.num_frames().max(1) as f64;
     let hw = result.hardware.expect("hardware decode");
     // Approximate per-frame unit cycles from activity factors and the budget.
     let budget = soc_cfg.cycle_budget_per_frame();
@@ -362,13 +361,6 @@ pub fn f1_pipeline_breakdown(scale: usize) -> F1Report {
         ) as f64,
         flash_bytes_per_frame: hw.mean_bandwidth_gb_per_s * 1.0e9 * 0.010,
         cycle_budget: budget,
-    }
-    .clamp_frames(frames)
-}
-
-impl F1Report {
-    fn clamp_frames(self, _frames: f64) -> Self {
-        self
     }
 }
 

@@ -5,87 +5,6 @@ use crate::shard::ShardedScorer;
 use crate::DecodeError;
 use asr_hw::SocConfig;
 
-/// Default active-set size below which a sharded frame is scored on the
-/// calling thread instead of being dispatched to worker threads (see
-/// [`ShardTuning::min_parallel_senones`]).
-pub const DEFAULT_MIN_PARALLEL_SENONES: usize = 8;
-
-/// How a [`ShardedScorer`] splits each frame's active-senone set into
-/// contiguous per-shard slices.
-///
-/// Either way every senone is scored by exactly one shard with unchanged
-/// arithmetic, so the choice is invisible in scores, hypotheses and decode
-/// statistics — only the per-shard load (and therefore the merged report's
-/// worst-shard figures and wall-clock) changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPartition {
-    /// Equal senone *counts* per shard (the historical split).
-    EqualSplit,
-    /// Equal estimated *cost* per shard: each senone is weighted by its
-    /// mixture component count, so shards receive balanced work even when
-    /// component counts vary across the senone inventory.  Falls back to the
-    /// equal split automatically when every senone costs the same.
-    #[default]
-    CostWeighted,
-}
-
-/// How a [`ShardedScorer`] gets per-frame work onto its non-inline shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardDispatch {
-    /// Long-lived worker threads (at most one spawn per shard per
-    /// utterance), fed per-frame jobs over channels.  This is the
-    /// low-overhead production path.
-    #[default]
-    Pooled,
-    /// A fresh scoped thread per shard per scored frame (~10 µs each) — the
-    /// historical dispatch, kept as a baseline for the `shard_scaling`
-    /// bench and for callers that must not hold threads between frames.
-    ScopedSpawn,
-}
-
-/// Tuning knobs of a sharded backend, grouped so
-/// [`ScoringBackendKind::Sharded`] construction sites can say
-/// `ShardTuning::default()` and stay source-compatible as knobs grow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardTuning {
-    /// Active-set partitioning policy.
-    pub partition: ShardPartition,
-    /// Worker dispatch mechanism.
-    pub dispatch: ShardDispatch,
-    /// Below this many active senones a frame is scored on the calling
-    /// thread, shard by shard: a tiny frame's dispatch overhead would
-    /// otherwise dominate its scoring cost.  Must be at least 1.
-    pub min_parallel_senones: usize,
-}
-
-impl Default for ShardTuning {
-    fn default() -> Self {
-        ShardTuning {
-            partition: ShardPartition::default(),
-            dispatch: ShardDispatch::default(),
-            min_parallel_senones: DEFAULT_MIN_PARALLEL_SENONES,
-        }
-    }
-}
-
-impl ShardTuning {
-    /// Validates the tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::InvalidConfig`] when `min_parallel_senones`
-    /// is zero (the threshold is compared with `<`, so 1 means "always
-    /// eligible", and 0 would be an untestable alias for it).
-    pub fn validate(&self) -> Result<(), DecodeError> {
-        if self.min_parallel_senones == 0 {
-            return Err(DecodeError::InvalidConfig(
-                "min_parallel_senones must be >= 1".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Which built-in backend scores senones and advances HMMs.
 ///
 /// This is a *configuration descriptor*: it names one of the stock
@@ -117,11 +36,10 @@ pub enum ScoringBackendKind {
     /// [`decode_batch`]: crate::Recognizer::decode_batch
     Simd,
     /// A sharded scale-out scorer ([`crate::ShardedScorer`]):
-    /// `shards` instances of `inner`, each scoring a contiguous slice of
-    /// every frame's active-senone set — shard 0 on the calling thread, the
-    /// rest on the persistent per-utterance worker pool (or per-frame scoped
-    /// threads, see [`ShardTuning`]) — with the per-shard hardware reports
-    /// folded by
+    /// `shards` instances of `inner`, each scoring a cost-balanced
+    /// contiguous slice of every frame's active-senone set — shard 0 on the
+    /// calling thread, the rest on the scorer's persistent worker pool —
+    /// with the per-shard hardware reports folded by
     /// [`UtteranceReport::merge_parallel`](asr_hw::UtteranceReport::merge_parallel).
     /// Results are identical to running `inner` unsharded; only throughput
     /// and the report's shape change.
@@ -130,9 +48,6 @@ pub enum ScoringBackendKind {
         shards: usize,
         /// The backend each shard runs (nesting is allowed but pointless).
         inner: Box<ScoringBackendKind>,
-        /// Partition / dispatch / threshold knobs
-        /// (`ShardTuning::default()` for the production pool).
-        tuning: ShardTuning,
     },
 }
 
@@ -157,16 +72,11 @@ impl ScoringBackendKind {
             ScoringBackendKind::Hardware(cfg) => Ok(Box::new(SocScorer::new(cfg.clone())?)),
             ScoringBackendKind::Software => Ok(Box::new(SoftwareScorer::new(*selection))),
             ScoringBackendKind::Simd => Ok(Box::new(SimdScorer::new(*selection))),
-            ScoringBackendKind::Sharded {
-                shards,
-                inner,
-                tuning,
-            } => {
-                tuning.validate()?;
+            ScoringBackendKind::Sharded { shards, inner } => {
                 let built = (0..*shards)
                     .map(|_| inner.build_scorer(selection))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(Box::new(ShardedScorer::new(built)?.with_tuning(*tuning)))
+                Ok(Box::new(ShardedScorer::new(built)?))
             }
         }
     }
@@ -176,24 +86,19 @@ impl ScoringBackendKind {
     /// # Errors
     ///
     /// Returns [`DecodeError::InvalidConfig`] for an invalid SoC
-    /// configuration, a zero shard count or invalid shard tuning.
+    /// configuration or a zero shard count.
     pub fn validate(&self) -> Result<(), DecodeError> {
         match self {
             ScoringBackendKind::Hardware(soc) => soc
                 .validate()
                 .map_err(|e| DecodeError::InvalidConfig(e.to_string())),
             ScoringBackendKind::Software | ScoringBackendKind::Simd => Ok(()),
-            ScoringBackendKind::Sharded {
-                shards,
-                inner,
-                tuning,
-            } => {
+            ScoringBackendKind::Sharded { shards, inner } => {
                 if *shards == 0 {
                     return Err(DecodeError::InvalidConfig(
                         "a sharded backend needs at least one shard".into(),
                     ));
                 }
-                tuning.validate()?;
                 inner.validate()
             }
         }
@@ -329,7 +234,6 @@ impl DecoderConfig {
             backend: ScoringBackendKind::Sharded {
                 shards,
                 inner: Box::new(ScoringBackendKind::Hardware(SocConfig::default())),
-                tuning: ShardTuning::default(),
             },
             ..Self::default()
         }
@@ -393,7 +297,6 @@ mod tests {
                 ScoringBackendKind::Sharded {
                     shards: 2,
                     inner: Box::new(ScoringBackendKind::Simd),
-                    tuning: ShardTuning::default(),
                 },
                 "sharded",
             ),
@@ -409,7 +312,6 @@ mod tests {
             backend: ScoringBackendKind::Sharded {
                 shards: 0,
                 inner: Box::new(ScoringBackendKind::Software),
-                tuning: ShardTuning::default(),
             },
             ..DecoderConfig::default()
         };
@@ -422,7 +324,6 @@ mod tests {
                     num_structures: 0,
                     ..SocConfig::default()
                 })),
-                tuning: ShardTuning::default(),
             },
             ..DecoderConfig::default()
         };
@@ -438,7 +339,6 @@ mod tests {
         let nest = |inner: ScoringBackendKind, shards: usize| ScoringBackendKind::Sharded {
             shards,
             inner: Box::new(inner),
-            tuning: ShardTuning::default(),
         };
         // Sharded(2, Sharded(2, Simd)) is pointless but legal.
         let valid = DecoderConfig {

@@ -42,10 +42,7 @@ pub mod session;
 pub mod shard;
 pub mod stats;
 
-pub use config::{
-    DecoderConfig, GmmSelectionConfig, ScoringBackendKind, ShardDispatch, ShardPartition,
-    ShardTuning, DEFAULT_MIN_PARALLEL_SENONES,
-};
+pub use config::{DecoderConfig, GmmSelectionConfig, ScoringBackendKind};
 pub use lattice::{WordLattice, WordLatticeEntry};
 pub use phone_decode::PhoneDecoder;
 pub use recognizer::{DecodeResult, Hypothesis, Recognizer};
@@ -54,12 +51,8 @@ pub use scorer::{
     SoftwareScorer,
 };
 pub use search::{SearchNetwork, SearchOutcome, SearchState, TokenPassingSearch};
-pub use session::{DecodeSession, PartialHypothesis, SharedDecodeSession};
+pub use session::{DecodeSession, PartialHypothesis};
 pub use shard::{ShardedScorer, SHARD_THREADS_SPAWNED_METRIC};
-// The deprecated shim stays re-exported so pre-registry callers keep
-// compiling; new code reads the metric from the global registry.
-#[allow(deprecated)]
-pub use shard::shard_threads_spawned_total;
 pub use stats::{DecodeStats, FrameStats};
 
 /// Errors produced by decoding.

@@ -517,7 +517,6 @@ mod tests {
             ScoringBackendKind::Sharded {
                 shards: 2,
                 inner: Box::new(ScoringBackendKind::Hardware(asr_hw::SocConfig::default())),
-                tuning: crate::config::ShardTuning::default(),
             },
         ] {
             let rec = recognizer(backend);

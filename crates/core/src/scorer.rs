@@ -414,9 +414,8 @@ impl SenoneScorer for SoftwareScorer {
 /// OP unit's Gaussian-parameter buffer.
 #[derive(Debug)]
 struct FlattenedModel {
-    /// Identity of the model this table was built from.
-    model_ptr: usize,
-    num_senones: usize,
+    /// [`AcousticModel::id`] of the model this table was built from.
+    model_id: u64,
     dim: usize,
     /// Per senone: (first component row, component count).
     components: Vec<(usize, usize)>,
@@ -446,51 +445,13 @@ impl FlattenedModel {
             }
         }
         FlattenedModel {
-            model_ptr: model as *const AcousticModel as usize,
-            num_senones: pool.len(),
+            model_id: model.id(),
             dim,
             components,
             consts,
             means,
             precisions,
         }
-    }
-
-    fn matches(&self, model: &AcousticModel) -> bool {
-        self.model_ptr == model as *const AcousticModel as usize
-            && self.num_senones == model.senones().len()
-            && self.dim == model.feature_dim()
-            && self.spot_check(model)
-    }
-
-    /// Bit-compares a handful of live parameters against the cached rows.
-    /// Address + shape alone are not a safe cache key: a same-shape model
-    /// allocated at a recycled address (drop recogniser A, build recogniser
-    /// B) would otherwise be scored against A's Gaussians.
-    fn spot_check(&self, model: &AcousticModel) -> bool {
-        let pool = model.senones();
-        let probe = |senone_idx: usize| -> bool {
-            let Some(senone) = pool.get(SenoneId(senone_idx as u32)) else {
-                return false;
-            };
-            let mix = senone.mixture();
-            let (first, count) = self.components[senone_idx];
-            count == mix.num_components()
-                && mix
-                    .log_weight_consts()
-                    .first()
-                    .is_some_and(|&c| c.to_bits() == self.consts[first].to_bits())
-                && mix.components().first().is_some_and(|g| {
-                    g.mean()
-                        .first()
-                        .is_some_and(|&m| m.to_bits() == self.means[first * self.dim].to_bits())
-                        && g.precision().last().is_some_and(|&p| {
-                            p.to_bits()
-                                == self.precisions[first * self.dim + self.dim - 1].to_bits()
-                        })
-                })
-        };
-        probe(0) && probe(self.num_senones - 1)
     }
 }
 
@@ -604,7 +565,11 @@ impl SenoneScorer for SimdScorer {
         feature: &[f32],
         out: &mut Vec<(SenoneId, LogProb)>,
     ) -> Result<(), DecodeError> {
-        if !self.table.as_ref().is_some_and(|t| t.matches(model)) {
+        if !self
+            .table
+            .as_ref()
+            .is_some_and(|t| t.model_id == model.id())
+        {
             self.table = Some(FlattenedModel::build(model));
             self.table_builds += 1;
         }
@@ -613,7 +578,7 @@ impl SenoneScorer for SimdScorer {
         let best_only = self.selection.best_component_only;
         out.reserve(active.len());
         for &id in active {
-            if id.index() >= table.num_senones {
+            if id.index() >= table.components.len() {
                 return Err(AcousticError::UnknownId(format!("senone {}", id.0)).into());
             }
             out.push((id, Self::score_one(table, id.index(), &x, best_only)));
@@ -847,12 +812,12 @@ mod tests {
             simd.is_warm(),
             "the model arena must survive the batch seam"
         );
-        // Repeated scoring of the same model reuses the arena: the
-        // address+shape+parameter spot-check must confirm the warm hit.
+        // Repeated scoring of the same model — or of a clone, which keeps
+        // the model's identity — reuses the arena.
         simd.score_senones(&m, &all_ids(&m), &x).unwrap();
-        simd.score_senones(&m, &all_ids(&m), &x).unwrap();
+        simd.score_senones(&m.clone(), &all_ids(&m), &x).unwrap();
         assert_eq!(simd.table_builds(), 1, "warm hits must not rebuild");
-        // A different model (different address/shape) forces a rebuild.
+        // A different model forces a rebuild.
         let m2 = AcousticModel::untrained(AcousticModelConfig {
             num_phones: 4,
             num_senones: 12,
@@ -868,25 +833,47 @@ mod tests {
 
     #[test]
     fn simd_rebuilds_for_a_same_shape_model_with_different_parameters() {
-        // Same senone count, same dimension, different Gaussians (the
-        // quantised copy): the cache must serve the *new* model's parameters,
-        // never the old ones — the hazard a pointer-only cache key has when
-        // an allocation is recycled (the spot-check in
-        // FlattenedModel::matches guards the recycled-address case).
+        // Model B has A's shape but different Gaussians (the quantised copy)
+        // and is built after A is dropped, so its allocation may reuse A's
+        // address.  Both model-keyed caches — the SIMD arena and the sharded
+        // scorer's cost table and pooled model clone — must serve B's
+        // parameters, never A's.
+        let x: Vec<f32> = (0..model().feature_dim())
+            .map(|d| 0.21 * d as f32)
+            .collect();
+        let sel = GmmSelectionConfig::default();
+        let mut warm = SimdScorer::new(sel);
+        let mut sharded = crate::ShardedScorer::new(vec![
+            Box::new(SimdScorer::new(sel)) as Box<dyn SenoneScorer>,
+            Box::new(SimdScorer::new(sel)) as Box<dyn SenoneScorer>,
+        ])
+        .unwrap()
+        .with_parallelism(true);
         let a = model();
-        let b = asr_acoustic::quantize_model(&a, asr_float::MantissaWidth::BITS_12).unwrap();
-        let x: Vec<f32> = (0..a.feature_dim()).map(|d| 0.21 * d as f32).collect();
         let ids = all_ids(&a);
-        let mut warm = SimdScorer::new(GmmSelectionConfig::default());
-        warm.score_senones(&a, &ids, &x).unwrap();
+        let a_id = a.id();
+        let via_a = warm.score_senones(&a, &ids, &x).unwrap();
+        sharded.score_senones(&a, &ids, &x).unwrap();
+        drop(a);
+        let b = asr_acoustic::quantize_model(&model(), asr_float::MantissaWidth::BITS_12).unwrap();
+        assert_ne!(b.id(), a_id);
         let via_warm_scorer = warm.score_senones(&b, &ids, &x).unwrap();
         assert_eq!(warm.table_builds(), 2, "same-shape model must rebuild");
-        let via_fresh_scorer = SimdScorer::new(GmmSelectionConfig::default())
-            .score_senones(&b, &ids, &x)
-            .unwrap();
-        for ((ia, sa), (ib, sb)) in via_warm_scorer.iter().zip(&via_fresh_scorer) {
-            assert_eq!(ia, ib);
-            assert_eq!(sa.raw(), sb.raw(), "stale parameters served for {ia:?}");
+        let via_sharded_scorer = sharded.score_senones(&b, &ids, &x).unwrap();
+        let via_fresh_scorer = SimdScorer::new(sel).score_senones(&b, &ids, &x).unwrap();
+        assert!(
+            via_a
+                .iter()
+                .zip(&via_fresh_scorer)
+                .any(|((_, sa), (_, sb))| sa.raw() != sb.raw()),
+            "A and B must score differently for a stale cache to show"
+        );
+        for got in [&via_warm_scorer, &via_sharded_scorer] {
+            assert_eq!(got.len(), via_fresh_scorer.len());
+            for ((ia, sa), (ib, sb)) in got.iter().zip(&via_fresh_scorer) {
+                assert_eq!(ia, ib);
+                assert_eq!(sa.raw(), sb.raw(), "stale parameters served for {ia:?}");
+            }
         }
     }
 

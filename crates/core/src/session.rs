@@ -12,14 +12,14 @@
 //! [`Recognizer::decode_features`] on the concatenated input — the invariant
 //! the workspace's `tests/stream.rs` property test pins on every backend.
 //!
-//! Two flavours share one engine (`SessionCore`, private):
-//!
-//! - [`DecodeSession`] borrows its [`Recognizer`] — the natural shape for a
-//!   caller that owns the recogniser on the same thread.
-//! - [`SharedDecodeSession`] holds an [`Arc<Recognizer>`] — an **owned**
-//!   decode-task handle with no lifetime, for worker threads that serve many
-//!   models and must pin each session to the model version it was opened on
-//!   (the serve layer's hot-swap invariant).
+//! One session type serves both ways of holding the recogniser:
+//! [`DecodeSession<&Recognizer>`](DecodeSession) from
+//! [`Recognizer::begin_session`] for a caller that owns the recogniser on
+//! the same thread, and [`DecodeSession<Arc<Recognizer>>`](DecodeSession)
+//! from [`DecodeSession::begin`] — an **owned** decode-task handle with no
+//! lifetime, for worker threads that serve many models and must pin each
+//! session to the model version it was opened on (the serve layer's
+//! hot-swap invariant).
 //!
 //! [`finish`]: DecodeSession::finish
 
@@ -28,7 +28,7 @@ use crate::recognizer::{DecodeResult, Recognizer};
 use crate::search::{SearchState, TokenPassingSearch};
 use crate::DecodeError;
 use asr_lexicon::WordId;
-use std::sync::Arc;
+use std::ops::Deref;
 
 /// A snapshot of what the search believes so far, surfaced between chunks.
 ///
@@ -56,17 +56,6 @@ impl PartialHypothesis {
     }
 }
 
-/// The session engine shared by both session flavours: everything an
-/// in-flight incremental decode owns *except* the recogniser handle.  Every
-/// method takes the recogniser explicitly, so the wrappers decide whether it
-/// is borrowed ([`DecodeSession`]) or `Arc`-held ([`SharedDecodeSession`]).
-#[derive(Debug)]
-struct SessionCore {
-    phone_decoder: PhoneDecoder,
-    state: SearchState,
-    partial_words: Vec<WordId>,
-}
-
 fn search(recognizer: &Recognizer) -> TokenPassingSearch<'_> {
     TokenPassingSearch::new(
         recognizer.model(),
@@ -76,233 +65,25 @@ fn search(recognizer: &Recognizer) -> TokenPassingSearch<'_> {
     )
 }
 
-impl SessionCore {
-    fn begin(recognizer: &Recognizer, mut phone_decoder: PhoneDecoder) -> Self {
-        phone_decoder.begin_utterance();
-        SessionCore {
-            phone_decoder,
-            state: search(recognizer).begin(),
-            partial_words: Vec::new(),
-        }
-    }
-
-    fn frames(&self) -> usize {
-        self.state.frames()
-    }
-
-    fn step_frame(&mut self, recognizer: &Recognizer, feature: &[f32]) -> Result<(), DecodeError> {
-        search(recognizer).step(&mut self.state, &mut self.phone_decoder, feature)?;
-        // Hold the previous partial while the search revises; only ever
-        // extend, so partials stay prefix-consistent.
-        let best = self.state.best_words();
-        if best.len() > self.partial_words.len() && best.starts_with(&self.partial_words) {
-            self.partial_words = best.to_vec();
-        }
-        Ok(())
-    }
-
-    fn push_chunk(
-        &mut self,
-        recognizer: &Recognizer,
-        frames: &[Vec<f32>],
-    ) -> Result<(), DecodeError> {
-        for frame in frames {
-            self.step_frame(recognizer, frame)?;
-        }
-        Ok(())
-    }
-
-    fn partial(&self, recognizer: &Recognizer) -> PartialHypothesis {
-        let spelled = self
-            .partial_words
-            .iter()
-            .map(|&w| {
-                recognizer
-                    .dictionary()
-                    .spelling(w)
-                    .unwrap_or("<unk>")
-                    .to_string()
-            })
-            .collect();
-        PartialHypothesis {
-            frames: self.state.frames(),
-            words: self.partial_words.clone(),
-            text: spelled,
-        }
-    }
-
-    fn finish_parts(
-        mut self,
-        recognizer: &Recognizer,
-    ) -> (Result<DecodeResult, DecodeError>, PhoneDecoder) {
-        if self.state.frames() == 0 {
-            // Matches the offline path for empty input: no search ran, no
-            // hardware report (the backend scored nothing).
-            self.phone_decoder.begin_utterance();
-            return (Ok(DecodeResult::empty()), self.phone_decoder);
-        }
-        let outcome = search(recognizer).finish(self.state);
-        let hardware = self.phone_decoder.finish_utterance();
-        (
-            Ok(recognizer.assemble_result(outcome, hardware)),
-            self.phone_decoder,
-        )
-    }
-
-    fn cancel(mut self) -> PhoneDecoder {
-        // Abandon the search state and hard-reset the backend's
-        // per-utterance state without producing a report — the same re-arm
-        // the zero-frame finish path uses, so a cancelled decoder is
-        // indistinguishable from a fresh one.
-        self.phone_decoder.begin_utterance();
-        self.phone_decoder
-    }
-}
-
 /// An in-flight incremental decode of one utterance.
 ///
-/// Created by [`Recognizer::begin_session`]; feed it frames with
-/// [`DecodeSession::step_frame`] / [`DecodeSession::push_chunk`] and close it
-/// with [`DecodeSession::finish`].  Chunk boundaries are invisible to the
+/// `R` is how the session holds its recogniser: `&Recognizer` for a session
+/// opened with [`Recognizer::begin_session`], or `Arc<Recognizer>` for one
+/// opened with [`DecodeSession::begin`].  An `Arc` session has no lifetime,
+/// so it can be stored in long-lived worker state, moved across threads, or
+/// outlive the place that opened it; a session opened on one model
+/// *version* keeps decoding that exact version even if a registry has since
+/// hot-swapped the name to a newer one — the `Arc` pins it.
+///
+/// Feed it frames with [`DecodeSession::step_frame`] /
+/// [`DecodeSession::push_chunk`] and close it with
+/// [`DecodeSession::finish`].  Chunk boundaries are invisible to the
 /// search: any chunking of the same frames produces the same result.
 ///
 /// # Example
 ///
 /// ```
-/// use asr_core::{DecoderConfig, Recognizer};
-/// use asr_corpus::{TaskConfig, TaskGenerator};
-///
-/// let task = TaskGenerator::new(5).generate(&TaskConfig::tiny()).unwrap();
-/// let recognizer = Recognizer::new(
-///     task.acoustic_model.clone(),
-///     task.dictionary.clone(),
-///     task.language_model.clone(),
-///     DecoderConfig::simd(),
-/// )
-/// .unwrap();
-/// let (features, reference) = task.synthesize_utterance(2, 0.2, 1);
-///
-/// let mut session = recognizer.begin_session().unwrap();
-/// for chunk in features.chunks(3) {
-///     session.push_chunk(chunk).unwrap();
-/// }
-/// let streamed = session.finish().unwrap();
-/// let offline = recognizer.decode_features(&features).unwrap();
-/// assert_eq!(streamed.hypothesis.words, reference);
-/// assert_eq!(streamed.hypothesis, offline.hypothesis);
-/// ```
-#[derive(Debug)]
-pub struct DecodeSession<'r> {
-    recognizer: &'r Recognizer,
-    core: SessionCore,
-}
-
-impl Recognizer {
-    /// Opens an incremental decode session on the configured backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::InvalidConfig`] if the backend configuration is
-    /// invalid.
-    pub fn begin_session(&self) -> Result<DecodeSession<'_>, DecodeError> {
-        Ok(self.begin_session_with(self.phone_decoder()?))
-    }
-
-    /// Opens an incremental decode session around a caller-supplied phone
-    /// decoder — the streaming counterpart of
-    /// [`Recognizer::decode_features_with`], for custom backends and for
-    /// reusing one warmed decoder across consecutive sessions (reclaim it
-    /// with [`DecodeSession::finish_parts`]).
-    pub fn begin_session_with(&self, phone_decoder: PhoneDecoder) -> DecodeSession<'_> {
-        DecodeSession {
-            recognizer: self,
-            core: SessionCore::begin(self, phone_decoder),
-        }
-    }
-}
-
-impl<'r> DecodeSession<'r> {
-    /// The recogniser this session decodes against.
-    pub fn recognizer(&self) -> &'r Recognizer {
-        self.recognizer
-    }
-
-    /// Feature frames consumed so far.
-    pub fn frames(&self) -> usize {
-        self.core.frames()
-    }
-
-    /// Consumes one feature frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::DimensionMismatch`] for a frame of the wrong
-    /// dimension, or propagates backend errors.  The session stays usable
-    /// after a dimension error (the bad frame was rejected before touching
-    /// the search).
-    pub fn step_frame(&mut self, feature: &[f32]) -> Result<(), DecodeError> {
-        self.core.step_frame(self.recognizer, feature)
-    }
-
-    /// Consumes a chunk of feature frames (any size, including empty).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first frame that fails to decode; earlier frames of the
-    /// chunk have been consumed.
-    pub fn push_chunk(&mut self, frames: &[Vec<f32>]) -> Result<(), DecodeError> {
-        self.core.push_chunk(self.recognizer, frames)
-    }
-
-    /// The current partial hypothesis (words completed so far).
-    pub fn partial(&self) -> PartialHypothesis {
-        self.core.partial(self.recognizer)
-    }
-
-    /// Closes the session: runs the global best path search over the lattice
-    /// and returns the full [`DecodeResult`].  A session that consumed zero
-    /// frames yields [`DecodeResult::empty`].
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in practice; the `Result` keeps the signature
-    /// stable for backends that may fail on utterance close.
-    pub fn finish(self) -> Result<DecodeResult, DecodeError> {
-        self.finish_parts().0
-    }
-
-    /// Like [`DecodeSession::finish`], but also hands back the phone decoder
-    /// so one warmed backend can serve the next session
-    /// (via [`Recognizer::begin_session_with`]).
-    pub fn finish_parts(self) -> (Result<DecodeResult, DecodeError>, PhoneDecoder) {
-        self.core.finish_parts(self.recognizer)
-    }
-
-    /// Abandons the utterance without running the final best-path search
-    /// (barge-in / client cancellation): everything decoded so far is
-    /// discarded and the phone decoder is handed back, already re-armed for
-    /// the next utterance — no [`UtteranceReport`](asr_hw::UtteranceReport)
-    /// is produced for the abandoned frames.
-    pub fn cancel(self) -> PhoneDecoder {
-        self.core.cancel()
-    }
-}
-
-/// An in-flight incremental decode that **owns** its recogniser handle.
-///
-/// Identical in behaviour to [`DecodeSession`] (same engine, same
-/// stream==offline invariant), but the recogniser travels as an
-/// [`Arc<Recognizer>`] instead of a borrow, so the session has no lifetime
-/// and can be stored in long-lived worker state, moved across threads, or
-/// outlive the place that opened it.  This is the decode-task handle the
-/// serve layer's workers hold: a session opened on one model *version* keeps
-/// decoding that exact version even if the registry has since hot-swapped
-/// the name to a newer one — the `Arc` pins it.
-///
-/// # Example
-///
-/// ```
-/// use asr_core::{DecoderConfig, Recognizer, SharedDecodeSession};
+/// use asr_core::{DecodeSession, DecoderConfig, Recognizer};
 /// use asr_corpus::{TaskConfig, TaskGenerator};
 /// use std::sync::Arc;
 ///
@@ -318,64 +99,104 @@ impl<'r> DecodeSession<'r> {
 /// );
 /// let (features, reference) = task.synthesize_utterance(2, 0.2, 1);
 ///
-/// let mut session = SharedDecodeSession::begin(Arc::clone(&recognizer)).unwrap();
-/// // No lifetime: the session may move to another thread, and dropping (or
-/// // even replacing) `recognizer` would not invalidate it.
-/// session.push_chunk(&features).unwrap();
+/// // Borrowed: the session lives inside the recogniser's scope.
+/// let mut session = recognizer.begin_session().unwrap();
+/// for chunk in features.chunks(3) {
+///     session.push_chunk(chunk).unwrap();
+/// }
 /// let streamed = session.finish().unwrap();
+/// let offline = recognizer.decode_features(&features).unwrap();
 /// assert_eq!(streamed.hypothesis.words, reference);
-/// assert_eq!(
-///     streamed.hypothesis,
-///     recognizer.decode_features(&features).unwrap().hypothesis,
-/// );
+/// assert_eq!(streamed.hypothesis, offline.hypothesis);
+///
+/// // Owned: no lifetime, so the session may move to another thread, and
+/// // dropping (or even replacing) `recognizer` would not invalidate it.
+/// let mut session = DecodeSession::begin(Arc::clone(&recognizer)).unwrap();
+/// session.push_chunk(&features).unwrap();
+/// assert_eq!(session.finish().unwrap().hypothesis, offline.hypothesis);
 /// ```
 #[derive(Debug)]
-pub struct SharedDecodeSession {
-    recognizer: Arc<Recognizer>,
-    core: SessionCore,
+pub struct DecodeSession<R: Deref<Target = Recognizer>> {
+    recognizer: R,
+    phone_decoder: PhoneDecoder,
+    state: SearchState,
+    partial_words: Vec<WordId>,
 }
 
-impl SharedDecodeSession {
-    /// Opens an owned incremental decode session on the recogniser's
-    /// configured backend.
+impl Recognizer {
+    /// Opens an incremental decode session on the configured backend.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError::InvalidConfig`] if the backend configuration is
     /// invalid.
-    pub fn begin(recognizer: Arc<Recognizer>) -> Result<Self, DecodeError> {
+    pub fn begin_session(&self) -> Result<DecodeSession<&Recognizer>, DecodeError> {
+        DecodeSession::begin(self)
+    }
+
+    /// Opens an incremental decode session around a caller-supplied phone
+    /// decoder — the streaming counterpart of
+    /// [`Recognizer::decode_features_with`], for custom backends and for
+    /// reusing one warmed decoder across consecutive sessions (reclaim it
+    /// with [`DecodeSession::finish_parts`]).
+    pub fn begin_session_with(&self, phone_decoder: PhoneDecoder) -> DecodeSession<&Recognizer> {
+        DecodeSession::begin_with(self, phone_decoder)
+    }
+}
+
+impl<R: Deref<Target = Recognizer>> DecodeSession<R> {
+    /// Opens a session on the recogniser's configured backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::InvalidConfig`] if the backend configuration is
+    /// invalid.
+    pub fn begin(recognizer: R) -> Result<Self, DecodeError> {
         let phone_decoder = recognizer.phone_decoder()?;
         Ok(Self::begin_with(recognizer, phone_decoder))
     }
 
-    /// Opens an owned session around a caller-supplied phone decoder — the
-    /// `Arc` counterpart of [`Recognizer::begin_session_with`], for reusing
+    /// Opens a session around a caller-supplied phone decoder, for reusing
     /// one warmed decoder across consecutive sessions (reclaim it with
-    /// [`SharedDecodeSession::finish_parts`]).
-    pub fn begin_with(recognizer: Arc<Recognizer>, phone_decoder: PhoneDecoder) -> Self {
-        let core = SessionCore::begin(&recognizer, phone_decoder);
-        SharedDecodeSession { recognizer, core }
+    /// [`DecodeSession::finish_parts`]).
+    pub fn begin_with(recognizer: R, mut phone_decoder: PhoneDecoder) -> Self {
+        phone_decoder.begin_utterance();
+        let state = search(&recognizer).begin();
+        DecodeSession {
+            recognizer,
+            phone_decoder,
+            state,
+            partial_words: Vec::new(),
+        }
     }
 
-    /// The recogniser this session decodes against (and keeps alive).
-    pub fn recognizer(&self) -> &Arc<Recognizer> {
+    /// The recogniser this session decodes against.
+    pub fn recognizer(&self) -> &R {
         &self.recognizer
     }
 
     /// Feature frames consumed so far.
     pub fn frames(&self) -> usize {
-        self.core.frames()
+        self.state.frames()
     }
 
-    /// Consumes one feature frame; see [`DecodeSession::step_frame`].
+    /// Consumes one feature frame.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError::DimensionMismatch`] for a frame of the wrong
     /// dimension, or propagates backend errors.  The session stays usable
-    /// after a dimension error.
+    /// after a dimension error (the bad frame was rejected before touching
+    /// the search).
     pub fn step_frame(&mut self, feature: &[f32]) -> Result<(), DecodeError> {
-        self.core.step_frame(&self.recognizer, feature)
+        search(&self.recognizer).step(&mut self.state, &mut self.phone_decoder, feature)?;
+        // Hold the previous partial while the search revises; only ever
+        // extend, so partials stay prefix-consistent.
+        let best = self.state.best_words();
+        if best.len() > self.partial_words.len() && best.starts_with(&self.partial_words) {
+            self.partial_words = best.to_vec();
+        }
+        Ok(())
     }
 
     /// Consumes a chunk of feature frames (any size, including empty).
@@ -385,15 +206,35 @@ impl SharedDecodeSession {
     /// Fails on the first frame that fails to decode; earlier frames of the
     /// chunk have been consumed.
     pub fn push_chunk(&mut self, frames: &[Vec<f32>]) -> Result<(), DecodeError> {
-        self.core.push_chunk(&self.recognizer, frames)
+        for frame in frames {
+            self.step_frame(frame)?;
+        }
+        Ok(())
     }
 
     /// The current partial hypothesis (words completed so far).
     pub fn partial(&self) -> PartialHypothesis {
-        self.core.partial(&self.recognizer)
+        let spelled = self
+            .partial_words
+            .iter()
+            .map(|&w| {
+                self.recognizer
+                    .dictionary()
+                    .spelling(w)
+                    .unwrap_or("<unk>")
+                    .to_string()
+            })
+            .collect();
+        PartialHypothesis {
+            frames: self.state.frames(),
+            words: self.partial_words.clone(),
+            text: spelled,
+        }
     }
 
-    /// Closes the session; see [`DecodeSession::finish`].
+    /// Closes the session: runs the global best path search over the lattice
+    /// and returns the full [`DecodeResult`].  A session that consumed zero
+    /// frames yields [`DecodeResult::empty`].
     ///
     /// # Errors
     ///
@@ -403,17 +244,33 @@ impl SharedDecodeSession {
         self.finish_parts().0
     }
 
-    /// Like [`SharedDecodeSession::finish`], but also hands back the phone
-    /// decoder so one warmed backend can serve the next session.
-    pub fn finish_parts(self) -> (Result<DecodeResult, DecodeError>, PhoneDecoder) {
-        self.core.finish_parts(&self.recognizer)
+    /// Like [`DecodeSession::finish`], but also hands back the phone decoder
+    /// so one warmed backend can serve the next session.
+    pub fn finish_parts(mut self) -> (Result<DecodeResult, DecodeError>, PhoneDecoder) {
+        if self.state.frames() == 0 {
+            // Matches the offline path for empty input: no search ran, no
+            // hardware report (the backend scored nothing).
+            self.phone_decoder.begin_utterance();
+            return (Ok(DecodeResult::empty()), self.phone_decoder);
+        }
+        let outcome = search(&self.recognizer).finish(self.state);
+        let hardware = self.phone_decoder.finish_utterance();
+        (
+            Ok(self.recognizer.assemble_result(outcome, hardware)),
+            self.phone_decoder,
+        )
     }
 
-    /// Abandons the utterance without a final result; see
-    /// [`DecodeSession::cancel`].  Releases the `Arc` on the recogniser and
-    /// hands back the re-armed phone decoder.
-    pub fn cancel(self) -> PhoneDecoder {
-        self.core.cancel()
+    /// Abandons the utterance without running the final best-path search
+    /// (barge-in / client cancellation): everything decoded so far is
+    /// discarded and the phone decoder is handed back, already re-armed for
+    /// the next utterance — no [`UtteranceReport`](asr_hw::UtteranceReport)
+    /// is produced for the abandoned frames.
+    pub fn cancel(mut self) -> PhoneDecoder {
+        // The same re-arm the zero-frame finish path uses, so a cancelled
+        // decoder is indistinguishable from a fresh one.
+        self.phone_decoder.begin_utterance();
+        self.phone_decoder
     }
 }
 
@@ -422,6 +279,7 @@ mod tests {
     use super::*;
     use crate::config::DecoderConfig;
     use asr_corpus::{SyntheticTask, TaskConfig, TaskGenerator};
+    use std::sync::Arc;
 
     fn task() -> SyntheticTask {
         TaskGenerator::new(31)
@@ -552,7 +410,7 @@ mod tests {
 
         // Open on this thread, decode on another: no lifetime ties the
         // session to the opener's stack frame.
-        let mut session = SharedDecodeSession::begin(Arc::clone(&rec)).unwrap();
+        let mut session = DecodeSession::begin(Arc::clone(&rec)).unwrap();
         assert!(Arc::ptr_eq(session.recognizer(), &rec));
         let streamed = std::thread::spawn(move || {
             for chunk in features.chunks(3) {
@@ -603,12 +461,12 @@ mod tests {
             }
         }
 
-        // The shared (Arc) wrapper exposes the same seam.
+        // An `Arc` session exposes the same seam.
         let rec = Arc::new(recognizer(&task, DecoderConfig::simd()));
-        let mut session = SharedDecodeSession::begin(Arc::clone(&rec)).unwrap();
+        let mut session = DecodeSession::begin(Arc::clone(&rec)).unwrap();
         session.push_chunk(&features[..3]).unwrap();
         let decoder = session.cancel();
-        let mut session = SharedDecodeSession::begin_with(Arc::clone(&rec), decoder);
+        let mut session = DecodeSession::begin_with(Arc::clone(&rec), decoder);
         session.push_chunk(&features).unwrap();
         assert_eq!(session.finish().unwrap().hypothesis.words, reference);
     }
@@ -620,11 +478,11 @@ mod tests {
         let (features, reference) = task.synthesize_utterance(1, 0.2, 6);
 
         // Zero frames → typed empty result, decoder handed back.
-        let empty = SharedDecodeSession::begin(Arc::clone(&rec)).unwrap();
+        let empty = DecodeSession::begin(Arc::clone(&rec)).unwrap();
         let (result, decoder) = empty.finish_parts();
         assert!(result.unwrap().is_empty());
 
-        let mut session = SharedDecodeSession::begin_with(Arc::clone(&rec), decoder);
+        let mut session = DecodeSession::begin_with(Arc::clone(&rec), decoder);
         session.push_chunk(&features).unwrap();
         assert_eq!(session.finish().unwrap().hypothesis.words, reference);
     }

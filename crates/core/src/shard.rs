@@ -11,38 +11,34 @@
 //! scaled-out machine over one audio stream rather than N copies of the
 //! audio.
 //!
-//! Two axes are tunable per backend (see [`ShardTuning`]):
+//! There is one way to do each step, and nothing to tune:
 //!
-//! * **Dispatch** ([`ShardDispatch`]) — how per-frame work reaches the
-//!   shards.  The default [`ShardDispatch::Pooled`] keeps N−1 long-lived
-//!   worker threads for the *life of the scorer* (spawned lazily on the
-//!   first parallel frame, fed jobs over channels, joined when the scorer
-//!   is dropped); shard 0 always scores inline on the calling thread.
-//!   Because [`SenoneScorer::finish_utterance`] and
-//!   [`SenoneScorer::reset`] leave the pool warm, a batch — or a serving worker decoding
+//! * **Dispatch** — shard 0 always scores inline on the calling thread; the
+//!   other N−1 shards are fed per-frame jobs over channels by long-lived
+//!   worker threads that live for the *life of the scorer* (spawned lazily
+//!   on the first parallel frame, joined when the scorer is dropped).
+//!   Because [`SenoneScorer::finish_utterance`] and [`SenoneScorer::reset`]
+//!   leave the pool warm, a batch — or a serving worker decoding
 //!   indefinitely — spawns its threads exactly once, not once per
-//!   utterance.  [`ShardDispatch::ScopedSpawn`] is the historical
-//!   thread-per-frame dispatch, kept as the overhead baseline the
-//!   `shard_scaling` bench gates against.  Worker lifetime is safe-Rust
-//!   only: shard boxes and an [`Arc`]-cloned acoustic model round-trip
-//!   through the job channels, so nothing borrows across threads.
-//! * **Partition** ([`ShardPartition`]) — how the active set splits.  The
-//!   default [`ShardPartition::CostWeighted`] balances *estimated cost*
-//!   (per-senone mixture component count) instead of senone count, so a
-//!   model with skewed mixture sizes still loads its shards evenly; for
-//!   uniform-cost models it degenerates to the equal split automatically.
+//!   utterance.  Frames with fewer than eight active senones, and every
+//!   frame on a single-CPU host, are scored shard by shard on the calling
+//!   thread instead.  Worker lifetime is safe-Rust only: shard boxes and an
+//!   [`Arc`]-cloned acoustic model round-trip through the job channels, so
+//!   nothing borrows across threads.
+//! * **Partition** — the active set splits into contiguous slices of equal
+//!   *estimated cost* (per-senone mixture component count), so a model with
+//!   skewed mixture sizes still loads its shards evenly.  On a uniform-cost
+//!   model no slice is larger than `ceil(len / N)` senones.
 //!
 //! Because every senone is scored by exactly one shard with the same
 //! arithmetic the unsharded backend would use, sharding is *observationally
-//! pure* under every dispatch × partition combination: scores, hypotheses
-//! and decode statistics are identical to the unsharded inner scorer
-//! (property-tested in `tests/shard.rs`), and only wall-clock throughput
-//! and the hardware report's shape change.
+//! pure*: scores, hypotheses and decode statistics are identical to the
+//! unsharded inner scorer (property-tested in `tests/shard.rs`), and only
+//! wall-clock throughput and the hardware report's shape change.
 //!
 //! [`SpeechSoc`]: asr_hw::SpeechSoc
 //! [`SocScorer`]: crate::SocScorer
 
-use crate::config::{ShardDispatch, ShardPartition, ShardTuning};
 use crate::scorer::{HmmStepResult, SenoneScorer};
 use crate::DecodeError;
 use asr_acoustic::{AcousticModel, SenoneId, TransitionMatrix};
@@ -64,26 +60,8 @@ fn spawn_counter() -> &'static Counter {
     COUNTER.get_or_init(|| asr_obs::MetricsRegistry::global().counter(SHARD_THREADS_SPAWNED_METRIC))
 }
 
-/// Cumulative number of OS threads spawned by all [`ShardedScorer`] pools in
-/// this process, across their whole lifetime.
-///
-/// The per-scorer [`ShardedScorer::threads_spawned`] counter is unreachable
-/// when the scorer lives inside another thread (a serving worker); this
-/// process-wide counter is the observable the steady-state zero-spawn
-/// property of a warm server is asserted on: once every worker's pool is
-/// live, decoding more utterances must not move it.
-#[deprecated(
-    since = "0.1.0",
-    note = "read the `shard.threads_spawned_total` counter from \
-            `asr_obs::MetricsRegistry::global()` instead"
-)]
-pub fn shard_threads_spawned_total() -> usize {
-    spawn_counter().get() as usize
-}
-
 /// Message loss on the worker channels means a worker thread died, which
-/// only happens if an inner scorer panicked — propagate as a panic, exactly
-/// like the scoped-thread dispatch's `join().expect(..)` did.
+/// only happens if an inner scorer panicked — propagate as a panic.
 const WORKER_DIED: &str = "shard scoring worker panicked";
 
 /// Invariant message: shard boxes are always present between frames (they
@@ -91,89 +69,41 @@ const WORKER_DIED: &str = "shard scoring worker panicked";
 /// reply puts them back before the call returns).
 const SHARD_PRESENT: &str = "shard present between frames";
 
-/// A fingerprint of one senone's parameters, bit-compared to detect a
-/// different model recycled at the same address (the same hazard
-/// `SimdScorer`'s flattened-arena cache guards against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SenoneProbe {
-    components: usize,
-    weight_const_bits: u32,
-    mean_bits: u32,
-    precision_bits: u32,
-}
-
-impl SenoneProbe {
-    fn of(model: &AcousticModel, index: usize) -> Option<SenoneProbe> {
-        let senone = model.senones().get(SenoneId(index as u32))?;
-        let mix = senone.mixture();
-        let first_gaussian = mix.components().first();
-        Some(SenoneProbe {
-            components: mix.num_components(),
-            weight_const_bits: mix.log_weight_consts().first().map_or(0, |c| c.to_bits()),
-            mean_bits: first_gaussian
-                .and_then(|g| g.mean().first())
-                .map_or(0, |m| m.to_bits()),
-            // The last precision element too, matching the probe strength of
-            // `FlattenedModel::spot_check`: a same-shape model recycled at
-            // the same address must differ in *none* of these bits to be
-            // mistaken for a cache hit.
-            precision_bits: first_gaussian
-                .and_then(|g| g.precision().last())
-                .map_or(0, |p| p.to_bits()),
-        })
-    }
-}
+/// Below this many active senones a frame is scored on the calling thread,
+/// shard by shard: a tiny frame's dispatch overhead would otherwise dominate
+/// its scoring cost.
+const MIN_PARALLEL_SENONES: usize = 8;
 
 /// Per-model derived state, cached across utterances (a model-level cache in
-/// the sense of the [`SenoneScorer`] contract): the per-senone cost table
-/// driving the cost-weighted partition, and the shared [`Arc`] clone of the
-/// model that pooled workers score against.
+/// the sense of the [`SenoneScorer`] contract) and keyed on
+/// [`AcousticModel::id`]: the per-senone cost table driving the partition,
+/// and the shared [`Arc`] clone of the model that pooled workers score
+/// against.
 #[derive(Debug)]
 struct ModelCache {
-    model_ptr: usize,
-    num_senones: usize,
-    dim: usize,
-    first: Option<SenoneProbe>,
-    last: Option<SenoneProbe>,
+    model_id: u64,
     /// Estimated relative scoring cost per senone: its mixture component
     /// count (each component costs one full pass over the feature vector on
     /// every backend, so components dominate per-senone cost).
     costs: Vec<u32>,
-    /// Whether every senone costs the same — the cost-weighted partition
-    /// then short-circuits to the equal split.
-    uniform: bool,
-    /// Deep clone of the model handed to pooled workers (they outlive any
-    /// borrow of the caller's model).  Built lazily on the first pooled
-    /// frame; parameter values are identical, so scores are too.
+    /// Clone of the model handed to pooled workers (they outlive any borrow
+    /// of the caller's model).  Built lazily on the first pooled frame; it
+    /// keeps the model's id, so inner scorers' model caches stay warm
+    /// whichever copy a frame is scored against.
     shared: Option<Arc<AcousticModel>>,
 }
 
 impl ModelCache {
     fn build(model: &AcousticModel) -> ModelCache {
-        let costs: Vec<u32> = model
-            .senones()
-            .iter()
-            .map(|s| s.mixture().num_components() as u32)
-            .collect();
-        let uniform = costs.windows(2).all(|w| w[0] == w[1]);
         ModelCache {
-            model_ptr: model as *const AcousticModel as usize,
-            num_senones: model.senones().len(),
-            dim: model.feature_dim(),
-            first: SenoneProbe::of(model, 0),
-            last: SenoneProbe::of(model, model.senones().len().saturating_sub(1)),
-            costs,
-            uniform,
+            model_id: model.id(),
+            costs: model
+                .senones()
+                .iter()
+                .map(|s| s.mixture().num_components() as u32)
+                .collect(),
             shared: None,
         }
-    }
-
-    fn matches(&self, model: &AcousticModel) -> bool {
-        self.model_ptr == model as *const AcousticModel as usize
-            && self.num_senones == model.senones().len()
-            && self.dim == model.feature_dim()
-            && self.first == SenoneProbe::of(model, 0)
-            && self.last == SenoneProbe::of(model, self.num_senones.saturating_sub(1))
     }
 
     fn shared_model(&mut self, model: &AcousticModel) -> &Arc<AcousticModel> {
@@ -198,7 +128,7 @@ struct ScoreJob {
 /// Recycled per-worker job buffers: active ids, feature copy, result.
 type SpareBuffers = (Vec<SenoneId>, Vec<f32>, Vec<(SenoneId, LogProb)>);
 
-/// The persistent per-utterance worker pool: worker `w` always serves shard
+/// The persistent worker pool: worker `w` always serves shard
 /// `w + 1` (shard 0 scores inline on the calling thread).  Each worker owns
 /// its *own* reply channel, so if a worker dies mid-job its channel
 /// disconnects and the caller's `recv` fails immediately — a shared reply
@@ -272,53 +202,37 @@ impl Drop for WorkerPool {
 }
 
 /// Writes the partition boundaries for `active` into `bounds`
-/// (`n + 1` entries, `bounds[k]..bounds[k + 1]` is shard `k`'s slice).
-/// With `costs`, slices balance total estimated cost; without, they balance
-/// senone count (the historical equal split).
-fn fill_bounds(bounds: &mut Vec<usize>, n: usize, active: &[SenoneId], costs: Option<&[u32]>) {
+/// (`n + 1` entries, `bounds[k]..bounds[k + 1]` is shard `k`'s slice): each
+/// shard is cut as soon as the prefix holds its share of the total
+/// estimated cost.
+fn fill_bounds(bounds: &mut Vec<usize>, n: usize, active: &[SenoneId], costs: &[u32]) {
     bounds.clear();
     bounds.push(0);
-    let cost_of =
-        |costs: &[u32], id: SenoneId| -> u64 { costs.get(id.index()).copied().unwrap_or(1) as u64 };
-    let total = costs.map(|costs| active.iter().map(|&id| cost_of(costs, id)).sum::<u64>());
-    match (costs, total) {
-        (Some(costs), Some(total)) if total > 0 => {
-            let mut acc = 0u64;
-            let mut k = 1usize;
-            for (i, &id) in active.iter().enumerate() {
-                acc += cost_of(costs, id);
-                // Cut shard k as soon as the prefix holds a k/n share of the
-                // total cost; a dominant senone may produce empty slices for
-                // later shards, which simply score nothing that frame.
-                while k < n && acc * n as u64 >= total * k as u64 {
-                    bounds.push(i + 1);
-                    k += 1;
-                }
-            }
-            while bounds.len() < n {
-                bounds.push(active.len());
-            }
-        }
-        _ => {
-            let chunk = active.len().div_ceil(n).max(1);
-            for k in 1..n {
-                bounds.push((k * chunk).min(active.len()));
-            }
+    let cost_of = |id: SenoneId| -> u64 { costs.get(id.index()).copied().unwrap_or(1) as u64 };
+    let total: u64 = active.iter().map(|&id| cost_of(id)).sum();
+    let mut acc = 0u64;
+    for (i, &id) in active.iter().enumerate() {
+        acc += cost_of(id);
+        // Cut shard k = bounds.len() as soon as the prefix holds a k/n
+        // share of the total cost; a dominant senone may produce empty
+        // slices for later shards, which simply score nothing that frame.
+        while bounds.len() < n && acc * n as u64 >= total * bounds.len() as u64 {
+            bounds.push(i + 1);
         }
     }
-    bounds.push(active.len());
+    while bounds.len() <= n {
+        bounds.push(active.len());
+    }
 }
 
 /// A scorer that shards the active-senone set across several inner scorers.
 ///
 /// * [`SenoneScorer::score_senones`] splits the active set into
-///   `num_shards()` contiguous slices — cost-weighted by mixture component
-///   count under [`ShardPartition::CostWeighted`], equal-sized under
-///   [`ShardPartition::EqualSplit`] — and scores them concurrently,
-///   concatenating the per-slice results in `active` order.  Shard 0 always
-///   scores on the calling thread; the rest are fed through the persistent
-///   worker pool ([`ShardDispatch::Pooled`], zero thread spawns per frame)
-///   or scored on per-frame scoped threads ([`ShardDispatch::ScopedSpawn`]).
+///   `num_shards()` contiguous slices of equal estimated cost (mixture
+///   component count) and scores them concurrently, concatenating the
+///   per-slice results in `active` order.  Shard 0 always scores on the
+///   calling thread; the rest are fed through the persistent worker pool
+///   (zero thread spawns per frame).
 /// * [`SenoneScorer::step_hmm`] dispatches HMM updates round-robin across the
 ///   shards, mirroring [`SpeechSoc`]'s internal structure scheduling.
 /// * [`SenoneScorer::finish_utterance`] folds the shards' reports with
@@ -349,23 +263,20 @@ pub struct ShardedScorer {
     /// host has more than one CPU": on a single-core host the threads would
     /// serialise anyway and only the dispatch overhead would remain.
     parallel: bool,
-    tuning: ShardTuning,
     /// Per-model cost table + pooled model clone (survives utterances).
     model_cache: Option<ModelCache>,
-    /// The long-lived worker pool (pooled dispatch only; `None` until the
-    /// first parallel frame, then warm across utterances until the scorer
-    /// drops).
+    /// The long-lived worker pool (`None` until the first parallel frame,
+    /// then warm across utterances until the scorer drops).
     pool: Option<WorkerPool>,
-    /// Cumulative OS threads spawned (pool workers + scoped threads) — the
-    /// observable the zero-spawns-per-utterance property is asserted on.
+    /// Cumulative OS threads spawned (pool workers) — the observable the
+    /// zero-spawns-per-utterance property is asserted on.
     threads_spawned: usize,
     /// Reusable partition-boundary scratch.
     bounds: Vec<usize>,
 }
 
 impl ShardedScorer {
-    /// Builds the scorer around the given shards (any mix of backends), with
-    /// default [`ShardTuning`].
+    /// Builds the scorer around the given shards (any mix of backends).
     ///
     /// # Errors
     ///
@@ -383,7 +294,6 @@ impl ShardedScorer {
             parallel: shards.len() > 1 && host_cpus > 1,
             shards: shards.into_iter().map(Some).collect(),
             next_hmm_shard: 0,
-            tuning: ShardTuning::default(),
             model_cache: None,
             pool: None,
             threads_spawned: 0,
@@ -399,41 +309,6 @@ impl ShardedScorer {
         self
     }
 
-    /// Replaces all tuning knobs at once (the path
-    /// [`ScoringBackendKind::Sharded`](crate::ScoringBackendKind::Sharded)
-    /// uses).  A zero `min_parallel_senones` is clamped to 1.
-    pub fn with_tuning(mut self, tuning: ShardTuning) -> Self {
-        self.tuning = ShardTuning {
-            min_parallel_senones: tuning.min_parallel_senones.max(1),
-            ..tuning
-        };
-        self
-    }
-
-    /// Sets the active-set size below which frames are scored on the calling
-    /// thread (clamped to at least 1).
-    pub fn with_min_parallel_senones(mut self, min_parallel_senones: usize) -> Self {
-        self.tuning.min_parallel_senones = min_parallel_senones.max(1);
-        self
-    }
-
-    /// Sets the partition policy.
-    pub fn with_partition(mut self, partition: ShardPartition) -> Self {
-        self.tuning.partition = partition;
-        self
-    }
-
-    /// Sets the dispatch mechanism.
-    pub fn with_dispatch(mut self, dispatch: ShardDispatch) -> Self {
-        self.tuning.dispatch = dispatch;
-        self
-    }
-
-    /// The active tuning knobs.
-    pub fn tuning(&self) -> ShardTuning {
-        self.tuning
-    }
-
     /// Whether frames are scored on threads (false on single-core hosts,
     /// where the shards still partition the work but score in turn).
     pub fn is_parallel(&self) -> bool {
@@ -445,20 +320,18 @@ impl ShardedScorer {
         self.shards.len()
     }
 
-    /// Cumulative count of OS threads this scorer has spawned — pool workers
-    /// (`num_shards() - 1`, exactly once for the scorer's whole life under
-    /// [`ShardDispatch::Pooled`], however many utterances it decodes) plus
-    /// per-frame scoped threads under [`ShardDispatch::ScopedSpawn`].  The
-    /// pooled zero-spawns-per-utterance property is asserted on this
-    /// counter; the process-wide form serving tests observe is the
-    /// [`SHARD_THREADS_SPAWNED_METRIC`] counter in the global metrics
-    /// registry.
+    /// Cumulative count of OS threads this scorer has spawned: its pool
+    /// workers, `num_shards() - 1`, exactly once for the scorer's whole life
+    /// however many utterances it decodes.  The zero-spawns-per-utterance
+    /// property is asserted on this counter; the process-wide form serving
+    /// tests observe is the [`SHARD_THREADS_SPAWNED_METRIC`] counter in the
+    /// global metrics registry.
     pub fn threads_spawned(&self) -> usize {
         self.threads_spawned
     }
 
-    /// Whether the worker pool is currently live (pooled dispatch, any time
-    /// after the first parallel frame; the pool survives
+    /// Whether the worker pool is currently live (any time after the first
+    /// parallel frame; the pool survives
     /// [`SenoneScorer::finish_utterance`] and [`SenoneScorer::reset`] and
     /// joins on drop).
     pub fn pool_is_live(&self) -> bool {
@@ -473,34 +346,30 @@ impl ShardedScorer {
             .collect()
     }
 
-    /// The contiguous slice boundaries the current tuning would partition
-    /// `active` into for `model` (`num_shards() + 1` entries).  Exposed for
-    /// tests and load-balance inspection; scoring uses exactly this split.
+    /// The contiguous slice boundaries `active` is partitioned into for
+    /// `model` (`num_shards() + 1` entries).  Exposed for tests and
+    /// load-balance inspection; scoring uses exactly this split.
     pub fn partition_bounds(&mut self, model: &AcousticModel, active: &[SenoneId]) -> Vec<usize> {
-        self.refresh_model_cache(model);
-        let mut bounds = std::mem::take(&mut self.bounds);
-        fill_bounds(&mut bounds, self.shards.len(), active, self.active_costs());
-        let snapshot = bounds.clone();
-        self.bounds = bounds;
-        snapshot
+        let mut bounds = Vec::new();
+        fill_bounds(&mut bounds, self.shards.len(), active, self.costs(model));
+        bounds
     }
 
-    fn refresh_model_cache(&mut self, model: &AcousticModel) {
-        if self.model_cache.as_ref().is_some_and(|c| c.matches(model)) {
-            return;
+    /// The per-senone cost table of `model`, rebuilding the model cache
+    /// when `model` is not the one it was built from.
+    fn costs(&mut self, model: &AcousticModel) -> &[u32] {
+        if !self
+            .model_cache
+            .as_ref()
+            .is_some_and(|c| c.model_id == model.id())
+        {
+            self.model_cache = Some(ModelCache::build(model));
         }
-        self.model_cache = Some(ModelCache::build(model));
-    }
-
-    /// The cost table to partition with — `None` when the equal split
-    /// applies (explicitly configured, or every senone costs the same).
-    fn active_costs(&self) -> Option<&[u32]> {
-        match (self.tuning.partition, &self.model_cache) {
-            (ShardPartition::CostWeighted, Some(cache)) if !cache.uniform => {
-                Some(cache.costs.as_slice())
-            }
-            _ => None,
-        }
+        &self
+            .model_cache
+            .as_ref()
+            .expect("model cache built above")
+            .costs
     }
 
     /// Sequential fan-out over the partition on the calling thread (small
@@ -513,26 +382,14 @@ impl ShardedScorer {
         bounds: &[usize],
         out: &mut Vec<(SenoneId, LogProb)>,
     ) -> Result<(), DecodeError> {
-        // Shards beyond 0 keep scoring against the pooled model clone once
-        // it exists, so pointer-keyed inner caches (the SIMD arena) are not
-        // invalidated by frames bouncing across the size threshold.
-        let shared = self.model_cache.as_ref().and_then(|c| c.shared.as_deref());
         for (i, slot) in self.shards.iter_mut().enumerate() {
             let part = &active[bounds[i]..bounds[i + 1]];
             if part.is_empty() {
                 continue;
             }
-            let shard_model = if i == 0 {
-                model
-            } else {
-                shared.unwrap_or(model)
-            };
-            slot.as_mut().expect(SHARD_PRESENT).score_senones_into(
-                shard_model,
-                part,
-                feature,
-                out,
-            )?;
+            slot.as_mut()
+                .expect(SHARD_PRESENT)
+                .score_senones_into(model, part, feature, out)?;
         }
         Ok(())
     }
@@ -650,58 +507,6 @@ impl ShardedScorer {
             None => Ok(()),
         }
     }
-
-    /// The historical dispatch: one scoped thread per non-empty slice per
-    /// frame.  Kept as the bench baseline pooled dispatch is gated against.
-    fn score_scoped(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-        bounds: &[usize],
-        out: &mut Vec<(SenoneId, LogProb)>,
-    ) -> Result<(), DecodeError> {
-        let (first_slot, rest) = self
-            .shards
-            .split_first_mut()
-            .expect("at least one shard exists");
-        let mut spawned = 0usize;
-        let (first_result, rest_results) = std::thread::scope(|scope| {
-            let handles: Vec<_> = rest
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(w, slot)| {
-                    let part = &active[bounds[w + 1]..bounds[w + 2]];
-                    if part.is_empty() {
-                        return None;
-                    }
-                    let shard = slot.as_mut().expect(SHARD_PRESENT);
-                    Some(scope.spawn(move || shard.score_senones(model, part, feature)))
-                })
-                .collect();
-            spawned = handles.len();
-            let first_part = &active[bounds[0]..bounds[1]];
-            let first = if first_part.is_empty() {
-                Ok(Vec::new())
-            } else {
-                first_slot
-                    .as_mut()
-                    .expect(SHARD_PRESENT)
-                    .score_senones(model, first_part, feature)
-            };
-            let rest: Vec<Result<Vec<(SenoneId, LogProb)>, DecodeError>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard scoring thread panicked"))
-                .collect();
-            (first, rest)
-        });
-        self.threads_spawned += spawned;
-        out.extend(first_result?);
-        for r in rest_results {
-            out.extend(r?);
-        }
-        Ok(())
-    }
 }
 
 impl SenoneScorer for ShardedScorer {
@@ -739,18 +544,12 @@ impl SenoneScorer for ShardedScorer {
                 .expect(SHARD_PRESENT)
                 .score_senones_into(model, active, feature, out);
         }
-        let pooled = self.tuning.dispatch == ShardDispatch::Pooled;
-        if self.tuning.partition == ShardPartition::CostWeighted || (pooled && self.parallel) {
-            self.refresh_model_cache(model);
-        }
         let mut bounds = std::mem::take(&mut self.bounds);
-        fill_bounds(&mut bounds, self.shards.len(), active, self.active_costs());
-        let result = if !self.parallel || active.len() < self.tuning.min_parallel_senones {
+        fill_bounds(&mut bounds, self.shards.len(), active, self.costs(model));
+        let result = if !self.parallel || active.len() < MIN_PARALLEL_SENONES {
             self.score_inline(model, active, feature, &bounds, out)
-        } else if pooled {
-            self.score_pooled(model, active, feature, &bounds, out)
         } else {
-            self.score_scoped(model, active, feature, &bounds, out)
+            self.score_pooled(model, active, feature, &bounds, out)
         };
         self.bounds = bounds;
         result
@@ -866,20 +665,13 @@ mod tests {
         reference.begin_frame(&x);
         let want = reference.score_senones(&m, &ids, &x).unwrap();
         for n in [1usize, 2, 4] {
-            for dispatch in [ShardDispatch::Pooled, ShardDispatch::ScopedSpawn] {
-                for partition in [ShardPartition::EqualSplit, ShardPartition::CostWeighted] {
-                    let mut sharded = soc_shards(n)
-                        .with_parallelism(true)
-                        .with_dispatch(dispatch)
-                        .with_partition(partition);
-                    sharded.begin_frame(&x);
-                    let got = sharded.score_senones(&m, &ids, &x).unwrap();
-                    assert_eq!(got.len(), want.len());
-                    for ((ia, sa), (ib, sb)) in want.iter().zip(&got) {
-                        assert_eq!(ia, ib, "{n} shards must keep active order");
-                        assert_eq!(sa.raw(), sb.raw(), "{n} shards changed {ia:?}");
-                    }
-                }
+            let mut sharded = soc_shards(n).with_parallelism(true);
+            sharded.begin_frame(&x);
+            let got = sharded.score_senones(&m, &ids, &x).unwrap();
+            assert_eq!(got.len(), want.len());
+            for ((ia, sa), (ib, sb)) in want.iter().zip(&got) {
+                assert_eq!(ia, ib, "{n} shards must keep active order");
+                assert_eq!(sa.raw(), sb.raw(), "{n} shards changed {ia:?}");
             }
         }
     }
@@ -889,21 +681,17 @@ mod tests {
         let m = model();
         let ids = all_ids(&m); // 24 senones: above the parallel threshold
         let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.31 * d as f32).collect();
-        for dispatch in [ShardDispatch::Pooled, ShardDispatch::ScopedSpawn] {
-            let mut parallel = soc_shards(4).with_parallelism(true).with_dispatch(dispatch);
-            let mut sequential = soc_shards(4)
-                .with_parallelism(false)
-                .with_dispatch(dispatch);
-            assert!(parallel.is_parallel());
-            assert!(!sequential.is_parallel());
-            parallel.begin_frame(&x);
-            sequential.begin_frame(&x);
-            let a = parallel.score_senones(&m, &ids, &x).unwrap();
-            let b = sequential.score_senones(&m, &ids, &x).unwrap();
-            for ((ia, sa), (ib, sb)) in a.iter().zip(&b) {
-                assert_eq!(ia, ib);
-                assert_eq!(sa.raw(), sb.raw(), "thread scheduling must not leak in");
-            }
+        let mut parallel = soc_shards(4).with_parallelism(true);
+        let mut sequential = soc_shards(4).with_parallelism(false);
+        assert!(parallel.is_parallel());
+        assert!(!sequential.is_parallel());
+        parallel.begin_frame(&x);
+        sequential.begin_frame(&x);
+        let a = parallel.score_senones(&m, &ids, &x).unwrap();
+        let b = sequential.score_senones(&m, &ids, &x).unwrap();
+        for ((ia, sa), (ib, sb)) in a.iter().zip(&b) {
+            assert_eq!(ia, ib);
+            assert_eq!(sa.raw(), sb.raw(), "thread scheduling must not leak in");
         }
         // A single shard never parallelises, even when asked to.
         assert!(!soc_shards(1).with_parallelism(true).is_parallel());
@@ -914,9 +702,7 @@ mod tests {
         let m = model();
         let ids = all_ids(&m);
         let frames = 12;
-        let mut pooled = soc_shards(3)
-            .with_parallelism(true)
-            .with_dispatch(ShardDispatch::Pooled);
+        let mut pooled = soc_shards(3).with_parallelism(true);
         assert_eq!(pooled.threads_spawned(), 0);
         for _utterance in 1..=2u32 {
             for f in 0..frames {
@@ -942,20 +728,6 @@ mod tests {
         pooled.begin_frame(&x);
         pooled.score_senones(&m, &ids, &x).unwrap();
         assert_eq!(pooled.threads_spawned(), 2);
-        // The scoped baseline pays the spawn on every scored frame.
-        let mut scoped = soc_shards(3)
-            .with_parallelism(true)
-            .with_dispatch(ShardDispatch::ScopedSpawn);
-        for f in 0..frames {
-            let x: Vec<f32> = (0..m.feature_dim())
-                .map(|d| 0.01 * (f + d) as f32)
-                .collect();
-            scoped.begin_frame(&x);
-            scoped.score_senones(&m, &ids, &x).unwrap();
-            scoped.end_frame(1, 0);
-        }
-        scoped.finish_utterance().unwrap();
-        assert_eq!(scoped.threads_spawned(), frames * 2);
     }
 
     /// The tentpole property behind warm-server zero-spawn serving: a
@@ -967,9 +739,7 @@ mod tests {
         let m = model();
         let ids = all_ids(&m);
         let before_total = spawn_counter().get();
-        let mut warm = soc_shards(3)
-            .with_parallelism(true)
-            .with_dispatch(ShardDispatch::Pooled);
+        let mut warm = soc_shards(3).with_parallelism(true);
         let mut reports = Vec::new();
         for utterance in 0..16 {
             for f in 0..4 {
@@ -979,9 +749,7 @@ mod tests {
                 warm.begin_frame(&x);
                 let scores = warm.score_senones(&m, &ids, &x).unwrap();
                 // Same arithmetic as a cold scorer on the same frame.
-                let mut cold = soc_shards(3)
-                    .with_parallelism(false)
-                    .with_dispatch(ShardDispatch::Pooled);
+                let mut cold = soc_shards(3).with_parallelism(false);
                 cold.begin_frame(&x);
                 let want = cold.score_senones(&m, &ids, &x).unwrap();
                 for ((ia, sa), (ib, sb)) in want.iter().zip(&scores) {
@@ -1099,8 +867,7 @@ mod tests {
             healthy(sel),
         ])
         .unwrap()
-        .with_parallelism(true)
-        .with_dispatch(ShardDispatch::Pooled);
+        .with_parallelism(true);
         let x = vec![0.1f32; m.feature_dim()];
         for _ in 0..2 {
             sharded.begin_frame(&x);
@@ -1143,8 +910,7 @@ mod tests {
             Box::new(SoftwareScorer::new(sel)) as Box<dyn SenoneScorer>,
         ])
         .unwrap()
-        .with_parallelism(true)
-        .with_dispatch(ShardDispatch::Pooled);
+        .with_parallelism(true);
         sharded.begin_frame(&x);
         let _ = sharded.score_senones(&m, &ids, &x);
     }
@@ -1154,9 +920,7 @@ mod tests {
         let m = model();
         let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.05 * d as f32).collect();
         let small: Vec<SenoneId> = (0..4).map(SenoneId).collect();
-        let mut sharded = soc_shards(4)
-            .with_parallelism(true)
-            .with_min_parallel_senones(8);
+        let mut sharded = soc_shards(4).with_parallelism(true);
         sharded.begin_frame(&x);
         sharded.score_senones(&m, &small, &x).unwrap();
         assert_eq!(
@@ -1165,54 +929,112 @@ mod tests {
             "a 4-senone frame must not reach the dispatcher"
         );
         assert!(!sharded.pool_is_live());
-        // Lowering the threshold to 1 makes the same frame eligible.
-        let mut eager = soc_shards(4)
-            .with_parallelism(true)
-            .with_min_parallel_senones(1);
-        assert_eq!(eager.tuning().min_parallel_senones, 1);
-        eager.begin_frame(&x);
-        eager.score_senones(&m, &small, &x).unwrap();
-        assert!(eager.threads_spawned() > 0);
-        // The builder clamps zero to one instead of wedging the comparison.
-        assert_eq!(
-            soc_shards(2)
-                .with_min_parallel_senones(0)
-                .tuning()
-                .min_parallel_senones,
-            1
-        );
-        assert_eq!(
-            soc_shards(2)
-                .with_tuning(ShardTuning {
-                    min_parallel_senones: 0,
-                    ..ShardTuning::default()
+        // A frame at the threshold is dispatched.
+        let eligible: Vec<SenoneId> = (0..MIN_PARALLEL_SENONES as u32).map(SenoneId).collect();
+        sharded.begin_frame(&x);
+        sharded.score_senones(&m, &eligible, &x).unwrap();
+        assert_eq!(sharded.threads_spawned(), 3);
+    }
+
+    /// Wraps a [`SimdScorer`] and publishes its arena build count, which the
+    /// sharded scorer otherwise hides behind `Box<dyn SenoneScorer>`.
+    #[derive(Debug)]
+    struct BuildCountingSimd {
+        inner: SimdScorer,
+        builds: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl SenoneScorer for BuildCountingSimd {
+        fn name(&self) -> &'static str {
+            "simd"
+        }
+        fn begin_frame(&mut self, _feature: &[f32]) {}
+        fn score_senones(
+            &mut self,
+            model: &AcousticModel,
+            active: &[SenoneId],
+            feature: &[f32],
+        ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+            let scores = self.inner.score_senones(model, active, feature);
+            let builds = self.inner.table_builds();
+            self.builds
+                .store(builds, std::sync::atomic::Ordering::Relaxed);
+            scores
+        }
+        fn step_hmm(
+            &mut self,
+            prev_scores: &[LogProb],
+            entry_score: LogProb,
+            transitions: &TransitionMatrix,
+            senone_scores: &[LogProb],
+        ) -> Result<HmmStepResult, DecodeError> {
+            crate::scorer::software_step_hmm(prev_scores, entry_score, transitions, senone_scores)
+        }
+        fn finish_utterance(&mut self) -> Option<UtteranceReport> {
+            None
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Frames alternating above and below the parallel threshold score
+    /// shard 1 on a worker (against the pooled model clone) and inline
+    /// (against the caller's model) in turn.  Both copies share one model
+    /// identity, so each shard builds its SIMD arena exactly once.
+    #[test]
+    fn inline_and_pooled_frames_share_the_inner_simd_arenas() {
+        let m = model();
+        let sel = GmmSelectionConfig::default();
+        let builds: Vec<_> = (0..2)
+            .map(|_| Arc::new(std::sync::atomic::AtomicUsize::new(0)))
+            .collect();
+        let mut sharded = ShardedScorer::new(
+            builds
+                .iter()
+                .map(|b| {
+                    Box::new(BuildCountingSimd {
+                        inner: SimdScorer::new(sel),
+                        builds: Arc::clone(b),
+                    }) as Box<dyn SenoneScorer>
                 })
-                .tuning()
-                .min_parallel_senones,
-            1
-        );
+                .collect(),
+        )
+        .unwrap()
+        .with_parallelism(true);
+        let x = vec![0.1f32; m.feature_dim()];
+        let large = all_ids(&m);
+        let small: Vec<SenoneId> = (0..MIN_PARALLEL_SENONES as u32 - 1).map(SenoneId).collect();
+        assert!(large.len() >= MIN_PARALLEL_SENONES);
+        for f in 0..8 {
+            let active = if f % 2 == 0 { &large } else { &small };
+            sharded.begin_frame(&x);
+            sharded.score_senones(&m, active, &x).unwrap();
+            sharded.end_frame(1, 0);
+        }
+        assert!(sharded.pool_is_live());
+        for (shard, b) in builds.iter().enumerate() {
+            assert_eq!(
+                b.load(std::sync::atomic::Ordering::Relaxed),
+                1,
+                "shard {shard} rebuilt its arena"
+            );
+        }
     }
 
     #[test]
-    fn partition_bounds_balance_cost_not_count_on_skewed_models() {
-        // 24 senones whose component counts grow with the index: an equal
-        // count split overloads the last shard, the cost-weighted split
-        // hands it fewer senones.
+    fn partition_bounds_cover_the_active_set_in_order() {
         let m = model();
         let ids = all_ids(&m);
-        let mut weighted = soc_shards(4).with_partition(ShardPartition::CostWeighted);
-        let mut equal = soc_shards(4).with_partition(ShardPartition::EqualSplit);
-        let eq_bounds = equal.partition_bounds(&m, &ids);
-        assert_eq!(eq_bounds, vec![0, 6, 12, 18, 24]);
-        // The tiny untrained model is uniform-cost, so cost weighting
-        // degenerates to the equal split.
-        assert_eq!(weighted.partition_bounds(&m, &ids), eq_bounds);
+        let mut sharded = soc_shards(4);
+        // The tiny untrained model is uniform-cost, so the cost-weighted cut
+        // lands on the equal count split.
+        assert_eq!(sharded.partition_bounds(&m, &ids), vec![0, 6, 12, 18, 24]);
         // Every bound list is monotone and covers the active set exactly.
         let few: Vec<SenoneId> = (0..3).map(SenoneId).collect();
-        let bounds = weighted.partition_bounds(&m, &few);
+        let bounds = sharded.partition_bounds(&m, &few);
         assert_eq!(bounds.first(), Some(&0));
         assert_eq!(bounds.last(), Some(&few.len()));
         assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(sharded.partition_bounds(&m, &[]), vec![0; 5]);
     }
 
     #[test]
@@ -1321,7 +1143,6 @@ mod tests {
         let kind = ScoringBackendKind::Sharded {
             shards: 2,
             inner: Box::new(ScoringBackendKind::Hardware(SocConfig::default())),
-            tuning: ShardTuning::default(),
         };
         let mut scorer = kind.build_scorer(&sel).unwrap();
         assert_eq!(scorer.name(), "sharded");
@@ -1335,19 +1156,7 @@ mod tests {
         let bad = ScoringBackendKind::Sharded {
             shards: 0,
             inner: Box::new(ScoringBackendKind::Software),
-            tuning: ShardTuning::default(),
         };
         assert!(bad.build_scorer(&sel).is_err());
-        // Zero min_parallel_senones is rejected by validation and build.
-        let bad_tuning = ScoringBackendKind::Sharded {
-            shards: 2,
-            inner: Box::new(ScoringBackendKind::Software),
-            tuning: ShardTuning {
-                min_parallel_senones: 0,
-                ..ShardTuning::default()
-            },
-        };
-        assert!(bad_tuning.validate().is_err());
-        assert!(bad_tuning.build_scorer(&sel).is_err());
     }
 }

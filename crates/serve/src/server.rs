@@ -10,7 +10,7 @@ use crate::future::{DecodeFuture, Slot};
 use crate::registry::{ModelRegistry, ModelVersion, DEFAULT_MODEL};
 use crate::request::{DecodeRequest, StreamOptions};
 use crate::{QueueScope, ServeConfig, ServeError};
-use asr_core::{PartialHypothesis, PhoneDecoder, Recognizer, SharedDecodeSession};
+use asr_core::{DecodeSession, PartialHypothesis, PhoneDecoder, Recognizer};
 use asr_hw::UtteranceReport;
 use asr_obs::{
     percentile_of, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Outcome,
@@ -1203,7 +1203,7 @@ impl Drop for CloseOnExit<'_> {
 /// `Arc` of the model version pinned at open) plus the shared state its
 /// partials publish into.  The whole entry degrades to the first error the
 /// session hit; the finish command collects it.
-type WorkerStream = Result<(SharedDecodeSession, Arc<StreamState>), ServeError>;
+type WorkerStream = Result<(DecodeSession<Arc<Recognizer>>, Arc<StreamState>), ServeError>;
 
 /// The worker's long-lived decoder for one model version, built on first
 /// use and evicted once a hot-swap retires the version.
@@ -1455,7 +1455,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     state,
                     admission,
                 } => {
-                    let entry = SharedDecodeSession::begin(Arc::clone(&admission.model.recognizer))
+                    let entry = DecodeSession::begin(Arc::clone(&admission.model.recognizer))
                         .map(|session| (session, Arc::clone(state)))
                         .map_err(ServeError::from);
                     sessions.insert(*id, entry);

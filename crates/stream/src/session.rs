@@ -215,7 +215,7 @@ impl StreamingRecognizer {
 /// [`push_chunk`]: FeatureStreamSession::push_chunk
 #[derive(Debug)]
 pub struct FeatureStreamSession<'r> {
-    session: DecodeSession<'r>,
+    session: DecodeSession<&'r Recognizer>,
     timing: StreamTiming,
     frame_shift_s: f64,
     /// `Some` when [`StreamConfig::capture_features`] is on: every pushed

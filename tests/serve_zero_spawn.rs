@@ -4,24 +4,31 @@
 //! spawns its workers once, on the first parallel frame, and lives until the
 //! scorer is dropped.
 //!
-//! These tests watch the process-global `shard_threads_spawned_total()`
-//! counter, so they live in their own test binary (no sibling tests spawning
-//! shard threads concurrently) and serialise against each other through a
-//! lock.  On single-CPU hosts the parallelism heuristic keeps scoring
-//! inline, making zero spawns trivially true here — the forced-parallel pool
-//! lifetime property is carried by the asr-core shard tests either way.
-
-// The legacy free-function counter is deprecated in favour of the
-// `shard.threads_spawned_total` registry counter; these tests deliberately
-// keep exercising the shim so its readings stay wired to the registry.
-#![allow(deprecated)]
+//! These tests watch the process-global `shard.threads_spawned_total`
+//! counter in the global metrics registry, so they live in their own test
+//! binary (no sibling tests spawning shard threads concurrently) and
+//! serialise against each other through a lock.  On single-CPU hosts the
+//! parallelism heuristic keeps scoring inline, making zero spawns trivially
+//! true for the configured backends — the forced-parallel batch test below
+//! carries the property there.
 
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
-use lvcsr::decoder::{shard_threads_spawned_total, DecoderConfig, Recognizer};
+use lvcsr::decoder::{
+    DecoderConfig, GmmSelectionConfig, PhoneDecoder, Recognizer, ScoringBackendKind, SenoneScorer,
+    ShardedScorer, SHARD_THREADS_SPAWNED_METRIC,
+};
+use lvcsr::obs::MetricsRegistry;
 use lvcsr::serve::{AsrServer, ServeConfig};
 use std::sync::Mutex;
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Cumulative OS threads spawned by every shard pool in this process.
+fn pool_threads_spawned() -> usize {
+    MetricsRegistry::global()
+        .counter(SHARD_THREADS_SPAWNED_METRIC)
+        .get() as usize
+}
 
 fn build_task() -> SyntheticTask {
     TaskGenerator::new(31415)
@@ -50,14 +57,49 @@ fn decode_batch_pays_at_most_one_pool_spawn_for_16_utterances() {
     let utterances: Vec<Vec<Vec<f32>>> = (0..16)
         .map(|seed| task.synthesize_utterance(1, 0.2, seed).0)
         .collect();
-    let before = shard_threads_spawned_total();
+    let before = pool_threads_spawned();
     let results = rec.decode_batch(&utterances).expect("batch decode");
     assert_eq!(results.len(), 16);
-    let spawned = shard_threads_spawned_total() - before;
+    let spawned = pool_threads_spawned() - before;
     assert!(
         spawned <= 3,
         "one 4-shard pool spawn (3 threads) may serve the whole batch, \
          but {spawned} threads were spawned — is the pool per-utterance again?"
+    );
+}
+
+/// The same property with the pool forced on, so it holds on single-CPU
+/// hosts too: a 16-utterance `decode_batch_with` through one decoder over a
+/// forced-parallel 4-shard scorer spawns exactly one pool (3 threads).
+#[test]
+fn forced_parallel_decode_batch_spawns_exactly_one_pool() {
+    let _serial = COUNTER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let task = build_task();
+    let rec = build_recognizer(&task, DecoderConfig::hardware(2));
+    let selection = GmmSelectionConfig::default();
+    let shards: Vec<Box<dyn SenoneScorer>> = (0..4)
+        .map(|_| {
+            ScoringBackendKind::Hardware(lvcsr::hw::SocConfig::default())
+                .build_scorer(&selection)
+                .expect("shard")
+        })
+        .collect();
+    let scorer = ShardedScorer::new(shards)
+        .expect("sharded scorer")
+        .with_parallelism(true);
+    let mut decoder = PhoneDecoder::new(Box::new(scorer), selection);
+    let utterances: Vec<Vec<Vec<f32>>> = (0..16)
+        .map(|seed| task.synthesize_utterance(1, 0.2, seed).0)
+        .collect();
+    let before = pool_threads_spawned();
+    let results = rec
+        .decode_batch_with(&utterances, &mut decoder)
+        .expect("batch decode");
+    assert_eq!(results.len(), 16);
+    assert_eq!(
+        pool_threads_spawned() - before,
+        3,
+        "a forced-parallel 4-shard decoder spawns its pool once for the batch"
     );
 }
 
@@ -87,13 +129,13 @@ fn a_warm_multi_worker_server_decodes_with_zero_thread_spawns() {
             assert_eq!(future.wait().expect("decode").hypothesis.words, reference);
         }
     };
-    let before = shard_threads_spawned_total();
+    let before = pool_threads_spawned();
     // 32 utterances across both workers: a per-utterance pool would spawn
     // SHARDS - 1 threads for each of them.
     for _ in 0..8 {
         decode_round(4);
     }
-    let spawned = shard_threads_spawned_total() - before;
+    let spawned = pool_threads_spawned() - before;
     assert!(
         spawned <= WORKERS * (SHARDS - 1),
         "a warm server must not spawn threads per utterance: {spawned} threads \

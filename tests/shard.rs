@@ -1,9 +1,9 @@
 //! Sharding integration tests: a `ShardedScorer` must be observationally
 //! identical to its unsharded inner scorer — same senone scores, same
-//! hypotheses, same decode statistics — for any shard count, any dispatch
-//! mechanism (persistent worker pool, per-frame scoped threads, inline
-//! fan-out) and any partition policy (equal split, cost-weighted).  Sharding
-//! is a pure throughput optimisation, exactly like batching.
+//! hypotheses, same decode statistics — for any shard count, whether its
+//! shards score on the persistent worker pool or inline on the calling
+//! thread.  Sharding is a pure throughput optimisation, exactly like
+//! batching.
 
 use lvcsr::acoustic::{
     AcousticModel, AcousticModelConfig, DiagGaussian, GaussianMixture, HmmTopology, PhoneId,
@@ -12,7 +12,7 @@ use lvcsr::acoustic::{
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{
     DecodeResult, DecoderConfig, GmmSelectionConfig, PhoneDecoder, Recognizer, ScoringBackendKind,
-    SenoneScorer, ShardDispatch, ShardPartition, ShardTuning, ShardedScorer,
+    SenoneScorer, ShardedScorer,
 };
 use proptest::prelude::*;
 
@@ -42,7 +42,6 @@ fn inner_backend(index: usize) -> ScoringBackendKind {
         _ => ScoringBackendKind::Sharded {
             shards: 2,
             inner: Box::new(ScoringBackendKind::Hardware(lvcsr::hw::SocConfig::default())),
-            tuning: ShardTuning::default(),
         },
     }
 }
@@ -65,27 +64,20 @@ fn fingerprint(r: &DecodeResult) -> Fingerprint {
 }
 
 proptest! {
-    /// Sharded(n, inner, tuning) == inner, for n in {1, 2, 4}, every inner
-    /// backend (software / simd / soc / nested sharded), every dispatch ×
-    /// partition tuning, with and without Conditional Down Sampling — both
-    /// offline and through `DecodeSession` streaming steps.
+    /// Sharded(n, inner) == inner, for n in {1, 2, 4}, every inner backend
+    /// (software / simd / soc / nested sharded), with and without
+    /// Conditional Down Sampling — both offline and through `DecodeSession`
+    /// streaming steps.
     #[test]
     fn sharded_decoding_matches_the_unsharded_inner_scorer(
         backend_index in 0usize..4,
         shards_index in 0usize..3,
-        dispatch_index in 0usize..2,
-        partition_index in 0usize..2,
         cds_period in 1usize..3,
         words in 1usize..3,
         chunk_index in 0usize..3,
         seed in 0u64..500,
     ) {
         let shards = [1usize, 2, 4][shards_index];
-        let tuning = ShardTuning {
-            dispatch: [ShardDispatch::Pooled, ShardDispatch::ScopedSpawn][dispatch_index],
-            partition: [ShardPartition::EqualSplit, ShardPartition::CostWeighted][partition_index],
-            ..ShardTuning::default()
-        };
         let chunk = [1usize, 3, 7][chunk_index];
         let task = build_task();
         let inner = inner_backend(backend_index);
@@ -100,7 +92,6 @@ proptest! {
             backend: ScoringBackendKind::Sharded {
                 shards,
                 inner: Box::new(inner),
-                tuning,
             },
             ..DecoderConfig::default()
         };
@@ -125,17 +116,16 @@ proptest! {
     }
 }
 
-/// The threaded dispatch paths (persistent pool, scoped spawn) must give
-/// the same results as the inline fan-out on the same shards — run all
-/// three explicitly so the parallel code is exercised even where the host
-/// heuristic would disable it (single-CPU CI containers), both offline and
-/// through `DecodeSession` streaming steps.
+/// The persistent pool must give the same results as the inline fan-out on
+/// the same shards — run both explicitly so the parallel code is exercised
+/// even where the host heuristic would disable it (single-CPU CI
+/// containers), both offline and through `DecodeSession` streaming steps.
 #[test]
-fn forced_pool_scoped_and_inline_dispatch_agree() {
+fn forced_pool_and_inline_dispatch_agree() {
     let task = build_task();
     let rec = build_recognizer(&task, DecoderConfig::software());
     let (features, _) = task.synthesize_utterance(2, 0.2, 11);
-    let decoder_with = |parallel: bool, dispatch: ShardDispatch| -> PhoneDecoder {
+    let decoder_with = |parallel: bool| -> PhoneDecoder {
         let selection = GmmSelectionConfig::default();
         let shards: Vec<Box<dyn SenoneScorer>> = (0..4)
             .map(|_| {
@@ -146,21 +136,18 @@ fn forced_pool_scoped_and_inline_dispatch_agree() {
             .collect();
         let scorer = ShardedScorer::new(shards)
             .expect("sharded scorer")
-            .with_parallelism(parallel)
-            .with_dispatch(dispatch);
+            .with_parallelism(parallel);
         PhoneDecoder::new(Box::new(scorer), selection)
     };
-    let decode_with = |parallel: bool, dispatch: ShardDispatch| -> DecodeResult {
-        let mut decoder = decoder_with(parallel, dispatch);
+    let decode_with = |parallel: bool| -> DecodeResult {
+        let mut decoder = decoder_with(parallel);
         rec.decode_features_with(&features, &mut decoder)
             .expect("decode")
     };
-    let pooled = decode_with(true, ShardDispatch::Pooled);
-    let scoped = decode_with(true, ShardDispatch::ScopedSpawn);
-    let inline = decode_with(false, ShardDispatch::Pooled);
-    assert_eq!(fingerprint(&pooled), fingerprint(&scoped));
+    let pooled = decode_with(true);
+    let inline = decode_with(false);
     assert_eq!(fingerprint(&pooled), fingerprint(&inline));
-    // All produced a merged hardware report covering the whole utterance.
+    // Both produced a merged hardware report covering the whole utterance.
     let hw = pooled.hardware.as_ref().expect("sharded SoC report");
     assert_eq!(hw.frames, features.len());
     assert_eq!(hw.shard_senones.iter().sum::<u64>(), hw.senones_scored);
@@ -169,7 +156,7 @@ fn forced_pool_scoped_and_inline_dispatch_agree() {
     // chunk at a time, the workers persist between chunks, and finish()
     // joins them.
     let session_result = {
-        let mut session = rec.begin_session_with(decoder_with(true, ShardDispatch::Pooled));
+        let mut session = rec.begin_session_with(decoder_with(true));
         for piece in features.chunks(3) {
             session.push_chunk(piece).expect("chunk decodes");
         }
@@ -178,47 +165,36 @@ fn forced_pool_scoped_and_inline_dispatch_agree() {
     assert_eq!(fingerprint(&pooled), fingerprint(&session_result));
 }
 
-/// Pooled dispatch must spawn its workers at most once per utterance —
-/// never per frame — while the scoped baseline pays one spawn per shard per
-/// scored frame.  Driven through the real decode loop (`PhoneDecoder` +
+/// The pool must spawn its workers once per scorer — never per frame.
+/// Driven through the scorer directly (`PhoneDecoder` +
 /// `Recognizer::decode_features_with` would hide the counter behind the
-/// trait object, so the scorer is driven directly here).
+/// trait object).
 #[test]
 fn pooled_dispatch_spawns_zero_threads_per_frame() {
     let task = build_task();
     let model = &task.acoustic_model;
     let ids: Vec<SenoneId> = (0..model.senones().len() as u32).map(SenoneId).collect();
-    let frames = 25;
-    let run = |dispatch: ShardDispatch| -> usize {
-        let selection = GmmSelectionConfig::default();
-        let shards: Vec<Box<dyn SenoneScorer>> = (0..4)
-            .map(|_| {
-                ScoringBackendKind::Software
-                    .build_scorer(&selection)
-                    .expect("shard")
-            })
+    let selection = GmmSelectionConfig::default();
+    let shards: Vec<Box<dyn SenoneScorer>> = (0..4)
+        .map(|_| {
+            ScoringBackendKind::Software
+                .build_scorer(&selection)
+                .expect("shard")
+        })
+        .collect();
+    let mut scorer = ShardedScorer::new(shards)
+        .expect("sharded scorer")
+        .with_parallelism(true);
+    for f in 0..25 {
+        let x: Vec<f32> = (0..model.feature_dim())
+            .map(|d| 0.02 * (f + d) as f32)
             .collect();
-        let mut scorer = ShardedScorer::new(shards)
-            .expect("sharded scorer")
-            .with_parallelism(true)
-            .with_dispatch(dispatch);
-        for f in 0..frames {
-            let x: Vec<f32> = (0..model.feature_dim())
-                .map(|d| 0.02 * (f + d) as f32)
-                .collect();
-            scorer.begin_frame(&x);
-            scorer.score_senones(model, &ids, &x).expect("score");
-            scorer.end_frame(0, 0);
-        }
-        assert!(scorer.finish_utterance().is_none(), "software shards");
-        scorer.threads_spawned()
-    };
-    assert_eq!(
-        run(ShardDispatch::Pooled),
-        3,
-        "3 workers for 4 shards, once"
-    );
-    assert_eq!(run(ShardDispatch::ScopedSpawn), frames * 3);
+        scorer.begin_frame(&x);
+        scorer.score_senones(model, &ids, &x).expect("score");
+        scorer.end_frame(0, 0);
+    }
+    assert!(scorer.finish_utterance().is_none(), "software shards");
+    assert_eq!(scorer.threads_spawned(), 3, "3 workers for 4 shards, once");
 }
 
 /// Sharding the SoC quarters the per-shard accelerator load, which the
@@ -264,7 +240,6 @@ fn sharding_creates_real_time_slack_in_simulated_cycles() {
         inner: Box::new(lvcsr::decoder::ScoringBackendKind::Hardware(
             lvcsr::hw::SocConfig::default(),
         )),
-        tuning: ShardTuning::default(),
     });
     assert_eq!(sharded.frames, single.frames);
     assert_eq!(sharded.senones_scored, single.senones_scored);
@@ -277,14 +252,14 @@ fn sharding_creates_real_time_slack_in_simulated_cycles() {
         sharded.worst_frame_rtf,
         single.worst_frame_rtf
     );
-    // This model is uniform-cost, so the default cost-weighted partition
-    // degenerated to the equal split: the per-shard balance is near-perfect.
+    // This model is uniform-cost, so the cost-weighted partition lands on
+    // the equal count split: the per-shard balance is near-perfect.
     let share = sharded.worst_shard_share().expect("sharded share");
     assert!(share < 0.27, "uniform model must split evenly: {share}");
 }
 
 /// A 120-senone model whose second half costs 32 mixture components per
-/// senone against the first half's 2: the equal *count* split piles the
+/// senone against the first half's 2: an equal *count* split would pile the
 /// heavy senones onto the last two shards, the cost-weighted split does
 /// not.  Sized so the busiest shard's accelerator cycles dominate the
 /// constant host-stage floor, which `worst_frame_rtf` takes a max with.
@@ -336,40 +311,32 @@ fn skewed_cost_model() -> AcousticModel {
     .unwrap()
 }
 
-/// On a skewed-cost model the cost-weighted partition actually moves the
-/// boundaries, the scores stay bit-identical, and the merged report's
-/// worst-shard bound (`worst_frame_rtf`, the figure the ROADMAP's
-/// load-balancing item promised to tighten) comes down.
+/// On a skewed-cost model the cost-weighted partition moves the boundaries
+/// away from an equal count split, the scores stay bit-identical to the
+/// unsharded inner scorer, and the merged report's worst-shard bound
+/// (`worst_frame_rtf`) comes in under the count split's.
 #[test]
 fn cost_weighted_partition_tightens_the_worst_shard_bound_on_skewed_models() {
     let model = skewed_cost_model();
     let ids: Vec<SenoneId> = (0..model.senones().len() as u32).map(SenoneId).collect();
-    let build = |partition: ShardPartition| -> ShardedScorer {
-        let selection = GmmSelectionConfig::default();
-        // Single-structure SoCs per shard: the intra-SoC structure split is
-        // count-based, so a multi-structure shard would re-skew the load the
-        // shard-level cost weighting just balanced.
-        let shards: Vec<Box<dyn SenoneScorer>> = (0..4)
-            .map(|_| {
-                ScoringBackendKind::Hardware(lvcsr::hw::SocConfig {
-                    num_structures: 1,
-                    ..lvcsr::hw::SocConfig::default()
-                })
-                .build_scorer(&selection)
-                .expect("shard")
-            })
-            .collect();
-        ShardedScorer::new(shards)
-            .expect("sharded scorer")
-            .with_partition(partition)
+    // Single-structure SoCs per shard: the intra-SoC structure split is
+    // count-based, so a multi-structure shard would re-skew the load the
+    // shard-level cost weighting just balanced.
+    let soc = || {
+        ScoringBackendKind::Hardware(lvcsr::hw::SocConfig {
+            num_structures: 1,
+            ..lvcsr::hw::SocConfig::default()
+        })
+        .build_scorer(&GmmSelectionConfig::default())
+        .expect("shard")
     };
+    let mut weighted = ShardedScorer::new((0..4).map(|_| soc()).collect()).expect("sharded scorer");
 
-    // The partitions differ: equal-split cuts by count, cost-weighted by
-    // estimated component cost (total 60·2 + 60·32 = 2040, ~510 per shard).
-    let mut weighted = build(ShardPartition::CostWeighted);
-    let mut equal = build(ShardPartition::EqualSplit);
+    // The partitions differ: the count split cuts every 30 senones, the
+    // cost-weighted one by estimated component cost (total 60·2 + 60·32 =
+    // 2040, ~510 per shard).
     let wb = weighted.partition_bounds(&model, &ids);
-    let eb = equal.partition_bounds(&model, &ids);
+    let eb: Vec<usize> = (0..=4).map(|k| k * ids.len() / 4).collect();
     assert_eq!(eb, vec![0, 30, 60, 90, 120]);
     assert_ne!(wb, eb, "cost weighting must move the boundaries");
     let shard_cost = |bounds: &[usize], k: usize| -> u64 {
@@ -387,38 +354,68 @@ fn cost_weighted_partition_tightens_the_worst_shard_bound_on_skewed_models() {
     let worst_cost = |bounds: &[usize]| (0..4).map(|k| shard_cost(bounds, k)).max().unwrap();
     assert!(
         worst_cost(&wb) < worst_cost(&eb),
-        "cost-weighted worst shard {} must beat equal-split's {}",
+        "cost-weighted worst shard {} must beat the count split's {}",
         worst_cost(&wb),
         worst_cost(&eb)
     );
 
-    let run = |scorer: &mut ShardedScorer| {
-        let mut scores = Vec::new();
-        for f in 0..8 {
-            let x: Vec<f32> = (0..model.feature_dim())
-                .map(|d| 0.01 * (f + d) as f32)
-                .collect();
-            scorer.begin_frame(&x);
-            scores.push(scorer.score_senones(&model, &ids, &x).expect("score"));
-            scorer.end_frame(0, 0);
-        }
-        (scores, scorer.finish_utterance().expect("report"))
+    // Drive the sharded scorer, the unsharded inner scorer, and four SoCs
+    // over the count split by hand, through the same eight frames.
+    let frame = |f: usize| -> Vec<f32> {
+        (0..model.feature_dim())
+            .map(|d| 0.01 * (f + d) as f32)
+            .collect()
     };
-    let (weighted_scores, weighted_report) = run(&mut weighted);
-    let (equal_scores, equal_report) = run(&mut equal);
+    let mut weighted_scores = Vec::new();
+    let mut single = soc();
+    let mut single_scores = Vec::new();
+    let mut counted: Vec<Box<dyn SenoneScorer>> = (0..4).map(|_| soc()).collect();
+    let mut counted_scores = Vec::new();
+    for f in 0..8 {
+        let x = frame(f);
+        weighted.begin_frame(&x);
+        weighted_scores.push(weighted.score_senones(&model, &ids, &x).expect("score"));
+        weighted.end_frame(0, 0);
+        single.begin_frame(&x);
+        single_scores.push(single.score_senones(&model, &ids, &x).expect("score"));
+        single.end_frame(0, 0);
+        let mut frame_scores = Vec::new();
+        for (k, shard) in counted.iter_mut().enumerate() {
+            shard.begin_frame(&x);
+            frame_scores.extend(
+                shard
+                    .score_senones(&model, &ids[eb[k]..eb[k + 1]], &x)
+                    .expect("score"),
+            );
+            shard.end_frame(0, 0);
+        }
+        counted_scores.push(frame_scores);
+    }
+    let weighted_report = weighted.finish_utterance().expect("report");
+    let single_report = single.finish_utterance().expect("report");
+    let equal_report = counted
+        .iter_mut()
+        .map(|shard| shard.finish_utterance().expect("report"))
+        .reduce(|acc, r| acc.merge_parallel(&r))
+        .expect("four reports");
 
-    // Observational purity: the partition choice never changes a score.
-    for (a_frame, b_frame) in weighted_scores.iter().zip(&equal_scores) {
-        for ((ia, sa), (ib, sb)) in a_frame.iter().zip(b_frame) {
-            assert_eq!(ia, ib);
-            assert_eq!(sa.raw(), sb.raw(), "partition changed {ia:?}");
+    // Observational purity: the partition never changes a score.
+    for reference in [&single_scores, &counted_scores] {
+        for (a_frame, b_frame) in weighted_scores.iter().zip(reference) {
+            assert_eq!(a_frame.len(), b_frame.len());
+            for ((ia, sa), (ib, sb)) in a_frame.iter().zip(b_frame) {
+                assert_eq!(ia, ib);
+                assert_eq!(sa.raw(), sb.raw(), "partition changed {ia:?}");
+            }
         }
     }
+    assert_eq!(weighted_report.senones_scored, single_report.senones_scored);
     assert_eq!(weighted_report.senones_scored, equal_report.senones_scored);
 
-    // The balance stats surface the difference: equal-split is count-perfect
-    // but cost-lopsided; cost-weighting trades senone counts for a tighter
-    // worst-shard work bound, which the merged simulated-cycle report shows.
+    // The balance stats surface the difference: the count split is
+    // count-perfect but cost-lopsided; cost-weighting trades senone counts
+    // for a tighter worst-shard work bound, which the merged simulated-cycle
+    // report shows.
     assert_eq!(equal_report.shard_senones, vec![240, 240, 240, 240]);
     assert_eq!(
         weighted_report.shard_senones.iter().sum::<u64>(),

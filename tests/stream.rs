@@ -40,7 +40,6 @@ fn backend(index: usize) -> ScoringBackendKind {
         _ => ScoringBackendKind::Sharded {
             shards: 2,
             inner: Box::new(ScoringBackendKind::Hardware(lvcsr::hw::SocConfig::default())),
-            tuning: lvcsr::decoder::ShardTuning::default(),
         },
     }
 }
