@@ -19,18 +19,19 @@ use crate::lattice::{WordLattice, WordLatticeEntry};
 use crate::phone_decode::PhoneDecoder;
 use crate::stats::{DecodeStats, FrameStats};
 use crate::DecodeError;
-use asr_acoustic::{AcousticModel, PhoneId, SenoneId, Triphone};
+use asr_acoustic::{AcousticModel, PhoneId, SenoneId, Triphone, TriphoneId};
 use asr_float::LogProb;
 use asr_lexicon::{Dictionary, LexNodeId, LexTree, NGramModel, WordId};
-use std::collections::HashMap;
 
 /// The static search network: the lexical tree with each node resolved to a
 /// senone sequence (one per HMM state) of the acoustic model.
 #[derive(Debug, Clone)]
 pub struct SearchNetwork {
     lextree: LexTree,
-    /// Senone sequence per lexical-tree node (index = node id; root empty).
-    node_senones: Vec<Vec<SenoneId>>,
+    /// `senone_ids[senone_offsets[n]..senone_offsets[n + 1]]` are node `n`'s
+    /// senones (empty for the root).
+    senone_offsets: Vec<u32>,
+    senone_ids: Vec<SenoneId>,
 }
 
 impl SearchNetwork {
@@ -47,28 +48,40 @@ impl SearchNetwork {
     pub fn build(model: &AcousticModel, dictionary: &Dictionary) -> Result<Self, DecodeError> {
         let lextree = LexTree::build(dictionary);
         let silence = PhoneId(0);
-        let mut node_senones = vec![Vec::new(); lextree.num_nodes()];
-        // Breadth-first walk from the root resolving each node.
+        let mut triphones: Vec<Option<TriphoneId>> = vec![None; lextree.num_nodes()];
+        // Walk from the root resolving each node's triphone.
         let mut queue = vec![LexNodeId::ROOT];
         while let Some(node) = queue.pop() {
             let parent_phone = lextree.phone(node).unwrap_or(silence);
-            for (phone, child) in lextree.successors(node) {
-                let successors = lextree.successors(child);
-                let right = successors.first().map(|&(p, _)| p).unwrap_or(silence);
+            for &(phone, child) in lextree.successors(node) {
+                let right = lextree
+                    .successors(child)
+                    .first()
+                    .map_or(silence, |&(p, _)| p);
                 let triphone = Triphone::new(phone, parent_phone, right);
                 let id = model.triphones().resolve(&triphone).ok_or_else(|| {
                     DecodeError::InconsistentModels(format!(
                         "no acoustic model for phone {phone} (triphone {triphone})"
                     ))
                 })?;
-                let senones = model.triphones().senones(id)?.to_vec();
-                node_senones[child.index()] = senones;
+                triphones[child.index()] = Some(id);
                 queue.push(child);
             }
         }
+        // Lay the senone sequences out flat in node order.
+        let mut senone_offsets = Vec::with_capacity(triphones.len() + 1);
+        let mut senone_ids = Vec::new();
+        for triphone in triphones {
+            senone_offsets.push(senone_ids.len() as u32);
+            if let Some(id) = triphone {
+                senone_ids.extend_from_slice(model.triphones().senones(id)?);
+            }
+        }
+        senone_offsets.push(senone_ids.len() as u32);
         Ok(SearchNetwork {
             lextree,
-            node_senones,
+            senone_offsets,
+            senone_ids,
         })
     }
 
@@ -79,7 +92,8 @@ impl SearchNetwork {
 
     /// Senones of a node (empty for the root).
     pub fn senones(&self, node: LexNodeId) -> &[SenoneId] {
-        &self.node_senones[node.index()]
+        let i = node.index();
+        &self.senone_ids[self.senone_offsets[i] as usize..self.senone_offsets[i + 1] as usize]
     }
 
     /// Total number of HMM instances the network can instantiate.
@@ -88,30 +102,51 @@ impl SearchNetwork {
     }
 }
 
-/// A live HMM instance at one lexical-tree node.
-#[derive(Debug, Clone)]
-struct Token {
-    scores: Vec<LogProb>,
-    history: Vec<WordId>,
+/// States of the largest supported HMM topology; token scores are stored
+/// inline in arrays of this size.
+const MAX_STATES: usize = 7;
+
+/// Marks an empty slot in the node-indexed slot tables, and the empty word
+/// history.
+const NONE: u32 = u32::MAX;
+
+/// One word end in the per-utterance history arena: the word and the index
+/// of the word end before it ([`NONE`] at the utterance start).
+#[derive(Debug, Clone, Copy)]
+struct WordEnd {
+    word: WordId,
+    parent: u32,
+}
+
+/// Word bookkeeping a path carries from node to node: its word history and
+/// where (and with what score) its current word started.
+#[derive(Debug, Clone, Copy)]
+struct PathInfo {
+    /// Index of the last word end in the history arena ([`NONE`] if none).
+    history: u32,
     word_start_frame: usize,
     score_at_word_start: LogProb,
 }
 
-impl Token {
-    fn best(&self) -> LogProb {
-        self.scores
-            .iter()
-            .fold(LogProb::zero(), |acc, &s| acc.max(s))
-    }
+/// A live HMM instance at one lexical-tree node.
+#[derive(Debug, Clone, Copy)]
+struct Token {
+    node: LexNodeId,
+    scores: [LogProb; MAX_STATES],
+    /// Best state score after the last step.
+    best: LogProb,
+    /// Score entering the first state this frame ([`LogProb::zero`] when
+    /// nothing enters).
+    entry_score: LogProb,
+    path: PathInfo,
 }
 
 /// A token about to enter a node at the next frame.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingEntry {
+    node: LexNodeId,
     entry_score: LogProb,
-    history: Vec<WordId>,
-    word_start_frame: usize,
-    score_at_word_start: LogProb,
+    path: PathInfo,
 }
 
 /// Output of decoding one utterance.
@@ -128,9 +163,9 @@ pub struct SearchOutcome {
     pub stats: DecodeStats,
 }
 
-/// The mutable state of one in-flight utterance: the active/pending token
-/// sets, the growing word lattice, the per-frame statistics and the best
-/// completed hypothesis so far.
+/// The mutable state of one in-flight utterance: the live and pending token
+/// tables, the word-history arena, the growing word lattice, the per-frame
+/// statistics and the best completed hypothesis so far.
 ///
 /// Created by [`TokenPassingSearch::begin`], advanced one frame at a time by
 /// [`TokenPassingSearch::step`], and closed by [`TokenPassingSearch::finish`].
@@ -139,14 +174,33 @@ pub struct SearchOutcome {
 /// identical to the offline path by construction.
 #[derive(Debug, Clone)]
 pub struct SearchState {
-    active: HashMap<LexNodeId, Token>,
-    pending: HashMap<LexNodeId, PendingEntry>,
+    /// Live tokens; in node order from the merge until the end of the frame.
+    tokens: Vec<Token>,
+    /// Entries staged for the next frame, one per node.
+    pending: Vec<PendingEntry>,
+    /// Node-indexed position in `tokens` ([`NONE`] if the node is idle).
+    /// Valid between frames.
+    token_slot: Vec<u32>,
+    /// Node-indexed position in `pending` ([`NONE`] if nothing is staged).
+    pending_slot: Vec<u32>,
+    /// Every word end of the utterance, linked back to its predecessor.
+    history: Vec<WordEnd>,
     lattice: WordLattice,
     stats: DecodeStats,
     /// Best completed (word-end) hypothesis: (score, history, end frame).
-    best_final: Option<(LogProb, Vec<WordId>, usize)>,
+    best_final: Option<(LogProb, u32, usize)>,
+    /// The word sequence of `best_final`.
+    best_words: Vec<WordId>,
     /// Frames consumed so far.
     frames: usize,
+    /// Per-frame buffers reused across frames.
+    active_senones: Vec<SenoneId>,
+    /// One bit per senone of the inventory, set while collecting the active
+    /// set and cleared as it is read back in id order.
+    senone_bits: Vec<u64>,
+    /// The whole inventory, scored every frame when senone feedback is off.
+    all_senones: Vec<SenoneId>,
+    exits: Vec<(usize, LogProb)>,
 }
 
 impl SearchState {
@@ -159,10 +213,40 @@ impl SearchState {
     /// end survives the word beam) — the live partial hypothesis a streaming
     /// caller can surface between chunks.
     pub fn best_words(&self) -> &[WordId] {
-        self.best_final
-            .as_ref()
-            .map(|(_, h, _)| h.as_slice())
-            .unwrap_or(&[])
+        &self.best_words
+    }
+
+    /// Stages `entry` for the next frame unless an entry at least as strong
+    /// is already staged at its node.
+    fn offer(&mut self, entry: PendingEntry) {
+        let slot = &mut self.pending_slot[entry.node.index()];
+        if *slot == NONE {
+            *slot = self.pending.len() as u32;
+            self.pending.push(entry);
+        } else {
+            let existing = &mut self.pending[*slot as usize];
+            if entry.entry_score.raw() > existing.entry_score.raw() {
+                *existing = entry;
+            }
+        }
+    }
+
+    /// Appends a word end to the history arena and returns its index.
+    fn push_word(&mut self, word: WordId, parent: u32) -> u32 {
+        self.history.push(WordEnd { word, parent });
+        (self.history.len() - 1) as u32
+    }
+
+    /// Rebuilds `best_words` from the history arena.
+    fn rebuild_best_words(&mut self) {
+        self.best_words.clear();
+        let mut at = self.best_final.map_or(NONE, |(_, h, _)| h);
+        while at != NONE {
+            let end = self.history[at as usize];
+            self.best_words.push(end.word);
+            at = end.parent;
+        }
+        self.best_words.reverse();
     }
 }
 
@@ -191,35 +275,66 @@ impl<'a> TokenPassingSearch<'a> {
         }
     }
 
-    fn lm_score(&self, history: &[WordId], word: WordId) -> LogProb {
-        let tail: Vec<WordId> = history.iter().rev().take(2).rev().copied().collect();
-        self.lm.log_prob(&tail, word).powf(self.config.lm_weight)
+    /// LM score of `word` after the history ending at word end `history`,
+    /// with the language-model weight and word-insertion penalty applied.
+    fn lm_score(&self, arena: &[WordEnd], history: u32, word: WordId) -> LogProb {
+        let mut tail = [WordId(0); 2];
+        let mut n = 0;
+        let mut at = history;
+        while n < 2 && at != NONE {
+            let end = arena[at as usize];
+            tail[1 - n] = end.word;
+            at = end.parent;
+            n += 1;
+        }
+        self.lm
+            .log_prob(&tail[2 - n..], word)
+            .powf(self.config.lm_weight)
             + LogProb::new(self.config.word_insertion_penalty)
     }
 
     /// Starts a fresh utterance: an empty token set with word starts pending
-    /// at frame 0.
+    /// at frame 0.  The per-frame buffers are sized for the first frame,
+    /// where every word start is live.
     pub fn begin(&self) -> SearchState {
-        let mut pending = HashMap::new();
-        for (_, node) in self.network.lextree().successors(LexNodeId::ROOT) {
-            pending.insert(
-                node,
-                PendingEntry {
-                    entry_score: LogProb::ONE,
-                    history: Vec::new(),
-                    word_start_frame: 0,
-                    score_at_word_start: LogProb::ONE,
-                },
-            );
-        }
-        SearchState {
-            active: HashMap::new(),
-            pending,
+        let nodes = self.network.lextree().num_nodes();
+        let roots = self.network.lextree().successors(LexNodeId::ROOT);
+        let states = self.model.config().topology.num_states();
+        let inventory = self.model.senones().len();
+        let (senone_bits, all_senones) = if self.config.gmm_selection.senone_feedback {
+            (vec![0; inventory.div_ceil(64)], Vec::new())
+        } else {
+            (Vec::new(), (0..inventory as u32).map(SenoneId).collect())
+        };
+        let mut state = SearchState {
+            tokens: Vec::with_capacity(roots.len()),
+            pending: Vec::with_capacity(roots.len()),
+            token_slot: vec![NONE; nodes],
+            pending_slot: vec![NONE; nodes],
+            history: Vec::new(),
             lattice: WordLattice::new(0),
             stats: DecodeStats::new(),
             best_final: None,
+            best_words: Vec::new(),
             frames: 0,
+            active_senones: Vec::with_capacity(roots.len() * states),
+            senone_bits,
+            all_senones,
+            exits: Vec::with_capacity(roots.len()),
+        };
+        let start = PathInfo {
+            history: NONE,
+            word_start_frame: 0,
+            score_at_word_start: LogProb::ONE,
+        };
+        for &(_, node) in roots {
+            state.offer(PendingEntry {
+                node,
+                entry_score: LogProb::ONE,
+                path: start,
+            });
         }
+        state
     }
 
     /// Advances the search by one frame, driving the phone-decode stage for
@@ -228,6 +343,9 @@ impl<'a> TokenPassingSearch<'a> {
     /// always staged as pending entries, and [`TokenPassingSearch::finish`]
     /// simply drops the entries of the frame that never arrived — so stepping
     /// frame by frame is bit-identical to the offline loop.
+    ///
+    /// Every loop after the merge runs over the live tokens in node order, so
+    /// lattice order and every tie-break are the same in every process.
     ///
     /// # Errors
     ///
@@ -254,76 +372,88 @@ impl<'a> TokenPassingSearch<'a> {
 
         phone_decoder.begin_frame(feature);
 
-        // Merge pending entries into the active set.
-        let mut entry_map: HashMap<LexNodeId, PendingEntry> = HashMap::new();
-        for (node, entry) in state.pending.drain() {
-            match state.active.get_mut(&node) {
-                Some(token) => {
+        // Merge pending entries into the live tokens.
+        for entry in state.pending.drain(..) {
+            let node = entry.node.index();
+            state.pending_slot[node] = NONE;
+            match state.token_slot[node] {
+                NONE => state.tokens.push(Token {
+                    node: entry.node,
+                    scores: [LogProb::zero(); MAX_STATES],
+                    best: LogProb::zero(),
+                    entry_score: entry.entry_score,
+                    path: entry.path,
+                }),
+                slot => {
+                    let token = &mut state.tokens[slot as usize];
                     // The entering path may take over the instance's word
                     // bookkeeping if it is stronger than everything inside.
-                    if entry.entry_score.raw() > token.best().raw() {
-                        token.history = entry.history.clone();
-                        token.word_start_frame = entry.word_start_frame;
-                        token.score_at_word_start = entry.score_at_word_start;
+                    if entry.entry_score.raw() > token.best.raw() {
+                        token.path = entry.path;
                     }
-                    entry_map.insert(node, entry);
-                }
-                None => {
-                    state.active.insert(
-                        node,
-                        Token {
-                            scores: vec![LogProb::zero(); states],
-                            history: entry.history.clone(),
-                            word_start_frame: entry.word_start_frame,
-                            score_at_word_start: entry.score_at_word_start,
-                        },
-                    );
-                    entry_map.insert(node, entry);
+                    token.entry_score = entry.entry_score;
                 }
             }
         }
+        state.tokens.sort_unstable_by_key(|token| token.node);
 
         // Active senone set — the feedback to the phone decode stage.
-        let mut active_senones: Vec<SenoneId> = state
-            .active
-            .keys()
-            .flat_map(|&node| self.network.senones(node).iter().copied())
-            .collect();
-        active_senones.sort_unstable();
-        active_senones.dedup();
         let requested = if self.config.gmm_selection.senone_feedback {
-            active_senones.clone()
+            // Sorted and deduplicated through the bitmap: set one bit per
+            // senone, then read the words back in order, clearing them.
+            for token in &state.tokens {
+                for id in self.network.senones(token.node) {
+                    state.senone_bits[id.index() / 64] |= 1 << (id.index() % 64);
+                }
+            }
+            state.active_senones.clear();
+            for (w, bits) in state.senone_bits.iter_mut().enumerate() {
+                while *bits != 0 {
+                    let bit = bits.trailing_zeros();
+                    state.active_senones.push(SenoneId(w as u32 * 64 + bit));
+                    *bits &= *bits - 1;
+                }
+            }
+            &state.active_senones
         } else {
             // Feedback disabled (for the E4 ablation): score everything.
-            (0..inventory_size as u32).map(SenoneId).collect()
+            &state.all_senones
         };
-        let cds_skipped = phone_decoder.score_frame(self.model, &requested, feature)?;
+        let cds_skipped = phone_decoder.score_frame(self.model, requested, feature)?;
+        let senones_scored = if cds_skipped { 0 } else { requested.len() };
 
-        // Advance every active instance, reading scores straight out of
-        // the phone decoder's senone-score arena (no per-frame map).
+        // Advance every live instance, reading scores straight out of the
+        // phone decoder's senone-score arena.
         let mut frame_best = LogProb::zero();
-        let mut exits: Vec<(LexNodeId, LogProb)> = Vec::new();
-        let node_ids: Vec<LexNodeId> = state.active.keys().copied().collect();
-        for node in node_ids {
-            let obs: Vec<LogProb> = self
-                .network
-                .senones(node)
+        state.exits.clear();
+        for (i, token) in state.tokens.iter_mut().enumerate() {
+            let mut obs = [LogProb::zero(); MAX_STATES];
+            for (o, &id) in obs.iter_mut().zip(self.network.senones(token.node)) {
+                *o = phone_decoder.score_of(id);
+            }
+            let step = phone_decoder.step_hmm(
+                &token.scores[..states],
+                token.entry_score,
+                transitions,
+                &obs[..states],
+            )?;
+            if step.scores.len() != states {
+                return Err(DecodeError::DimensionMismatch {
+                    expected: states,
+                    got: step.scores.len(),
+                });
+            }
+            token.scores[..states].copy_from_slice(&step.scores);
+            token.entry_score = LogProb::zero();
+            token.best = step
+                .scores
                 .iter()
-                .map(|&id| phone_decoder.score_of(id))
-                .collect();
-            let entry_score = entry_map
-                .get(&node)
-                .map(|e| e.entry_score)
-                .unwrap_or_else(LogProb::zero);
-            let token = state.active.get_mut(&node).expect("node is active");
-            let step = phone_decoder.step_hmm(&token.scores, entry_score, transitions, &obs)?;
-            token.scores = step.scores;
-            let best = token.best();
-            if best.raw() > frame_best.raw() {
-                frame_best = best;
+                .fold(LogProb::zero(), |acc, &s| acc.max(s));
+            if token.best.raw() > frame_best.raw() {
+                frame_best = token.best;
             }
             if !step.exit_score.is_zero() {
-                exits.push((node, step.exit_score));
+                state.exits.push((i, step.exit_score));
             }
         }
 
@@ -333,101 +463,90 @@ impl<'a> TokenPassingSearch<'a> {
         // "is there a next frame" guard amounted to.
         let word_beam_floor = frame_best + LogProb::new(-self.config.word_beam);
         let mut word_ends_this_frame = 0usize;
-        for (node, exit_score) in exits {
+        let mut best_changed = false;
+        for x in 0..state.exits.len() {
+            let (i, exit_score) = state.exits[x];
             if exit_score.raw() < word_beam_floor.raw() {
                 continue;
             }
-            let token = state.active.get(&node).expect("node is active").clone();
+            let Token { node, path, .. } = state.tokens[i];
             // Word ends at this node.
             for &word in tree.words_at(node) {
                 word_ends_this_frame += 1;
-                let acoustic = exit_score - token.score_at_word_start;
                 state.lattice.push(WordLatticeEntry {
                     word,
-                    start_frame: token.word_start_frame,
+                    start_frame: path.word_start_frame,
                     end_frame: t,
-                    acoustic_score: acoustic,
+                    acoustic_score: exit_score - path.score_at_word_start,
                 });
-                let with_lm = exit_score + self.lm_score(&token.history, word);
-                let mut new_history = token.history.clone();
-                new_history.push(word);
-                let better_final = state
-                    .best_final
-                    .as_ref()
-                    .map(|(s, _, e)| t > *e || (t == *e && with_lm.raw() > s.raw()))
-                    .unwrap_or(true);
+                let with_lm = exit_score + self.lm_score(&state.history, path.history, word);
+                let history = state.push_word(word, path.history);
+                let better_final = state.best_final.map_or(true, |(s, _, e)| {
+                    t > e || (t == e && with_lm.raw() > s.raw())
+                });
                 if better_final {
-                    state.best_final = Some((with_lm, new_history.clone(), t));
+                    state.best_final = Some((with_lm, history, t));
+                    best_changed = true;
                 }
                 // Start new words at the next frame.
-                for (_, root_child) in tree.successors(LexNodeId::ROOT) {
-                    let candidate = PendingEntry {
+                let next_word = PathInfo {
+                    history,
+                    word_start_frame: t + 1,
+                    score_at_word_start: with_lm,
+                };
+                for &(_, root_child) in tree.successors(LexNodeId::ROOT) {
+                    state.offer(PendingEntry {
+                        node: root_child,
                         entry_score: with_lm,
-                        history: new_history.clone(),
-                        word_start_frame: t + 1,
-                        score_at_word_start: with_lm,
-                    };
-                    match state.pending.get(&root_child) {
-                        Some(existing)
-                            if existing.entry_score.raw() >= candidate.entry_score.raw() => {}
-                        _ => {
-                            state.pending.insert(root_child, candidate);
-                        }
-                    }
+                        path: next_word,
+                    });
                 }
             }
             // Word-internal transition into child nodes.
-            for (_, child) in tree.successors(node) {
-                let candidate = PendingEntry {
+            for &(_, child) in tree.successors(node) {
+                state.offer(PendingEntry {
+                    node: child,
                     entry_score: exit_score,
-                    history: token.history.clone(),
-                    word_start_frame: token.word_start_frame,
-                    score_at_word_start: token.score_at_word_start,
-                };
-                match state.pending.get(&child) {
-                    Some(existing) if existing.entry_score.raw() >= candidate.entry_score.raw() => {
-                    }
-                    _ => {
-                        state.pending.insert(child, candidate);
-                    }
-                }
+                    path,
+                });
             }
         }
-
-        // Beam pruning and the instance cap.
-        let beam_floor = frame_best + LogProb::new(-self.config.beam);
-        let before = state.active.len();
-        state
-            .active
-            .retain(|_, token| token.best().raw() >= beam_floor.raw());
-        if state.active.len() > self.config.max_active_hmms {
-            let mut scored: Vec<(LexNodeId, LogProb)> = state
-                .active
-                .iter()
-                .map(|(&node, token)| (node, token.best()))
-                .collect();
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let keep: std::collections::HashSet<LexNodeId> = scored
-                .iter()
-                .take(self.config.max_active_hmms)
-                .map(|&(n, _)| n)
-                .collect();
-            state.active.retain(|node, _| keep.contains(node));
+        if best_changed {
+            state.rebuild_best_words();
         }
-        let pruned = before.saturating_sub(state.active.len());
+
+        // Beam pruning and the instance cap (ties kept in node order).
+        let beam_floor = frame_best + LogProb::new(-self.config.beam);
+        let before = state.tokens.len();
+        for token in &state.tokens {
+            state.token_slot[token.node.index()] = NONE;
+        }
+        state
+            .tokens
+            .retain(|token| token.best.raw() >= beam_floor.raw());
+        if state.tokens.len() > self.config.max_active_hmms {
+            state
+                .tokens
+                .sort_unstable_by(|a, b| b.best.total_cmp(&a.best).then(a.node.cmp(&b.node)));
+            state.tokens.truncate(self.config.max_active_hmms);
+        }
+        for (i, token) in state.tokens.iter().enumerate() {
+            state.token_slot[token.node.index()] = i as u32;
+        }
+        let pruned = before - state.tokens.len();
 
         state.stats.push(FrameStats {
             frame: t,
-            senones_scored: if cds_skipped { 0 } else { requested.len() },
+            senones_scored,
             senone_inventory: inventory_size,
-            active_hmms: state.active.len(),
+            active_hmms: state.tokens.len(),
             pruned_hmms: pruned,
             word_ends: word_ends_this_frame,
             cds_skipped,
         });
         // Word-decode dictionary lookups go over the DMA.
         phone_decoder.dma_fetch((word_ends_this_frame * 64) as u64);
-        phone_decoder.end_frame(state.active.len(), state.lattice.len());
+        phone_decoder.end_frame(state.tokens.len(), state.lattice.len());
         state.frames = t + 1;
         Ok(())
     }
@@ -436,13 +555,9 @@ impl<'a> TokenPassingSearch<'a> {
     /// never arrived and packages the outcome.
     pub fn finish(&self, mut state: SearchState) -> SearchOutcome {
         state.lattice.set_num_frames(state.frames);
-        let (best_token_score, best_token_words) = state
-            .best_final
-            .map(|(s, h, _)| (s, h))
-            .unwrap_or((LogProb::zero(), Vec::new()));
         SearchOutcome {
-            best_token_words,
-            best_token_score,
+            best_token_words: state.best_words,
+            best_token_score: state.best_final.map_or(LogProb::zero(), |(s, _, _)| s),
             lattice: state.lattice,
             stats: state.stats,
         }
@@ -670,6 +785,60 @@ mod tests {
         assert!(matches!(
             search.decode(&bad, &mut pd),
             Err(DecodeError::DimensionMismatch { .. })
+        ));
+    }
+
+    /// A backend whose HMM step returns one state score too few.
+    #[derive(Debug)]
+    struct ShortStepScorer;
+
+    impl crate::SenoneScorer for ShortStepScorer {
+        fn name(&self) -> &'static str {
+            "short-step"
+        }
+        fn begin_frame(&mut self, _feature: &[f32]) {}
+        fn score_senones(
+            &mut self,
+            _model: &AcousticModel,
+            active: &[SenoneId],
+            _feature: &[f32],
+        ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+            Ok(active.iter().map(|&id| (id, LogProb::new(-1.0))).collect())
+        }
+        fn step_hmm(
+            &mut self,
+            prev_scores: &[LogProb],
+            _entry_score: LogProb,
+            _transitions: &asr_acoustic::TransitionMatrix,
+            _senone_scores: &[LogProb],
+        ) -> Result<crate::HmmStepResult, DecodeError> {
+            Ok(crate::HmmStepResult {
+                scores: vec![LogProb::ONE; prev_scores.len() - 1],
+                exit_score: LogProb::zero(),
+            })
+        }
+        fn finish_utterance(&mut self) -> Option<asr_hw::UtteranceReport> {
+            None
+        }
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn a_backend_returning_the_wrong_state_count_is_an_error() {
+        let model = tiny_model();
+        let dict = tiny_dictionary();
+        let network = SearchNetwork::build(&model, &dict).unwrap();
+        let lm = NGramModel::uniform(dict.len()).unwrap();
+        let config = DecoderConfig::software();
+        let search = TokenPassingSearch::new(&model, &network, &lm, &config);
+        let mut pd = PhoneDecoder::new(Box::new(ShortStepScorer), GmmSelectionConfig::default());
+        let features = synth_features(&dict, &["alpha"], 1);
+        assert!(matches!(
+            search.decode(&features, &mut pd),
+            Err(DecodeError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            })
         ));
     }
 

@@ -26,104 +26,133 @@ impl LexNodeId {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+/// One frozen node: its incoming phone, its depth, and where its children
+/// and words start in the tree's flat arrays (they end where the next
+/// node's begin).
+#[derive(Debug, Clone, Copy)]
 struct LexNode {
     /// Phone labelling the edge from the parent to this node
     /// (`None` only for the root).
     phone: Option<PhoneId>,
-    children: HashMap<PhoneId, LexNodeId>,
-    /// Words whose pronunciation ends exactly at this node.
-    words: Vec<WordId>,
-    depth: usize,
+    depth: u32,
+    first_edge: u32,
+    first_word: u32,
 }
 
 /// A prefix tree over the pronunciations of a [`Dictionary`].
+///
+/// The tree is built with temporary per-node maps and then frozen into flat
+/// arrays: one `(phone, child)` edge list sorted by phone within each node
+/// and one word list, both indexed by per-node offsets.  Walking the tree
+/// therefore never allocates.
 #[derive(Debug, Clone)]
 pub struct LexTree {
+    /// One entry per node plus a trailing sentinel holding the end offsets.
     nodes: Vec<LexNode>,
-    num_words: usize,
+    edges: Vec<(PhoneId, LexNodeId)>,
+    words: Vec<WordId>,
 }
 
 impl LexTree {
     /// Builds the prefix tree of a dictionary.
     pub fn build(dictionary: &Dictionary) -> Self {
-        let mut tree = LexTree {
-            nodes: vec![LexNode::default()],
-            num_words: 0,
-        };
+        // Node ids are assigned in insertion order while the tree grows.
+        let mut phones: Vec<Option<PhoneId>> = vec![None];
+        let mut depths: Vec<u32> = vec![0];
+        let mut children: Vec<HashMap<PhoneId, LexNodeId>> = vec![HashMap::new()];
+        let mut words: Vec<Vec<WordId>> = vec![Vec::new()];
         for (word, _, pron) in dictionary.iter() {
             let mut node = LexNodeId::ROOT;
             for &phone in pron.phones() {
-                node = tree.child_or_insert(node, phone);
+                if let Some(&child) = children[node.index()].get(&phone) {
+                    node = child;
+                    continue;
+                }
+                let child = LexNodeId(phones.len() as u32);
+                children[node.index()].insert(phone, child);
+                phones.push(Some(phone));
+                depths.push(depths[node.index()] + 1);
+                children.push(HashMap::new());
+                words.push(Vec::new());
+                node = child;
             }
-            tree.nodes[node.index()].words.push(word);
-            tree.num_words += 1;
+            words[node.index()].push(word);
         }
+
+        let mut tree = LexTree {
+            nodes: Vec::with_capacity(phones.len() + 1),
+            edges: Vec::with_capacity(phones.len().saturating_sub(1)),
+            words: Vec::with_capacity(words.iter().map(Vec::len).sum()),
+        };
+        for (i, (node_children, node_words)) in children.iter().zip(&words).enumerate() {
+            tree.nodes.push(LexNode {
+                phone: phones[i],
+                depth: depths[i],
+                first_edge: tree.edges.len() as u32,
+                first_word: tree.words.len() as u32,
+            });
+            let first = tree.edges.len();
+            tree.edges
+                .extend(node_children.iter().map(|(&p, &c)| (p, c)));
+            tree.edges[first..].sort_unstable_by_key(|&(p, _)| p);
+            tree.words.extend_from_slice(node_words);
+        }
+        tree.nodes.push(LexNode {
+            phone: None,
+            depth: 0,
+            first_edge: tree.edges.len() as u32,
+            first_word: tree.words.len() as u32,
+        });
         tree
     }
 
-    fn child_or_insert(&mut self, parent: LexNodeId, phone: PhoneId) -> LexNodeId {
-        if let Some(&existing) = self.nodes[parent.index()].children.get(&phone) {
-            return existing;
-        }
-        let id = LexNodeId(self.nodes.len() as u32);
-        let depth = self.nodes[parent.index()].depth + 1;
-        self.nodes.push(LexNode {
-            phone: Some(phone),
-            children: HashMap::new(),
-            words: Vec::new(),
-            depth,
-        });
-        self.nodes[parent.index()].children.insert(phone, id);
-        id
+    /// `node` and the node after it (whose offsets end `node`'s ranges), or
+    /// `None` for an unknown node.
+    fn bounds(&self, node: LexNodeId) -> Option<(&LexNode, &LexNode)> {
+        let i = node.index();
+        Some((self.nodes.get(i)?, self.nodes.get(i + 1)?))
     }
 
     /// Total number of nodes (including the root).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - 1
     }
 
     /// Number of word end-points in the tree.
     pub fn num_words(&self) -> usize {
-        self.num_words
+        self.words.len()
     }
 
     /// The phone on the edge into `node` (`None` for the root).
     pub fn phone(&self, node: LexNodeId) -> Option<PhoneId> {
-        self.nodes.get(node.index()).and_then(|n| n.phone)
+        self.bounds(node).and_then(|(n, _)| n.phone)
     }
 
     /// Depth of a node (root = 0).
     pub fn depth(&self, node: LexNodeId) -> Option<usize> {
-        self.nodes.get(node.index()).map(|n| n.depth)
+        self.bounds(node).map(|(n, _)| n.depth as usize)
     }
 
     /// The child of `node` reached by `phone`, if any.
     pub fn child(&self, node: LexNodeId, phone: PhoneId) -> Option<LexNodeId> {
-        self.nodes
-            .get(node.index())
-            .and_then(|n| n.children.get(&phone).copied())
+        let succ = self.successors(node);
+        succ.binary_search_by_key(&phone, |&(p, _)| p)
+            .ok()
+            .map(|i| succ[i].1)
     }
 
-    /// All `(phone, child)` successors of a node — the phones that can
-    /// continue some dictionary word from this prefix.
-    pub fn successors(&self, node: LexNodeId) -> Vec<(PhoneId, LexNodeId)> {
-        self.nodes
-            .get(node.index())
-            .map(|n| {
-                let mut v: Vec<(PhoneId, LexNodeId)> =
-                    n.children.iter().map(|(&p, &c)| (p, c)).collect();
-                v.sort_by_key(|&(p, _)| p);
-                v
-            })
-            .unwrap_or_default()
+    /// All `(phone, child)` successors of a node, sorted by phone — the
+    /// phones that can continue some dictionary word from this prefix.
+    pub fn successors(&self, node: LexNodeId) -> &[(PhoneId, LexNodeId)] {
+        self.bounds(node)
+            .map(|(n, next)| &self.edges[n.first_edge as usize..next.first_edge as usize])
+            .unwrap_or(&[])
     }
 
     /// Words ending exactly at `node`.
     pub fn words_at(&self, node: LexNodeId) -> &[WordId] {
-        self.nodes
-            .get(node.index())
-            .map(|n| n.words.as_slice())
+        self.bounds(node)
+            .map(|(n, next)| &self.words[n.first_word as usize..next.first_word as usize])
             .unwrap_or(&[])
     }
 
@@ -148,8 +177,8 @@ impl LexTree {
     /// word-decode stage activates whenever a new word can start.
     pub fn initial_phones(&self) -> Vec<PhoneId> {
         self.successors(LexNodeId::ROOT)
-            .into_iter()
-            .map(|(p, _)| p)
+            .iter()
+            .map(|&(p, _)| p)
             .collect()
     }
 
@@ -158,10 +187,10 @@ impl LexTree {
     /// words share prefixes.
     pub fn sharing_ratio(&self, dictionary: &Dictionary) -> f64 {
         let total_phones: usize = dictionary.iter().map(|(_, _, p)| p.len()).sum();
-        if self.nodes.len() <= 1 {
+        if self.num_nodes() <= 1 {
             return 1.0;
         }
-        total_phones as f64 / (self.nodes.len() - 1) as f64
+        total_phones as f64 / (self.num_nodes() - 1) as f64
     }
 }
 
@@ -257,5 +286,138 @@ mod tests {
         // Flat storage: 50 * 9 = 450 phones; tree: 8 shared + 50 leaves = 58 nodes.
         assert_eq!(t.num_nodes(), 1 + 8 + 50);
         assert!(t.sharing_ratio(&d) > 7.0);
+    }
+
+    /// A few hundred words over a small phone set (so prefixes are shared
+    /// deeply), with homophones, drawn from a fixed linear congruential
+    /// sequence.
+    fn random_dict() -> Dictionary {
+        let mut d = dict();
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % m
+        };
+        let mut prons: Vec<Vec<PhoneId>> = Vec::new();
+        for i in 0..400 {
+            let phones = if i % 10 == 9 && !prons.is_empty() {
+                prons[next(prons.len() as u64) as usize].clone()
+            } else {
+                let len = 1 + next(6) as usize;
+                (0..len).map(|_| PhoneId(next(12) as u16)).collect()
+            };
+            d.add_word(&format!("r{i}"), Pronunciation::new(phones.clone()))
+                .unwrap();
+            prons.push(phones);
+        }
+        d
+    }
+
+    /// The tree as the dictionary defines it, built the obvious way: node
+    /// ids in insertion order, children in ordered maps, and the words of a
+    /// node in dictionary order.
+    struct Reference {
+        phone: Vec<Option<PhoneId>>,
+        depth: Vec<usize>,
+        children: Vec<std::collections::BTreeMap<PhoneId, u32>>,
+        words: Vec<Vec<WordId>>,
+    }
+
+    fn reference(d: &Dictionary) -> Reference {
+        let mut r = Reference {
+            phone: vec![None],
+            depth: vec![0],
+            children: vec![Default::default()],
+            words: vec![Vec::new()],
+        };
+        for (word, _, pron) in d.iter() {
+            let mut node = 0usize;
+            for &p in pron.phones() {
+                let fresh = r.phone.len() as u32;
+                let child = *r.children[node].entry(p).or_insert(fresh);
+                if child == fresh {
+                    r.phone.push(Some(p));
+                    r.depth.push(r.depth[node] + 1);
+                    r.children.push(Default::default());
+                    r.words.push(Vec::new());
+                }
+                node = child as usize;
+            }
+            r.words[node].push(word);
+        }
+        r
+    }
+
+    #[test]
+    fn frozen_tree_matches_the_reference_node_for_node() {
+        for d in [dict(), random_dict()] {
+            let t = LexTree::build(&d);
+            let r = reference(&d);
+            assert_eq!(t.num_nodes(), r.phone.len());
+            assert_eq!(t.num_words(), d.len());
+            for n in 0..t.num_nodes() {
+                let node = LexNodeId(n as u32);
+                assert_eq!(t.phone(node), r.phone[n]);
+                assert_eq!(t.depth(node), Some(r.depth[n]));
+                assert_eq!(t.words_at(node), r.words[n].as_slice(), "node {n}");
+                let want: Vec<(PhoneId, LexNodeId)> = r.children[n]
+                    .iter()
+                    .map(|(&p, &c)| (p, LexNodeId(c)))
+                    .collect();
+                assert_eq!(t.successors(node), want.as_slice(), "node {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn successors_are_sorted_borrowed_slices() {
+        let d = random_dict();
+        let t = LexTree::build(&d);
+        let mut edges = 0;
+        for n in 0..t.num_nodes() {
+            let node = LexNodeId(n as u32);
+            let succ = t.successors(node);
+            assert!(succ.windows(2).all(|w| w[0].0 < w[1].0), "node {n}");
+            // The same borrowed storage every call: nothing is built per call.
+            assert!(std::ptr::eq(succ, t.successors(node)));
+            edges += succ.len();
+        }
+        // Every node but the root is exactly one edge.
+        assert_eq!(edges, t.num_nodes() - 1);
+    }
+
+    #[test]
+    fn lookups_agree_with_the_dictionary() {
+        let d = random_dict();
+        let t = LexTree::build(&d);
+        for (word, _, pron) in d.iter() {
+            let phones = pron.phones();
+            // `child` walks the same path `lookup_prefix` does, one phone
+            // at a time, and every prefix reaches a node of its depth.
+            let mut node = LexNodeId::ROOT;
+            for (i, &p) in phones.iter().enumerate() {
+                node = t.child(node, p).expect("every prefix is in the tree");
+                assert_eq!(t.lookup_prefix(&phones[..=i]), Some(node));
+                assert_eq!(t.depth(node), Some(i + 1));
+                assert_eq!(t.phone(node), Some(p));
+            }
+            let homophones: Vec<WordId> = d
+                .iter()
+                .filter(|(_, _, q)| q.phones() == phones)
+                .map(|(w, _, _)| w)
+                .collect();
+            assert!(homophones.contains(&word));
+            assert_eq!(t.lookup_words(phones), homophones);
+            assert_eq!(t.words_at(node), homophones.as_slice());
+        }
+        let mut initials: Vec<PhoneId> = d.iter().map(|(_, _, p)| p.phones()[0]).collect();
+        initials.sort_unstable();
+        initials.dedup();
+        assert_eq!(t.initial_phones(), initials);
+        // A phone outside the set continues nothing.
+        assert_eq!(t.child(LexNodeId::ROOT, PhoneId(50)), None);
+        assert!(t.lookup_words(&[PhoneId(50)]).is_empty());
     }
 }

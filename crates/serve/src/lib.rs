@@ -33,9 +33,11 @@
 //! requests admitted before the swap finish on the version they were
 //! admitted under (their `Arc` pins it), new admissions see the new version,
 //! and the queue never drains.  **Admission control** is layered: the global
-//! `max_pending` bound, an optional per-model quota, and an optional
-//! per-tenant quota — each rejection is a typed [`ServeError::QueueFull`]
-//! naming the [`QueueScope`] that was hit.  [`ServeStats`] and hardware
+//! `max_pending` bound on queued commands, an optional per-model quota, and
+//! an optional per-tenant quota — each rejection is a typed
+//! [`ServeError::QueueFull`] naming the [`QueueScope`] that was hit.  A
+//! quota counts requests from admission until they complete, so a burst is
+//! rejected the same way however fast the workers drain the queue.  [`ServeStats`] and hardware
 //! reports split per model ([`AsrServer::model_stats`],
 //! [`AsrServer::model_hardware_report`]).
 //!
@@ -163,13 +165,14 @@ pub struct ServeConfig {
     /// chunks stay ordered.  The default of 1 reproduces the single-batcher
     /// behaviour exactly.
     pub workers: usize,
-    /// Per-model admission quota *within* `max_pending`: at most this many
-    /// queued requests per model, so one model's burst cannot starve its
-    /// neighbours.  `None` (the default) disables the per-model scope.
+    /// Per-model admission quota: at most this many requests per model
+    /// admitted and not yet completed (queued or decoding), so one model's
+    /// burst cannot starve its neighbours.  `None` (the default) disables
+    /// the per-model scope.
     pub model_quota: Option<usize>,
-    /// Per-tenant admission quota within `max_pending`, counted for requests
-    /// that name a tenant ([`DecodeRequest::tenant`]).  `None` (the default)
-    /// disables the per-tenant scope.
+    /// Per-tenant admission quota, counted like the per-model one for
+    /// requests that name a tenant ([`DecodeRequest::tenant`]).  `None` (the
+    /// default) disables the per-tenant scope.
     pub tenant_quota: Option<usize>,
 }
 

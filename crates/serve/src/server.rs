@@ -82,10 +82,13 @@ enum Command {
 }
 
 impl Command {
-    /// Stream commands are latency-sensitive: the micro-batcher skips its
-    /// coalescing wait while one is queued.
-    fn is_stream(&self) -> bool {
-        !matches!(self, Command::Decode { .. })
+    /// Stream pushes, finishes and cancels are latency-sensitive: the
+    /// micro-batcher skips its coalescing wait while one is queued.  An open
+    /// carries no audio, so it waits for the session's first push or the
+    /// next flush like a decode — and cannot sweep the decodes queued
+    /// behind it into an early flush.
+    fn is_urgent(&self) -> bool {
+        !matches!(self, Command::Decode { .. } | Command::StreamOpen { .. })
     }
 
     /// Whether worker `worker` (of `workers`) may take this command.
@@ -100,21 +103,6 @@ impl Command {
             | Command::StreamPush { id, .. }
             | Command::StreamFinish { id, .. }
             | Command::StreamCancel { id, .. } => id % workers as u64 == worker as u64,
-        }
-    }
-
-    /// The admission this queued command counts against per-model /
-    /// per-tenant quotas: only the *bounded*, payload-carrying commands
-    /// (decodes and stream pushes).  Open/finish/cancel are exempt from
-    /// admission bounds, so they never occupy quota either.
-    fn quota_scope(&self) -> Option<&Admission> {
-        match self {
-            Command::Decode { admission, .. } | Command::StreamPush { admission, .. } => {
-                Some(admission)
-            }
-            Command::StreamOpen { .. }
-            | Command::StreamFinish { .. }
-            | Command::StreamCancel { .. } => None,
         }
     }
 
@@ -177,6 +165,64 @@ impl StreamState {
 struct Queue {
     pending: VecDeque<Request>,
     closed: bool,
+    /// Bounded commands (decodes and stream pushes) admitted and not yet
+    /// resolved, per model name and per tenant — what the quotas count.
+    /// Admission charges them; the worker releases a decode just before
+    /// fulfilling its slot and a push once it has been applied, and a
+    /// drain releases whatever it discards.
+    in_flight_models: HashMap<Arc<str>, usize>,
+    in_flight_tenants: HashMap<Arc<str>, usize>,
+}
+
+impl Queue {
+    fn charge(&mut self, admission: &Admission) {
+        *self
+            .in_flight_models
+            .entry(Arc::clone(&admission.model.name))
+            .or_default() += 1;
+        if let Some(tenant) = &admission.tenant {
+            *self
+                .in_flight_tenants
+                .entry(Arc::clone(tenant))
+                .or_default() += 1;
+        }
+    }
+
+    fn release(&mut self, admission: &Admission) {
+        fn dec(counts: &mut HashMap<Arc<str>, usize>, key: &str) {
+            if let Some(n) = counts.get_mut(key) {
+                *n -= 1;
+                if *n == 0 {
+                    counts.remove(key);
+                }
+            }
+        }
+        dec(&mut self.in_flight_models, &admission.model.name);
+        if let Some(tenant) = &admission.tenant {
+            dec(&mut self.in_flight_tenants, tenant);
+        }
+    }
+
+    /// Discards every pending command (each drop guard fails its future
+    /// [`ServeError::Closed`]), releasing the quota the bounded ones held.
+    fn drain(&mut self) {
+        while let Some(request) = self.pending.pop_front() {
+            if let Command::Decode { admission, .. } | Command::StreamPush { admission, .. } =
+                &request.command
+            {
+                self.release(admission);
+            }
+        }
+    }
+}
+
+/// Releases a resolved bounded command's quota charge.
+fn release_quota(shared: &Shared, admission: &Admission) {
+    shared
+        .queue
+        .lock()
+        .expect("request queue lock poisoned")
+        .release(admission);
 }
 
 /// Monotonic counters, one set **per registered model**; the whole-server
@@ -646,8 +692,9 @@ impl AsrServer {
 
     /// Checks the layered admission bounds under the queue lock, innermost
     /// scope last: the global queue bound, then the per-model quota, then
-    /// the per-tenant quota.  Quotas count the *bounded* queued commands
-    /// (decodes and stream pushes) charged to the same model / tenant.
+    /// the per-tenant quota.  Quotas count the *bounded* commands (decodes
+    /// and stream pushes) charged to the same model / tenant from admission
+    /// until they resolve, whether they are still queued or decoding.
     fn check_quotas(&self, queue: &Queue, admission: &Admission) -> Result<(), ServeError> {
         if queue.pending.len() >= self.config.max_pending {
             return Err(ServeError::QueueFull {
@@ -657,13 +704,7 @@ impl AsrServer {
         }
         if let Some(quota) = self.config.model_quota {
             let name = &admission.model.name;
-            let queued = queue
-                .pending
-                .iter()
-                .filter_map(|r| r.command.quota_scope())
-                .filter(|a| a.model.name == *name)
-                .count();
-            if queued >= quota {
+            if queue.in_flight_models.get(name).copied().unwrap_or(0) >= quota {
                 return Err(ServeError::QueueFull {
                     capacity: quota,
                     scope: QueueScope::Model(name.to_string()),
@@ -672,13 +713,7 @@ impl AsrServer {
         }
         if let (Some(quota), Some(tenant)) = (self.config.tenant_quota, admission.tenant.as_deref())
         {
-            let queued = queue
-                .pending
-                .iter()
-                .filter_map(|r| r.command.quota_scope())
-                .filter(|a| a.tenant.as_deref() == Some(tenant))
-                .count();
-            if queued >= quota {
+            if queue.in_flight_tenants.get(tenant).copied().unwrap_or(0) >= quota {
                 return Err(ServeError::QueueFull {
                     capacity: quota,
                     scope: QueueScope::Tenant(tenant.to_string()),
@@ -714,6 +749,7 @@ impl AsrServer {
                 self.shared.counters(&admission.model.name).rejected.inc();
                 return Err(rejection);
             }
+            queue.charge(admission);
         }
         if count_submitted {
             let admission = command
@@ -988,7 +1024,7 @@ impl AsrServer {
         }
         // Normally empty (every worker drains its own work before exiting);
         // non-empty only if a worker died mid-stream.
-        self.lock_queue().pending.clear();
+        self.lock_queue().drain();
     }
 }
 
@@ -1177,7 +1213,7 @@ fn fail_pending(shared: &Shared) {
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     queue.closed = true;
-    queue.pending.clear();
+    queue.drain();
     drop(queue);
     shared.wakeup.notify_all();
 }
@@ -1270,11 +1306,11 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
             .filter(|r| r.command.belongs_to(worker, workers))
             .count()
     };
-    let my_stream = |queue: &Queue| {
+    let my_urgent = |queue: &Queue| {
         queue
             .pending
             .iter()
-            .any(|r| r.command.is_stream() && r.command.belongs_to(worker, workers))
+            .any(|r| r.command.is_urgent() && r.command.belongs_to(worker, workers))
     };
     loop {
         let batch = {
@@ -1299,12 +1335,12 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
             // request of this worker has waited `max_batch_delay` to join
             // this flush, unless the batch is already full, the server is
             // draining for shutdown (then latency no longer buys anything),
-            // or a stream command is queued for this worker (streams are
-            // latency-bound: their chunks gain nothing from coalescing with
-            // batch traffic).  Anchoring the deadline at enqueue time means
+            // or an urgent stream command is queued for this worker (streams
+            // are latency-bound: their chunks gain nothing from coalescing
+            // with batch traffic).  Anchoring the deadline at enqueue time means
             // a request that already waited out a previous flush's decode is
             // not made to wait a fresh window on top.
-            if mine(&queue) < config.max_batch && !queue.closed && !my_stream(&queue) {
+            if mine(&queue) < config.max_batch && !queue.closed && !my_urgent(&queue) {
                 let deadline = queue
                     .pending
                     .iter()
@@ -1322,7 +1358,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                         .wait_timeout(queue, deadline - now)
                         .expect("request queue lock poisoned");
                     queue = guard;
-                    if my_stream(&queue) {
+                    if my_urgent(&queue) {
                         break;
                     }
                 }
@@ -1448,6 +1484,9 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                             frames: features.len(),
                         },
                     );
+                    // Release before fulfilling, so a caller that waits and
+                    // resubmits always finds its quota free.
+                    release_quota(shared, admission);
                     slot.fulfil(outcome);
                 }
                 Command::StreamOpen {
@@ -1495,6 +1534,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                             }
                         }
                     }
+                    release_quota(shared, admission);
                 }
                 Command::StreamFinish {
                     id,
@@ -1765,6 +1805,38 @@ mod tests {
             server.stats().rejected,
             model_rejections + tenant_rejections
         );
+    }
+
+    #[test]
+    fn quotas_are_released_before_the_request_resolves() {
+        let task = task();
+        let server = AsrServer::spawn(
+            recognizer(&task, DecoderConfig::simd()),
+            ServeConfig::default()
+                .max_batch_delay(std::time::Duration::ZERO)
+                .model_quota(1)
+                .tenant_quota(1),
+        )
+        .unwrap();
+        let (features, _) = task.synthesize_utterance(1, 0.2, 1);
+        let acme = || DecodeRequest::new(features.clone()).tenant("acme");
+        // The charge is released before the future resolves, so waiting
+        // and resubmitting never meets a full quota.
+        for _ in 0..5 {
+            let future = server.submit(acme()).expect("the quota is free again");
+            assert!(future.wait().is_ok());
+        }
+        // A push holds the quota until the worker applies it, which is
+        // before the session's finish resolves.
+        let stream = server
+            .open_stream_with(StreamOptions::new().tenant("acme"))
+            .unwrap();
+        stream.push_chunk(&features).unwrap();
+        assert!(stream.finish().unwrap().wait().is_ok());
+        assert!(server.submit(acme()).unwrap().wait().is_ok());
+        let queue = server.lock_queue();
+        assert!(queue.in_flight_models.is_empty());
+        assert!(queue.in_flight_tenants.is_empty());
     }
 
     #[test]

@@ -214,8 +214,8 @@ fn per_model_quota_rejects_with_the_model_scope() {
         registry,
         ServeConfig::default()
             .max_batch(64)
-            // A long coalescing window keeps requests queued while the burst
-            // overfills the model quota.
+            // Requests hold the model quota until they complete, so the
+            // burst overfills it however fast the worker drains.
             .max_batch_delay(Duration::from_millis(300))
             .model_quota(2),
     )

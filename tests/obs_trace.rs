@@ -106,8 +106,8 @@ proptest! {
             .collect();
 
         // A burst from one tenant against a quota of one: the first request
-        // occupies the quota for as long as it stays queued, the rest of
-        // the burst rejects at tenant scope.
+        // holds the quota from admission until its decode completes, so the
+        // rest of the burst rejects at tenant scope.
         let mut tenant_accepted = Vec::new();
         let mut tenant_rejected = 0usize;
         let (noisy, _) = task.synthesize_utterance(1, 0.2, seed + 900);

@@ -1,0 +1,200 @@
+//! Allocation budget of the word-decode search.  A warm decode on the SIMD
+//! backend must allocate, inside `TokenPassingSearch::step`, essentially
+//! nothing beyond the one result vector each `SenoneScorer::step_hmm` call
+//! returns: the token table, history arena and per-frame buffers are reused,
+//! and walking the lexical tree borrows.
+//!
+//! The counting allocator below counts per thread, so tests of other
+//! binaries or threads cannot disturb the figure.
+
+use lvcsr::acoustic::{AcousticModel, SenoneId, TransitionMatrix};
+use lvcsr::corpus::Wsj5kTask;
+use lvcsr::decoder::{
+    DecodeError, DecoderConfig, HmmStepResult, PhoneDecoder, Recognizer, SenoneScorer,
+    TokenPassingSearch,
+};
+use lvcsr::float::LogProb;
+use lvcsr::hw::UtteranceReport;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The most allocations per frame `step` may make beyond one per
+/// `step_hmm` call.
+const BUDGET_PER_FRAME: f64 = 0.1;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Forwards to the system allocator, counting allocations and reallocations
+/// of the calling thread.
+struct CountingAlloc;
+
+// SAFETY: every call forwards unchanged to `System`; the counter is a
+// const-initialised thread-local `Cell`, which neither allocates nor touches
+// the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Forwards every call to the wrapped backend, counting `step_hmm` calls.
+#[derive(Debug)]
+struct HmmCounting {
+    inner: Box<dyn SenoneScorer>,
+    hmm_calls: Arc<AtomicU64>,
+}
+
+impl SenoneScorer for HmmCounting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn begin_frame(&mut self, feature: &[f32]) {
+        self.inner.begin_frame(feature);
+    }
+
+    fn score_senones(
+        &mut self,
+        model: &AcousticModel,
+        active: &[SenoneId],
+        feature: &[f32],
+    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+        self.inner.score_senones(model, active, feature)
+    }
+
+    fn score_senones_into(
+        &mut self,
+        model: &AcousticModel,
+        active: &[SenoneId],
+        feature: &[f32],
+        out: &mut Vec<(SenoneId, LogProb)>,
+    ) -> Result<(), DecodeError> {
+        self.inner.score_senones_into(model, active, feature, out)
+    }
+
+    fn step_hmm(
+        &mut self,
+        prev_scores: &[LogProb],
+        entry_score: LogProb,
+        transitions: &TransitionMatrix,
+        senone_scores: &[LogProb],
+    ) -> Result<HmmStepResult, DecodeError> {
+        self.hmm_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .step_hmm(prev_scores, entry_score, transitions, senone_scores)
+    }
+
+    fn dma_fetch(&mut self, bytes: u64) {
+        self.inner.dma_fetch(bytes);
+    }
+
+    fn end_frame(&mut self, active_triphones: usize, lattice_edges: usize) {
+        self.inner.end_frame(active_triphones, lattice_edges);
+    }
+
+    fn finish_utterance(&mut self) -> Option<UtteranceReport> {
+        self.inner.finish_utterance()
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+}
+
+#[test]
+fn warm_search_step_allocates_only_hmm_step_results() {
+    let task = Wsj5kTask::evaluation(1, 1).expect("task");
+    let recognizer = Recognizer::new(
+        task.acoustic_model.clone(),
+        task.dictionary.clone(),
+        task.language_model.clone(),
+        DecoderConfig::simd(),
+    )
+    .expect("recogniser");
+    let config = recognizer.config();
+    let hmm_calls = Arc::new(AtomicU64::new(0));
+    let inner = config
+        .backend
+        .build_scorer(&config.gmm_selection)
+        .expect("scorer");
+    let mut decoder = PhoneDecoder::new(
+        Box::new(HmmCounting {
+            inner,
+            hmm_calls: Arc::clone(&hmm_calls),
+        }),
+        config.gmm_selection,
+    );
+    let search = TokenPassingSearch::new(
+        recognizer.model(),
+        recognizer.network(),
+        recognizer.language_model(),
+        config,
+    );
+    let (warm_up, _) = task.synthesize_utterance(8, 0.3, 11);
+    let (features, _) = task.synthesize_utterance(8, 0.3, 12);
+
+    // Warm the backend's model-level caches and the decoder's scratch.
+    decoder.begin_utterance();
+    search
+        .decode(&warm_up, &mut decoder)
+        .expect("warm-up decode");
+    decoder.finish_utterance();
+
+    decoder.begin_utterance();
+    let mut state = search.begin();
+    let calls_before = hmm_calls.load(Ordering::Relaxed);
+    let mut step_allocations = 0;
+    for feature in &features {
+        let before = allocations();
+        search
+            .step(&mut state, &mut decoder, feature)
+            .expect("step");
+        step_allocations += allocations() - before;
+    }
+    let calls = hmm_calls.load(Ordering::Relaxed) - calls_before;
+    let outcome = search.finish(state);
+    assert!(
+        !outcome.best_token_words.is_empty(),
+        "the decode found words"
+    );
+
+    let frames = features.len() as f64;
+    let extra = (step_allocations as f64 - calls as f64) / frames;
+    assert!(
+        extra <= BUDGET_PER_FRAME,
+        "{step_allocations} allocations in {} frames with {calls} step_hmm calls: \
+         {extra:.3} extra per frame (budget {BUDGET_PER_FRAME})",
+        features.len()
+    );
+}
