@@ -140,7 +140,7 @@ impl CepstralMeanNorm {
                 self.prior_mean[i] = self.running_sum[i] / self.count as f64;
             }
         }
-        self.running_sum = vec![0.0; self.dim];
+        self.running_sum.fill(0.0);
         self.count = 0;
     }
 }

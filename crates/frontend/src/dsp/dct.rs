@@ -11,8 +11,8 @@
 /// ```
 /// use asr_frontend::dsp::DctII;
 /// let dct = DctII::new(40, 13);
-/// let cepstra = dct.apply(&vec![1.0; 40]);
-/// assert_eq!(cepstra.len(), 13);
+/// let mut cepstra = [0.0f32; 13];
+/// dct.apply(&[1.0; 40], &mut cepstra);
 /// // A constant input has all of its energy in C0.
 /// assert!(cepstra[1..].iter().all(|c| c.abs() < 1e-4));
 /// ```
@@ -69,19 +69,18 @@ impl DctII {
         self.output_len
     }
 
-    /// Applies the transform.
+    /// Applies the transform, writing the `output_len` coefficients into
+    /// `out`.
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != input_len`.
-    pub fn apply(&self, input: &[f32]) -> Vec<f32> {
+    /// Panics if `input.len() != input_len` or `out.len() != output_len`.
+    pub fn apply(&self, input: &[f32], out: &mut [f32]) {
         assert_eq!(input.len(), self.input_len, "DCT input length mismatch");
-        (0..self.output_len)
-            .map(|k| {
-                let row = &self.basis[k * self.input_len..(k + 1) * self.input_len];
-                row.iter().zip(input).map(|(&b, &x)| b * x).sum()
-            })
-            .collect()
+        assert_eq!(out.len(), self.output_len, "DCT output length mismatch");
+        for (o, row) in out.iter_mut().zip(self.basis.chunks_exact(self.input_len)) {
+            *o = row.iter().zip(input).map(|(&b, &x)| b * x).sum();
+        }
     }
 }
 
@@ -90,10 +89,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The transform into a fresh buffer.
+    fn dct_of(dct: &DctII, input: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; dct.output_len()];
+        dct.apply(input, &mut out);
+        out
+    }
+
     #[test]
     fn constant_input_concentrates_in_c0() {
         let dct = DctII::new(40, 13);
-        let out = dct.apply(&[2.5; 40]);
+        let out = dct_of(&dct, &[2.5; 40]);
         assert!((out[0] - 2.5 * (40.0f32).sqrt()).abs() < 1e-3);
         assert!(out[1..].iter().all(|c| c.abs() < 1e-4));
         assert_eq!(dct.input_len(), 40);
@@ -105,7 +111,7 @@ mod tests {
         let n = 16;
         let dct = DctII::new(n, n);
         let input: Vec<f32> = (0..n).map(|i| ((i * 7 % 5) as f32) - 2.0).collect();
-        let out = dct.apply(&input);
+        let out = dct_of(&dct, &input);
         let ein: f32 = input.iter().map(|x| x * x).sum();
         let eout: f32 = out.iter().map(|x| x * x).sum();
         assert!((ein - eout).abs() / ein < 1e-4);
@@ -118,7 +124,7 @@ mod tests {
         let input: Vec<f32> = (0..n)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let out = dct.apply(&input);
+        let out = dct_of(&dct, &input);
         let max_idx = out
             .iter()
             .enumerate()
@@ -131,7 +137,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_input_length_panics() {
-        DctII::new(10, 5).apply(&[1.0; 3]);
+        DctII::new(10, 5).apply(&[1.0; 3], &mut [0.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn wrong_output_length_panics() {
+        DctII::new(10, 5).apply(&[1.0; 10], &mut [0.0; 4]);
     }
 
     #[test]
@@ -145,10 +157,10 @@ mod tests {
         fn prop_linearity(a in proptest::collection::vec(-5.0f32..5.0, 20),
                           b in proptest::collection::vec(-5.0f32..5.0, 20)) {
             let dct = DctII::new(20, 13);
-            let oa = dct.apply(&a);
-            let ob = dct.apply(&b);
+            let oa = dct_of(&dct, &a);
+            let ob = dct_of(&dct, &b);
             let sum: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-            let osum = dct.apply(&sum);
+            let osum = dct_of(&dct, &sum);
             for i in 0..13 {
                 prop_assert!((oa[i] + ob[i] - osum[i]).abs() < 1e-3);
             }
@@ -157,7 +169,7 @@ mod tests {
         #[test]
         fn prop_output_finite(a in proptest::collection::vec(-100.0f32..100.0, 40)) {
             let dct = DctII::new(40, 13);
-            prop_assert!(dct.apply(&a).iter().all(|v| v.is_finite()));
+            prop_assert!(dct_of(&dct, &a).iter().all(|v| v.is_finite()));
         }
     }
 }

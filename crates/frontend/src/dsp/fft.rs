@@ -1,8 +1,12 @@
 //! Radix-2 decimation-in-time FFT, implemented from scratch.
 //!
-//! The frontend only needs power spectra of real 512-point frames, but the
-//! transform is exposed as a general complex FFT so it can be property-tested
-//! against its own inverse and reused by the corpus waveform synthesiser.
+//! The frontend only needs power spectra of real 512-point frames.  It gets
+//! them from [`Fft::power_spectrum`], which packs the real frame into half as
+//! many complex points, runs one half-size complex transform and splits the
+//! result into the spectrum of the real frame.  The general complex
+//! [`Fft::forward`] and [`Fft::inverse`] stay public: they are property-tested
+//! against each other and against a naive DFT, and serve as the reference the
+//! real-input path is tested against.
 
 use core::fmt;
 use core::ops::{Add, Mul, Sub};
@@ -92,8 +96,9 @@ impl fmt::Display for Complex {
 
 /// A radix-2 FFT plan for a fixed power-of-two size.
 ///
-/// Twiddle factors and the bit-reversal permutation are precomputed once so
-/// per-frame transforms allocate nothing.
+/// Twiddle factors and the bit-reversal permutations (one for the full size,
+/// one for the half-size transform behind [`Fft::power_spectrum`]) are
+/// precomputed once so per-frame transforms allocate nothing.
 ///
 /// # Example
 ///
@@ -108,8 +113,23 @@ impl fmt::Display for Complex {
 #[derive(Debug, Clone)]
 pub struct Fft {
     size: usize,
+    /// `W_N^k = e^{-2πik/N}` for `k < N/2`; a transform of length `N/2`
+    /// reads them at twice the stride.
     twiddles: Vec<Complex>,
     bit_rev: Vec<u32>,
+    /// Bit-reversal permutation of the `N/2`-point transform.
+    half_bit_rev: Vec<u32>,
+}
+
+/// Bit-reversal permutation of `0..n` (`n` a power of two).
+fn bit_reversal(n: usize) -> Vec<u32> {
+    let bits = n.trailing_zeros();
+    if bits == 0 {
+        return vec![0];
+    }
+    (0..n as u32)
+        .map(|i| i.reverse_bits() >> (32 - bits))
+        .collect()
 }
 
 impl Fft {
@@ -123,20 +143,39 @@ impl Fft {
         let twiddles = (0..size / 2)
             .map(|k| Complex::from_polar(-2.0 * std::f32::consts::PI * k as f32 / size as f32))
             .collect();
-        let bits = size.trailing_zeros();
-        let bit_rev = (0..size as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits))
-            .collect();
         Some(Fft {
             size,
             twiddles,
-            bit_rev,
+            bit_rev: bit_reversal(size),
+            half_bit_rev: bit_reversal(size / 2),
         })
     }
 
     /// The transform size.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Iterative Cooley–Tukey butterflies over bit-reversed `data`, whose
+    /// length is the plan size or a power-of-two fraction of it: a stage of
+    /// butterfly length `len` reads twiddle `k · size/len`, which is
+    /// `W_len^k` whatever the transform length.
+    fn butterflies(&self, data: &mut [Complex]) {
+        let mut len = 2;
+        while len <= data.len() {
+            let half = len / 2;
+            let step = self.size / len;
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for (k, (e, o)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+                    let even = *e;
+                    let odd = *o * self.twiddles[k * step];
+                    *e = even + odd;
+                    *o = even - odd;
+                }
+            }
+            len <<= 1;
+        }
     }
 
     /// In-place forward FFT.
@@ -146,29 +185,13 @@ impl Fft {
     /// Panics if `data.len()` does not equal the plan size.
     pub fn forward(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.size, "buffer length must match plan size");
-        // Bit-reversal permutation.
         for i in 0..self.size {
             let j = self.bit_rev[i] as usize;
             if j > i {
                 data.swap(i, j);
             }
         }
-        // Iterative Cooley–Tukey butterflies.
-        let mut len = 2;
-        while len <= self.size {
-            let half = len / 2;
-            let step = self.size / len;
-            for start in (0..self.size).step_by(len) {
-                for k in 0..half {
-                    let w = self.twiddles[k * step];
-                    let even = data[start + k];
-                    let odd = data[start + k + half] * w;
-                    data[start + k] = even + odd;
-                    data[start + k + half] = even - odd;
-                }
-            }
-            len <<= 1;
-        }
+        self.butterflies(data);
     }
 
     /// In-place inverse FFT (including the `1/N` normalisation).
@@ -188,15 +211,68 @@ impl Fft {
         }
     }
 
-    /// Power spectrum of a real signal: returns `size/2 + 1` bins of
-    /// `|X[k]|²`.  The input is zero-padded (or truncated) to the plan size.
-    pub fn power_spectrum(&self, signal: &[f32]) -> Vec<f32> {
-        let mut buf = vec![Complex::ZERO; self.size];
-        for (i, &s) in signal.iter().take(self.size).enumerate() {
-            buf[i] = Complex::new(s, 0.0);
+    /// Power spectrum of a real signal: writes the `size/2 + 1` bins of
+    /// `|X[k]|²` into `out`.  The input is zero-padded (or truncated) to the
+    /// plan size.
+    ///
+    /// The `N` real samples are packed as `z[n] = x[2n] + i·x[2n+1]` (already
+    /// in bit-reversed order) into `scratch`, which one `N/2`-point complex
+    /// transform turns into `Z = E + i·O`, the spectra of the even and odd
+    /// samples.  The split step `X[k] = E[k] + W_N^k·O[k]` then gives bin `k`
+    /// and, through `X[N/2−k] = conj(E[k] − W_N^k·O[k])`, its mirror.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use asr_frontend::dsp::{Complex, Fft};
+    /// let fft = Fft::new(8).unwrap();
+    /// let mut scratch = [Complex::ZERO; 4];
+    /// let mut power = [0.0f32; 5];
+    /// fft.power_spectrum(&[1.0; 8], &mut scratch, &mut power);
+    /// // A constant signal has all of its energy at DC: |8|² = 64.
+    /// assert!((power[0] - 64.0).abs() < 1e-3);
+    /// assert!(power[1..].iter().all(|p| p.abs() < 1e-3));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` does not hold `size/2` points or `out` does not
+    /// hold `size/2 + 1` bins.
+    pub fn power_spectrum(&self, signal: &[f32], scratch: &mut [Complex], out: &mut [f32]) {
+        let half = self.size / 2;
+        assert_eq!(scratch.len(), half, "scratch must hold size/2 points");
+        assert_eq!(out.len(), half + 1, "output must hold size/2 + 1 bins");
+        let signal = &signal[..signal.len().min(self.size)];
+        let (pairs, odd) = signal.split_at(signal.len() & !1);
+        let mut filled = 0;
+        for (pair, &slot) in pairs.chunks_exact(2).zip(&self.half_bit_rev) {
+            scratch[slot as usize] = Complex::new(pair[0], pair[1]);
+            filled += 1;
         }
-        self.forward(&mut buf);
-        buf[..=self.size / 2].iter().map(|c| c.norm_sqr()).collect()
+        if let Some(&last) = odd.first() {
+            scratch[self.half_bit_rev[filled] as usize] = Complex::new(last, 0.0);
+            filled += 1;
+        }
+        for &slot in &self.half_bit_rev[filled..] {
+            scratch[slot as usize] = Complex::ZERO;
+        }
+        self.butterflies(scratch);
+
+        // k = 0 and k = N/2: E[0] = Re Z[0], O[0] = Im Z[0], W_N^{N/2} = −1.
+        let z0 = scratch[0];
+        out[0] = (z0.re + z0.im) * (z0.re + z0.im);
+        out[half] = (z0.re - z0.im) * (z0.re - z0.im);
+        for k in 1..=half / 2 {
+            let zk = scratch[k];
+            let zm = scratch[half - k].conj();
+            let even = (zk + zm).scale(0.5);
+            // (zk − zm) / 2i
+            let d = zk - zm;
+            let odd = Complex::new(d.im, -d.re).scale(0.5);
+            let rotated = self.twiddles[k] * odd;
+            out[k] = (even + rotated).norm_sqr();
+            out[half - k] = (even - rotated).norm_sqr();
+        }
     }
 }
 
@@ -256,6 +332,28 @@ mod tests {
         }
     }
 
+    /// `Fft::power_spectrum` into freshly sized buffers.
+    fn power(fft: &Fft, signal: &[f32]) -> Vec<f32> {
+        let mut scratch = vec![Complex::ZERO; fft.size() / 2];
+        let mut out = vec![0.0; fft.size() / 2 + 1];
+        fft.power_spectrum(signal, &mut scratch, &mut out);
+        out
+    }
+
+    /// The reference: `|forward(x)|²` of the zero-padded (or truncated)
+    /// signal, through the full complex transform.
+    fn complex_power(fft: &Fft, signal: &[f32]) -> Vec<f32> {
+        let mut buf = vec![Complex::ZERO; fft.size()];
+        for (b, &s) in buf.iter_mut().zip(signal) {
+            *b = Complex::new(s, 0.0);
+        }
+        fft.forward(&mut buf);
+        buf[..=fft.size() / 2]
+            .iter()
+            .map(|c| c.norm_sqr())
+            .collect()
+    }
+
     #[test]
     fn sine_peaks_at_its_bin() {
         let n = 256;
@@ -264,7 +362,7 @@ mod tests {
         let signal: Vec<f32> = (0..n)
             .map(|i| (2.0 * std::f32::consts::PI * bin as f32 * i as f32 / n as f32).sin())
             .collect();
-        let ps = fft.power_spectrum(&signal);
+        let ps = power(&fft, &signal);
         let peak = ps
             .iter()
             .enumerate()
@@ -277,10 +375,35 @@ mod tests {
     #[test]
     fn power_spectrum_length_and_padding() {
         let fft = Fft::new(512).unwrap();
-        let ps = fft.power_spectrum(&[1.0; 400]);
+        let ps = power(&fft, &[1.0; 400]);
         assert_eq!(ps.len(), 257);
         // A constant signal concentrates energy near DC.
         assert!(ps[0] > ps[100]);
+    }
+
+    #[test]
+    fn power_spectrum_overwrites_stale_scratch() {
+        // The scratch is caller-owned and reused frame after frame: a short
+        // frame must not see the tail of a longer one.
+        let fft = Fft::new(16).unwrap();
+        let mut scratch = vec![Complex::new(9.0, -9.0); 8];
+        let mut out = vec![f32::NAN; 9];
+        fft.power_spectrum(&[1.0, 2.0, 3.0], &mut scratch, &mut out);
+        assert_eq!(out, power(&fft, &[1.0, 2.0, 3.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "size/2 points")]
+    fn power_spectrum_rejects_a_wrong_scratch() {
+        let fft = Fft::new(8).unwrap();
+        fft.power_spectrum(&[0.0; 8], &mut [Complex::ZERO; 8], &mut [0.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "size/2 + 1 bins")]
+    fn power_spectrum_rejects_a_wrong_output() {
+        let fft = Fft::new(8).unwrap();
+        fft.power_spectrum(&[0.0; 8], &mut [Complex::ZERO; 4], &mut [0.0; 4]);
     }
 
     #[test]
@@ -318,6 +441,37 @@ mod tests {
     }
 
     proptest! {
+        /// The real-input power spectrum matches `|forward(x)|²` at every
+        /// plan size from 2 to 1024, for signals shorter than the plan
+        /// (zero-padded), exactly as long, and longer (truncated).  Bins are
+        /// compared relative to the spectrum's peak: f32 rounding in either
+        /// path is relative to the largest magnitude it accumulates.
+        #[test]
+        fn prop_real_power_spectrum_matches_the_complex_transform(
+            log2 in 1u32..11,
+            len_code in 0usize..3,
+            values in proptest::collection::vec(-1.0f32..1.0, 1..1300),
+        ) {
+            let n = 1usize << log2;
+            let fft = Fft::new(n).unwrap();
+            let len = match len_code {
+                0 => values.len().min(n.saturating_sub(1)).max(1),
+                1 => n,
+                _ => n + 1 + values.len() % n,
+            };
+            let signal: Vec<f32> = (0..len).map(|i| values[i % values.len()]).collect();
+            let want = complex_power(&fft, &signal);
+            let got = power(&fft, &signal);
+            prop_assert_eq!(got.len(), n / 2 + 1);
+            let peak = want.iter().copied().fold(1e-12f32, f32::max);
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(
+                    (g - w).abs() <= 1e-5 * peak,
+                    "n {n}, len {len}, bin {k}: real path {g}, complex path {w}"
+                );
+            }
+        }
+
         #[test]
         fn prop_roundtrip(values in proptest::collection::vec(-1.0f32..1.0, 64)) {
             let fft = Fft::new(64).unwrap();

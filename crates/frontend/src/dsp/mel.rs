@@ -24,8 +24,10 @@ pub fn mel_to_hz(mel: f32) -> f32 {
 /// let bank = MelFilterBank::new(40, 512, 16_000, 133.0, 6_855.0);
 /// assert_eq!(bank.num_filters(), 40);
 /// let spectrum = vec![1.0f32; 257];
-/// let energies = bank.apply(&spectrum);
-/// assert_eq!(energies.len(), 40);
+/// let mut log_energies = [0.0f32; 40];
+/// bank.apply_log(&spectrum, 1e-10, &mut log_energies);
+/// // A flat spectrum puts energy into every filter.
+/// assert!(log_energies.iter().all(|&e| e > (1e-10f32).ln()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MelFilterBank {
@@ -116,36 +118,29 @@ impl MelFilterBank {
         self.num_bins
     }
 
-    /// Applies the bank to a power spectrum, returning one energy per filter.
+    /// Applies the bank to a power spectrum and log-compresses the energies
+    /// (natural log, with `floor` keeping silent frames away from `-inf`),
+    /// writing one value per filter into `out`.
     ///
     /// # Panics
     ///
-    /// Panics if the spectrum does not have [`MelFilterBank::num_bins`] bins.
-    pub fn apply(&self, power_spectrum: &[f32]) -> Vec<f32> {
+    /// Panics if the spectrum does not have [`MelFilterBank::num_bins`] bins
+    /// or `out` does not have [`MelFilterBank::num_filters`] slots.
+    pub fn apply_log(&self, power_spectrum: &[f32], floor: f32, out: &mut [f32]) {
         assert_eq!(
             power_spectrum.len(),
             self.num_bins,
             "power spectrum length mismatch"
         );
-        self.filters
-            .iter()
-            .map(|(start, weights)| {
-                weights
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &w)| w * power_spectrum[start + i])
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Applies the bank and log-compresses the energies (natural log, with a
-    /// floor to avoid `-inf` on silent frames).
-    pub fn apply_log(&self, power_spectrum: &[f32], floor: f32) -> Vec<f32> {
-        self.apply(power_spectrum)
-            .into_iter()
-            .map(|e| e.max(floor).ln())
-            .collect()
+        assert_eq!(out.len(), self.num_filters, "filter output length mismatch");
+        for (o, (start, weights)) in out.iter_mut().zip(&self.filters) {
+            let energy: f32 = weights
+                .iter()
+                .zip(power_spectrum.get(*start..).unwrap_or_default())
+                .map(|(&w, &p)| w * p)
+                .sum();
+            *o = energy.max(floor).ln();
+        }
     }
 }
 
@@ -166,15 +161,23 @@ mod tests {
         assert!(hz_to_mel(200.0) < hz_to_mel(300.0));
     }
 
+    /// Log-mel energies of `spectrum` into a fresh buffer.
+    fn log_mel(bank: &MelFilterBank, spectrum: &[f32], floor: f32) -> Vec<f32> {
+        let mut out = vec![0.0; bank.num_filters()];
+        bank.apply_log(spectrum, floor, &mut out);
+        out
+    }
+
     #[test]
     fn bank_shape() {
         let bank = MelFilterBank::new(40, 512, 16_000, 133.33, 6855.5);
         assert_eq!(bank.num_filters(), 40);
         assert_eq!(bank.num_bins(), 257);
-        let energies = bank.apply(&vec![1.0; 257]);
+        // A zero floor maps an empty filter to -inf: every filter should
+        // capture some energy from a flat spectrum.
+        let energies = log_mel(&bank, &[1.0; 257], 0.0);
         assert_eq!(energies.len(), 40);
-        // Every filter should capture some energy from a flat spectrum.
-        assert!(energies.iter().all(|&e| e > 0.0));
+        assert!(energies.iter().all(|&e| e.is_finite()));
     }
 
     #[test]
@@ -184,11 +187,11 @@ mod tests {
         // far ones should not.
         let mut spectrum = vec![0.0f32; 257];
         spectrum[40] = 100.0;
-        let energies = bank.apply(&spectrum);
+        let energies = log_mel(&bank, &spectrum, 0.0);
         let responding: Vec<usize> = energies
             .iter()
             .enumerate()
-            .filter(|(_, &e)| e > 0.0)
+            .filter(|(_, &e)| e.is_finite())
             .map(|(i, _)| i)
             .collect();
         assert!(!responding.is_empty());
@@ -197,14 +200,14 @@ mod tests {
             "at most two adjacent filters overlap a bin"
         );
         // Low and high extremes see nothing.
-        assert_eq!(energies[0], 0.0);
-        assert_eq!(energies[19], 0.0);
+        assert_eq!(energies[0], f32::NEG_INFINITY);
+        assert_eq!(energies[19], f32::NEG_INFINITY);
     }
 
     #[test]
     fn log_compression_floors_silence() {
         let bank = MelFilterBank::new(10, 256, 16_000, 100.0, 8000.0);
-        let log_e = bank.apply_log(&vec![0.0; 129], 1e-10);
+        let log_e = log_mel(&bank, &[0.0; 129], 1e-10);
         assert!(log_e.iter().all(|v| v.is_finite()));
         assert!(log_e.iter().all(|&v| (v - (1e-10f32).ln()).abs() < 1e-3));
     }
@@ -213,7 +216,14 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn wrong_spectrum_length_panics() {
         let bank = MelFilterBank::new(10, 256, 16_000, 100.0, 8000.0);
-        bank.apply(&[0.0; 10]);
+        bank.apply_log(&[0.0; 10], 1e-10, &mut [0.0; 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "filter output length mismatch")]
+    fn wrong_output_length_panics() {
+        let bank = MelFilterBank::new(10, 256, 16_000, 100.0, 8000.0);
+        bank.apply_log(&[0.0; 129], 1e-10, &mut [0.0; 3]);
     }
 
     #[test]
@@ -224,20 +234,26 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_energy_nonnegative(spec in proptest::collection::vec(0.0f32..10.0, 129)) {
+        fn prop_log_energy_respects_the_floor(spec in proptest::collection::vec(0.0f32..10.0, 129)) {
             let bank = MelFilterBank::new(12, 256, 16_000, 100.0, 8000.0);
-            let e = bank.apply(&spec);
-            prop_assert!(e.iter().all(|&v| v >= 0.0));
+            let e = log_mel(&bank, &spec, 1e-10);
+            prop_assert!(e.iter().all(|&v| v >= (1e-10f32).ln()));
         }
 
         #[test]
         fn prop_linearity_in_spectrum(spec in proptest::collection::vec(0.0f32..10.0, 129), k in 0.1f32..5.0) {
+            // Scaling the spectrum by k shifts every unfloored log energy
+            // by ln k.
             let bank = MelFilterBank::new(12, 256, 16_000, 100.0, 8000.0);
-            let base = bank.apply(&spec);
+            let base = log_mel(&bank, &spec, 0.0);
             let scaled_spec: Vec<f32> = spec.iter().map(|&v| v * k).collect();
-            let scaled = bank.apply(&scaled_spec);
+            let scaled = log_mel(&bank, &scaled_spec, 0.0);
             for (b, s) in base.iter().zip(&scaled) {
-                prop_assert!((b * k - s).abs() < 1e-2 * (1.0 + b * k));
+                if b.is_finite() {
+                    prop_assert!((b + k.ln() - s).abs() < 1e-3 * (1.0 + b.abs()));
+                } else {
+                    prop_assert_eq!(*s, f32::NEG_INFINITY);
+                }
             }
         }
 

@@ -1,7 +1,8 @@
 //! Signal-processing primitives used by the MFCC pipeline.
 //!
 //! Everything is implemented from scratch (no external DSP crates): windowing
-//! and framing, a radix-2 complex FFT, the mel filter bank and the DCT-II.
+//! and framing, a radix-2 complex FFT with a real-input power spectrum, the
+//! mel filter bank and the DCT-II.
 
 pub mod dct;
 pub mod fft;
@@ -11,4 +12,4 @@ pub mod window;
 pub use dct::DctII;
 pub use fft::{Complex, Fft};
 pub use mel::{hz_to_mel, mel_to_hz, MelFilterBank};
-pub use window::{frame_signal, hamming_window, pre_emphasis, FrameIter};
+pub use window::{hamming_window, pre_emphasis, FrameIter};

@@ -46,21 +46,10 @@ pub fn hamming_window(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Splits a signal into overlapping frames of `frame_len` samples every
-/// `frame_shift` samples.  Only frames that fit entirely inside the signal are
-/// produced (no padding), matching Sphinx behaviour.
-///
-/// # Panics
-///
-/// Panics if `frame_len` or `frame_shift` is zero.
-pub fn frame_signal(samples: &[f32], frame_len: usize, frame_shift: usize) -> Vec<Vec<f32>> {
-    FrameIter::new(samples, frame_len, frame_shift)
-        .map(|f| f.to_vec())
-        .collect()
-}
-
-/// Iterator over the overlapping frames of a signal (borrowed slices, no
-/// copies).
+/// Iterator over the overlapping frames of a signal: `frame_len` samples
+/// every `frame_shift` samples, as borrowed slices (no copies).  Only frames
+/// that fit entirely inside the signal are produced (no padding), matching
+/// Sphinx behaviour.
 #[derive(Debug, Clone)]
 pub struct FrameIter<'a> {
     samples: &'a [f32],
@@ -162,26 +151,25 @@ mod tests {
     fn framing_counts_and_overlap() {
         // 25 ms / 10 ms at 16 kHz over 1 second: (16000 - 400)/160 + 1 = 98 frames.
         let samples = vec![0.0f32; 16_000];
-        let frames = frame_signal(&samples, 400, 160);
-        assert_eq!(frames.len(), 98);
-        assert!(frames.iter().all(|f| f.len() == 400));
-
         let it = FrameIter::new(&samples, 400, 160);
         assert_eq!(it.frame_count(), 98);
         assert_eq!(it.len(), 98);
+        let frames: Vec<&[f32]> = it.collect();
+        assert_eq!(frames.len(), 98);
+        assert!(frames.iter().all(|f| f.len() == 400));
     }
 
     #[test]
     fn framing_short_signal_yields_nothing() {
         let samples = vec![0.0f32; 100];
-        assert!(frame_signal(&samples, 400, 160).is_empty());
+        assert_eq!(FrameIter::new(&samples, 400, 160).next(), None);
         assert_eq!(FrameIter::new(&samples, 400, 160).frame_count(), 0);
     }
 
     #[test]
     fn frames_overlap_correctly() {
         let samples: Vec<f32> = (0..1000).map(|i| i as f32).collect();
-        let frames = frame_signal(&samples, 400, 160);
+        let frames: Vec<&[f32]> = FrameIter::new(&samples, 400, 160).collect();
         // Second frame starts 160 samples later.
         assert_eq!(frames[1][0], 160.0);
         assert_eq!(frames[2][0], 320.0);
@@ -209,9 +197,9 @@ mod tests {
             shift in 1usize..500,
         ) {
             let samples = vec![0.0f32; len];
-            let frames = frame_signal(&samples, frame_len, shift);
+            let frames = FrameIter::new(&samples, frame_len, shift).count();
             let expected = if len < frame_len { 0 } else { (len - frame_len) / shift + 1 };
-            prop_assert_eq!(frames.len(), expected);
+            prop_assert_eq!(frames, expected);
         }
 
         #[test]

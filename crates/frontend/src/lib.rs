@@ -11,7 +11,7 @@
 //! 1. pre-emphasis (`y[n] = x[n] − 0.97·x[n−1]`),
 //! 2. framing into 25 ms windows every 10 ms,
 //! 3. Hamming window,
-//! 4. radix-2 FFT → power spectrum,
+//! 4. real-input radix-2 FFT → power spectrum,
 //! 5. mel-scale triangular filter bank,
 //! 6. log compression,
 //! 7. DCT-II → cepstral coefficients,
@@ -46,7 +46,7 @@ pub mod mfcc;
 pub use cmn::CepstralMeanNorm;
 pub use config::{FrontendConfig, FrontendError};
 pub use delta::DeltaComputer;
-pub use mfcc::{Frontend, MfccExtractor};
+pub use mfcc::{Frontend, MfccExtractor, MfccScratch};
 
 /// A single acoustic feature vector (one 10 ms frame).
 pub type FeatureVector = Vec<f32>;

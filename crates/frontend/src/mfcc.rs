@@ -3,14 +3,41 @@
 use crate::cmn::CepstralMeanNorm;
 use crate::config::{FrontendConfig, FrontendError};
 use crate::delta::DeltaComputer;
-use crate::dsp::{frame_signal, hamming_window, pre_emphasis, DctII, Fft, MelFilterBank};
+use crate::dsp::{hamming_window, pre_emphasis, Complex, DctII, Fft, FrameIter, MelFilterBank};
 use crate::FeatureVector;
+
+/// Log-mel floor that keeps exact digital silence away from `ln 0`.
+const LOG_MEL_FLOOR: f32 = 1.0e-10;
+
+/// Caller-owned working memory of [`MfccExtractor::frame_cepstra`]: the
+/// windowed frame, the `N/2` complex points of the half-size FFT, the power
+/// spectrum and the log-mel energies.  Build it once with
+/// [`MfccExtractor::scratch`] and reuse it for every frame, so the kernel
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct MfccScratch {
+    windowed: Vec<f32>,
+    fft: Vec<Complex>,
+    spectrum: Vec<f32>,
+    log_mel: Vec<f32>,
+}
 
 /// Extracts static MFCC vectors (no deltas, no CMN) frame by frame.
 ///
 /// This is the per-frame compute kernel; [`Frontend`] wraps it with
 /// pre-emphasis, framing, CMN and delta appending to provide the
 /// utterance-level API used by the recogniser.
+///
+/// # Example
+///
+/// ```
+/// use asr_frontend::{FrontendConfig, MfccExtractor};
+/// let extractor = MfccExtractor::new(FrontendConfig::default()).unwrap();
+/// let mut scratch = extractor.scratch();
+/// let mut cepstra = [0.0f32; 13];
+/// extractor.frame_cepstra(&[0.1; 400], &mut scratch, &mut cepstra);
+/// assert!(cepstra.iter().all(|c| c.is_finite()));
+/// ```
 #[derive(Debug, Clone)]
 pub struct MfccExtractor {
     config: FrontendConfig,
@@ -56,25 +83,44 @@ impl MfccExtractor {
         &self.config
     }
 
-    /// Computes the static cepstra of one frame of (pre-emphasised) samples.
+    /// Working memory for [`MfccExtractor::frame_cepstra`], sized for this
+    /// extractor's configuration.
+    pub fn scratch(&self) -> MfccScratch {
+        MfccScratch {
+            windowed: vec![0.0; self.window.len()],
+            fft: vec![Complex::ZERO; self.fft.size() / 2],
+            spectrum: vec![0.0; self.filterbank.num_bins()],
+            log_mel: vec![0.0; self.filterbank.num_filters()],
+        }
+    }
+
+    /// Computes the static cepstra of one frame of (pre-emphasised) samples
+    /// into `out`, using `scratch` as working memory.
     ///
     /// # Panics
     ///
-    /// Panics if the frame is not exactly one analysis window long.
-    pub fn frame_cepstra(&self, frame: &[f32]) -> Vec<f32> {
+    /// Panics if the frame is not exactly one analysis window long, if `out`
+    /// does not hold [`FrontendConfig::num_cepstra`] values, or if `scratch`
+    /// was built for another configuration.
+    pub fn frame_cepstra(&self, frame: &[f32], scratch: &mut MfccScratch, out: &mut [f32]) {
         assert_eq!(
             frame.len(),
             self.window.len(),
             "frame must be exactly one analysis window"
         );
-        let windowed: Vec<f32> = frame
-            .iter()
-            .zip(&self.window)
-            .map(|(&s, &w)| s * w)
-            .collect();
-        let spectrum = self.fft.power_spectrum(&windowed);
-        let log_energies = self.filterbank.apply_log(&spectrum, 1.0e-10);
-        self.dct.apply(&log_energies)
+        assert_eq!(
+            scratch.windowed.len(),
+            frame.len(),
+            "scratch was built for another configuration"
+        );
+        for ((w, &s), &h) in scratch.windowed.iter_mut().zip(frame).zip(&self.window) {
+            *w = s * h;
+        }
+        self.fft
+            .power_spectrum(&scratch.windowed, &mut scratch.fft, &mut scratch.spectrum);
+        self.filterbank
+            .apply_log(&scratch.spectrum, LOG_MEL_FLOOR, &mut scratch.log_mel);
+        self.dct.apply(&scratch.log_mel, out);
     }
 }
 
@@ -120,15 +166,18 @@ impl Frontend {
                 *v += cfg.dither * if i % 2 == 0 { 1.0 } else { -1.0 };
             }
         }
-        let frames = frame_signal(
+        let mut scratch = self.extractor.scratch();
+        let mut cepstra: Vec<Vec<f32>> = FrameIter::new(
             &emphasized,
             cfg.frame_length_samples(),
             cfg.frame_shift_samples(),
-        );
-        let mut cepstra: Vec<Vec<f32>> = frames
-            .iter()
-            .map(|f| self.extractor.frame_cepstra(f))
-            .collect();
+        )
+        .map(|frame| {
+            let mut c = vec![0.0; cfg.num_cepstra];
+            self.extractor.frame_cepstra(frame, &mut scratch, &mut c);
+            c
+        })
+        .collect();
         if cfg.cepstral_mean_norm {
             CepstralMeanNorm::normalize_batch(&mut cepstra);
         }
@@ -245,15 +294,43 @@ mod tests {
     #[test]
     fn frame_cepstra_requires_full_window() {
         let ex = MfccExtractor::new(FrontendConfig::default()).unwrap();
-        assert_eq!(ex.frame_cepstra(&[0.0; 400]).len(), 13);
+        let mut out = [f32::NAN; 13];
+        ex.frame_cepstra(&[0.0; 400], &mut ex.scratch(), &mut out);
+        assert!(out.iter().all(|c| c.is_finite()));
         assert_eq!(ex.config().num_cepstra, 13);
+    }
+
+    #[test]
+    fn reused_scratch_gives_the_same_cepstra_as_a_fresh_one() {
+        let ex = MfccExtractor::new(FrontendConfig::default()).unwrap();
+        let a = tone(300.0, 0.025, 16_000);
+        let b = tone(2500.0, 0.025, 16_000);
+        let mut reused = ex.scratch();
+        let (mut first, mut again, mut fresh) = ([0.0; 13], [0.0; 13], [0.0; 13]);
+        ex.frame_cepstra(&a, &mut reused, &mut first);
+        ex.frame_cepstra(&b, &mut reused, &mut again);
+        ex.frame_cepstra(&b, &mut ex.scratch(), &mut fresh);
+        assert_eq!(again, fresh);
+        assert_ne!(first, again);
     }
 
     #[test]
     #[should_panic(expected = "analysis window")]
     fn wrong_frame_size_panics() {
         let ex = MfccExtractor::new(FrontendConfig::default()).unwrap();
-        ex.frame_cepstra(&[0.0; 100]);
+        ex.frame_cepstra(&[0.0; 100], &mut ex.scratch(), &mut [0.0; 13]);
+    }
+
+    #[test]
+    #[should_panic(expected = "another configuration")]
+    fn scratch_of_another_configuration_panics() {
+        let ex = MfccExtractor::new(FrontendConfig::default()).unwrap();
+        let other = MfccExtractor::new(FrontendConfig {
+            frame_length_ms: 20.0,
+            ..FrontendConfig::default()
+        })
+        .unwrap();
+        ex.frame_cepstra(&[0.0; 400], &mut other.scratch(), &mut [0.0; 13]);
     }
 
     #[test]

@@ -18,119 +18,194 @@
 //!   to [`Frontend::process`](asr_frontend::Frontend::process) regardless of
 //!   chunking (pinned by this module's tests).
 
-use asr_frontend::mfcc::MfccExtractor;
+use asr_frontend::dsp::FrameIter;
+use asr_frontend::mfcc::{MfccExtractor, MfccScratch};
 use asr_frontend::{CepstralMeanNorm, FeatureVector, FrontendConfig, FrontendError};
+use std::collections::VecDeque;
+
+/// The most recent `slots` frames of a sequence, by absolute frame index,
+/// in one flat buffer reused for the whole stream.
+#[derive(Debug, Clone)]
+struct FrameRing {
+    dim: usize,
+    slots: usize,
+    data: Vec<f32>,
+    /// Frames pushed since the last `clear`.
+    len: usize,
+}
+
+impl FrameRing {
+    fn new(dim: usize, slots: usize) -> Self {
+        FrameRing {
+            dim,
+            slots,
+            data: vec![0.0; dim * slots],
+            len: 0,
+        }
+    }
+
+    /// Appends frame `len`, overwriting the oldest held frame, and returns
+    /// its slot for the caller to fill.
+    fn push(&mut self) -> &mut [f32] {
+        let at = (self.len % self.slots) * self.dim;
+        self.len += 1;
+        &mut self.data[at..at + self.dim]
+    }
+
+    /// Frame `t`, which must still be held.
+    fn get(&self, t: usize) -> &[f32] {
+        assert!(
+            t < self.len && t + self.slots >= self.len,
+            "frame {t} is outside the held history"
+        );
+        let at = (t % self.slots) * self.dim;
+        &self.data[at..at + self.dim]
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+}
 
 /// Incremental delta / delta-delta appender over a growing cepstra sequence.
 ///
-/// Holds the utterance's static cepstra and emits fully-contexted feature
-/// vectors; the final clamped frames are produced on `flush`.
+/// Each Δ is computed once, as soon as its regression window is complete (or
+/// at `flush`, with the end clamped), and kept beside the cepstra; each ΔΔ is
+/// computed from the kept Δs when its own window is complete.  Both histories
+/// hold only the `2·window + 1` frames a clamped window can still read, and
+/// the statics wait in `pending` until their frame is emitted.
 #[derive(Debug, Clone)]
 struct IncrementalDelta {
     window: usize,
+    /// `2·Σ n²` over the window — the regression's normaliser.
+    denom: f32,
     use_delta: bool,
     use_delta_delta: bool,
-    cepstra: Vec<Vec<f32>>,
-    emitted: usize,
+    /// Static cepstra pushed so far (their count is `cepstra.len`).
+    cepstra: FrameRing,
+    /// Δ of the cepstra computed so far (their count is `deltas.len`).
+    deltas: FrameRing,
+    /// Static vectors of frames not yet emitted, oldest first; each becomes
+    /// its frame's feature vector.
+    pending: VecDeque<FeatureVector>,
 }
 
 impl IncrementalDelta {
-    fn new(window: usize, use_delta: bool, use_delta_delta: bool) -> Self {
+    /// An appender for `dim`-wide cepstra.
+    fn new(dim: usize, window: usize, use_delta: bool, use_delta_delta: bool) -> Self {
+        let window = window.max(1);
         IncrementalDelta {
-            window: window.max(1),
+            window,
+            denom: 2.0 * (1..=window).map(|i| (i * i) as f32).sum::<f32>(),
             use_delta,
             use_delta_delta,
-            cepstra: Vec::new(),
-            emitted: 0,
+            cepstra: FrameRing::new(dim, 2 * window + 1),
+            deltas: FrameRing::new(dim, 2 * window + 1),
+            pending: VecDeque::new(),
         }
     }
 
-    /// Frames of future context frame `t` needs before its derivatives stop
-    /// depending on frames that have not arrived yet.
-    fn lookahead(&self) -> usize {
-        match (self.use_delta, self.use_delta_delta) {
-            (false, _) => 0,
-            (true, false) => self.window,
-            // Δ at t+W reads cepstra up to t+2W; ΔΔ at t reads Δ up to t+W.
-            (true, true) => 2 * self.window,
-        }
-    }
-
-    /// The regression delta of `seq` at index `t`, with indices clamped to
-    /// the sequence — the exact per-frame formula of
-    /// [`asr_frontend::DeltaComputer::delta`].
-    fn delta_at(seq: &[Vec<f32>], t: usize, window: usize) -> Vec<f32> {
-        let n = seq.len();
-        let dim = seq[0].len();
-        let denom: f32 = 2.0 * (1..=window).map(|i| (i * i) as f32).sum::<f32>();
-        let clamp = |idx: isize| -> &Vec<f32> { &seq[idx.clamp(0, n as isize - 1) as usize] };
-        let mut out = vec![0.0f32; dim];
+    /// The regression delta of frame `t` of `seq`, whose last frame is
+    /// `last`, with indices clamped to `[0, last]` — the exact per-frame
+    /// formula and operation order of [`asr_frontend::DeltaComputer::delta`].
+    fn regress(seq: &FrameRing, t: usize, last: usize, window: usize, denom: f32, out: &mut [f32]) {
+        out.fill(0.0);
         for w in 1..=window {
-            let plus = clamp(t as isize + w as isize);
-            let minus = clamp(t as isize - w as isize);
-            for d in 0..dim {
-                out[d] += w as f32 * (plus[d] - minus[d]);
+            let plus = seq.get((t + w).min(last));
+            let minus = seq.get(t.saturating_sub(w));
+            for ((o, &p), &m) in out.iter_mut().zip(plus).zip(minus) {
+                *o += w as f32 * (p - m);
             }
         }
-        for v in &mut out {
-            *v /= denom;
+        for o in out.iter_mut() {
+            *o /= denom;
         }
-        out
     }
 
-    fn feature_at(&self, t: usize) -> FeatureVector {
-        let mut v = self.cepstra[t].clone();
+    /// Index of the oldest frame not yet emitted.
+    fn emitted(&self) -> usize {
+        self.cepstra.len - self.pending.len()
+    }
+
+    /// Frames whose features are complete now that Δ is known up to
+    /// `deltas.len`: every frame without ΔΔ, and with it those whose ΔΔ
+    /// window ends inside the known Δs.
+    fn ready(&self) -> usize {
+        match (self.use_delta, self.use_delta_delta) {
+            (false, _) => self.cepstra.len,
+            (true, false) => self.deltas.len,
+            (true, true) => self.deltas.len.saturating_sub(self.window),
+        }
+    }
+
+    /// Emits, oldest first, every pending frame before `ready`.  A ΔΔ window
+    /// is clamped to the newest known Δ, which is the end-of-utterance clamp
+    /// once every Δ is known.
+    fn emit(&mut self, ready: usize, out: &mut Vec<FeatureVector>) {
+        let known = self.deltas.len;
+        let dim = self.cepstra.dim;
+        while self.emitted() < ready {
+            let t = self.emitted();
+            let mut v = self
+                .pending
+                .pop_front()
+                .expect("every un-emitted frame has a pending vector");
+            if self.use_delta {
+                v.extend_from_slice(self.deltas.get(t));
+                if self.use_delta_delta {
+                    v.resize(3 * dim, 0.0);
+                    Self::regress(
+                        &self.deltas,
+                        t,
+                        known - 1,
+                        self.window,
+                        self.denom,
+                        &mut v[2 * dim..],
+                    );
+                }
+            }
+            out.push(v);
+        }
+    }
+
+    /// Computes Δ one frame at a time up to frame `upto` (exclusive),
+    /// clamping its windows to cepstrum `last`, and emits every frame as
+    /// soon as it is complete, so neither history outgrows `2·window + 1`
+    /// frames.
+    fn advance(&mut self, upto: usize, last: usize, out: &mut Vec<FeatureVector>) {
+        while self.deltas.len < upto {
+            let t = self.deltas.len;
+            let slot = self.deltas.push();
+            Self::regress(&self.cepstra, t, last, self.window, self.denom, slot);
+            self.emit(self.ready(), out);
+        }
+    }
+
+    /// Accepts one static cepstrum and appends to `out` every frame whose
+    /// context is now complete.  `cepstrum` itself becomes that frame's
+    /// feature vector, so give it the capacity of the full feature.
+    fn push(&mut self, cepstrum: Vec<f32>, out: &mut Vec<FeatureVector>) {
+        self.cepstra.push().copy_from_slice(&cepstrum);
+        self.pending.push_back(cepstrum);
+        let n = self.cepstra.len;
         if self.use_delta {
-            let delta_of = |i: usize| Self::delta_at(&self.cepstra, i, self.window);
-            let delta = delta_of(t);
-            if self.use_delta_delta {
-                // ΔΔ is the regression of Δ; materialise only the Δ frames
-                // the window touches (clamped like the offline pass over the
-                // full Δ sequence — clamping an index then differentiating
-                // equals differentiating the clamped sequence).
-                let n = self.cepstra.len();
-                let deltas: Vec<Vec<f32>> = (0..n.min(t + self.window + 1))
-                    .skip(t.saturating_sub(self.window))
-                    .map(delta_of)
-                    .collect();
-                let local_t = t - t.saturating_sub(self.window);
-                // Re-clamp inside the materialised slice: indices below the
-                // slice start are the slice's first entry only when that
-                // entry is genuinely frame 0 (saturating_sub guarantees it).
-                let dd = Self::delta_at(&deltas, local_t, self.window);
-                v.extend_from_slice(&delta);
-                v.extend_from_slice(&dd);
-            } else {
-                v.extend_from_slice(&delta);
-            }
+            // Δ at t reads cepstra up to t + window.
+            self.advance(n.saturating_sub(self.window), n - 1, out);
+        } else {
+            self.emit(n, out);
         }
-        v
     }
 
-    /// Accepts one static cepstrum and returns every frame whose context is
-    /// now complete.
-    fn push(&mut self, cepstrum: Vec<f32>) -> Vec<FeatureVector> {
-        self.cepstra.push(cepstrum);
-        let lookahead = self.lookahead();
-        let mut out = Vec::new();
-        while self.emitted + lookahead < self.cepstra.len() {
-            out.push(self.feature_at(self.emitted));
-            self.emitted += 1;
+    /// Appends the remaining tail to `out` with end-of-utterance clamping
+    /// and resets for the next utterance.
+    fn flush(&mut self, out: &mut Vec<FeatureVector>) {
+        let n = self.cepstra.len;
+        if self.use_delta && n > 0 {
+            self.advance(n, n - 1, out);
         }
-        out
-    }
-
-    /// Emits the remaining tail with end-of-utterance clamping and resets
-    /// for the next utterance.
-    fn flush(&mut self) -> Vec<FeatureVector> {
-        let mut out = Vec::new();
-        while self.emitted < self.cepstra.len() {
-            out.push(self.feature_at(self.emitted));
-            self.emitted += 1;
-        }
+        self.emit(n, out);
         self.cepstra.clear();
-        self.emitted = 0;
-        out
+        self.deltas.clear();
     }
 }
 
@@ -140,6 +215,8 @@ impl IncrementalDelta {
 #[derive(Debug, Clone)]
 pub struct StreamingFrontend {
     extractor: MfccExtractor,
+    /// The MFCC kernel's working memory, reused for every frame.
+    scratch: MfccScratch,
     cmn: Option<CepstralMeanNorm>,
     delta: IncrementalDelta,
     /// Emphasized + dithered samples not yet consumed by framing (the next
@@ -164,12 +241,15 @@ impl StreamingFrontend {
         config.validate()?;
         let cmn = config.cepstral_mean_norm.then(|| config.live_cmn());
         let delta = IncrementalDelta::new(
+            config.num_cepstra,
             config.delta_window.max(1),
             config.use_delta,
             config.use_delta_delta,
         );
+        let extractor = MfccExtractor::new(config)?;
         Ok(StreamingFrontend {
-            extractor: MfccExtractor::new(config)?,
+            scratch: extractor.scratch(),
+            extractor,
             cmn,
             delta,
             buffer: Vec::new(),
@@ -198,53 +278,62 @@ impl StreamingFrontend {
     /// whose analysis window *and* delta context are now complete.  Returns
     /// an empty vector while the stream is still inside the initial window
     /// or the delta lookahead.
+    ///
+    /// Once warm, a call allocates only the returned vector and the feature
+    /// vector of each frame it analyses (which it returns once the frame's
+    /// delta lookahead has arrived).
     pub fn push_samples(&mut self, samples: &[f32]) -> Vec<FeatureVector> {
-        // Only four scalars of the configuration matter per chunk; copy them
+        // Only a few scalars of the configuration matter per chunk; copy them
         // out rather than cloning the whole config on the hot path.
         let cfg = self.extractor.config();
         let pre_emphasis = cfg.pre_emphasis;
         let dither = cfg.dither;
         let frame_len = cfg.frame_length_samples();
         let shift = cfg.frame_shift_samples();
+        let num_cepstra = cfg.num_cepstra;
+        let feature_dim = cfg.feature_dim();
         // Pre-emphasis with cross-chunk history, exactly as the offline pass
         // over the concatenated signal: y[0] = x[0], y[n] = x[n] − α·x[n−1].
-        for &x in samples {
-            let emphasized = if pre_emphasis == 0.0 {
-                x
+        let start = self.buffer.len();
+        if let Some((&first, _)) = samples.split_first() {
+            if pre_emphasis == 0.0 {
+                self.buffer.extend_from_slice(samples);
             } else {
-                match self.last_raw {
-                    Some(prev) => x - pre_emphasis * prev,
-                    None => x,
-                }
-            };
-            self.last_raw = Some(x);
-            // Deterministic dither, parity-indexed by the absolute sample
-            // position (matches the offline frontend's alternating sign).
-            let dithered = if dither > 0.0 {
-                emphasized
-                    + dither
-                        * if self.samples_seen % 2 == 0 {
-                            1.0
-                        } else {
-                            -1.0
-                        }
-            } else {
-                emphasized
-            };
-            self.samples_seen += 1;
-            self.buffer.push(dithered);
+                self.buffer.push(match self.last_raw {
+                    Some(prev) => first - pre_emphasis * prev,
+                    None => first,
+                });
+                self.buffer
+                    .extend(samples.windows(2).map(|w| w[1] - pre_emphasis * w[0]));
+            }
+            self.last_raw = samples.last().copied();
         }
+        // Deterministic dither, parity-indexed by the absolute sample
+        // position (matches the offline frontend's alternating sign).
+        if dither > 0.0 {
+            let parity = self.samples_seen % 2;
+            for (i, v) in self.buffer[start..].iter_mut().enumerate() {
+                *v += dither * if (i + parity) % 2 == 0 { 1.0 } else { -1.0 };
+            }
+        }
+        self.samples_seen += samples.len();
 
-        // Slide complete analysis windows out of the buffer.
+        // Slide complete analysis windows over the buffer, then drop the
+        // consumed hops in one move.
+        let frames = FrameIter::new(&self.buffer, frame_len, shift);
+        let consumed = frames.len() * shift;
         let mut out = Vec::new();
-        while self.buffer.len() >= frame_len {
-            let mut cepstra = self.extractor.frame_cepstra(&self.buffer[..frame_len]);
+        for frame in frames {
+            let mut cepstra = Vec::with_capacity(feature_dim);
+            cepstra.resize(num_cepstra, 0.0);
+            self.extractor
+                .frame_cepstra(frame, &mut self.scratch, &mut cepstra);
             if let Some(cmn) = &mut self.cmn {
                 cmn.normalize_live(&mut cepstra);
             }
-            out.extend(self.delta.push(cepstra));
-            self.buffer.drain(..shift);
+            self.delta.push(cepstra, &mut out);
         }
+        self.buffer.drain(..consumed);
         self.frames_emitted += out.len();
         out
     }
@@ -254,7 +343,8 @@ impl StreamingFrontend {
     /// resets per-utterance state.  The live-CMN running mean becomes the
     /// prior of the next utterance (Sphinx's `cmn prior` behaviour).
     pub fn finish_utterance(&mut self) -> Vec<FeatureVector> {
-        let tail = self.delta.flush();
+        let mut tail = Vec::new();
+        self.delta.flush(&mut tail);
         self.buffer.clear();
         self.last_raw = None;
         self.samples_seen = 0;
@@ -354,13 +444,40 @@ mod tests {
                 .map(|t| vec![t as f32, -(t as f32) * 0.5, (t * t) as f32 * 0.1])
                 .collect();
             let offline = DeltaComputer::new(2).append(&frames, true, true);
-            let mut inc = IncrementalDelta::new(2, true, true);
+            let mut inc = IncrementalDelta::new(3, 2, true, true);
             let mut streamed = Vec::new();
             for f in &frames {
-                streamed.extend(inc.push(f.clone()));
+                inc.push(f.clone(), &mut streamed);
             }
-            streamed.extend(inc.flush());
+            inc.flush(&mut streamed);
             assert_eq!(streamed, offline, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn bounded_histories_match_offline_at_every_window_and_mode() {
+        // Sequences long enough to wrap both rings many times, for every
+        // window the rings are sized by, in both delta modes, across two
+        // utterances of one appender.
+        for window in 1..=4 {
+            for use_delta_delta in [false, true] {
+                let mut inc = IncrementalDelta::new(2, window, true, use_delta_delta);
+                for n in [1usize, 2 * window, 2 * window + 1, 57] {
+                    let frames: Vec<Vec<f32>> = (0..n)
+                        .map(|t| vec![(t as f32 * 0.37).sin(), (t * t % 11) as f32])
+                        .collect();
+                    let offline = DeltaComputer::new(window).append(&frames, true, use_delta_delta);
+                    let mut streamed = Vec::new();
+                    for f in &frames {
+                        inc.push(f.clone(), &mut streamed);
+                    }
+                    inc.flush(&mut streamed);
+                    assert_eq!(
+                        streamed, offline,
+                        "window {window}, ΔΔ {use_delta_delta}, n {n}"
+                    );
+                }
+            }
         }
     }
 

@@ -172,6 +172,8 @@ impl StreamingRecognizer {
             )));
         }
         let hop = self.config.frontend.frame_shift_samples();
+        let preroll_len =
+            (self.config.vad.preroll_hops + self.config.vad.min_speech_hops).max(1) * hop;
         let trace = if self.telemetry.is_enabled() {
             let trace = self.telemetry.begin_trace();
             self.telemetry.emit(
@@ -192,8 +194,9 @@ impl StreamingRecognizer {
             frontend: StreamingFrontend::new(self.config.frontend.clone())?,
             vad: EnergyVad::new(self.config.vad.clone()),
             hop,
-            residue: Vec::new(),
-            preroll: VecDeque::new(),
+            residue: Vec::with_capacity(hop),
+            preroll: VecDeque::with_capacity(preroll_len),
+            preroll_len,
             current: None,
             last_partial_words: 0,
             utterances_finished: 0,
@@ -324,8 +327,12 @@ pub struct AudioStreamSession<'r> {
     hop: usize,
     /// Samples not yet forming a full hop.
     residue: Vec<f32>,
-    /// Recent silence hops, replayed into the utterance on speech start.
-    preroll: VecDeque<Vec<f32>>,
+    /// The samples of recent silence hops, oldest first, replayed into the
+    /// utterance hop by hop on speech start.  Its length is always a whole
+    /// number of hops, at most `preroll_len`.
+    preroll: VecDeque<f32>,
+    /// Samples of `preroll_hops + min_speech_hops` hops (at least one hop).
+    preroll_len: usize,
     current: Option<FeatureStreamSession<'r>>,
     last_partial_words: usize,
     utterances_finished: usize,
@@ -386,7 +393,7 @@ impl<'r> AudioStreamSession<'r> {
     /// Silence hops currently buffered for pre-roll replay — bounded by
     /// `preroll_hops + min_speech_hops` at all times.
     pub fn preroll_buffered(&self) -> usize {
-        self.preroll.len()
+        self.preroll.len() / self.hop
     }
 
     /// The endpointer's current voiced threshold (adapts when
@@ -398,34 +405,61 @@ impl<'r> AudioStreamSession<'r> {
     /// Consumes a chunk of PCM samples (any size) and returns the stream
     /// events it caused, in order.
     ///
+    /// Whole hops are read from `samples` in place; only a sub-hop remainder
+    /// is copied, to be completed by the next call.  A silent hop allocates
+    /// nothing once the pre-roll is full.
+    ///
     /// # Errors
     ///
-    /// Propagates decode errors from the in-flight utterance.
+    /// Propagates decode errors from the in-flight utterance.  The hop that
+    /// failed is consumed; the samples after it stay buffered for the next
+    /// call.
     pub fn push_audio(&mut self, samples: &[f32]) -> Result<Vec<StreamEvent>, StreamError> {
-        self.residue.extend_from_slice(samples);
         let mut events = Vec::new();
-        while self.residue.len() >= self.hop {
-            let hop: Vec<f32> = self.residue.drain(..self.hop).collect();
-            self.process_hop(hop, &mut events)?;
+        let mut rest = samples;
+        if !self.residue.is_empty() {
+            let missing = self.hop - self.residue.len();
+            if rest.len() < missing {
+                self.residue.extend_from_slice(rest);
+                return Ok(events);
+            }
+            let (head, tail) = rest.split_at(missing);
+            self.residue.extend_from_slice(head);
+            rest = tail;
+            let hop = std::mem::take(&mut self.residue);
+            let processed = self.process_hop(&hop, &mut events);
+            self.residue = hop;
+            self.residue.clear();
+            if let Err(e) = processed {
+                self.residue.extend_from_slice(rest);
+                return Err(e);
+            }
         }
+        while rest.len() >= self.hop {
+            let (hop, tail) = rest.split_at(self.hop);
+            rest = tail;
+            if let Err(e) = self.process_hop(hop, &mut events) {
+                self.residue.extend_from_slice(rest);
+                return Err(e);
+            }
+        }
+        self.residue.extend_from_slice(rest);
         Ok(events)
     }
 
     fn process_hop(
         &mut self,
-        hop: Vec<f32>,
+        hop: &[f32],
         events: &mut Vec<StreamEvent>,
     ) -> Result<(), StreamError> {
-        let rms = hop_rms(&hop);
+        let rms = hop_rms(hop);
         if !self.vad.in_speech() {
             // Buffer the hop first so the trigger hops themselves (and the
             // configured pre-roll before them) belong to the utterance.
-            self.preroll.push_back(hop);
-            let capacity =
-                self.owner.config.vad.preroll_hops + self.owner.config.vad.min_speech_hops;
-            while self.preroll.len() > capacity.max(1) {
-                self.preroll.pop_front();
+            if self.preroll.len() >= self.preroll_len {
+                self.preroll.drain(..self.hop);
             }
+            self.preroll.extend(hop);
             if self.vad.push_hop(rms) == Some(VadEvent::SpeechStart) {
                 events.push(StreamEvent::UtteranceStarted);
                 self.emit(&SpanEvent::VadSpeechStart {
@@ -448,7 +482,7 @@ impl<'r> AudioStreamSession<'r> {
         // In speech: the hop (voiced, or silence inside the hangover) is part
         // of the utterance.
         let ended = self.vad.push_hop(rms) == Some(VadEvent::SpeechEnd);
-        let features = self.frontend.push_samples(&hop);
+        let features = self.frontend.push_samples(hop);
         self.features_emitted += features.len();
         let session = self
             .current
@@ -511,14 +545,25 @@ impl<'r> AudioStreamSession<'r> {
     /// and replays the buffered pre-roll into it.
     fn open_utterance(&mut self) -> Result<(), StreamError> {
         let mut session = self.owner.feature_session()?;
-        for buffered in self.preroll.drain(..) {
-            let features = self.frontend.push_samples(&buffered);
+        let replayed = self.replay_preroll(&mut session);
+        self.preroll.clear();
+        replayed?;
+        self.current = Some(session);
+        Ok(())
+    }
+
+    /// Streams the buffered pre-roll into `session`, one hop per chunk.
+    fn replay_preroll(
+        &mut self,
+        session: &mut FeatureStreamSession<'r>,
+    ) -> Result<(), StreamError> {
+        for buffered in self.preroll.make_contiguous().chunks(self.hop) {
+            let features = self.frontend.push_samples(buffered);
             self.features_emitted += features.len();
             if !features.is_empty() {
                 session.push_chunk(&features)?;
             }
         }
-        self.current = Some(session);
         Ok(())
     }
 

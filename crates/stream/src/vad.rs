@@ -245,9 +245,13 @@ pub struct EnergyVad {
     in_speech: bool,
     voiced_run: usize,
     silent_run: usize,
-    /// Recent observed hop energies (adaptive mode only; empty in fixed
-    /// mode).  Pre-filled with the bootstrap prior on construction/reset.
+    /// Recent observed hop energies, oldest first (adaptive mode only; empty
+    /// in fixed mode).  Pre-filled with the bootstrap prior on
+    /// construction/reset, so it always holds `window_hops` values.
     window: VecDeque<f32>,
+    /// The same multiset as `window`, kept in `f32::total_cmp` order, so the
+    /// floor percentile is an index lookup.
+    sorted: Vec<f32>,
     /// The current noise-floor estimate (adaptive mode only).
     noise_floor: f32,
     /// The current voiced threshold (equals `energy_threshold` in fixed
@@ -268,6 +272,7 @@ impl EnergyVad {
             voiced_run: 0,
             silent_run: 0,
             window: VecDeque::new(),
+            sorted: Vec::new(),
             noise_floor: 0.0,
             threshold: 0.0,
             speech_peak: 0.0,
@@ -310,14 +315,25 @@ impl EnergyVad {
         if voiced && self.in_speech {
             return;
         }
-        self.window.push_back(rms.max(0.0));
-        while self.window.len() > adaptive.window_hops {
-            self.window.pop_front();
+        // Evict the oldest value and insert the new one by binary search.
+        // `total_cmp` equality is bit equality, so the value found for
+        // eviction has the evicted value's exact bits, and `sorted` stays
+        // the window's multiset in the order a full sort would give.
+        let rms = rms.max(0.0);
+        if self.window.len() >= adaptive.window_hops {
+            if let Some(oldest) = self.window.pop_front() {
+                let at = self
+                    .sorted
+                    .partition_point(|v| v.total_cmp(&oldest).is_lt());
+                self.sorted.remove(at);
+            }
         }
-        let mut sorted: Vec<f32> = self.window.iter().copied().collect();
-        sorted.sort_by(f32::total_cmp);
-        let rank = (adaptive.percentile * (sorted.len() - 1) as f32).round() as usize;
-        self.noise_floor = sorted[rank.min(sorted.len() - 1)];
+        self.window.push_back(rms);
+        let at = self.sorted.partition_point(|v| v.total_cmp(&rms).is_lt());
+        self.sorted.insert(at, rms);
+        let last = self.sorted.len() - 1;
+        let rank = (adaptive.percentile * last as f32).round() as usize;
+        self.noise_floor = self.sorted[rank.min(last)];
         self.threshold = (self.noise_floor * adaptive.margin)
             .clamp(adaptive.min_threshold, adaptive.max_threshold);
     }
@@ -378,12 +394,12 @@ impl EnergyVad {
         self.silent_run = 0;
         self.speech_peak = 0.0;
         self.window.clear();
+        self.sorted.clear();
         match &self.config.adaptive {
             Some(adaptive) => {
                 let prior = self.config.energy_threshold / adaptive.margin;
-                for _ in 0..adaptive.window_hops {
-                    self.window.push_back(prior);
-                }
+                self.window.resize(adaptive.window_hops, prior);
+                self.sorted.resize(adaptive.window_hops, prior);
                 self.noise_floor = prior;
                 self.threshold =
                     (prior * adaptive.margin).clamp(adaptive.min_threshold, adaptive.max_threshold);
@@ -399,6 +415,7 @@ impl EnergyVad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn vad() -> EnergyVad {
         EnergyVad::new(VadConfig {
@@ -677,5 +694,144 @@ mod tests {
         }
         .validate()
         .unwrap();
+    }
+
+    /// The adaptive detector as first written: the floor is a full
+    /// copy-and-sort of the window on every observed hop.  Kept as the
+    /// oracle the sorted ring must match bit for bit.
+    struct ReferenceVad {
+        config: VadConfig,
+        adaptive: AdaptiveVadConfig,
+        in_speech: bool,
+        voiced_run: usize,
+        silent_run: usize,
+        window: VecDeque<f32>,
+        noise_floor: f32,
+        threshold: f32,
+        speech_peak: f32,
+    }
+
+    impl ReferenceVad {
+        fn new(config: VadConfig) -> Self {
+            let adaptive = config.adaptive.clone().expect("adaptive config");
+            let prior = config.energy_threshold / adaptive.margin;
+            ReferenceVad {
+                window: std::iter::repeat(prior)
+                    .take(adaptive.window_hops)
+                    .collect(),
+                noise_floor: prior,
+                threshold: (prior * adaptive.margin)
+                    .clamp(adaptive.min_threshold, adaptive.max_threshold),
+                config,
+                adaptive,
+                in_speech: false,
+                voiced_run: 0,
+                silent_run: 0,
+                speech_peak: 0.0,
+            }
+        }
+
+        fn push_hop(&mut self, rms: f32) {
+            let a = &self.adaptive;
+            let mut voiced = rms >= self.threshold;
+            if voiced
+                && self.in_speech
+                && a.drop_ratio > 0.0
+                && rms < self.speech_peak * a.drop_ratio
+            {
+                voiced = false;
+            }
+            if !(voiced && self.in_speech) {
+                self.window.push_back(rms.max(0.0));
+                while self.window.len() > a.window_hops {
+                    self.window.pop_front();
+                }
+                let mut sorted: Vec<f32> = self.window.iter().copied().collect();
+                sorted.sort_by(f32::total_cmp);
+                let rank = (a.percentile * (sorted.len() - 1) as f32).round() as usize;
+                self.noise_floor = sorted[rank.min(sorted.len() - 1)];
+                self.threshold =
+                    (self.noise_floor * a.margin).clamp(a.min_threshold, a.max_threshold);
+            }
+            if voiced {
+                self.speech_peak = self.speech_peak.max(rms);
+            } else if !self.in_speech {
+                self.speech_peak = 0.0;
+            }
+            if self.in_speech {
+                if voiced {
+                    self.silent_run = 0;
+                } else {
+                    self.silent_run += 1;
+                    if self.silent_run >= self.config.hangover_hops {
+                        self.in_speech = false;
+                        self.voiced_run = 0;
+                        self.silent_run = 0;
+                        self.speech_peak = 0.0;
+                    }
+                }
+            } else if voiced {
+                self.voiced_run += 1;
+                if self.voiced_run >= self.config.min_speech_hops {
+                    self.in_speech = true;
+                    self.silent_run = 0;
+                }
+            } else {
+                self.voiced_run = 0;
+            }
+        }
+    }
+
+    proptest! {
+        /// The sorted-ring floor equals a copy-and-sort of the window after
+        /// every hop, bit for bit, on hop sequences with zeros, repeats,
+        /// `+Inf`, NaN (observed as 0) and windows from 2 to 200 hops.
+        #[test]
+        fn prop_sorted_ring_floor_matches_copy_and_sort(
+            window_hops in 2usize..201,
+            percentile in 0.01f32..0.99,
+            min_speech_hops in 1usize..4,
+            hangover_hops in 1usize..12,
+            codes in proptest::collection::vec(0u32..12, 1..600),
+            levels in proptest::collection::vec(0.0f32..0.6, 8),
+        ) {
+            let config = VadConfig {
+                energy_threshold: 0.03,
+                min_speech_hops,
+                hangover_hops,
+                preroll_hops: 2,
+                adaptive: Some(AdaptiveVadConfig {
+                    window_hops,
+                    percentile,
+                    ..AdaptiveVadConfig::default()
+                }),
+            };
+            let mut vad = EnergyVad::new(config.clone());
+            let mut reference = ReferenceVad::new(config);
+            let mut previous = 0.0f32;
+            for (i, &code) in codes.iter().enumerate() {
+                let rms = match code {
+                    0 => 0.0,
+                    1 => f32::INFINITY,
+                    2 => f32::NAN,
+                    3 => previous,
+                    c => levels[c as usize % levels.len()],
+                };
+                previous = rms;
+                vad.push_hop(rms);
+                reference.push_hop(rms);
+                prop_assert_eq!(vad.in_speech(), reference.in_speech, "hop {}", i);
+                prop_assert_eq!(
+                    vad.noise_floor().map(f32::to_bits),
+                    Some(reference.noise_floor.to_bits()),
+                    "floor after hop {}", i
+                );
+                prop_assert_eq!(
+                    vad.threshold().to_bits(),
+                    reference.threshold.to_bits(),
+                    "threshold after hop {}", i
+                );
+            }
+        }
     }
 }

@@ -186,3 +186,113 @@ fn silent_audio_session_closes_empty() {
     assert!(outcome.result.is_empty());
     assert_eq!(outcome.result.hypothesis.words.len(), 0);
 }
+
+/// Hostile audio at the session boundary: bursts of NaN, ±Inf, denormal
+/// (1e-40) and huge (1e30) samples, in chunks of 0, 1, 159 and 161
+/// samples, through an adaptive-VAD audio session.  Nothing may panic or
+/// error, the adaptive threshold must stay finite inside its clamps, and
+/// clean speech afterwards must still open and end an utterance.
+#[test]
+fn hostile_audio_neither_breaks_the_session_nor_deafens_it() {
+    let task = TaskGenerator::new(99)
+        .generate(&TaskConfig {
+            feature_dim: 13,
+            ..TaskConfig::tiny()
+        })
+        .expect("task");
+    let rec = build_recognizer(&task, ScoringBackendKind::Software);
+    let vad = VadConfig::adaptive();
+    let clamps = vad.adaptive.clone().expect("adaptive VAD");
+    let streamer = StreamingRecognizer::new(
+        rec,
+        lvcsr::stream::StreamConfig {
+            frontend: lvcsr::frontend::FrontendConfig {
+                use_delta: false,
+                use_delta_delta: false,
+                ..lvcsr::frontend::FrontendConfig::default()
+            },
+            vad,
+            ..lvcsr::stream::StreamConfig::default()
+        },
+    )
+    .expect("streamer");
+    let mut session = streamer.audio_session().expect("audio session");
+    let check_threshold = |threshold: f32, label: &str| {
+        assert!(
+            threshold.is_finite()
+                && threshold >= clamps.min_threshold
+                && threshold <= clamps.max_threshold,
+            "{label}: threshold {threshold} left [{}, {}]",
+            clamps.min_threshold,
+            clamps.max_threshold
+        );
+    };
+
+    let hostile = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        1e30,
+        -1e30,
+    ];
+    let chunk_sizes = [0usize, 1, 159, 161];
+    let mut events = Vec::new();
+    for (i, &value) in hostile.iter().enumerate() {
+        // A burst of 40 hops of the hostile value, alternating its sign
+        // sample by sample, in every chunk size.
+        let burst: Vec<f32> = (0..40 * 160)
+            .map(|n| if n % 2 == 0 { value } else { -value })
+            .collect();
+        let mut pos = 0;
+        let mut k = 0;
+        while pos < burst.len() {
+            let take = chunk_sizes[(i + k) % chunk_sizes.len()].min(burst.len() - pos);
+            let pushed = session.push_audio(&burst[pos..pos + take]);
+            events.extend(pushed.unwrap_or_else(|e| panic!("burst of {value}: {e}")));
+            check_threshold(session.vad_threshold(), &format!("burst of {value}"));
+            pos += take;
+            k += 1;
+        }
+        // A 2 s gap of quiet noise between bursts, in odd chunks.
+        let gap: Vec<f32> = (0..32_000)
+            .map(|n| 0.001 * ((n * 7919 % 200) as f32 / 100.0 - 1.0))
+            .collect();
+        for chunk in gap.chunks(161) {
+            events.extend(session.push_audio(chunk).expect("quiet gap"));
+            check_threshold(session.vad_threshold(), "quiet gap");
+        }
+    }
+    assert!(
+        !session.in_utterance(),
+        "2 s of quiet closes whatever a burst opened"
+    );
+
+    // Clean speech: a 400 ms two-tone burst at speech level, then 1 s of
+    // silence, in 159-sample chunks.
+    let mut speech: Vec<f32> = (0..6_400)
+        .map(|n| {
+            let t = n as f32 / 16_000.0;
+            0.2 * (2.0 * std::f32::consts::PI * 440.0 * t).sin()
+                + 0.1 * (2.0 * std::f32::consts::PI * 1320.0 * t).sin()
+        })
+        .collect();
+    speech.extend(vec![0.0f32; 16_000]);
+    let mut after = Vec::new();
+    for chunk in speech.chunks(159) {
+        after.extend(session.push_audio(chunk).expect("clean speech"));
+        check_threshold(session.vad_threshold(), "clean speech");
+    }
+    assert!(
+        matches!(after.first(), Some(StreamEvent::UtteranceStarted)),
+        "clean speech must open an utterance: {after:?}"
+    );
+    assert!(
+        after
+            .iter()
+            .any(|e| matches!(e, StreamEvent::UtteranceEnd(_))),
+        "and end it after the hangover: {after:?}"
+    );
+    assert!(!session.in_utterance());
+    session.close().expect("close");
+}

@@ -1,0 +1,206 @@
+//! Allocation budget of the streaming hop path, when warm, on the scenario
+//! voice task's frontend configuration:
+//!
+//! * `EnergyVad::push_hop` allocates nothing (the adaptive floor is a sorted
+//!   ring updated in place);
+//! * `StreamingFrontend::push_samples` allocates at most the vector it
+//!   returns plus one feature vector per frame it emits (the MFCC kernel
+//!   writes into scratch the frontend owns);
+//! * a silent hop through `AudioStreamSession::push_audio` allocates nothing
+//!   (whole hops are borrowed from the caller's chunk and the pre-roll
+//!   recycles its storage).
+//!
+//! The counting allocator below counts per thread, so tests of other
+//! binaries or threads cannot disturb the figures.
+
+use lvcsr::corpus::{ScenarioVoiceTask, TaskConfig, TaskGenerator};
+use lvcsr::decoder::{DecoderConfig, Recognizer, ScoringBackendKind};
+use lvcsr::frontend::FrontendConfig;
+use lvcsr::stream::vad::hop_rms;
+use lvcsr::stream::{EnergyVad, StreamConfig, StreamingFrontend, StreamingRecognizer, VadConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Samples per 10 ms hop at 16 kHz.
+const HOP: usize = 160;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Forwards to the system allocator, counting allocations and reallocations
+/// of the calling thread.
+struct CountingAlloc;
+
+// SAFETY: every call forwards unchanged to `System`; the counter is a
+// const-initialised thread-local `Cell`, which neither allocates nor touches
+// the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `seconds` of a two-tone signal at speech level.
+fn speech(seconds: f32) -> Vec<f32> {
+    (0..(seconds * 16_000.0) as usize)
+        .map(|n| {
+            let t = n as f32 / 16_000.0;
+            0.2 * (2.0 * std::f32::consts::PI * 440.0 * t).sin()
+                + 0.1 * (2.0 * std::f32::consts::PI * 1320.0 * t).sin()
+        })
+        .collect()
+}
+
+/// `seconds` of low-level deterministic noise, well under any VAD threshold.
+fn quiet(seconds: f32) -> Vec<f32> {
+    (0..(seconds * 16_000.0) as usize)
+        .map(|n| 0.001 * ((n * 7919 % 200) as f32 / 100.0 - 1.0))
+        .collect()
+}
+
+#[test]
+fn warm_vad_push_hop_allocates_nothing() {
+    let mut vad = EnergyVad::new(VadConfig::adaptive());
+    let audio = [quiet(2.0), speech(0.5), quiet(2.0)].concat();
+    let hops: Vec<f32> = audio.chunks(HOP).map(hop_rms).collect();
+    for &rms in &hops {
+        vad.push_hop(rms);
+    }
+    let before = allocations();
+    for &rms in &hops {
+        vad.push_hop(rms);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "{} warm hops through the adaptive VAD",
+        hops.len()
+    );
+}
+
+#[test]
+fn warm_frontend_allocates_only_what_it_returns() {
+    let audio = speech(1.0);
+    // With deltas, a frame's feature vector is allocated when the frame is
+    // analysed and returned once its lookahead has arrived (at the latest by
+    // `finish_utterance`), so the budget is checked over a whole utterance.
+    for config in [
+        ScenarioVoiceTask::frontend_config(),
+        FrontendConfig::default(),
+    ] {
+        let mut frontend = StreamingFrontend::new(config.clone()).expect("frontend");
+        for hop in audio.chunks(HOP) {
+            frontend.push_samples(hop);
+        }
+        frontend.finish_utterance();
+        let (mut made, mut frames, mut returned) = (0, 0, 0);
+        for hop in audio.chunks(HOP) {
+            let before = allocations();
+            let features = frontend.push_samples(hop);
+            made += allocations() - before;
+            frames += features.len() as u64;
+            returned += u64::from(!features.is_empty());
+        }
+        let before = allocations();
+        let tail = frontend.finish_utterance();
+        made += allocations() - before;
+        frames += tail.len() as u64;
+        returned += u64::from(!tail.is_empty());
+        assert_eq!(frames, 98, "one second of audio is 98 frames");
+        assert!(
+            made <= returned + frames,
+            "{made} allocations for {frames} frames in {returned} returned vectors \
+             with {config:?}"
+        );
+    }
+}
+
+#[test]
+fn warm_silent_hop_through_the_audio_session_allocates_nothing() {
+    let task = TaskGenerator::new(99)
+        .generate(&TaskConfig {
+            feature_dim: 13,
+            ..TaskConfig::tiny()
+        })
+        .expect("task");
+    let recognizer = Recognizer::new(
+        task.acoustic_model.clone(),
+        task.dictionary.clone(),
+        task.language_model.clone(),
+        DecoderConfig {
+            backend: ScoringBackendKind::Simd,
+            ..DecoderConfig::default()
+        },
+    )
+    .expect("recogniser");
+    let streamer = StreamingRecognizer::new(
+        recognizer,
+        StreamConfig {
+            frontend: ScenarioVoiceTask::frontend_config(),
+            vad: VadConfig::adaptive(),
+            ..StreamConfig::default()
+        },
+    )
+    .expect("streamer");
+    let mut session = streamer.audio_session().expect("audio session");
+    // Warm up through one utterance, so the pre-roll has been drained and
+    // refilled once.
+    let warm = [quiet(1.0), speech(0.5), quiet(2.0)].concat();
+    let mut ended = false;
+    for chunk in warm.chunks(HOP) {
+        for event in session.push_audio(chunk).expect("warm-up") {
+            ended |= matches!(event, lvcsr::stream::StreamEvent::UtteranceEnd(_));
+        }
+    }
+    assert!(
+        ended && !session.in_utterance(),
+        "the warm-up utterance ended"
+    );
+
+    let silence = quiet(1.0);
+    let before = allocations();
+    for hop in silence.chunks(HOP) {
+        let events = session.push_audio(hop).expect("silent hop");
+        assert!(events.is_empty());
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "{} silent hops through a warm audio session",
+        silence.len() / HOP
+    );
+    // Sub-hop chunks take the residue path: still nothing once warm.
+    let before = allocations();
+    for chunk in silence.chunks(HOP / 2 + 1) {
+        session.push_audio(chunk).expect("silent chunk");
+    }
+    assert_eq!(allocations() - before, 0, "silent sub-hop chunks");
+}
