@@ -25,6 +25,9 @@ impl HmmTopology {
     /// All topologies the hardware supports.
     pub const ALL: [HmmTopology; 3] = [HmmTopology::Three, HmmTopology::Five, HmmTopology::Seven];
 
+    /// The most emitting states of any topology (the 7-state HMM).
+    pub const MAX_STATES: usize = 7;
+
     /// Number of emitting states.
     #[inline]
     pub fn num_states(self) -> usize {
@@ -72,6 +75,12 @@ pub struct TransitionMatrix {
     /// Row-major `(n) × (n + 1)` matrix: columns `0..n` are emitting states,
     /// column `n` is the exit.
     log_probs: Vec<LogProb>,
+    /// The non-zero `(i, log a_ij)` of every destination state `j`, column
+    /// after column, sources in ascending order: derived once here so a
+    /// Viterbi step reads each column without scanning the whole matrix.
+    incoming: Vec<(usize, LogProb)>,
+    /// Column `j` is `incoming[column_starts[j]..column_starts[j + 1]]`.
+    column_starts: [usize; HmmTopology::MAX_STATES + 1],
 }
 
 impl TransitionMatrix {
@@ -122,9 +131,21 @@ impl TransitionMatrix {
                 log_probs.push(LogProb::from_linear(p / sum));
             }
         }
+        let mut incoming = Vec::new();
+        let mut column_starts = [0; HmmTopology::MAX_STATES + 1];
+        for j in 0..n {
+            incoming.extend(
+                (0..n)
+                    .map(|i| (i, log_probs[i * (n + 1) + j]))
+                    .filter(|(_, p)| !p.is_zero()),
+            );
+            column_starts[j + 1] = incoming.len();
+        }
         Ok(TransitionMatrix {
             topology,
             log_probs,
+            incoming,
+            column_starts,
         })
     }
 
@@ -194,12 +215,18 @@ impl TransitionMatrix {
     }
 
     /// The incoming transitions of state `j`: every `(i, log a_ij)` with a
-    /// non-zero probability.  This is the "matrix column" the hardware Viterbi
-    /// unit streams per destination state.
+    /// non-zero probability, in ascending `i`.  This is the "matrix column"
+    /// the hardware Viterbi unit streams per destination state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    #[inline]
     pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, LogProb)> + '_ {
-        (0..self.num_states())
-            .map(move |i| (i, self.log_prob(i, j)))
-            .filter(|(_, p)| !p.is_zero())
+        assert!(j < self.num_states(), "state index out of range");
+        self.incoming[self.column_starts[j]..self.column_starts[j + 1]]
+            .iter()
+            .copied()
     }
 
     /// Expected number of frames spent in this HMM (sum over states of
@@ -338,6 +365,12 @@ mod tests {
     }
 
     #[test]
+    fn max_states_bounds_every_topology() {
+        let most = HmmTopology::ALL.iter().map(|t| t.num_states()).max();
+        assert_eq!(most, Some(HmmTopology::MAX_STATES));
+    }
+
+    #[test]
     fn expected_duration_grows_with_self_loop() {
         let short = TransitionMatrix::bakis(HmmTopology::Three, 0.3).unwrap();
         let long = TransitionMatrix::bakis(HmmTopology::Three, 0.8).unwrap();
@@ -355,6 +388,37 @@ mod tests {
     }
 
     proptest! {
+        /// The derived columns hold exactly the non-zero entries a scan of
+        /// the matrix finds, in source order, for any left-to-right matrix.
+        #[test]
+        fn prop_columns_are_the_nonzero_entries_of_a_scan(
+            states in 0usize..3,
+            cells in proptest::collection::vec(0u8..4, 56),
+        ) {
+            let topology = HmmTopology::ALL[states];
+            let n = topology.num_states();
+            // A quarter of the cells are zero; the exit keeps rows non-empty.
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..=n)
+                        .map(|j| match j {
+                            j if j == n => 1.0,
+                            j if j < i => 0.0,
+                            j => f64::from(cells[i * 8 + j]),
+                        })
+                        .collect()
+                })
+                .collect();
+            let t = TransitionMatrix::new(topology, &rows).unwrap();
+            for j in 0..n {
+                let scanned: Vec<_> = (0..n)
+                    .map(|i| (i, t.log_prob(i, j)))
+                    .filter(|(_, p)| !p.is_zero())
+                    .collect();
+                prop_assert_eq!(t.column(j).collect::<Vec<_>>(), scanned);
+            }
+        }
+
         #[test]
         fn prop_bakis_rows_sum_to_one(self_loop in 0.05f64..0.95) {
             for topo in HmmTopology::ALL {

@@ -37,7 +37,9 @@ fn bench_opu(c: &mut Criterion) {
                 b.iter(|| {
                     let mut opu = ObservationProbabilityUnit::new(cfg.clone());
                     opu.load_feature_vector(&x);
-                    opu.score_active_set(&model, &ids).expect("score").len()
+                    ids.iter()
+                        .map(|&id| opu.score_senone(&model, id).expect("score"))
+                        .count()
                 })
             },
         );

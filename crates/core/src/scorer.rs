@@ -281,9 +281,11 @@ impl SenoneScorer for SocScorer {
         &mut self,
         model: &AcousticModel,
         active: &[SenoneId],
-        _feature: &[f32],
+        feature: &[f32],
     ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-        Ok(self.soc.score_senones(model, active)?)
+        let mut out = Vec::with_capacity(active.len());
+        self.score_senones_into(model, active, feature, &mut out)?;
+        Ok(out)
     }
 
     fn score_senones_into(
@@ -306,8 +308,9 @@ impl SenoneScorer for SocScorer {
         let step = self
             .soc
             .step_hmm(prev_scores, entry_score, transitions, senone_scores)?;
+        // The trait's result vector is the step's only allocation.
         Ok(HmmStepResult {
-            scores: step.scores,
+            scores: step.scores().to_vec(),
             exit_score: step.exit_score,
         })
     }

@@ -88,6 +88,10 @@ pub struct LogAddTable {
     config: LogAddTableConfig,
     /// 16-bit fraction entries: `round(log(1 + exp(-d)) * 2^fraction_bits)`.
     entries: Vec<u16>,
+    /// The same entries as the corrections they encode,
+    /// `entry / 2^fraction_bits`.  A `u16` and a power-of-two divisor are
+    /// both exact in f32, so each correction is its word's value exactly.
+    corrections: Vec<f32>,
     /// Quantisation step of the index dimension.
     step: f32,
 }
@@ -109,7 +113,7 @@ impl LogAddTable {
         config.validate()?;
         let step = config.max_difference / config.entries as f32;
         let scale = (1u32 << config.fraction_bits) as f64;
-        let entries = (0..config.entries)
+        let entries: Vec<u16> = (0..config.entries)
             .map(|i| {
                 // Index i covers differences in [i*step, (i+1)*step); the
                 // hardware stores the value at the bin centre.
@@ -118,9 +122,11 @@ impl LogAddTable {
                 (value * scale).round().min(scale - 1.0) as u16
             })
             .collect();
+        let corrections = entries.iter().map(|&e| e as f32 / scale as f32).collect();
         Ok(LogAddTable {
             config,
             entries,
+            corrections,
             step,
         })
     }
@@ -139,7 +145,9 @@ impl LogAddTable {
     /// difference `d = log(A) - log(B)`.
     ///
     /// Differences beyond the table range return `0.0`, exactly as the
-    /// hardware saturates the index.
+    /// hardware saturates the index.  The index is `d / step` truncated: the
+    /// paper's step (11.1 / 256) is not a power of two, so a multiply by its
+    /// reciprocal would move bin edges.
     #[inline]
     pub fn correction(&self, difference: f32) -> f32 {
         debug_assert!(difference >= 0.0, "difference must be non-negative");
@@ -147,9 +155,7 @@ impl LogAddTable {
             return 0.0;
         }
         let idx = (difference / self.step) as usize;
-        let idx = idx.min(self.config.entries - 1);
-        let scale = (1u32 << self.config.fraction_bits) as f32;
-        self.entries[idx] as f32 / scale
+        self.corrections[idx.min(self.corrections.len() - 1)]
     }
 
     /// Hardware log-add: `log(exp(a) + exp(b))` via the SRAM table.
@@ -381,6 +387,31 @@ mod tests {
             ..LogAddTableConfig::PAPER
         })
         .is_err());
+    }
+
+    /// The lookup serves the SRAM word of the cell `d / step` falls in, as a
+    /// fraction of `2^fraction_bits`, at every cell edge and centre.
+    #[test]
+    fn lookups_return_the_sram_words_as_fractions() {
+        for config in [
+            LogAddTableConfig::PAPER,
+            LogAddTableConfig {
+                entries: 1000,
+                max_difference: 8.0,
+                fraction_bits: 12,
+            },
+        ] {
+            let t = LogAddTable::with_config(config).unwrap();
+            let scale = (1u32 << config.fraction_bits) as f32;
+            let step = config.max_difference / config.entries as f32;
+            for i in 0..config.entries {
+                for d in [i as f32 * step, (i as f32 + 0.5) * step] {
+                    let cell = ((d / step) as usize).min(config.entries - 1);
+                    let want = t.sram_contents()[cell] as f32 / scale;
+                    assert_eq!(t.correction(d).to_bits(), want.to_bits(), "d = {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! and `*` are exactly those IEEE-754 operations, so the model uses them
 //! directly; the differential oracle tests in this module pin that against
 //! an independent f64 reference at every width.
+//!
+//! The width is dispatched once per kernel, not once per operation: at the
+//! full 23 bits [`MantissaWidth::quantize`] is the identity for every value
+//! (NaN and ±∞ included), so [`SoftFloat::gaussian_exponent`] runs the plain
+//! f32 fold there, with the same operations in the same order, and keeps the
+//! per-operation quantised loop as the only path for narrower widths.
 
 use crate::reduced::MantissaWidth;
 
@@ -103,16 +109,27 @@ impl SoftFloat {
     /// `C + Σ_i (o_i − µ_i)² · δ_i`, evaluated the way the pipelined hardware
     /// does — one `sq_diff_mul` plus one accumulate per dimension, in
     /// dimension order.
+    ///
+    /// The width is checked once per call: at [`MantissaWidth::FULL`] every
+    /// quantisation is the identity, so the fold runs on plain f32 operations
+    /// (`d = o − µ`, then `acc + (d·d)·δ`), bit-identical to the
+    /// per-operation loop that every narrower width runs (NaN payloads, which
+    /// are not part of the datapath contract, aside).
     #[inline]
     pub fn gaussian_exponent(&self, obs: &[f32], mean: &[f32], prec: &[f32], constant: f32) -> f32 {
         debug_assert_eq!(obs.len(), mean.len());
         debug_assert_eq!(obs.len(), prec.len());
-        obs.iter()
-            .zip(mean)
-            .zip(prec)
-            .fold(constant, |acc, ((&o, &m), &p)| {
+        let terms = obs.iter().zip(mean).zip(prec);
+        if self.width == MantissaWidth::FULL {
+            terms.fold(constant, |acc, ((&o, &m), &p)| {
+                let d = o - m;
+                acc + d * d * p
+            })
+        } else {
+            terms.fold(constant, |acc, ((&o, &m), &p)| {
                 self.add(acc, self.sq_diff_mul(o, m, p))
             })
+        }
     }
 }
 
@@ -242,6 +259,42 @@ mod tests {
                 });
                 let got = fp.gaussian_exponent(&obs, &mean, &prec, constant);
                 assert!(same(got, want), "{width}: dim {dim}: {got:?} not {want:?}");
+            }
+        }
+    }
+
+    proptest! {
+        /// The width-dispatched kernel against the per-operation fold
+        /// (`sq_diff_mul`, then `add`, in dimension order), bit for bit (any
+        /// NaN equals any NaN, as in the f64 oracle), at every oracle width
+        /// and every length from 1 to 64.  Each case draws vectors at four
+        /// exponent spreads, so random bit patterns (NaN and ±∞ among them),
+        /// subnormals, overflow and cancellation all occur.
+        #[test]
+        fn prop_gaussian_exponent_is_the_per_operation_fold(
+            seed in 0u64..u64::MAX,
+            dim in 1usize..=64,
+        ) {
+            let mut operands = Operands(seed);
+            for (width, fp) in widths() {
+                for spread in [1, 6, 30, 126] {
+                    let [obs, mean, prec] = [0; 3]
+                        .map(|_| (0..dim).map(|_| operands.next(spread)).collect::<Vec<_>>());
+                    let constant = operands.next(spread);
+                    let want = (0..dim).fold(constant, |acc, d| {
+                        fp.add(acc, fp.sq_diff_mul(obs[d], mean[d], prec[d]))
+                    });
+                    let got = fp.gaussian_exponent(&obs, &mean, &prec, constant);
+                    prop_assert!(
+                        same(got, want),
+                        "{}: dim {}, spread {}: {:?} not {:?}",
+                        width,
+                        dim,
+                        spread,
+                        got,
+                        want
+                    );
+                }
             }
         }
     }

@@ -83,6 +83,32 @@ impl core::fmt::Display for HwError {
 
 impl std::error::Error for HwError {}
 
+/// A seeded SplitMix64 stream for the simulators' property tests.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct TestRng(pub(crate) u64);
+
+#[cfg(test)]
+impl TestRng {
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut r = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        r = (r ^ (r >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        r ^ (r >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    pub(crate) fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Uniform in `[lo, hi)`.
+    pub(crate) fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
+        let unit = (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32;
+        lo + (hi - lo) * unit
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

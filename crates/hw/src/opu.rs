@@ -194,49 +194,30 @@ impl ObservationProbabilityUnit {
             .get(id)
             .ok_or_else(|| HwError::UnknownId(format!("{id}")))?;
         let mix = senone.mixture();
-
-        let mut cycles: CycleCount = 0;
+        let components = mix.components();
         let mut score = LogProb::zero();
-        for (k, gaussian) in mix.components().iter().enumerate() {
-            // Stream µ, δ and C for this component from flash.
-            self.stats.parameters_streamed += (2 * gaussian.dim() + 1) as u64;
+        for (gaussian, &constant) in components.iter().zip(mix.log_weight_consts()) {
             // Inner loop of equation (6): C_jk + Σ_i (o_i − µ_i)²·δ_i,
             // computed on the reduced-width datapath exactly as the pipeline
-            // would.
-            let constant = mix.log_weight_consts()[k];
+            // would; the logadd stage folds it into the running mixture sum.
             let exponent =
                 self.datapath
                     .gaussian_exponent(x, gaussian.mean(), gaussian.precision(), constant);
-            cycles += self.config.pipeline_fill_cycles
-                + self.config.cycles_per_dimension * gaussian.dim() as u64
-                + self.config.swa_cycles;
-            self.stats.gaussians_evaluated += 1;
-            // logadd stage folds this component into the running mixture sum.
             score = self.logadd.log_add(score, LogProb::new(exponent));
-            cycles += self.config.logadd_cycles;
-            self.stats.logadds += 1;
         }
+        // Every component of a mixture has the model's dimension, so the
+        // whole senone is charged at once: µ, δ and C streamed from flash per
+        // component, one Gaussian and one log-add each, and the cycles of
+        // the pipeline model.
+        let (dim, k) = (x.len() as u64, components.len() as u64);
+        let cycles = self.config.cycles_per_senone(x.len(), components.len());
+        self.stats.parameters_streamed += k * (2 * dim + 1);
+        self.stats.gaussians_evaluated += k;
+        self.stats.logadds += k;
         self.stats.cycles += cycles;
         self.stats.senones_evaluated += 1;
         self.gate.record_active(cycles);
         Ok(score)
-    }
-
-    /// Scores a whole active set of senones for the current frame, returning
-    /// `(id, score)` pairs.  Unknown ids produce an error, matching the
-    /// contract of the phone-decode stage which only requests valid senones.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ObservationProbabilityUnit::score_senone`].
-    pub fn score_active_set(
-        &mut self,
-        model: &AcousticModel,
-        ids: &[SenoneId],
-    ) -> Result<Vec<(SenoneId, LogProb)>, HwError> {
-        ids.iter()
-            .map(|&id| self.score_senone(model, id).map(|s| (id, s)))
-            .collect()
     }
 
     /// Resets statistics and clock-gating counters (keeps the loaded feature).
@@ -249,7 +230,11 @@ impl ObservationProbabilityUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asr_acoustic::AcousticModelConfig;
+    use asr_acoustic::{
+        AcousticModelConfig, DiagGaussian, GaussianMixture, SenonePool, TransitionMatrix,
+        TriphoneInventory,
+    };
+    use proptest::prelude::*;
 
     fn model() -> AcousticModel {
         AcousticModel::untrained(AcousticModelConfig::tiny()).unwrap()
@@ -315,6 +300,109 @@ mod tests {
         assert_eq!(opu.config().datapath_width, MantissaWidth::BITS_12);
     }
 
+    /// A random model: 1–40 dimensions, 1–8 components per senone, means in
+    /// ±3, variances in [0.05, 4) and weights in [0.1, 1).
+    fn random_model(rng: &mut crate::TestRng) -> AcousticModel {
+        let config = AcousticModelConfig {
+            num_senones: 1 + rng.below(6),
+            num_components: 1 + rng.below(8),
+            feature_dim: 1 + rng.below(40),
+            ..AcousticModelConfig::tiny()
+        };
+        let dim = config.feature_dim;
+        let mixtures = (0..config.num_senones)
+            .map(|_| {
+                let components = (0..config.num_components)
+                    .map(|_| {
+                        let mean = (0..dim).map(|_| rng.uniform(-3.0, 3.0)).collect();
+                        let variance = (0..dim).map(|_| rng.uniform(0.05, 4.0)).collect();
+                        (
+                            rng.uniform(0.1, 1.0),
+                            DiagGaussian::new(mean, variance).unwrap(),
+                        )
+                    })
+                    .collect();
+                GaussianMixture::new(components).unwrap()
+            })
+            .collect();
+        AcousticModel::new(
+            config.clone(),
+            SenonePool::new(mixtures).unwrap(),
+            TriphoneInventory::new(config.topology),
+            TransitionMatrix::bakis(config.topology, config.self_loop_prob).unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// A priori bound on `|OP unit − AcousticModel::score_senone|` for one
+    /// senone at datapath width `width`.
+    ///
+    /// Each datapath operation (f32 rounding, then quantisation to `width`)
+    /// has relative error at most `u = 2^-width`, and a component's exponent
+    /// `C + Σ (x − µ)²·δ` passes each input through at most `dim + 3` of
+    /// them, so it is off by at most `γ(dim + 3)·(|C| + Σ|(x − µ)²·δ|)` with
+    /// `γ(m) = m·u / (1 − m·u)`.  The f32 reference rounds a handful of
+    /// times per component, bounded generously by `8·2^-24` of the same sum
+    /// plus its normalisation constant.  Log-add is 1-Lipschitz in each
+    /// argument, so those input errors pass through the mixture fold
+    /// undiminished but unamplified, and each of the `K − 1` folds adds at
+    /// most the SRAM table's worst error plus a few f32 roundings on each
+    /// side.
+    fn senone_bound(width: MantissaWidth, mix: &GaussianMixture, x: &[f32]) -> f64 {
+        let u = width.max_relative_error();
+        let gamma = |m: usize| m as f64 * u / (1.0 - m as f64 * u);
+        let f32_unit = 2.0f64.powi(-24);
+        let (mut datapath, mut reference, mut largest) = (0.0f64, 0.0f64, 0.0f64);
+        for (g, &c) in mix.components().iter().zip(mix.log_weight_consts()) {
+            let terms: f64 = x
+                .iter()
+                .zip(g.mean())
+                .zip(g.precision())
+                .map(|((&o, &m), &p)| ((o as f64 - m as f64).powi(2) * p as f64).abs())
+                .sum();
+            let magnitude = c.abs() as f64 + terms;
+            datapath = datapath.max(gamma(x.len() + 3) * magnitude);
+            reference = reference.max(8.0 * f32_unit * (magnitude + g.log_norm().abs() as f64));
+            largest = largest.max(magnitude);
+        }
+        let folds = (mix.num_components() - 1) as f64;
+        let table = LogAddTable::new().max_abs_error() as f64;
+        datapath + reference + folds * (table + 8.0 * f32_unit * (2.0 * largest + 1.0))
+    }
+
+    proptest! {
+        /// The SoC path's senone score stays within the a priori bound of
+        /// the exact software reference at the paper's widths, over random
+        /// models and features.
+        #[test]
+        fn prop_senone_scores_stay_within_the_datapath_bound(seed in 0u64..u64::MAX) {
+            let mut rng = crate::TestRng(seed);
+            let m = random_model(&mut rng);
+            let x: Vec<f32> = (0..m.feature_dim()).map(|_| rng.uniform(-4.0, 4.0)).collect();
+            for width in MantissaWidth::PAPER_SWEEP {
+                let mut opu = ObservationProbabilityUnit::new(OpuConfig::with_width(width));
+                opu.load_feature_vector(&x);
+                for (i, senone) in m.senones().iter().enumerate() {
+                    let id = SenoneId(i as u32);
+                    let hw = opu.score_senone(&m, id).unwrap().raw() as f64;
+                    let sw = m.score_senone(id, &x).unwrap().raw() as f64;
+                    let bound = senone_bound(width, senone.mixture(), &x);
+                    prop_assert!(
+                        (hw - sw).abs() <= bound,
+                        "{}: senone {} of a {}-dim {}-component model: hw {} sw {} bound {}",
+                        width,
+                        i,
+                        m.feature_dim(),
+                        senone.mixture().num_components(),
+                        hw,
+                        sw,
+                        bound
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn cycle_counts_match_analytic_model() {
         let m = model();
@@ -353,7 +441,10 @@ mod tests {
         let x = vec![0.0f32; m.feature_dim()];
         opu.load_feature_vector(&x);
         let ids: Vec<SenoneId> = (0..4).map(SenoneId).collect();
-        let scores = opu.score_active_set(&m, &ids).unwrap();
+        let scores: Vec<LogProb> = ids
+            .iter()
+            .map(|&id| opu.score_senone(&m, id).unwrap())
+            .collect();
         assert_eq!(scores.len(), 4);
         let s = opu.stats();
         assert_eq!(s.senones_evaluated, 4);
@@ -385,7 +476,10 @@ mod tests {
             .to_vec();
         opu.load_feature_vector(&target_mean);
         let ids: Vec<SenoneId> = (0..m.senones().len() as u32).map(SenoneId).collect();
-        let scores = opu.score_active_set(&m, &ids).unwrap();
+        let scores: Vec<(SenoneId, LogProb)> = ids
+            .iter()
+            .map(|&id| (id, opu.score_senone(&m, id).unwrap()))
+            .collect();
         let best = scores.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
         assert_eq!(best, SenoneId(5));
     }

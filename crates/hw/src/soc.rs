@@ -440,26 +440,11 @@ impl SpeechSoc {
         self.ram.write((feature.len() * 4) as u64);
     }
 
-    /// Scores the frame's active senones, distributing them round-robin over
-    /// the available structures, and charges the streamed parameters to flash.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OP-unit errors ([`HwError::NoFeatureLoaded`],
-    /// [`HwError::UnknownId`], [`HwError::ShapeMismatch`]).
-    pub fn score_senones(
-        &mut self,
-        model: &AcousticModel,
-        ids: &[SenoneId],
-    ) -> Result<Vec<(SenoneId, LogProb)>, HwError> {
-        let mut results = Vec::with_capacity(ids.len());
-        self.score_senones_into(model, ids, &mut results)?;
-        Ok(results)
-    }
-
-    /// [`SpeechSoc::score_senones`] into a caller-supplied buffer (appended
-    /// in `ids` order), so the decode hot path can reuse one allocation
-    /// across frames.  On error the buffer may hold a partial prefix.
+    /// Scores the frame's active senones into `out` (appended in `ids`
+    /// order), splitting them into one contiguous slice per structure, and
+    /// charges the streamed parameters to flash.  The caller owns `out`, so
+    /// the decode hot path reuses one allocation across frames.  On error
+    /// `out` may hold a partial prefix.
     ///
     /// # Errors
     ///
@@ -711,7 +696,8 @@ mod tests {
         let x = vec![0.1f32; m.feature_dim()];
         soc.begin_frame(&x);
         let ids: Vec<SenoneId> = (0..10).map(SenoneId).collect();
-        let scores = soc.score_senones(&m, &ids).unwrap();
+        let mut scores = Vec::new();
+        soc.score_senones_into(&m, &ids, &mut scores).unwrap();
         assert_eq!(scores.len(), 10);
         // Drive a few HMM updates.
         let t = m.transitions();
@@ -772,11 +758,13 @@ mod tests {
 
         let mut soc1 = soc(1);
         soc1.begin_frame(&x);
-        let a = soc1.score_senones(&m, &ids).unwrap();
+        let mut a = Vec::new();
+        soc1.score_senones_into(&m, &ids, &mut a).unwrap();
 
         let mut soc2 = soc(2);
         soc2.begin_frame(&x);
-        let b = soc2.score_senones(&m, &ids).unwrap();
+        let mut b = Vec::new();
+        soc2.score_senones_into(&m, &ids, &mut b).unwrap();
 
         let mut a_sorted = a.clone();
         a_sorted.sort_by_key(|(id, _)| *id);
@@ -796,12 +784,12 @@ mod tests {
 
         let mut one = soc(1);
         one.begin_frame(&x);
-        one.score_senones(&m, &ids).unwrap();
+        one.score_senones_into(&m, &ids, &mut Vec::new()).unwrap();
         let r1 = one.end_frame(0, 0);
 
         let mut two = soc(2);
         two.begin_frame(&x);
-        two.score_senones(&m, &ids).unwrap();
+        two.score_senones_into(&m, &ids, &mut Vec::new()).unwrap();
         let r2 = two.end_frame(0, 0);
 
         // The busiest structure in the 2-structure SoC does about half the
@@ -822,7 +810,7 @@ mod tests {
                 .map(|d| 0.01 * (f * d) as f32)
                 .collect();
             soc.begin_frame(&x);
-            soc.score_senones(&m, &ids).unwrap();
+            soc.score_senones_into(&m, &ids, &mut Vec::new()).unwrap();
             let t = m.transitions();
             let prev = vec![LogProb::new(-2.0); t.num_states()];
             let obs = vec![LogProb::new(-1.0); t.num_states()];
@@ -863,7 +851,7 @@ mod tests {
                     .map(|d| 0.02 * (f + d) as f32)
                     .collect();
                 soc.begin_frame(&x);
-                soc.score_senones(&m, &ids).unwrap();
+                soc.score_senones_into(&m, &ids, &mut Vec::new()).unwrap();
                 soc.end_frame(1, 0);
             }
             soc.finish_utterance()
@@ -907,7 +895,7 @@ mod tests {
                     .map(|d| 0.02 * (f + d) as f32)
                     .collect();
                 soc.begin_frame(&x);
-                soc.score_senones(&m, ids).unwrap();
+                soc.score_senones_into(&m, ids, &mut Vec::new()).unwrap();
                 soc.end_frame(1, 0);
             }
             soc.finish_utterance()
@@ -999,7 +987,7 @@ mod tests {
                     &vec![LogProb::new(-1.0); n],
                 )
                 .unwrap();
-            assert_eq!(step.scores.len(), n);
+            assert_eq!(step.scores().len(), n);
         }
     }
 }

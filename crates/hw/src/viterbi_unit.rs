@@ -12,10 +12,17 @@
 //! state), the previous frame's path scores (`Delta(t−1)`) come from RAM, and
 //! the senone score `b_j(O_t)` arrives from the OP unit.  The unit handles 3,
 //! 5 and 7-state HMMs.
+//!
+//! A step costs its arithmetic.  The adder's width is dispatched once per
+//! step: at the full 23 bits its quantisation is the identity, so the adds
+//! are plain f32 adds, and narrower widths keep the quantising
+//! [`SoftFloat::add`].  The columns are the ones [`TransitionMatrix`] derives
+//! once, and the result, [`HmmStep`], holds its scores and back-pointers
+//! inline, so a step allocates nothing.
 
 use crate::clock::{ClockGate, CycleCount};
 use crate::HwError;
-use asr_acoustic::TransitionMatrix;
+use asr_acoustic::{HmmTopology, TransitionMatrix};
 use asr_float::{LogProb, MantissaWidth, SoftFloat};
 
 /// Configuration of the Viterbi datapath.
@@ -69,16 +76,32 @@ pub struct ViterbiUnitStats {
 }
 
 /// Result of advancing one HMM by one frame.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Scores and back-pointers are held inline (the unit handles at most
+/// [`HmmTopology::MAX_STATES`] states), so a step allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HmmStep {
-    /// New path score per emitting state (`log δ_t(j)`).
-    pub scores: Vec<LogProb>,
-    /// Back-pointer: for each destination state, the source state that won the
-    /// max (needed by the software search for traceback).
-    pub backpointers: Vec<usize>,
+    states: usize,
+    scores: [LogProb; HmmTopology::MAX_STATES],
+    backpointers: [usize; HmmTopology::MAX_STATES],
     /// Score of leaving the HMM this frame (best exit-state score + exit
     /// transition), used by the word-decode stage to start successor phones.
     pub exit_score: LogProb,
+}
+
+impl HmmStep {
+    /// New path score per emitting state (`log δ_t(j)`).
+    pub fn scores(&self) -> &[LogProb] {
+        &self.scores[..self.states]
+    }
+
+    /// Back-pointer per destination state: the source state that won the
+    /// max, or `usize::MAX` where the token entering the HMM won state 0.
+    /// The datapath produces it and the unit's tests check it; the software
+    /// search keeps its own word history and does not read it.
+    pub fn backpointers(&self) -> &[usize] {
+        &self.backpointers[..self.states]
+    }
 }
 
 /// The Viterbi decoder unit simulator.
@@ -151,67 +174,98 @@ impl ViterbiUnit {
                 senone_scores.len()
             )));
         }
-        let mut cycles: CycleCount = 0;
-        let mut scores = Vec::with_capacity(n);
-        let mut backpointers = Vec::with_capacity(n);
-        for (j, &obs_j) in senone_scores.iter().enumerate() {
-            cycles += self.config.column_fill_cycles;
+        let datapath = self.datapath;
+        Ok(if datapath.width() == MantissaWidth::FULL {
+            self.recurse(
+                prev_scores,
+                entry_score,
+                transitions,
+                senone_scores,
+                |a, b| a + b,
+            )
+        } else {
+            self.recurse(
+                prev_scores,
+                entry_score,
+                transitions,
+                senone_scores,
+                |a, b| datapath.add(a, b),
+            )
+        })
+    }
+
+    /// The recursion of [`ViterbiUnit::step_hmm`] on the adder `add` (the
+    /// datapath's add at its width), shapes already checked.
+    #[inline(always)]
+    fn recurse(
+        &mut self,
+        prev_scores: &[LogProb],
+        entry_score: LogProb,
+        transitions: &TransitionMatrix,
+        senone_scores: &[LogProb],
+        add: impl Fn(f32, f32) -> f32,
+    ) -> HmmStep {
+        // Log zero absorbs: a sum with an unreachable operand is unreachable.
+        let add = |a: LogProb, b: LogProb| {
+            if a.is_zero() || b.is_zero() {
+                LogProb::zero()
+            } else {
+                LogProb::new(add(a.raw(), b.raw()))
+            }
+        };
+        let mut step = HmmStep {
+            states: senone_scores.len(),
+            scores: [LogProb::zero(); HmmTopology::MAX_STATES],
+            backpointers: [0; HmmTopology::MAX_STATES],
+            exit_score: LogProb::zero(),
+        };
+        let mut transition_adds: u64 = 0;
+        let columns = senone_scores
+            .iter()
+            .zip(&mut step.scores)
+            .zip(&mut step.backpointers);
+        for (j, ((&obs_j, score), backpointer)) in columns.enumerate() {
             // Max over incoming transitions (the streamed matrix column).
             let mut best = LogProb::zero();
             let mut best_src = j;
             for (i, a_ij) in transitions.column(j) {
-                let candidate = self.add(prev_scores[i], a_ij);
-                cycles += self.config.add_cycles;
-                self.stats.adds += 1;
+                let candidate = add(prev_scores[i], a_ij);
+                transition_adds += 1;
                 if candidate.raw() > best.raw() {
                     best = candidate;
                     best_src = i;
                 }
             }
-            self.stats.compares += 1;
-            cycles += self.config.compare_cycles;
             // A token entering the HMM this frame competes for state 0.
             if j == 0 && !entry_score.is_zero() && entry_score.raw() > best.raw() {
                 best = entry_score;
                 best_src = usize::MAX; // sentinel: came from outside
             }
             // Final add of the senone score b_j(O_t).
-            let with_obs = self.add(best, obs_j);
-            cycles += self.config.add_cycles;
-            self.stats.adds += 1;
-            scores.push(with_obs);
-            backpointers.push(best_src);
+            *score = add(best, obs_j);
+            *backpointer = best_src;
         }
         // Exit score: best over states of score + exit transition.
-        let mut exit = LogProb::zero();
-        for (i, &score_i) in scores.iter().enumerate() {
-            let e = self.add(score_i, transitions.log_exit_prob(i));
-            cycles += self.config.add_cycles;
-            self.stats.adds += 1;
-            if e.raw() > exit.raw() {
-                exit = e;
+        for (i, &score_i) in step.scores[..step.states].iter().enumerate() {
+            let e = add(score_i, transitions.log_exit_prob(i));
+            if e.raw() > step.exit_score.raw() {
+                step.exit_score = e;
             }
         }
-        self.stats.compares += 1;
-        cycles += self.config.compare_cycles;
-
+        // Each column: a fill, its transition adds, a compare and the senone
+        // add; then an add per state and one compare for the exit.
+        let states = step.states as u64;
+        let adds = transition_adds + 2 * states;
+        let compares = states + 1;
+        let cycles = self.config.column_fill_cycles * states
+            + self.config.add_cycles * adds
+            + self.config.compare_cycles * compares;
+        self.stats.adds += adds;
+        self.stats.compares += compares;
         self.stats.cycles += cycles;
         self.stats.hmm_updates += 1;
         self.gate.record_active(cycles);
-        Ok(HmmStep {
-            scores,
-            backpointers,
-            exit_score: exit,
-        })
-    }
-
-    #[inline]
-    fn add(&self, a: LogProb, b: LogProb) -> LogProb {
-        if a.is_zero() || b.is_zero() {
-            LogProb::zero()
-        } else {
-            LogProb::new(self.datapath.add(a.raw(), b.raw()))
-        }
+        step
     }
 
     /// Resets statistics and clock-gating counters.
@@ -230,7 +284,7 @@ impl Default for ViterbiUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asr_acoustic::HmmTopology;
+    use proptest::prelude::*;
 
     fn bakis3() -> TransitionMatrix {
         TransitionMatrix::bakis(HmmTopology::Three, 0.6).unwrap()
@@ -261,6 +315,141 @@ mod tests {
             .collect()
     }
 
+    /// The unit's step as the per-operation datapath computes it: every add
+    /// through [`SoftFloat::add`] at `width`, every column found by scanning
+    /// the row-major matrix, cycles and operations counted one by one.
+    /// Returns the step's scores, back-pointers and exit score, and the
+    /// stats it adds.
+    fn per_operation_step(
+        width: MantissaWidth,
+        prev: &[LogProb],
+        entry: LogProb,
+        t: &TransitionMatrix,
+        obs: &[LogProb],
+    ) -> (Vec<LogProb>, Vec<usize>, LogProb, ViterbiUnitStats) {
+        let (fp, cfg) = (SoftFloat::with_width(width), ViterbiUnitConfig::default());
+        let add = |a: LogProb, b: LogProb| {
+            if a.is_zero() || b.is_zero() {
+                LogProb::zero()
+            } else {
+                LogProb::new(fp.add(a.raw(), b.raw()))
+            }
+        };
+        let n = t.num_states();
+        let mut stats = ViterbiUnitStats {
+            hmm_updates: 1,
+            ..ViterbiUnitStats::default()
+        };
+        let (mut scores, mut backpointers) = (Vec::new(), Vec::new());
+        for (j, &obs_j) in obs.iter().enumerate() {
+            stats.cycles += cfg.column_fill_cycles;
+            let (mut best, mut best_src) = (LogProb::zero(), j);
+            for i in (0..n).filter(|&i| !t.log_prob(i, j).is_zero()) {
+                let candidate = add(prev[i], t.log_prob(i, j));
+                stats.cycles += cfg.add_cycles;
+                stats.adds += 1;
+                if candidate.raw() > best.raw() {
+                    (best, best_src) = (candidate, i);
+                }
+            }
+            stats.cycles += cfg.compare_cycles;
+            stats.compares += 1;
+            if j == 0 && !entry.is_zero() && entry.raw() > best.raw() {
+                (best, best_src) = (entry, usize::MAX);
+            }
+            scores.push(add(best, obs_j));
+            backpointers.push(best_src);
+            stats.cycles += cfg.add_cycles;
+            stats.adds += 1;
+        }
+        let mut exit = LogProb::zero();
+        for (i, &score) in scores.iter().enumerate() {
+            let e = add(score, t.log_exit_prob(i));
+            stats.cycles += cfg.add_cycles;
+            stats.adds += 1;
+            if e.raw() > exit.raw() {
+                exit = e;
+            }
+        }
+        stats.cycles += cfg.compare_cycles;
+        stats.compares += 1;
+        (scores, backpointers, exit, stats)
+    }
+
+    /// A random left-to-right matrix: every self-loop present, a third of
+    /// the forward and exit transitions absent.
+    fn random_left_to_right(topology: HmmTopology, rng: &mut crate::TestRng) -> TransitionMatrix {
+        let n = topology.num_states();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..=n)
+                    .map(|j| match j {
+                        j if j < i => 0.0,
+                        j if j == i => 0.05 + f64::from(rng.uniform(0.0, 1.0)),
+                        _ if rng.below(3) == 0 => 0.0,
+                        _ => f64::from(rng.uniform(0.0, 1.0)),
+                    })
+                    .collect()
+            })
+            .collect();
+        TransitionMatrix::new(topology, &rows).unwrap()
+    }
+
+    proptest! {
+        /// The width-dispatched, allocation-free step against the
+        /// per-operation reference, bit for bit, at every datapath width:
+        /// 3-, 5- and 7-state Bakis and random left-to-right matrices,
+        /// log-zero previous scores, and entry scores above and below the
+        /// best transition into state 0.
+        #[test]
+        fn prop_step_is_the_per_operation_recursion(seed in 0u64..u64::MAX) {
+            let mut rng = crate::TestRng(seed);
+            for topology in HmmTopology::ALL {
+                let n = topology.num_states();
+                let matrices = [
+                    TransitionMatrix::bakis(topology, f64::from(rng.uniform(0.05, 0.95))).unwrap(),
+                    random_left_to_right(topology, &mut rng),
+                ];
+                for t in &matrices {
+                    let prev: Vec<LogProb> = (0..n)
+                        .map(|_| match rng.below(4) {
+                            0 => LogProb::zero(),
+                            _ => LogProb::new(rng.uniform(-60.0, 0.0)),
+                        })
+                        .collect();
+                    let obs: Vec<LogProb> = (0..n)
+                        .map(|_| match rng.below(8) {
+                            0 => LogProb::zero(),
+                            _ => LogProb::new(rng.uniform(-30.0, 0.0)),
+                        })
+                        .collect();
+                    let best_into_0 = prev[0] + t.log_prob(0, 0);
+                    let entry = match rng.below(3) {
+                        0 => LogProb::zero(),
+                        1 => LogProb::new(best_into_0.raw() + rng.uniform(0.0, 5.0)),
+                        _ => LogProb::new(best_into_0.raw() - rng.uniform(0.0, 5.0)),
+                    };
+                    for bits in 1..=23 {
+                        let width = MantissaWidth::new(bits).unwrap();
+                        let mut unit = ViterbiUnit::new(ViterbiUnitConfig {
+                            datapath_width: width,
+                            ..ViterbiUnitConfig::default()
+                        });
+                        let step = unit.step_hmm(&prev, entry, t, &obs).unwrap();
+                        let (scores, backpointers, exit, stats) =
+                            per_operation_step(width, &prev, entry, t, &obs);
+                        let bits_of = |s: &[LogProb]| s.iter().map(|p| p.raw().to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits_of(step.scores()), bits_of(&scores), "{} {:?}", width, t);
+                        prop_assert_eq!(step.backpointers(), &backpointers[..]);
+                        prop_assert_eq!(step.exit_score.raw().to_bits(), exit.raw().to_bits());
+                        prop_assert_eq!(unit.stats(), &stats);
+                        prop_assert_eq!(unit.clock_gate().active_cycles(), stats.cycles);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn matches_reference_recursion() {
         let t = bakis3();
@@ -269,7 +458,7 @@ mod tests {
         let obs = vec![LogProb::new(-2.0), LogProb::new(-1.5), LogProb::new(-3.0)];
         let step = unit.step_hmm(&prev, LogProb::zero(), &t, &obs).unwrap();
         let reference = reference_step(&prev, LogProb::zero(), &t, &obs);
-        for (hw, sw) in step.scores.iter().zip(&reference) {
+        for (hw, sw) in step.scores().iter().zip(&reference) {
             assert!(
                 (hw.raw() - sw.raw()).abs() < 1e-4,
                 "{} vs {}",
@@ -277,8 +466,8 @@ mod tests {
                 sw.raw()
             );
         }
-        assert_eq!(step.scores.len(), 3);
-        assert_eq!(step.backpointers.len(), 3);
+        assert_eq!(step.scores().len(), 3);
+        assert_eq!(step.backpointers().len(), 3);
     }
 
     #[test]
@@ -291,8 +480,8 @@ mod tests {
         let prev = vec![LogProb::new(-50.0), LogProb::new(-1.0), LogProb::new(-40.0)];
         let obs = vec![LogProb::new(-1.0); 3];
         let step = unit.step_hmm(&prev, LogProb::zero(), &t, &obs).unwrap();
-        assert_eq!(step.backpointers[1], 1);
-        assert_eq!(step.backpointers[2], 1);
+        assert_eq!(step.backpointers()[1], 1);
+        assert_eq!(step.backpointers()[2], 1);
     }
 
     #[test]
@@ -304,11 +493,11 @@ mod tests {
         let entry = LogProb::new(-4.0);
         let step = unit.step_hmm(&prev, entry, &t, &obs).unwrap();
         // State 0 becomes entry + obs; other states stay unreachable.
-        assert!((step.scores[0].raw() - (-5.0)).abs() < 1e-4);
-        assert!(step.scores[1].is_zero());
-        assert!(step.scores[2].is_zero());
-        assert_eq!(step.backpointers[0], usize::MAX);
-        assert!(step.exit_score.is_zero() || step.exit_score.raw() < step.scores[0].raw());
+        assert!((step.scores()[0].raw() - (-5.0)).abs() < 1e-4);
+        assert!(step.scores()[1].is_zero());
+        assert!(step.scores()[2].is_zero());
+        assert_eq!(step.backpointers()[0], usize::MAX);
+        assert!(step.exit_score.is_zero() || step.exit_score.raw() < step.scores()[0].raw());
     }
 
     #[test]
@@ -319,7 +508,7 @@ mod tests {
         let obs = vec![LogProb::new(-1.0); 3];
         let step = unit.step_hmm(&prev, LogProb::zero(), &t, &obs).unwrap();
         // Only the last state has a non-zero exit transition in a Bakis model.
-        let expected = step.scores[2] + t.log_exit_prob(2);
+        let expected = step.scores()[2] + t.log_exit_prob(2);
         assert!((step.exit_score.raw() - expected.raw()).abs() < 1e-4);
     }
 
@@ -332,8 +521,8 @@ mod tests {
             let prev = vec![LogProb::new(-3.0); n];
             let obs = vec![LogProb::new(-2.0); n];
             let step = unit.step_hmm(&prev, LogProb::zero(), &t, &obs).unwrap();
-            assert_eq!(step.scores.len(), n);
-            assert!(step.scores.iter().all(|s| s.raw().is_finite()));
+            assert_eq!(step.scores().len(), n);
+            assert!(step.scores().iter().all(|s| s.raw().is_finite()));
         }
         assert_eq!(unit.stats().hmm_updates, 3);
     }

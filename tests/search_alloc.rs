@@ -1,20 +1,25 @@
-//! Allocation budget of the word-decode search.  A warm decode on the SIMD
-//! backend must allocate, inside `TokenPassingSearch::step`, essentially
-//! nothing beyond the one result vector each `SenoneScorer::step_hmm` call
-//! returns: the token table, history arena and per-frame buffers are reused,
-//! and walking the lexical tree borrows.
+//! Allocation budgets of the decode hot path.
+//!
+//! A warm decode must allocate, inside `TokenPassingSearch::step`,
+//! essentially nothing beyond the one result vector each
+//! `SenoneScorer::step_hmm` call returns: the token table, history arena and
+//! per-frame buffers are reused, and walking the lexical tree borrows.  That
+//! holds on the SIMD backend and on the cycle-accurate SoC, whose own frame
+//! (feature load, senone scoring into the caller's buffer, frame report)
+//! allocates nothing once warm and whose Viterbi step allocates only that
+//! result vector.
 //!
 //! The counting allocator below counts per thread, so tests of other
 //! binaries or threads cannot disturb the figure.
 
-use lvcsr::acoustic::{AcousticModel, SenoneId, TransitionMatrix};
+use lvcsr::acoustic::{AcousticModel, AcousticModelConfig, SenoneId, TransitionMatrix};
 use lvcsr::corpus::Wsj5kTask;
 use lvcsr::decoder::{
-    DecodeError, DecoderConfig, HmmStepResult, PhoneDecoder, Recognizer, SenoneScorer,
+    DecodeError, DecoderConfig, HmmStepResult, PhoneDecoder, Recognizer, SenoneScorer, SocScorer,
     TokenPassingSearch,
 };
 use lvcsr::float::LogProb;
-use lvcsr::hw::UtteranceReport;
+use lvcsr::hw::{SocConfig, UtteranceReport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,14 +137,15 @@ impl SenoneScorer for HmmCounting {
     }
 }
 
-#[test]
-fn warm_search_step_allocates_only_hmm_step_results() {
+/// Decodes one utterance to warm `config`'s backend, then checks that
+/// `step` over a second utterance stays within the budget.
+fn assert_warm_step_budget(config: DecoderConfig) {
     let task = Wsj5kTask::evaluation(1, 1).expect("task");
     let recognizer = Recognizer::new(
         task.acoustic_model.clone(),
         task.dictionary.clone(),
         task.language_model.clone(),
-        DecoderConfig::simd(),
+        config,
     )
     .expect("recogniser");
     let config = recognizer.config();
@@ -148,6 +154,7 @@ fn warm_search_step_allocates_only_hmm_step_results() {
         .backend
         .build_scorer(&config.gmm_selection)
         .expect("scorer");
+    let backend = inner.name();
     let mut decoder = PhoneDecoder::new(
         Box::new(HmmCounting {
             inner,
@@ -193,8 +200,74 @@ fn warm_search_step_allocates_only_hmm_step_results() {
     let extra = (step_allocations as f64 - calls as f64) / frames;
     assert!(
         extra <= BUDGET_PER_FRAME,
-        "{step_allocations} allocations in {} frames with {calls} step_hmm calls: \
+        "{backend}: {step_allocations} allocations in {} frames with {calls} step_hmm calls: \
          {extra:.3} extra per frame (budget {BUDGET_PER_FRAME})",
         features.len()
     );
+}
+
+#[test]
+fn warm_search_step_allocates_only_hmm_step_results() {
+    assert_warm_step_budget(DecoderConfig::simd());
+}
+
+#[test]
+fn warm_hardware_search_step_allocates_only_hmm_step_results() {
+    assert_warm_step_budget(DecoderConfig::hardware(2));
+}
+
+/// Frames of the SoC frame test's utterances.
+const SOC_FRAMES: usize = 40;
+
+#[test]
+fn warm_soc_frame_allocates_nothing() {
+    let model = AcousticModel::untrained(AcousticModelConfig::tiny()).expect("model");
+    let ids: Vec<SenoneId> = (0..model.senones().len() as u32).map(SenoneId).collect();
+    let features: Vec<Vec<f32>> = (0..SOC_FRAMES)
+        .map(|f| {
+            (0..model.feature_dim())
+                .map(|d| 0.01 * (f * d) as f32)
+                .collect()
+        })
+        .collect();
+    let mut scorer = SocScorer::new(SocConfig::default()).expect("scorer");
+    let mut scores = Vec::with_capacity(ids.len());
+    let mut frame = |scorer: &mut SocScorer, feature: &[f32]| {
+        scorer.begin_frame(feature);
+        scores.clear();
+        scorer
+            .score_senones_into(&model, &ids, feature, &mut scores)
+            .expect("score");
+        scorer.dma_fetch(256);
+        scorer.end_frame(4, 2);
+    };
+    // The first utterance grows the SoC's per-frame report list to its
+    // length; the clear between utterances keeps the capacity.
+    for feature in &features {
+        frame(&mut scorer, feature);
+    }
+    scorer.finish_utterance().expect("a hardware report");
+    for (f, feature) in features.iter().enumerate() {
+        let before = allocations();
+        frame(&mut scorer, feature);
+        assert_eq!(allocations() - before, 0, "warm frame {f} allocated");
+    }
+}
+
+#[test]
+fn soc_hmm_step_allocates_only_its_result() {
+    let model = AcousticModel::untrained(AcousticModelConfig::tiny()).expect("model");
+    let transitions = model.transitions();
+    let n = transitions.num_states();
+    let mut scorer = SocScorer::new(SocConfig::default()).expect("scorer");
+    let prev = vec![LogProb::new(-3.0); n];
+    let obs = vec![LogProb::new(-2.0); n];
+    for entry in [LogProb::zero(), LogProb::new(-1.0)] {
+        let before = allocations();
+        let step = scorer
+            .step_hmm(&prev, entry, transitions, &obs)
+            .expect("step");
+        assert_eq!(allocations() - before, 1, "only the result vector");
+        assert_eq!(step.scores.len(), n);
+    }
 }
