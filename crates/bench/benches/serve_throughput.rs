@@ -105,7 +105,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         .expect("register")
         .default_model("dictation");
     let two_model_server =
-        AsrServer::spawn_registry(registry, serve_config.clone().workers(2)).expect("server");
+        AsrServer::spawn(registry, serve_config.clone().workers(2)).expect("server");
     group.bench_function("two_model_mixed_32", |b| {
         b.iter(|| {
             let pending: Vec<_> = utterances

@@ -20,7 +20,7 @@ fn bench_viterbi(c: &mut Criterion) {
         println!(
             "# {}: {} hardware cycles per HMM update",
             topo,
-            ViterbiUnitConfig::default().cycles_per_hmm(n, 2)
+            ViterbiUnitConfig::default().cycles_per_hmm(n, 2 * n - 1)
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{topo}")),

@@ -9,7 +9,8 @@
 //!   behind a lock, so emission order is write order);
 //! - every `span` fact carries `trace`, `seq` and `event` fields, with
 //!   per-event payload fields present (`finished` has an `outcome`,
-//!   `rejected` a `scope`, `enqueued` a `depth`, …);
+//!   `rejected` a `scope`, `enqueued` a `depth`, …), and belongs to a
+//!   trace: none is recorded on the nil trace 0;
 //! - within every trace, sequence numbers strictly increase, the first
 //!   event is `admitted`, and exactly one terminal (`finished`/`rejected`)
 //!   closes the trace — no orphaned or double-terminated requests.
@@ -105,8 +106,9 @@ fn validate(text: &str) -> Result<String, String> {
             }
         }
         if trace == 0 {
-            // Worker-scope events outside any trace are legal.
-            continue;
+            return Err(format!(
+                "line {line_no}: span event {event:?} on the nil trace 0"
+            ));
         }
         let terminal = matches!(event.as_str(), "finished" | "rejected");
         match traces.get_mut(&trace) {
@@ -259,5 +261,19 @@ mod tests {
         );
         // An empty document is rejected.
         assert!(validate("").unwrap_err().contains("no facts"));
+    }
+
+    #[test]
+    fn rejects_a_span_fact_on_the_nil_trace() {
+        let good = demo_document();
+        let last = good.lines().last().expect("terminal line");
+        let mut fact = Fact::parse_json(last).expect("fact");
+        fact.fields.retain(|(name, _)| name != "trace");
+        let orphan = fact.with("trace", 0u64).to_json();
+        let err = validate(&format!("{good}{orphan}\n")).unwrap_err();
+        assert!(
+            err.contains("line 6:") && err.contains("nil trace"),
+            "{err}"
+        );
     }
 }

@@ -423,13 +423,16 @@ pub struct F3Row {
     pub hmms_per_frame: u64,
 }
 
-/// F3 — Viterbi unit throughput for the 3/5/7-state topologies it supports.
+/// F3 — Viterbi unit throughput for the 3/5/7-state topologies it supports,
+/// at what the unit charges for a Bakis step.
 pub fn f3_viterbi_figures() -> Vec<F3Row> {
     let cfg = ViterbiUnitConfig::default();
     [3usize, 5, 7]
         .iter()
         .map(|&states| {
-            let cycles = cfg.cycles_per_hmm(states, 2);
+            // Bakis: a self-loop into every state, a forward transition
+            // into every state but the first.
+            let cycles = cfg.cycles_per_hmm(states, 2 * states - 1);
             F3Row {
                 states,
                 cycles_per_hmm: cycles,

@@ -52,7 +52,7 @@ pub use scorer::{
 };
 pub use search::{SearchNetwork, SearchOutcome, SearchState, TokenPassingSearch};
 pub use session::{DecodeSession, PartialHypothesis};
-pub use shard::{ShardedScorer, SHARD_THREADS_SPAWNED_METRIC};
+pub use shard::ShardedScorer;
 pub use stats::{DecodeStats, FrameStats};
 
 /// Errors produced by decoding.

@@ -174,6 +174,14 @@ pub trait SenoneScorer: std::fmt::Debug + Send {
     /// guarantee a clean start even after an aborted decode).  Model-level
     /// caches survive.
     fn reset(&mut self);
+
+    /// Cumulative OS threads this scorer has spawned over its life (0 for
+    /// backends that score on the calling thread).  A caller that owns the
+    /// request's trace reads it around a decode to attribute the spawns
+    /// (see [`ShardedScorer`](crate::ShardedScorer)).
+    fn threads_spawned(&self) -> usize {
+        0
+    }
 }
 
 /// The shared software Viterbi recursion, usable by any [`SenoneScorer`]

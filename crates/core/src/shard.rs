@@ -44,21 +44,7 @@ use crate::DecodeError;
 use asr_acoustic::{AcousticModel, SenoneId, TransitionMatrix};
 use asr_float::LogProb;
 use asr_hw::UtteranceReport;
-use asr_obs::Counter;
-use std::sync::{mpsc, Arc, OnceLock};
-
-/// Name of the process-wide shard pool spawn counter in the global metrics
-/// registry ([`asr_obs::MetricsRegistry::global`]): cumulative OS threads
-/// spawned by every [`ShardedScorer`] pool in this process.
-pub const SHARD_THREADS_SPAWNED_METRIC: &str = "shard.threads_spawned_total";
-
-/// The registry-backed spawn counter, registered once and cached (the handle
-/// is an `Arc` over one atomic — incrementing it costs what the old static
-/// did).
-fn spawn_counter() -> &'static Counter {
-    static COUNTER: OnceLock<Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| asr_obs::MetricsRegistry::global().counter(SHARD_THREADS_SPAWNED_METRIC))
-}
+use std::sync::{mpsc, Arc};
 
 /// Message loss on the worker channels means a worker thread died, which
 /// only happens if an inner scorer panicked — propagate as a panic.
@@ -174,7 +160,6 @@ impl WorkerPool {
             replies.push(reply_rx);
             handles.push(handle);
         }
-        spawn_counter().add(workers as u64);
         WorkerPool {
             senders,
             replies,
@@ -320,16 +305,6 @@ impl ShardedScorer {
         self.shards.len()
     }
 
-    /// Cumulative count of OS threads this scorer has spawned: its pool
-    /// workers, `num_shards() - 1`, exactly once for the scorer's whole life
-    /// however many utterances it decodes.  The zero-spawns-per-utterance
-    /// property is asserted on this counter; the process-wide form serving
-    /// tests observe is the [`SHARD_THREADS_SPAWNED_METRIC`] counter in the
-    /// global metrics registry.
-    pub fn threads_spawned(&self) -> usize {
-        self.threads_spawned
-    }
-
     /// Whether the worker pool is currently live (any time after the first
     /// parallel frame; the pool survives
     /// [`SenoneScorer::finish_utterance`] and [`SenoneScorer::reset`] and
@@ -409,21 +384,6 @@ impl ShardedScorer {
         if self.pool.is_none() {
             self.pool = Some(WorkerPool::spawn(n - 1));
             self.threads_spawned += n - 1;
-            // The one observable shard-pool lifecycle moment: attribute the
-            // spawn to whichever trace is decoding (the serve worker pins
-            // the admitted request's trace around its decode call), or
-            // trace 0 for direct/offline decodes.  Gated on the cheap flag
-            // so a telemetry-free process pays one relaxed load, and only
-            // on this cold path.
-            if asr_obs::global_enabled() {
-                asr_obs::global().emit(
-                    asr_obs::current_trace(),
-                    &asr_obs::SpanEvent::ShardDispatch {
-                        shards: n,
-                        threads: n - 1,
-                    },
-                );
-            }
         }
         let ShardedScorer {
             shards,
@@ -621,6 +581,18 @@ impl SenoneScorer for ShardedScorer {
             slot.as_mut().expect(SHARD_PRESENT).reset();
         }
     }
+
+    /// This scorer's pool workers, `num_shards() - 1`, spawned exactly once
+    /// for the scorer's whole life however many utterances it decodes, plus
+    /// whatever its shards spawned (a sharded shard has a pool of its own).
+    fn threads_spawned(&self) -> usize {
+        self.threads_spawned
+            + self
+                .shards
+                .iter()
+                .map(|s| s.as_ref().expect(SHARD_PRESENT).threads_spawned())
+                .sum::<usize>()
+    }
 }
 
 #[cfg(test)]
@@ -730,6 +702,22 @@ mod tests {
         assert_eq!(pooled.threads_spawned(), 2);
     }
 
+    #[test]
+    fn spawn_count_includes_a_sharded_shard_pool() {
+        let m = model();
+        let ids = all_ids(&m); // 24 senones: each half is above the threshold
+        let x = vec![0.1f32; m.feature_dim()];
+        let inner: Box<dyn SenoneScorer> = Box::new(soc_shards(3).with_parallelism(true));
+        let plain: Box<dyn SenoneScorer> = Box::new(SocScorer::new(SocConfig::default()).unwrap());
+        let mut nested = ShardedScorer::new(vec![inner, plain])
+            .unwrap()
+            .with_parallelism(true);
+        nested.begin_frame(&x);
+        nested.score_senones(&m, &ids, &x).unwrap();
+        // One outer pool worker plus the inner scorer's two.
+        assert_eq!(nested.threads_spawned(), 3);
+    }
+
     /// The tentpole property behind warm-server zero-spawn serving: a
     /// 16-utterance stream through one pooled scorer spawns its N−1 workers
     /// exactly once, on the first parallel frame of the first utterance,
@@ -738,7 +726,6 @@ mod tests {
     fn pool_survives_a_16_utterance_stream_with_one_spawn() {
         let m = model();
         let ids = all_ids(&m);
-        let before_total = spawn_counter().get();
         let mut warm = soc_shards(3).with_parallelism(true);
         let mut reports = Vec::new();
         for utterance in 0..16 {
@@ -767,9 +754,6 @@ mod tests {
         }
         assert_eq!(reports.len(), 16);
         assert!(reports.iter().all(|r| r.frames == 4));
-        // Other tests run concurrently, so the process-wide counter can only
-        // be bounded below: this scorer contributed exactly its 2 workers.
-        assert!(spawn_counter().get() >= before_total + 2);
     }
 
     /// A backend whose scoring panics — stands in for an inner-scorer bug.

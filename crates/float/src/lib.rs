@@ -45,9 +45,9 @@ pub mod reduced;
 pub mod softfloat;
 
 pub use fixed::Q16_16;
-pub use logmath::{LogDomain, LogProb};
+pub use logmath::LogProb;
 pub use lut::{LogAddTable, LogAddTableConfig};
-pub use reduced::{MantissaWidth, Quantizer, ReducedF32};
+pub use reduced::{MantissaWidth, Quantizer};
 pub use softfloat::SoftFloat;
 
 /// Errors produced by this crate.

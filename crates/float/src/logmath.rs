@@ -3,10 +3,8 @@
 //! The paper performs every probability computation — Gaussian evaluation,
 //! mixture summation and Viterbi recursion — in the logarithm domain so the
 //! hardware never needs an exponential unit and never underflows.  This module
-//! provides the [`LogProb`] newtype used everywhere in the workspace, plus the
-//! [`LogDomain`] helper that describes which base the log values use (the
-//! reproduction uses natural logs; Sphinx-style 1.0003-base logs are also
-//! supported for the fixed-point software baseline).
+//! provides the [`LogProb`] newtype (natural logarithms) used everywhere in
+//! the workspace.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -274,52 +272,6 @@ impl From<f32> for LogProb {
     }
 }
 
-/// Description of the log base used by a model file or decoder configuration.
-///
-/// The hardware in the paper works with natural logarithms; CMU Sphinx-style
-/// systems store scores as integers in a base very close to 1 (e.g. 1.0003) so
-/// that fixed-point hardware/software keeps enough resolution.  The conversion
-/// helpers make the two interoperable.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum LogDomain {
-    /// Natural logarithm (base *e*). The representation used by [`LogProb`].
-    #[default]
-    Natural,
-    /// Logarithm in an arbitrary base slightly above 1, stored as scaled
-    /// integers by fixed-point decoders.
-    Base(f64),
-}
-
-impl LogDomain {
-    /// A Sphinx-3 compatible log base.
-    pub const SPHINX: LogDomain = LogDomain::Base(1.0003);
-
-    /// Converts a value in this domain to a natural-log [`LogProb`].
-    pub fn to_natural(self, value: f64) -> LogProb {
-        match self {
-            LogDomain::Natural => LogProb::new(value as f32),
-            LogDomain::Base(b) => LogProb::new((value * b.ln()) as f32),
-        }
-    }
-
-    /// Converts a natural-log [`LogProb`] into a value in this domain.
-    pub fn from_natural(self, value: LogProb) -> f64 {
-        match self {
-            LogDomain::Natural => value.raw() as f64,
-            LogDomain::Base(b) => value.raw() as f64 / b.ln(),
-        }
-    }
-
-    /// The scale factor between this domain and natural logs
-    /// (`value_natural = value_this_domain * factor`).
-    pub fn scale_to_natural(self) -> f64 {
-        match self {
-            LogDomain::Natural => 1.0,
-            LogDomain::Base(b) => b.ln(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,17 +409,6 @@ mod tests {
     fn display_is_nonempty() {
         assert!(!format!("{}", LogProb::from_linear(0.5)).is_empty());
         assert_eq!(format!("{}", LogProb::zero()), "log(0)");
-    }
-
-    #[test]
-    fn log_domain_conversions() {
-        let sphinx = LogDomain::SPHINX;
-        let lp = LogProb::from_linear(0.01);
-        let in_sphinx = sphinx.from_natural(lp);
-        let back = sphinx.to_natural(in_sphinx);
-        assert!((back.raw() - lp.raw()).abs() < 1e-4);
-        assert_eq!(LogDomain::Natural.scale_to_natural(), 1.0);
-        assert_eq!(LogDomain::default(), LogDomain::Natural);
     }
 
     proptest! {

@@ -12,10 +12,9 @@
 //! | 15 bits  | 11.37       | 1.137            |
 //! | 12 bits  |  9.95       | 0.995            |
 //!
-//! This module provides [`MantissaWidth`] (how many mantissa bits are kept),
-//! [`Quantizer`] (applies the truncation to values and whole parameter
-//! vectors, and reports storage sizes), and [`ReducedF32`] (a value that
-//! remembers the width it was quantised to).
+//! This module provides [`MantissaWidth`] (how many mantissa bits are kept)
+//! and [`Quantizer`] (applies the truncation to values and whole parameter
+//! vectors, and reports storage sizes).
 
 use crate::FloatError;
 
@@ -146,42 +145,6 @@ impl TryFrom<u8> for MantissaWidth {
 
     fn try_from(bits: u8) -> Result<Self, Self::Error> {
         MantissaWidth::new(bits)
-    }
-}
-
-/// A float that has been quantised to a particular [`MantissaWidth`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReducedF32 {
-    value: f32,
-    width: MantissaWidth,
-}
-
-impl ReducedF32 {
-    /// Quantises `value` to `width`.
-    #[inline]
-    pub fn new(value: f32, width: MantissaWidth) -> Self {
-        ReducedF32 {
-            value: width.quantize(value),
-            width,
-        }
-    }
-
-    /// The quantised value.
-    #[inline]
-    pub fn value(self) -> f32 {
-        self.value
-    }
-
-    /// The width the value was quantised to.
-    #[inline]
-    pub fn width(self) -> MantissaWidth {
-        self.width
-    }
-}
-
-impl From<ReducedF32> for f32 {
-    fn from(r: ReducedF32) -> f32 {
-        r.value
     }
 }
 
@@ -345,14 +308,6 @@ mod tests {
         // Rounding near f32::MAX must not produce infinity.
         assert!(w.quantize(f32::MAX).is_finite());
         assert!(w.quantize(f32::MIN).is_finite());
-    }
-
-    #[test]
-    fn reduced_f32_remembers_width() {
-        let r = ReducedF32::new(1.2345678, MantissaWidth::BITS_12);
-        assert_eq!(r.width(), MantissaWidth::BITS_12);
-        assert_eq!(f32::from(r), r.value());
-        assert_eq!(r.value(), MantissaWidth::BITS_12.quantize(1.2345678));
     }
 
     #[test]

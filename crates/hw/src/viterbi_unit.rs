@@ -50,15 +50,29 @@ impl Default for ViterbiUnitConfig {
 }
 
 impl ViterbiUnitConfig {
-    /// Cycles to advance one HMM by one frame: for each of `states`
-    /// destination columns, one add per incoming transition, a pipelined
-    /// 2-cycle compare reduction, and a final add of the senone score.
-    pub fn cycles_per_hmm(&self, states: usize, transitions_per_column: usize) -> CycleCount {
-        let per_column = self.column_fill_cycles
-            + self.add_cycles * transitions_per_column as u64
-            + self.compare_cycles
-            + self.add_cycles;
-        states as u64 * per_column
+    /// Cycles to advance one HMM of `states` emitting states by one frame,
+    /// `transition_adds` being its non-zero incoming transitions over all
+    /// columns (`2·states − 1` for a Bakis HMM).  Exactly what
+    /// [`ViterbiUnit::step_hmm`] charges.
+    pub fn cycles_per_hmm(&self, states: usize, transition_adds: usize) -> CycleCount {
+        self.step_charge(states, transition_adds).cycles
+    }
+
+    /// The one charge of an HMM step: each destination column costs a fill,
+    /// its transition adds, a compare and the senone add; the exit
+    /// reduction then costs an add per state and one compare.
+    fn step_charge(&self, states: usize, transition_adds: usize) -> ViterbiUnitStats {
+        let states = states as u64;
+        let adds = transition_adds as u64 + 2 * states;
+        let compares = states + 1;
+        ViterbiUnitStats {
+            cycles: self.column_fill_cycles * states
+                + self.add_cycles * adds
+                + self.compare_cycles * compares,
+            hmm_updates: 1,
+            adds,
+            compares,
+        }
     }
 }
 
@@ -219,7 +233,7 @@ impl ViterbiUnit {
             backpointers: [0; HmmTopology::MAX_STATES],
             exit_score: LogProb::zero(),
         };
-        let mut transition_adds: u64 = 0;
+        let mut transition_adds = 0;
         let columns = senone_scores
             .iter()
             .zip(&mut step.scores)
@@ -252,19 +266,12 @@ impl ViterbiUnit {
                 step.exit_score = e;
             }
         }
-        // Each column: a fill, its transition adds, a compare and the senone
-        // add; then an add per state and one compare for the exit.
-        let states = step.states as u64;
-        let adds = transition_adds + 2 * states;
-        let compares = states + 1;
-        let cycles = self.config.column_fill_cycles * states
-            + self.config.add_cycles * adds
-            + self.config.compare_cycles * compares;
-        self.stats.adds += adds;
-        self.stats.compares += compares;
-        self.stats.cycles += cycles;
-        self.stats.hmm_updates += 1;
-        self.gate.record_active(cycles);
+        let charge = self.config.step_charge(step.states, transition_adds);
+        self.stats.adds += charge.adds;
+        self.stats.compares += charge.compares;
+        self.stats.cycles += charge.cycles;
+        self.stats.hmm_updates += charge.hmm_updates;
+        self.gate.record_active(charge.cycles);
         step
     }
 
@@ -543,23 +550,19 @@ mod tests {
 
     #[test]
     fn cycle_count_matches_analytic_model() {
-        let t = bakis3();
         let cfg = ViterbiUnitConfig::default();
-        let mut unit = ViterbiUnit::new(cfg);
-        let prev = vec![LogProb::new(-1.0); 3];
-        let obs = vec![LogProb::new(-1.0); 3];
-        unit.step_hmm(&prev, LogProb::zero(), &t, &obs).unwrap();
-        // Analytic model: 3 columns with ≤2 incoming transitions each + the
-        // exit reduction (3 adds + compare). The operational count must be in
-        // the same ballpark (within the variation from 1- vs 2-entry columns).
-        let analytic = cfg.cycles_per_hmm(3, 2) + 3 * cfg.add_cycles + cfg.compare_cycles;
-        let measured = unit.stats().cycles;
-        assert!(
-            measured <= analytic && measured >= analytic - 2 * cfg.add_cycles,
-            "measured {measured}, analytic {analytic}"
-        );
-        assert!(unit.stats().adds > 0);
-        assert!(unit.stats().compares > 0);
+        for (topology, cycles) in HmmTopology::ALL.into_iter().zip([22, 36, 50]) {
+            let n = topology.num_states();
+            let t = TransitionMatrix::bakis(topology, 0.6).unwrap();
+            let mut unit = ViterbiUnit::new(cfg);
+            let prev = vec![LogProb::new(-1.0); n];
+            let obs = vec![LogProb::new(-1.0); n];
+            unit.step_hmm(&prev, LogProb::zero(), &t, &obs).unwrap();
+            // Bakis: a self-loop into every state, a forward transition into
+            // every state but the first.
+            assert_eq!(unit.stats().cycles, cfg.cycles_per_hmm(n, 2 * n - 1));
+            assert_eq!(unit.stats().cycles, cycles, "{topology}");
+        }
     }
 
     #[test]

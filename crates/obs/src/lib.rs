@@ -8,8 +8,8 @@
 //!
 //! ```text
 //!  asr-serve ──┐  Admitted/Enqueued/BatchFormed/DecodeStarted/Finished…
-//!  asr-stream ─┤► Telemetry ──► span Facts ──► ObsSink ──► facts.jsonl
-//!  shard pool ─┘  (TraceId per admitted request / stream session)
+//!  asr-stream ─┴► Telemetry ──► span Facts ──► ObsSink ──► facts.jsonl
+//!                 (TraceId per admitted request / stream session)
 //!
 //!  Counters / Gauges / Histograms ──► MetricsRegistry ──► MetricsSnapshot
 //!  (lock-cheap handles: relaxed atomics on the hot path)      │
@@ -20,7 +20,8 @@
 //!
 //! * **Request tracing** ([`trace`]): every admitted decode request or
 //!   stream session gets a [`TraceId`]; typed [`SpanEvent`]s are emitted at
-//!   each seam and recorded as `span` facts.  Off by default
+//!   each seam and recorded as `span` facts.  A [`Telemetry`] handle passed
+//!   to a layer is the only way its events reach a sink.  Off by default
 //!   ([`Telemetry::disabled`]) — the disabled hot path is one branch,
 //!   enforced by the `obs_overhead` bench gate.
 //! * **Metrics registry** ([`metrics`]): named counters, gauges, and
@@ -66,7 +67,4 @@ pub mod trace;
 pub use hist::{percentile_of, LatencyHistogram, LATENCY_BUCKETS};
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use sink::{host_fact, now_micros, Fact, FieldValue, MemorySink, ObsSink, RunDirSink};
-pub use trace::{
-    current_trace, global, global_enabled, set_global, with_trace, Outcome, RequestKind, SpanEvent,
-    Telemetry, TraceId,
-};
+pub use trace::{Outcome, RequestKind, SpanEvent, Telemetry, TraceId};

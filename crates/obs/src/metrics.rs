@@ -12,7 +12,7 @@ use crate::sink::Fact;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A monotonically increasing counter handle (cheaply cloneable; clones
@@ -114,9 +114,7 @@ impl Metric {
 }
 
 /// A registry of named metrics.  Cloning shares the registry (handles and
-/// snapshots see the same values); [`MetricsRegistry::global`] is the
-/// process-wide instance that process-scoped counters (like the shard
-/// pool's spawn count) register in.
+/// snapshots see the same values).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<BTreeMap<String, Metric>>>,
@@ -126,12 +124,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-global registry.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// Gets or registers the counter `name`.

@@ -13,27 +13,25 @@
 //! [`Telemetry`] is the handle instrumented code holds.  It is off by
 //! default ([`Telemetry::disabled`]) and then every call is a branch on a
 //! `None` — the hot path pays near zero, which the `obs_overhead` bench
-//! gate enforces.  Layers that cannot be handed a handle explicitly (the
-//! shard pool, deep under the decode call) read the process-global
-//! telemetry ([`set_global`]/[`global`]) and the thread-ambient trace id
-//! ([`with_trace`]/[`current_trace`]) that the serve worker pins around a
-//! decode.
+//! gate enforces.  A handle is the only way telemetry reaches a layer:
+//! whatever records span facts is handed one.  Layers below the decode call
+//! (the shard pool) hold none; they expose counts that the layer owning the
+//! trace reads and reports (see [`SpanEvent::ShardDispatch`]).
 
 use crate::sink::{Fact, ObsSink};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifier of one trace (one admitted request / session).  Ids are minted
 /// by [`Telemetry::begin_trace`], start at 1, and never repeat within a
-/// telemetry instance; [`TraceId::NONE`] (0) marks untraced work and
-/// process-scope events.
+/// telemetry instance; [`TraceId::NONE`] (0) marks untraced work and is
+/// never recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TraceId(u64);
 
 impl TraceId {
-    /// The null trace: untraced work, or an event scoped to a worker or the
-    /// process rather than a request.
+    /// The null trace: what a disabled handle mints for untraced work.  No
+    /// span fact is ever recorded under it.
     pub const NONE: TraceId = TraceId(0);
 
     /// Rebuilds a trace id from its raw value (fact-file readers).
@@ -113,8 +111,8 @@ pub enum SpanEvent {
         /// Queue depth after the insert (this command included).
         depth: usize,
     },
-    /// A micro-batch was flushed to a decoder.  Worker-scope when emitted
-    /// with [`TraceId::NONE`] (the batch as a whole), per-trace otherwise.
+    /// A micro-batch was flushed to a decoder; recorded on the trace of
+    /// every decode coalesced into it.
     BatchFormed {
         /// Which worker flushed it.
         worker: usize,
@@ -126,12 +124,15 @@ pub enum SpanEvent {
         /// Which worker picked it up.
         worker: usize,
     },
-    /// The sharded scorer pool dispatched work for the current trace —
-    /// emitted when a pool spins up its persistent workers.
+    /// The decode of this request spawned shard-pool worker threads: the
+    /// serve worker reads its decoder's spawn count before and after each
+    /// whole-utterance decode and, when it grew, records this before the
+    /// trace's `Finished`.
     ShardDispatch {
-        /// Number of shards in the scorer.
+        /// Shards the spawned threads serve: `threads + 1` (shard 0
+        /// scores on the decoding thread).
         shards: usize,
-        /// Worker threads the pool just spawned.
+        /// Worker threads spawned during this decode.
         threads: usize,
     },
     /// The stream endpointer opened an utterance (speech detected).
@@ -300,14 +301,15 @@ impl Telemetry {
     }
 
     /// Records `event` under `trace` as one `span` fact.  No-op when
-    /// disabled.  `trace` may be [`TraceId::NONE`] for worker- or
-    /// process-scope events (recorded with `trace` 0).
+    /// disabled.  `trace` is one this handle minted, never
+    /// [`TraceId::NONE`].
     ///
     /// The sequence number is allocated, and the fact stamped and appended,
     /// under one lock, so every sink sees facts in strictly increasing `seq`
     /// order with monotone timestamps, whichever threads emit them.
     pub fn emit(&self, trace: TraceId, event: &SpanEvent) {
         let Some(inner) = &self.inner else { return };
+        debug_assert!(!trace.is_none(), "span fact on the null trace");
         // The counter is advanced before the append, so it stays valid even
         // if a sink panics while the guard is held.
         let mut next_seq = inner.seq.lock().unwrap_or_else(PoisonError::into_inner);
@@ -333,60 +335,6 @@ impl Telemetry {
     }
 }
 
-/// Fast "is the global telemetry enabled?" flag, readable without the lock.
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: RwLock<Telemetry> = RwLock::new(Telemetry::disabled());
-
-/// Installs `telemetry` as the process-global handle read by layers that
-/// cannot be handed one explicitly (the shard pool under a decode call).
-/// Installing a disabled handle turns global emission back off.
-pub fn set_global(telemetry: Telemetry) {
-    GLOBAL_ENABLED.store(telemetry.is_enabled(), Ordering::Release);
-    *GLOBAL.write().expect("global telemetry poisoned") = telemetry;
-}
-
-/// The current process-global telemetry (disabled unless [`set_global`] was
-/// called).  A clone: cheap, and stable even if another thread swaps the
-/// global afterwards.
-pub fn global() -> Telemetry {
-    if !global_enabled() {
-        return Telemetry::disabled();
-    }
-    GLOBAL.read().expect("global telemetry poisoned").clone()
-}
-
-/// Whether the process-global telemetry is enabled — one relaxed atomic
-/// load, safe to call on any hot path.
-pub fn global_enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::Acquire)
-}
-
-thread_local! {
-    static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Runs `f` with `trace` as this thread's ambient trace id, restoring the
-/// previous one after (nesting-safe).  The serve worker wraps each decode in
-/// this so the shard pool, layers below, can attribute its
-/// [`SpanEvent::ShardDispatch`] to the right trace via [`current_trace`].
-pub fn with_trace<R>(trace: TraceId, f: impl FnOnce() -> R) -> R {
-    struct Restore(u64);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT_TRACE.with(|cell| cell.set(self.0));
-        }
-    }
-    let previous = CURRENT_TRACE.with(|cell| cell.replace(trace.raw()));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// This thread's ambient trace id ([`TraceId::NONE`] outside
-/// [`with_trace`]).
-pub fn current_trace() -> TraceId {
-    TraceId(CURRENT_TRACE.with(Cell::get))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,8 +356,9 @@ mod tests {
             for worker in 0..4 {
                 let t = t.clone();
                 scope.spawn(move || {
+                    let trace = t.begin_trace();
                     for _ in 0..500 {
-                        t.emit(TraceId::NONE, &SpanEvent::DecodeStarted { worker });
+                        t.emit(trace, &SpanEvent::DecodeStarted { worker });
                     }
                 });
             }
@@ -482,39 +431,5 @@ mod tests {
         .is_terminal());
         assert!(!SpanEvent::Enqueued { depth: 0 }.is_terminal());
         assert!(!SpanEvent::BargeIn { frames: 3 }.is_terminal());
-    }
-
-    /// The only test in this crate touching the process-global handle — no
-    /// parallel-test interference.
-    #[test]
-    fn global_telemetry_installs_and_uninstalls() {
-        assert!(!global_enabled());
-        let (t, sink) = Telemetry::to_memory();
-        set_global(t);
-        assert!(global_enabled());
-        global().emit(
-            TraceId::from_raw(3),
-            &SpanEvent::ShardDispatch {
-                shards: 2,
-                threads: 1,
-            },
-        );
-        assert_eq!(sink.len(), 1);
-        set_global(Telemetry::disabled());
-        assert!(!global_enabled());
-        assert!(!global().is_enabled());
-    }
-
-    #[test]
-    fn ambient_trace_nests_and_restores() {
-        assert_eq!(current_trace(), TraceId::NONE);
-        let outer = TraceId::from_raw(7);
-        let inner = TraceId::from_raw(9);
-        with_trace(outer, || {
-            assert_eq!(current_trace(), outer);
-            with_trace(inner, || assert_eq!(current_trace(), inner));
-            assert_eq!(current_trace(), outer);
-        });
-        assert_eq!(current_trace(), TraceId::NONE);
     }
 }

@@ -89,7 +89,7 @@
 //!     .register("voice_command", recognizer(40))
 //!     .unwrap()
 //!     .default_model("dictation");
-//! let server = AsrServer::spawn_registry(registry, ServeConfig::default()).unwrap();
+//! let server = AsrServer::spawn(registry, ServeConfig::default()).unwrap();
 //!
 //! // Enqueue a few utterances; the batcher coalesces same-model requests
 //! // into one decode micro-batch over the worker's warmed scorer.
@@ -132,9 +132,9 @@ pub use server::{AsrServer, ServeStats, StreamHandle};
 // type is asr-core's, re-exported so callers need only this crate.
 pub use asr_core::PartialHypothesis;
 
-// The observability types the observed spawn paths and metrics snapshot
+// The observability types the observed spawn path and metrics snapshot
 // speak in; re-exported so serving callers need only this crate.
-pub use asr_obs::{MetricsRegistry, MetricsSnapshot, Telemetry};
+pub use asr_obs::{MetricsSnapshot, Telemetry};
 
 use asr_core::DecodeError;
 use std::time::Duration;

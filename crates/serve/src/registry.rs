@@ -40,8 +40,8 @@ pub(crate) struct ModelVersion {
 ///
 /// Register each recogniser under a unique name, optionally pick the
 /// default route, and hand the registry to
-/// [`AsrServer::spawn_registry`](crate::AsrServer::spawn_registry).  When no
-/// default is named, the first registered model is the default.
+/// [`AsrServer::spawn`](crate::AsrServer::spawn).  When no default is
+/// named, the first registered model is the default.
 ///
 /// ```
 /// # use asr_serve::ModelRegistry;
@@ -73,31 +73,17 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Registers `recognizer` under `name`.
+    /// Registers `recognizer` under `name`.  Pass an `Arc` for a model also
+    /// decoded directly (the serve==direct property tests do this).
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for an empty name or a name
     /// registered twice.
     pub fn register(
-        self,
-        name: impl Into<String>,
-        recognizer: Recognizer,
-    ) -> Result<Self, ServeError> {
-        self.register_shared(name, Arc::new(recognizer))
-    }
-
-    /// Registers an already-`Arc`-held recogniser under `name` — for models
-    /// also decoded directly (the serve==direct property tests do this).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] for an empty name or a name
-    /// registered twice.
-    pub fn register_shared(
         mut self,
         name: impl Into<String>,
-        recognizer: Arc<Recognizer>,
+        recognizer: impl Into<Arc<Recognizer>>,
     ) -> Result<Self, ServeError> {
         let name = name.into();
         if name.is_empty() {
@@ -110,7 +96,7 @@ impl ModelRegistry {
                 "model '{name}' registered twice"
             )));
         }
-        self.models.push((name, recognizer));
+        self.models.push((name, recognizer.into()));
         Ok(self)
     }
 
@@ -155,6 +141,16 @@ impl ModelRegistry {
             None => first.0.clone(),
         };
         Ok((self.models, default))
+    }
+}
+
+/// A single recogniser is a one-entry registry under [`DEFAULT_MODEL`].
+impl From<Recognizer> for ModelRegistry {
+    fn from(recognizer: Recognizer) -> Self {
+        ModelRegistry {
+            models: vec![(DEFAULT_MODEL.to_string(), Arc::new(recognizer))],
+            default_model: None,
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! model version they opened under.
 
 use crate::future::{DecodeFuture, Slot};
-use crate::registry::{ModelRegistry, ModelVersion, DEFAULT_MODEL};
+use crate::registry::{ModelRegistry, ModelVersion};
 use crate::request::{DecodeRequest, StreamOptions};
 use crate::{QueueScope, ServeConfig, ServeError};
 use asr_core::{DecodeSession, PartialHypothesis, PhoneDecoder, Recognizer};
@@ -308,8 +308,8 @@ struct Shared {
     /// snapshot ([`AsrServer::metrics`]) reads the whole server.
     metrics: MetricsRegistry,
     /// The tracing handle: disabled unless the server was spawned through
-    /// [`AsrServer::spawn_observed`] / [`AsrServer::spawn_registry_observed`],
-    /// and then every admitted request's span events record through it.
+    /// [`AsrServer::spawn_observed`], and then every admitted request's span
+    /// events record through it.
     telemetry: Telemetry,
 }
 
@@ -409,13 +409,12 @@ fn fold_stats<'c>(counters: impl Iterator<Item = &'c Counters>) -> ServeStats {
 
 /// The async batched, multi-model serving front.
 ///
-/// [`AsrServer::spawn_registry`] moves a [`ModelRegistry`] of named
-/// recognisers behind [`ServeConfig::workers`] decoder worker threads
-/// ([`AsrServer::spawn`] is the single-model shorthand).  Requests enter
-/// through [`AsrServer::submit`] as [`DecodeRequest`]s — feature frames plus
-/// routing — pass layered admission (queue bound, per-model quota,
-/// per-tenant quota, each rejecting with a typed scope), and fan out to
-/// whichever worker is idle.  Each worker lazily builds and keeps **one
+/// [`AsrServer::spawn`] moves a [`ModelRegistry`] of named recognisers (or
+/// a single [`Recognizer`]) behind [`ServeConfig::workers`] decoder worker
+/// threads.  Requests enter through [`AsrServer::submit`] as
+/// [`DecodeRequest`]s — feature frames plus routing — pass layered
+/// admission (queue bound, per-model quota, per-tenant quota, each
+/// rejecting with a typed scope), and fan out to whichever worker is idle.  Each worker lazily builds and keeps **one
 /// long-lived phone decoder per (model, version)** it serves and coalesces
 /// pending requests into micro-batches that never mix models or versions —
 /// the serving-scale version of [`Recognizer::decode_batch`]'s one-scorer
@@ -442,20 +441,23 @@ pub struct AsrServer {
 }
 
 impl AsrServer {
-    /// Spawns a single-model server: `recognizer` registered as
-    /// [`DEFAULT_MODEL`], every unnamed request routed to it.  Shorthand for
-    /// [`AsrServer::spawn_registry`] with a one-entry registry.
+    /// Validates `config` and the registry, probes every model's backend,
+    /// and starts the worker threads serving all registered models side by
+    /// side.  A single [`Recognizer`] converts into a one-entry registry
+    /// under [`DEFAULT_MODEL`](crate::DEFAULT_MODEL), every unnamed request
+    /// routed to it.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for a bad serving configuration
-    /// and [`ServeError::Decode`] when the recogniser's backend fails to
-    /// build.
-    pub fn spawn(recognizer: Recognizer, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::spawn_registry(
-            ModelRegistry::new().register(DEFAULT_MODEL, recognizer)?,
-            config,
-        )
+    /// or an invalid registry, [`ServeError::UnknownModel`] when the
+    /// registry's default names an unregistered model, and
+    /// [`ServeError::Decode`] when a model's backend fails to build.
+    pub fn spawn(
+        models: impl Into<ModelRegistry>,
+        config: ServeConfig,
+    ) -> Result<Self, ServeError> {
+        Self::spawn_observed(models, config, Telemetry::disabled())
     }
 
     /// [`AsrServer::spawn`] with request tracing: every admitted request's
@@ -467,46 +469,12 @@ impl AsrServer {
     ///
     /// As [`AsrServer::spawn`].
     pub fn spawn_observed(
-        recognizer: Recognizer,
-        config: ServeConfig,
-        telemetry: Telemetry,
-    ) -> Result<Self, ServeError> {
-        Self::spawn_registry_observed(
-            ModelRegistry::new().register(DEFAULT_MODEL, recognizer)?,
-            config,
-            telemetry,
-        )
-    }
-
-    /// Validates `config` and `registry`, probes every model's backend, and
-    /// starts the worker threads serving all registered models side by side.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] for a bad serving configuration
-    /// or an invalid registry, [`ServeError::UnknownModel`] when the
-    /// registry's default names an unregistered model, and
-    /// [`ServeError::Decode`] when a model's backend fails to build.
-    pub fn spawn_registry(
-        registry: ModelRegistry,
-        config: ServeConfig,
-    ) -> Result<Self, ServeError> {
-        Self::spawn_registry_observed(registry, config, Telemetry::disabled())
-    }
-
-    /// [`AsrServer::spawn_registry`] with request tracing; see
-    /// [`AsrServer::spawn_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`AsrServer::spawn_registry`].
-    pub fn spawn_registry_observed(
-        registry: ModelRegistry,
+        models: impl Into<ModelRegistry>,
         config: ServeConfig,
         telemetry: Telemetry,
     ) -> Result<Self, ServeError> {
         config.validate()?;
-        let (models, default) = registry.into_parts()?;
+        let (models, default) = models.into().into_parts()?;
         let metrics = MetricsRegistry::new();
         let mut map = HashMap::with_capacity(models.len());
         let mut default_name: Option<Arc<str>> = None;
@@ -850,7 +818,8 @@ impl AsrServer {
     /// admitted before the swap finish on the version that admitted them
     /// (their `Arc` pins it), new admissions decode on the new version, and
     /// the queue never drains — the workers retire the old version's cached
-    /// decoders once nothing queued references it.
+    /// decoders once nothing queued references it.  Pass an `Arc` to swap in
+    /// a recogniser also decoded directly (parity tests verify against it).
     ///
     /// # Errors
     ///
@@ -858,22 +827,12 @@ impl AsrServer {
     /// replaces versions, it does not add models) and [`ServeError::Decode`]
     /// when the new recogniser's backend fails to build — the old version
     /// keeps serving in that case.
-    pub fn swap_model(&self, name: &str, recognizer: Recognizer) -> Result<u64, ServeError> {
-        self.swap_model_shared(name, Arc::new(recognizer))
-    }
-
-    /// [`AsrServer::swap_model`] for an already-`Arc`-held recogniser — for
-    /// models also decoded directly (parity tests swap in the same `Arc`
-    /// they verify against).
-    ///
-    /// # Errors
-    ///
-    /// As [`AsrServer::swap_model`].
-    pub fn swap_model_shared(
+    pub fn swap_model(
         &self,
         name: &str,
-        recognizer: Arc<Recognizer>,
+        recognizer: impl Into<Arc<Recognizer>>,
     ) -> Result<u64, ServeError> {
+        let recognizer = recognizer.into();
         let state = self
             .shared
             .models
@@ -910,15 +869,8 @@ impl AsrServer {
         self.shared.metrics.snapshot()
     }
 
-    /// The server's metrics registry, so callers can register their own
-    /// metrics next to the serving counters (one snapshot reads both).
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.shared.metrics
-    }
-
     /// The telemetry handle this server traces requests through — disabled
-    /// unless spawned via [`AsrServer::spawn_observed`] /
-    /// [`AsrServer::spawn_registry_observed`].
+    /// unless spawned via [`AsrServer::spawn_observed`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.shared.telemetry
     }
@@ -1453,26 +1405,25 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                         .telemetry
                         .emit(admission.trace, &SpanEvent::DecodeStarted { worker });
                     let started = Instant::now();
-                    let outcome = match decoder_for(&mut decoders, model) {
-                        Ok(decoder) => {
-                            let mut decode = || {
-                                model
-                                    .recognizer
-                                    .decode_features_with(features, decoder)
-                                    .map_err(ServeError::from)
-                            };
-                            if admission.trace.is_none() {
-                                decode()
-                            } else {
-                                // Pin the trace as this thread's ambient one
-                                // so layers below the decode call (the shard
-                                // pool's spawn) can attribute their events.
-                                asr_obs::with_trace(admission.trace, decode)
-                            }
-                        }
-                        Err(e) => Err(e),
-                    };
+                    let mut spawned = 0;
+                    let outcome = decoder_for(&mut decoders, model).and_then(|decoder| {
+                        let before = decoder.scorer().threads_spawned();
+                        let result = model.recognizer.decode_features_with(features, decoder);
+                        spawned = decoder.scorer().threads_spawned() - before;
+                        result.map_err(ServeError::from)
+                    });
                     c.service.record(started.elapsed());
+                    // The scorer holds no telemetry; a shard pool it spun up
+                    // during this decode is reported on this request's trace.
+                    if spawned > 0 {
+                        shared.telemetry.emit(
+                            admission.trace,
+                            &SpanEvent::ShardDispatch {
+                                shards: spawned + 1,
+                                threads: spawned,
+                            },
+                        );
+                    }
                     record_outcome(shared, worker, &model.name, &outcome);
                     shared.telemetry.emit(
                         admission.trace,
@@ -1603,7 +1554,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_on;
+    use crate::{block_on, DEFAULT_MODEL};
     use asr_core::{DecodeError, DecoderConfig};
     use asr_corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 

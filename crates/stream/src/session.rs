@@ -385,11 +385,6 @@ impl<'r> AudioStreamSession<'r> {
         self.frames_discarded
     }
 
-    /// Feature frames decoded by the currently open utterance (0 when idle).
-    pub fn frames_in_flight(&self) -> usize {
-        self.current.as_ref().map_or(0, |s| s.frames())
-    }
-
     /// Silence hops currently buffered for pre-roll replay — bounded by
     /// `preroll_hops + min_speech_hops` at all times.
     pub fn preroll_buffered(&self) -> usize {

@@ -139,7 +139,7 @@ fn main() -> Result<(), LvcsrError> {
         .register("dictation", dictation(DecoderConfig::hardware(2))?)?
         .register("voice_command", command_model)?
         .default_model("dictation");
-    let server = AsrServer::spawn_registry(
+    let server = AsrServer::spawn(
         registry,
         ServeConfig::default()
             .max_pending(64)

@@ -32,9 +32,9 @@ fn main() -> Result<(), LvcsrError> {
     )?;
 
     // 2. Telemetry: an append-only run directory receiving one JSONL fact
-    //    per span event and snapshot.  Installing the handle as the process
-    //    global lets the shard pool attribute its dispatch events to the
-    //    request trace that triggered them.
+    //    per span event and snapshot.  The server is the only holder of the
+    //    handle; a shard pool spun up by a request's decode is reported on
+    //    that request's trace.
     let obs_dir = std::env::var("LVCSR_OBS_DIR").unwrap_or_else(|_| "target/obs-demo".to_string());
     // The sink appends; start each demo run from a fresh document so the
     // file always holds exactly one validatable run.
@@ -43,7 +43,6 @@ fn main() -> Result<(), LvcsrError> {
         lvcsr::serve::ServeError::InvalidConfig(format!("cannot create run dir {obs_dir}: {e}"))
     })?);
     let telemetry = Telemetry::to_sink(sink.clone() as Arc<dyn ObsSink>);
-    lvcsr::obs::set_global(telemetry.clone());
 
     // 3. The serving front: a bounded queue (typed backpressure when full)
     //    feeding two decoder workers, each coalescing micro-batches of up to
@@ -129,7 +128,6 @@ fn main() -> Result<(), LvcsrError> {
     }
     sink.record(&report.snapshot_fact());
     server.close();
-    lvcsr::obs::set_global(Telemetry::disabled());
     sink.flush();
     assert_eq!(sink.dropped(), 0, "telemetry sink dropped facts");
     println!(

@@ -70,8 +70,7 @@ fn two_models_serve_concurrently_with_per_model_stats_and_reports() {
         )
         .expect("register")
         .default_model("dictation");
-    let server =
-        AsrServer::spawn_registry(registry, ServeConfig::default().workers(2)).expect("server");
+    let server = AsrServer::spawn(registry, ServeConfig::default().workers(2)).expect("server");
     assert_eq!(server.models(), ["dictation", "voice_command"]);
     assert_eq!(server.default_model(), "dictation");
 
@@ -210,7 +209,7 @@ fn per_model_quota_rejects_with_the_model_scope() {
         .expect("register")
         .register("quiet", build_recognizer(&task_b, DecoderConfig::simd()))
         .expect("register");
-    let server = AsrServer::spawn_registry(
+    let server = AsrServer::spawn(
         registry,
         ServeConfig::default()
             .max_batch(64)
@@ -315,9 +314,9 @@ fn hot_swap_routes_new_admissions_and_pins_old_ones() {
     let rec_v1 = Arc::new(build_recognizer(&task_v1, DecoderConfig::simd()));
     let rec_v2 = Arc::new(build_recognizer(&task_v2, DecoderConfig::simd()));
     let registry = ModelRegistry::new()
-        .register_shared("m", Arc::clone(&rec_v1))
+        .register("m", Arc::clone(&rec_v1))
         .expect("register");
-    let server = AsrServer::spawn_registry(
+    let server = AsrServer::spawn(
         registry,
         // A long window so pre-swap submissions are still queued when the
         // swap lands — the version pin, not timing, must route them.
@@ -344,9 +343,7 @@ fn hot_swap_routes_new_admissions_and_pins_old_ones() {
         .collect();
     assert_eq!(server.model_version("m"), Some(1));
     assert_eq!(
-        server
-            .swap_model_shared("m", Arc::clone(&rec_v2))
-            .expect("swap"),
+        server.swap_model("m", Arc::clone(&rec_v2)).expect("swap"),
         2
     );
     assert_eq!(server.model_version("m"), Some(2));
@@ -378,7 +375,7 @@ fn hot_swap_routes_new_admissions_and_pins_old_ones() {
     );
     // Swapping an unregistered name is a typed error, not an insert.
     assert!(matches!(
-        server.swap_model_shared("absent", rec_v2),
+        server.swap_model("absent", rec_v2),
         Err(ServeError::UnknownModel { model, .. }) if model == "absent"
     ));
     let stats = server.model_stats("m").expect("stats");
@@ -418,9 +415,9 @@ proptest! {
         prop_assume!(fingerprint(&want_v1) != fingerprint(&want_v2));
 
         let registry = ModelRegistry::new()
-            .register_shared("m", Arc::clone(&rec_v1)).expect("register m")
-            .register_shared("other", Arc::clone(&rec_other)).expect("register other");
-        let server = AsrServer::spawn_registry(
+            .register("m", Arc::clone(&rec_v1)).expect("register m")
+            .register("other", Arc::clone(&rec_other)).expect("register other");
+        let server = AsrServer::spawn(
             registry,
             ServeConfig::default().workers(workers),
         ).expect("server");
@@ -440,7 +437,7 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(
-            server.swap_model_shared("m", Arc::clone(&rec_v2)).expect("swap"),
+            server.swap_model("m", Arc::clone(&rec_v2)).expect("swap"),
             2
         );
         let after: Vec<_> = (0..n_after)

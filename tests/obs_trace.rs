@@ -3,13 +3,8 @@
 //! admissions — every admitted trace must form a balanced span sequence:
 //! it opens with exactly one `admitted` event, closes with exactly one
 //! terminal (`finished` or `rejected`), carries strictly increasing
-//! sequence numbers and monotone timestamps, and no events leak outside a
-//! trace (aside from worker-scope facts explicitly recorded on the nil
-//! trace, e.g. shard dispatches from untraced tests sharing the process).
-//!
-//! The test installs the process-global telemetry so `ShardDispatch` events
-//! from the decode pool attribute to the decode traces that triggered them
-//! — which is why it lives in its own binary.
+//! sequence numbers and monotone timestamps, and no span fact is recorded
+//! outside a trace (none on the nil trace 0).
 
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{DecoderConfig, Recognizer};
@@ -71,9 +66,6 @@ proptest! {
         let workers = [1usize, 2, 4][workers_index];
         let task = build_task();
         let (telemetry, sink) = Telemetry::to_memory();
-        // Install the global so the shard pool's dispatch events reach this
-        // run's sink, attributed to the worker's pinned trace.
-        lvcsr::obs::set_global(telemetry.clone());
         let server = AsrServer::spawn_observed(
             build_recognizer(&task, backend(backend_index)),
             ServeConfig::default()
@@ -88,7 +80,7 @@ proptest! {
                 // burst deterministically.
                 .max_batch_delay(Duration::from_millis(60))
                 .tenant_quota(1),
-            telemetry.clone(),
+            telemetry,
         )
         .expect("server");
 
@@ -138,19 +130,13 @@ proptest! {
         // Draining close: the dropped stream's cancel command is processed
         // before the workers exit.
         server.close();
-        lvcsr::obs::set_global(Telemetry::disabled());
 
         // Group the span facts by trace, preserving emission order.
         let facts = sink.facts();
         let mut traces: Vec<(u64, Vec<Fact>)> = Vec::new();
         for fact in facts.iter().filter(|f| f.kind == "span") {
             let trace = u64_field(fact, "trace");
-            if trace == 0 {
-                // Worker-scope events recorded outside any trace (a shard
-                // dispatch with no pinned request) are legal but excluded
-                // from per-trace balance.
-                continue;
-            }
+            prop_assert!(trace != 0, "span fact on the nil trace: {:?}", fact);
             match traces.iter_mut().find(|(t, _)| *t == trace) {
                 Some((_, events)) => events.push(fact.clone()),
                 None => traces.push((trace, vec![fact.clone()])),
@@ -202,5 +188,88 @@ proptest! {
         }
         prop_assert_eq!(rejected_traces, tenant_rejected);
         prop_assert_eq!(cancelled_traces, 1, "the dropped stream must cancel");
+    }
+}
+
+/// Two observed sharded servers in one process, each with its own sink:
+/// each sink holds exactly its own admissions' traces, each balanced, and
+/// every `shard_dispatch` a decode caused sits inside that decode, between
+/// its trace's `decode_started` and `finished`.
+#[test]
+fn two_observed_servers_keep_their_traces_apart() {
+    const DECODES: usize = 12;
+    const WORKERS: usize = 2;
+    const SHARDS: usize = 4;
+    let task = build_task();
+    let servers: Vec<_> = (0..2)
+        .map(|_| {
+            let (telemetry, sink) = Telemetry::to_memory();
+            let server = AsrServer::spawn_observed(
+                build_recognizer(&task, DecoderConfig::sharded_hardware(SHARDS)),
+                ServeConfig::default().workers(WORKERS),
+                telemetry,
+            )
+            .expect("server");
+            (server, sink)
+        })
+        .collect();
+    // Interleaved admissions, so both servers decode (and spawn) at once.
+    let mut futures = Vec::new();
+    for seed in 0..DECODES as u64 {
+        let (features, _) = task.synthesize_utterance(1, 0.2, seed);
+        for (server, _) in &servers {
+            futures.push(server.submit(features.clone()).expect("submit"));
+        }
+    }
+    for future in futures {
+        future.wait().expect("decode");
+    }
+    let parallel_host = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    for (server, sink) in servers {
+        server.close();
+        let mut traces: Vec<(u64, Vec<Fact>)> = Vec::new();
+        for fact in sink.facts().into_iter().filter(|f| f.kind == "span") {
+            let trace = u64_field(&fact, "trace");
+            assert_ne!(trace, 0, "span fact on the nil trace: {fact:?}");
+            match traces.iter_mut().find(|(t, _)| *t == trace) {
+                Some((_, events)) => events.push(fact),
+                None => traces.push((trace, vec![fact])),
+            }
+        }
+        assert_eq!(traces.len(), DECODES, "one trace per own admission");
+        let mut spawned = 0;
+        for (trace, events) in &traces {
+            let names: Vec<&str> = events.iter().map(|f| str_field(f, "event")).collect();
+            let position = |name: &str| {
+                let at: Vec<usize> = (0..names.len()).filter(|&i| names[i] == name).collect();
+                assert_eq!(at.len(), 1, "trace {trace} must have one {name}: {names:?}");
+                at[0]
+            };
+            assert_eq!(position("admitted"), 0, "trace {trace}: {names:?}");
+            assert_eq!(
+                position("finished"),
+                names.len() - 1,
+                "trace {trace}: {names:?}"
+            );
+            let started = position("decode_started");
+            for (i, fact) in events.iter().enumerate() {
+                if names[i] == "shard_dispatch" {
+                    assert!(
+                        started < i,
+                        "trace {trace}: dispatch outside its decode: {names:?}"
+                    );
+                    let threads = u64_field(fact, "threads");
+                    assert_eq!(u64_field(fact, "shards"), threads + 1);
+                    spawned += threads;
+                }
+            }
+        }
+        assert!(
+            spawned <= (WORKERS * (SHARDS - 1)) as u64,
+            "{spawned} threads spawned by {WORKERS} workers of {SHARDS} shards"
+        );
+        if parallel_host {
+            assert!(spawned > 0, "each server's shard pools report their spawns");
+        }
     }
 }

@@ -1,34 +1,23 @@
 //! Steady-state zero-spawn acceptance: a warm sharded decoder — whether
-//! driven directly through `decode_batch` or behind a multi-worker
+//! driven directly through `decode_batch_with` or behind a multi-worker
 //! `AsrServer` — must not spawn threads per utterance.  The shard pool
 //! spawns its workers once, on the first parallel frame, and lives until the
 //! scorer is dropped.
 //!
-//! These tests watch the process-global `shard.threads_spawned_total`
-//! counter in the global metrics registry, so they live in their own test
-//! binary (no sibling tests spawning shard threads concurrently) and
-//! serialise against each other through a lock.  On single-CPU hosts the
-//! parallelism heuristic keeps scoring inline, making zero spawns trivially
-//! true for the configured backends — the forced-parallel batch test below
-//! carries the property there.
+//! Each test reads only counts it owns: the direct tests read
+//! `SenoneScorer::threads_spawned` on their own decoder, and the server test
+//! sums the `shard_dispatch` facts of its own telemetry sink.  On
+//! single-CPU hosts the parallelism heuristic keeps scoring inline, making
+//! zero spawns trivially true for the configured backends — the
+//! forced-parallel batch test below carries the property there.
 
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{
     DecoderConfig, GmmSelectionConfig, PhoneDecoder, Recognizer, ScoringBackendKind, SenoneScorer,
-    ShardedScorer, SHARD_THREADS_SPAWNED_METRIC,
+    ShardedScorer,
 };
-use lvcsr::obs::MetricsRegistry;
+use lvcsr::obs::{FieldValue, Telemetry};
 use lvcsr::serve::{AsrServer, ServeConfig};
-use std::sync::Mutex;
-
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Cumulative OS threads spawned by every shard pool in this process.
-fn pool_threads_spawned() -> usize {
-    MetricsRegistry::global()
-        .counter(SHARD_THREADS_SPAWNED_METRIC)
-        .get() as usize
-}
 
 fn build_task() -> SyntheticTask {
     TaskGenerator::new(31415)
@@ -46,21 +35,22 @@ fn build_recognizer(task: &SyntheticTask, config: DecoderConfig) -> Recognizer {
     .expect("recogniser")
 }
 
-/// A 16-utterance `decode_batch` over a 4-shard backend costs at most one
-/// pool spawn (3 worker threads) for the whole batch — not one per
+/// A 16-utterance `decode_batch_with` over a 4-shard backend costs at most
+/// one pool spawn (3 worker threads) for the whole batch — not one per
 /// utterance, as a `finish_utterance`-scoped pool would.
 #[test]
 fn decode_batch_pays_at_most_one_pool_spawn_for_16_utterances() {
-    let _serial = COUNTER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let task = build_task();
     let rec = build_recognizer(&task, DecoderConfig::sharded_hardware(4));
+    let mut decoder = rec.phone_decoder().expect("decoder");
     let utterances: Vec<Vec<Vec<f32>>> = (0..16)
         .map(|seed| task.synthesize_utterance(1, 0.2, seed).0)
         .collect();
-    let before = pool_threads_spawned();
-    let results = rec.decode_batch(&utterances).expect("batch decode");
+    let results = rec
+        .decode_batch_with(&utterances, &mut decoder)
+        .expect("batch decode");
     assert_eq!(results.len(), 16);
-    let spawned = pool_threads_spawned() - before;
+    let spawned = decoder.scorer().threads_spawned();
     assert!(
         spawned <= 3,
         "one 4-shard pool spawn (3 threads) may serve the whole batch, \
@@ -73,7 +63,6 @@ fn decode_batch_pays_at_most_one_pool_spawn_for_16_utterances() {
 /// forced-parallel 4-shard scorer spawns exactly one pool (3 threads).
 #[test]
 fn forced_parallel_decode_batch_spawns_exactly_one_pool() {
-    let _serial = COUNTER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let task = build_task();
     let rec = build_recognizer(&task, DecoderConfig::hardware(2));
     let selection = GmmSelectionConfig::default();
@@ -91,13 +80,12 @@ fn forced_parallel_decode_batch_spawns_exactly_one_pool() {
     let utterances: Vec<Vec<Vec<f32>>> = (0..16)
         .map(|seed| task.synthesize_utterance(1, 0.2, seed).0)
         .collect();
-    let before = pool_threads_spawned();
     let results = rec
         .decode_batch_with(&utterances, &mut decoder)
         .expect("batch decode");
     assert_eq!(results.len(), 16);
     assert_eq!(
-        pool_threads_spawned() - before,
+        decoder.scorer().threads_spawned(),
         3,
         "a forced-parallel 4-shard decoder spawns its pool once for the batch"
     );
@@ -105,19 +93,20 @@ fn forced_parallel_decode_batch_spawns_exactly_one_pool() {
 
 /// A warm multi-worker server decodes indefinitely with zero thread spawns:
 /// each worker's long-lived decoder spawns its pool once, on its first
-/// parallel frame, and further traffic leaves the global spawn counter
-/// untouched.  Which worker takes which micro-batch is up to the scheduler,
-/// so the test bounds the total over many rounds by one pool per worker
-/// instead of waiting for a quiet round.
+/// parallel frame, and further traffic spawns nothing.  Which worker takes
+/// which micro-batch is up to the scheduler, so the test bounds the total
+/// its own sink reports over many rounds by one pool per worker instead of
+/// waiting for a quiet round.
 #[test]
 fn a_warm_multi_worker_server_decodes_with_zero_thread_spawns() {
     const WORKERS: usize = 2;
     const SHARDS: usize = 3;
-    let _serial = COUNTER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let task = build_task();
-    let server = AsrServer::spawn(
+    let (telemetry, sink) = Telemetry::to_memory();
+    let server = AsrServer::spawn_observed(
         build_recognizer(&task, DecoderConfig::sharded_hardware(SHARDS)),
         ServeConfig::default().workers(WORKERS),
+        telemetry,
     )
     .expect("server");
     let (features, reference) = task.synthesize_utterance(1, 0.2, 7);
@@ -129,17 +118,25 @@ fn a_warm_multi_worker_server_decodes_with_zero_thread_spawns() {
             assert_eq!(future.wait().expect("decode").hypothesis.words, reference);
         }
     };
-    let before = pool_threads_spawned();
     // 32 utterances across both workers: a per-utterance pool would spawn
     // SHARDS - 1 threads for each of them.
     for _ in 0..8 {
         decode_round(4);
     }
-    let spawned = pool_threads_spawned() - before;
+    server.close();
+    let spawned: u64 = sink
+        .facts()
+        .iter()
+        .filter(|f| f.field("event").and_then(FieldValue::as_str) == Some("shard_dispatch"))
+        .map(|f| {
+            f.field("threads")
+                .and_then(FieldValue::as_u64)
+                .expect("threads")
+        })
+        .sum();
     assert!(
-        spawned <= WORKERS * (SHARDS - 1),
+        spawned <= (WORKERS * (SHARDS - 1)) as u64,
         "a warm server must not spawn threads per utterance: {spawned} threads \
          for 32 utterances on {WORKERS} workers of {SHARDS} shards"
     );
-    server.close();
 }
