@@ -8,6 +8,7 @@ use crate::triphone::{Triphone, TriphoneId, TriphoneInventory};
 use crate::AcousticError;
 use asr_float::LogProb;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Dimensions of an acoustic model; the defaults are the paper's system
 /// (6 000 senones, 8 Gaussians each, 39-dimensional features, 3-state HMMs,
@@ -101,10 +102,16 @@ impl Default for AcousticModelConfig {
 ///
 /// Immutable once built: every constructor goes through
 /// [`AcousticModel::new`], which stamps the model with a process-unique
-/// [`AcousticModel::id`].  A `Clone` keeps the id, because it keeps every
-/// parameter.
+/// [`AcousticModel::id`].  `Clone` shares the parameters: everything sits
+/// behind one [`Arc`], so a clone costs one reference count and keeps the
+/// id, because it keeps every parameter.
 #[derive(Debug, Clone)]
 pub struct AcousticModel {
+    parts: Arc<ModelParts>,
+}
+
+#[derive(Debug)]
+struct ModelParts {
     id: u64,
     config: AcousticModelConfig,
     senones: SenonePool,
@@ -147,11 +154,13 @@ impl AcousticModel {
         }
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         Ok(AcousticModel {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            config,
-            senones,
-            triphones,
-            transitions,
+            parts: Arc::new(ModelParts {
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+                config,
+                senones,
+                triphones,
+                transitions,
+            }),
         })
     }
 
@@ -202,32 +211,32 @@ impl AcousticModel {
     /// an id only if one is a clone of the other.  Scorers key their derived
     /// per-model caches on it.
     pub fn id(&self) -> u64 {
-        self.id
+        self.parts.id
     }
 
     /// The model configuration.
     pub fn config(&self) -> &AcousticModelConfig {
-        &self.config
+        &self.parts.config
     }
 
     /// The senone pool.
     pub fn senones(&self) -> &SenonePool {
-        &self.senones
+        &self.parts.senones
     }
 
     /// The triphone inventory.
     pub fn triphones(&self) -> &TriphoneInventory {
-        &self.triphones
+        &self.parts.triphones
     }
 
     /// The shared transition matrix.
     pub fn transitions(&self) -> &TransitionMatrix {
-        &self.transitions
+        &self.parts.transitions
     }
 
     /// Feature dimension expected by [`AcousticModel::score_senone`].
     pub fn feature_dim(&self) -> usize {
-        self.config.feature_dim
+        self.parts.config.feature_dim
     }
 
     /// Scores one senone against a feature vector.
@@ -236,17 +245,17 @@ impl AcousticModel {
     ///
     /// Returns [`AcousticError::UnknownId`] for an out-of-range id.
     pub fn score_senone(&self, id: SenoneId, x: &[f32]) -> Result<LogProb, AcousticError> {
-        self.senones.score(id, x)
+        self.senones().score(id, x)
     }
 
     /// Scores every senone (the worst-case full-frame evaluation).
     pub fn score_all_senones(&self, x: &[f32]) -> Vec<LogProb> {
-        self.senones.score_all(x)
+        self.senones().score_all(x)
     }
 
     /// Scores a subset of senones (the active set from word-decode feedback).
     pub fn score_active_senones(&self, ids: &[SenoneId], x: &[f32]) -> Vec<(SenoneId, LogProb)> {
-        self.senones.score_subset(ids, x)
+        self.senones().score_subset(ids, x)
     }
 
     /// The senone sequence of a triphone.
@@ -255,13 +264,13 @@ impl AcousticModel {
     ///
     /// Returns [`AcousticError::UnknownId`] for an unknown triphone.
     pub fn triphone_senones(&self, id: TriphoneId) -> Result<&[SenoneId], AcousticError> {
-        self.triphones.senones(id)
+        self.triphones().senones(id)
     }
 
     /// Total stored Gaussian parameters (the quantity that drives the paper's
     /// memory/bandwidth table).
     pub fn gaussian_param_count(&self) -> usize {
-        self.senones.param_count()
+        self.senones().param_count()
     }
 }
 
@@ -303,8 +312,10 @@ mod tests {
         assert_eq!(m.config(), &cfg);
         assert_eq!(m.gaussian_param_count(), cfg.total_gaussian_params());
         assert_eq!(m.transitions().topology(), cfg.topology);
-        // A clone keeps the identity; a fresh build of the same shape does not.
+        // A clone keeps the identity and shares the parameters; a fresh
+        // build of the same shape does not.
         assert_eq!(m.clone().id(), m.id());
+        assert!(std::ptr::eq(m.clone().senones(), m.senones()));
         assert_ne!(AcousticModel::untrained(cfg.clone()).unwrap().id(), m.id());
         // Every registered triphone's senones are valid.
         for (id, _, senones) in m.triphones().iter() {

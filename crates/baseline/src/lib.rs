@@ -21,12 +21,10 @@
 #![deny(missing_debug_implementations)]
 
 pub mod comparison;
-pub mod fixedpoint;
 pub mod mathew;
 pub mod software;
 
 pub use comparison::{ComparisonRow, ComparisonTable};
-pub use fixedpoint::{FixedPointAnalysis, FixedPointReport};
 pub use mathew::MathewAccelerator;
 pub use software::{SoftwareBaseline, SoftwareCostModel, SoftwarePlatform, SoftwareReport};
 
@@ -40,6 +38,5 @@ mod tests {
         assert_send_sync::<SoftwareCostModel>();
         assert_send_sync::<MathewAccelerator>();
         assert_send_sync::<ComparisonTable>();
-        assert_send_sync::<FixedPointAnalysis>();
     }
 }

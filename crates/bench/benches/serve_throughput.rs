@@ -1,9 +1,11 @@
 //! Serving/sharding throughput bench: a 32-utterance workload decoded on
 //! (a) one SoC scorer, (b) a 4-shard `ShardedScorer` (4 SoC instances, the
-//! active-senone set split across worker threads), (c) the same sharded
-//! scorer fed through the `asr-serve` queue + micro-batcher, and (d) the
-//! serving front at 1, 2 and 4 decoder workers over plain SoC scorers —
-//! the inter-utterance parallelism axis on its own.
+//! active-senone set split across the calling thread and at most
+//! `cpus − 1` lane threads, each owning a group of shards; `decode_batch`
+//! builds a fresh scorer, so every iteration pays its lane spawn), (c) the
+//! same sharded scorer fed through the `asr-serve` queue + micro-batcher,
+//! and (d) the serving front at 1, 2 and 4 decoder workers over plain SoC
+//! scorers — the inter-utterance parallelism axis on its own.
 //!
 //! The `bench_gate` acceptance checks read (a)/(b) — the sharded scorer
 //! must beat the single-SoC path — and the `workers{1,4}` pair from (d):

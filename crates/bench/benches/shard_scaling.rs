@@ -1,8 +1,9 @@
 //! Shard dispatch-overhead bench: the same 200-frame scoring workload
 //! driven through a 4-shard `ShardedScorer` two ways —
 //!
-//! * `pool_200f`   — the persistent worker pool (threads spawned once per
-//!   scorer, per-frame jobs over channels),
+//! * `pool_200f`   — the lane threads (spawned once per scorer, each owning
+//!   a contiguous group of shards, meeting the caller in lock-step on
+//!   per-lane frame counters),
 //! * `inline_200f` — sequential fan-out on the calling thread (the
 //!   dispatch-free floor).
 //!
@@ -38,9 +39,8 @@ fn build_sharded(parallel: bool) -> ShardedScorer {
         .with_parallelism(parallel)
 }
 
-/// One utterance: `FRAMES` frames, every senone active each frame, pool
-/// joined at the end — the exact per-frame call sequence the decode loop
-/// makes, minus the search.
+/// One utterance: `FRAMES` frames, every senone active each frame — the
+/// exact per-frame call sequence the decode loop makes, minus the search.
 fn run_utterance(scorer: &mut ShardedScorer, model: &AcousticModel, ids: &[SenoneId], x: &[f32]) {
     for _ in 0..FRAMES {
         scorer.begin_frame(x);

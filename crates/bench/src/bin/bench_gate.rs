@@ -40,7 +40,7 @@ const SEQUENTIAL_BENCH: &str = "decode_batch_amortisation/sequential_32";
 const SHARDED_BENCH: &str = "serve_throughput/sharded4_soc_32";
 const SINGLE_SOC_BENCH: &str = "serve_throughput/single_soc_32";
 
-/// The 200-frame workload through the persistent shard worker pool.
+/// The 200-frame workload through the sharded scorer's lane threads.
 /// Reported with its measured dispatch overhead ([`POOL_OVERHEAD_KEY`]) but
 /// exempt from the regression rule: its per-frame cost is a cross-core
 /// wake-up whose price depends on the host class far more than on the code.

@@ -43,7 +43,7 @@ fn required_payload(event: &str) -> Result<&'static [&'static str], String> {
         "enqueued" => &["depth"],
         "batch_formed" => &["worker", "batch"],
         "decode_started" => &["worker"],
-        "shard_dispatch" => &["shards", "threads"],
+        "shard_dispatch" => &["threads"],
         "vad_speech_start" => &["frame"],
         "vad_speech_end" | "forced_endpoint" | "barge_in" => &["frames"],
         "partial_emitted" => &["words", "latency_us"],

@@ -37,8 +37,9 @@ pub enum ScoringBackendKind {
     Simd,
     /// A sharded scale-out scorer ([`crate::ShardedScorer`]):
     /// `shards` instances of `inner`, each scoring a cost-balanced
-    /// contiguous slice of every frame's active-senone set — shard 0 on the
-    /// calling thread, the rest on the scorer's persistent worker pool —
+    /// contiguous slice of every frame's active-senone set — the first
+    /// group of shards on the calling thread, the rest on the scorer's lane
+    /// threads, at most one per spare CPU —
     /// with the per-shard hardware reports folded by
     /// [`UtteranceReport::merge_parallel`](asr_hw::UtteranceReport::merge_parallel).
     /// Results are identical to running `inner` unsharded; only throughput

@@ -13,28 +13,37 @@
 //!
 //! There is one way to do each step, and nothing to tune:
 //!
-//! * **Dispatch** — shard 0 always scores inline on the calling thread; the
-//!   other N−1 shards are fed per-frame jobs over channels by long-lived
-//!   worker threads that live for the *life of the scorer* (spawned lazily
-//!   on the first parallel frame, joined when the scorer is dropped).
-//!   Because [`SenoneScorer::finish_utterance`] and [`SenoneScorer::reset`]
-//!   leave the pool warm, a batch — or a serving worker decoding
-//!   indefinitely — spawns its threads exactly once, not once per
-//!   utterance.  Frames with fewer than eight active senones, and every
-//!   frame on a single-CPU host, are scored shard by shard on the calling
-//!   thread instead.  Worker lifetime is safe-Rust only: shard boxes and an
-//!   [`Arc`]-cloned acoustic model round-trip through the job channels, so
-//!   nothing borrows across threads.
+//! * **Lanes** — the shards are cut into `min(N, max(2, cpus))` contiguous
+//!   groups, one per *lane*.  Lane 0 (the floor share of the shards) scores
+//!   on the calling thread; every other lane is a thread that owns its group
+//!   for the life of the scorer, so at most `max(1, cpus − 1)` threads run
+//!   however many shards there are.  The threads are spawned lazily on the
+//!   first parallel frame and joined when the scorer drops; neither
+//!   [`SenoneScorer::finish_utterance`] nor [`SenoneScorer::reset`] touches
+//!   them, so a batch — or a serving worker decoding indefinitely — spawns
+//!   them exactly once.
+//! * **Lock-step** — like the paper's OP and Viterbi units on one frame
+//!   clock, the caller and the lane threads meet once per frame: the caller
+//!   copies the frame's inputs into each busy lane, bumps its `posted`
+//!   counter and scores lane 0, then waits on each lane's `done` counter.
+//!   A lane thread spins on `posted` for a bounded count before it parks,
+//!   so back-to-back frames never pay an OS wake-up.  Frames with fewer
+//!   than eight active senones, and every frame on a single-CPU host, are
+//!   scored lane by lane on the calling thread instead.  Each group sits
+//!   behind a [`Mutex`], which the caller also takes between frames for the
+//!   per-shard calls (frame windows, HMM steps, reports), so nothing
+//!   borrows across threads.
 //! * **Partition** — the active set splits into contiguous slices of equal
 //!   *estimated cost* (per-senone mixture component count), so a model with
 //!   skewed mixture sizes still loads its shards evenly.  On a uniform-cost
 //!   model no slice is larger than `ceil(len / N)` senones.
 //!
 //! Because every senone is scored by exactly one shard with the same
-//! arithmetic the unsharded backend would use, sharding is *observationally
-//! pure*: scores, hypotheses and decode statistics are identical to the
-//! unsharded inner scorer (property-tested in `tests/shard.rs`), and only
-//! wall-clock throughput and the hardware report's shape change.
+//! arithmetic the unsharded backend would use, and results are appended in
+//! shard order, sharding is *observationally pure*: scores, hypotheses and
+//! decode statistics are identical to the unsharded inner scorer
+//! (property-tested in `tests/shard.rs`), and only wall-clock throughput
+//! and the hardware report's shape change.
 //!
 //! [`SpeechSoc`]: asr_hw::SpeechSoc
 //! [`SocScorer`]: crate::SocScorer
@@ -44,146 +53,164 @@ use crate::DecodeError;
 use asr_acoustic::{AcousticModel, SenoneId, TransitionMatrix};
 use asr_float::LogProb;
 use asr_hw::UtteranceReport;
-use std::sync::{mpsc, Arc};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
-/// Message loss on the worker channels means a worker thread died, which
-/// only happens if an inner scorer panicked — propagate as a panic.
+/// A lane thread died, which only happens if an inner scorer panicked on
+/// it — propagated to the caller as a panic.
 const WORKER_DIED: &str = "shard scoring worker panicked";
-
-/// Invariant message: shard boxes are always present between frames (they
-/// only leave `shards` while a pooled score call is in flight, and every
-/// reply puts them back before the call returns).
-const SHARD_PRESENT: &str = "shard present between frames";
 
 /// Below this many active senones a frame is scored on the calling thread,
 /// shard by shard: a tiny frame's dispatch overhead would otherwise dominate
 /// its scoring cost.
 const MIN_PARALLEL_SENONES: usize = 8;
 
-/// Per-model derived state, cached across utterances (a model-level cache in
-/// the sense of the [`SenoneScorer`] contract) and keyed on
-/// [`AcousticModel::id`]: the per-senone cost table driving the partition,
-/// and the shared [`Arc`] clone of the model that pooled workers score
-/// against.
-#[derive(Debug)]
-struct ModelCache {
-    model_id: u64,
-    /// Estimated relative scoring cost per senone: its mixture component
-    /// count (each component costs one full pass over the feature vector on
-    /// every backend, so components dominate per-senone cost).
-    costs: Vec<u32>,
-    /// Clone of the model handed to pooled workers (they outlive any borrow
-    /// of the caller's model).  Built lazily on the first pooled frame; it
-    /// keeps the model's id, so inner scorers' model caches stay warm
-    /// whichever copy a frame is scored against.
-    shared: Option<Arc<AcousticModel>>,
-}
+/// How many times a waiting side polls its counter (see [`spin_until`])
+/// before it stops spinning: a lane thread then parks, the caller yields.
+/// About 0.36 ms on a Xeon whose `pause` takes 22 ns — longer than the run
+/// of small, inline-scored frames a decode has between two parallel ones,
+/// so a warm decode does not park its lanes, and short enough that an idle
+/// scorer hands its CPUs back within a millisecond.
+const SPIN_LIMIT: u32 = 1 << 14;
 
-impl ModelCache {
-    fn build(model: &AcousticModel) -> ModelCache {
-        ModelCache {
-            model_id: model.id(),
-            costs: model
-                .senones()
-                .iter()
-                .map(|s| s.mixture().num_components() as u32)
-                .collect(),
-            shared: None,
-        }
-    }
+/// The `posted` value that tells a lane thread to exit.
+const STOP: u64 = u64::MAX;
 
-    fn shared_model(&mut self, model: &AcousticModel) -> &Arc<AcousticModel> {
-        self.shared.get_or_insert_with(|| Arc::new(model.clone()))
-    }
-}
-
-/// One frame's work for one pooled worker.  Everything is owned (`'static`),
-/// which is what lets the workers be plain long-lived threads: the shard box
-/// and the buffers (including the result buffer, recycled through
-/// [`SenoneScorer::score_senones_into`]) round-trip caller → worker → caller
-/// every frame, and the model travels as an [`Arc`].
-#[derive(Debug)]
-struct ScoreJob {
-    shard: Box<dyn SenoneScorer>,
-    model: Arc<AcousticModel>,
+/// One lane's shards, and — for a thread lane — the frame posted to it.
+#[derive(Debug, Default)]
+struct Group {
+    shards: Vec<Box<dyn SenoneScorer>>,
+    /// The model the posted frame is scored against: a clone of the
+    /// caller's (which shares its parameters), refreshed when the id
+    /// changes.
+    model: Option<AcousticModel>,
+    /// Copies of the frame's active set, of the partition's cut points from
+    /// this group's first shard on (see [`score_shards`]), and of the
+    /// feature vector.
     active: Vec<SenoneId>,
+    bounds: Vec<usize>,
     feature: Vec<f32>,
-    result: Result<Vec<(SenoneId, LogProb)>, DecodeError>,
+    /// The posted frame's scores and the first error among its shards.
+    scores: Vec<(SenoneId, LogProb)>,
+    error: Option<DecodeError>,
 }
 
-/// Recycled per-worker job buffers: active ids, feature copy, result.
-type SpareBuffers = (Vec<SenoneId>, Vec<f32>, Vec<(SenoneId, LogProb)>);
-
-/// The persistent worker pool: worker `w` always serves shard
-/// `w + 1` (shard 0 scores inline on the calling thread).  Each worker owns
-/// its *own* reply channel, so if a worker dies mid-job its channel
-/// disconnects and the caller's `recv` fails immediately — a shared reply
-/// channel would stay open through the other workers' sender clones and
-/// turn a worker panic into a caller deadlock.  Dropping the pool closes
-/// the job channels and joins every worker.
-#[derive(Debug)]
-struct WorkerPool {
-    senders: Vec<mpsc::Sender<ScoreJob>>,
-    replies: Vec<mpsc::Receiver<ScoreJob>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Recycled job buffers per worker, so steady-state dispatch allocates
-    /// nothing — not even the per-shard result vector.
-    spare: Vec<SpareBuffers>,
+/// The frame counters the caller and one lane thread meet on, aligned so
+/// that polling them never contends with the group lock's cache line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Signals {
+    /// Frames posted to the lane (or [`STOP`]); written only by the caller.
+    posted: AtomicU64,
+    /// Frames the lane has finished; written only by its thread.
+    done: AtomicU64,
+    /// Set by the lane thread while it is (about to be) parked.
+    parked: AtomicBool,
 }
 
-impl WorkerPool {
-    fn spawn(workers: usize) -> WorkerPool {
-        let mut senders = Vec::with_capacity(workers);
-        let mut replies = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = mpsc::channel::<ScoreJob>();
-            let (reply_tx, reply_rx) = mpsc::channel::<ScoreJob>();
-            let handle = std::thread::Builder::new()
-                .name(format!("shard-worker-{}", w + 1))
-                .spawn(move || {
-                    while let Ok(mut job) = rx.recv() {
-                        let mut buf =
-                            std::mem::replace(&mut job.result, Ok(Vec::new())).unwrap_or_default();
-                        buf.clear();
-                        job.result = job
-                            .shard
-                            .score_senones_into(&job.model, &job.active, &job.feature, &mut buf)
-                            .map(|()| buf);
-                        if reply_tx.send(job).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn shard worker thread");
-            senders.push(tx);
-            replies.push(reply_rx);
-            handles.push(handle);
+#[derive(Debug, Default)]
+struct Lane {
+    signals: Signals,
+    /// The shards the group holds, as indices into the whole scorer's.
+    span: Range<usize>,
+    group: Mutex<Group>,
+}
+
+impl Lane {
+    /// The lane's group.  A poisoned lock means a shard panicked while it
+    /// was held, on this lane's thread or on the caller's.
+    fn lock(&self) -> MutexGuard<'_, Group> {
+        self.group.lock().expect(WORKER_DIED)
+    }
+
+    /// Caller side: publishes frame number `frame` and wakes the lane
+    /// thread if it parked.  The `SeqCst` store-then-load here and the
+    /// thread's store-`parked`-then-load-`posted` cannot both miss each
+    /// other, so no wake-up is lost.
+    fn post(&self, frame: u64, worker: &JoinHandle<()>) {
+        self.signals.posted.store(frame, SeqCst);
+        if self.signals.parked.load(SeqCst) {
+            worker.thread().unpark();
         }
-        WorkerPool {
-            senders,
-            replies,
-            handles,
-            spare: (0..workers)
-                .map(|_| (Vec::new(), Vec::new(), Vec::new()))
-                .collect(),
+    }
+
+    /// Caller side: waits until the lane has finished `frame`, spinning
+    /// first and then yielding, and panics if its thread has died.
+    fn wait_done(&self, frame: u64, worker: &JoinHandle<()>) {
+        let done = || self.signals.done.load(SeqCst) == frame;
+        if !spin_until(done) {
+            while !done() {
+                assert!(!worker.is_finished(), "{WORKER_DIED}");
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Lane-thread side: the next frame posted after `seen`, or `None` once
+    /// the scorer is dropped.
+    fn next_frame(&self, seen: u64) -> Option<u64> {
+        let posted = || self.signals.posted.load(SeqCst);
+        while !spin_until(|| posted() != seen) {
+            self.signals.parked.store(true, SeqCst);
+            if posted() == seen {
+                std::thread::park();
+            }
+            self.signals.parked.store(false, SeqCst);
+        }
+        Some(posted()).filter(|&frame| frame != STOP)
+    }
+
+    /// The body of a lane thread: score every posted frame until `STOP`.
+    fn serve(&self) {
+        let mut seen = 0;
+        while let Some(frame) = self.next_frame(seen) {
+            seen = frame;
+            let mut guard = self.lock();
+            let Group {
+                shards,
+                model,
+                active,
+                bounds,
+                feature,
+                scores,
+                error,
+            } = &mut *guard;
+            let model = model.as_ref().expect("a model is posted with every frame");
+            scores.clear();
+            *error = score_shards(shards, model, active, bounds, feature, scores).err();
+            drop(guard);
+            self.signals.done.store(frame, SeqCst);
         }
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the senders ends every worker's receive loop; joining
-        // bounds the thread lifetime to the scorer's (the pool survives
-        // `finish_utterance`, so a warm scorer decodes a whole stream of
-        // utterances on one set of threads).  A worker that panicked
-        // already surfaced as a caller panic on the reply channel, so join
-        // errors are not re-raised here.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+/// Polls `ready` up to [`SPIN_LIMIT`] times; whether it came true.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    (0..SPIN_LIMIT).any(|_| {
+        std::hint::spin_loop();
+        ready()
+    })
+}
+
+/// Scores `shards[k]`'s slice `active[bounds[k]..bounds[k + 1]]` for each
+/// `k`, appending to `out` in shard order.
+fn score_shards(
+    shards: &mut [Box<dyn SenoneScorer>],
+    model: &AcousticModel,
+    active: &[SenoneId],
+    bounds: &[usize],
+    feature: &[f32],
+    out: &mut Vec<(SenoneId, LogProb)>,
+) -> Result<(), DecodeError> {
+    for (shard, cut) in shards.iter_mut().zip(bounds.windows(2)) {
+        let part = &active[cut[0]..cut[1]];
+        if !part.is_empty() {
+            shard.score_senones_into(model, part, feature, out)?;
         }
     }
+    Ok(())
 }
 
 /// Writes the partition boundaries for `active` into `bounds`
@@ -215,19 +242,20 @@ fn fill_bounds(bounds: &mut Vec<usize>, n: usize, active: &[SenoneId], costs: &[
 /// * [`SenoneScorer::score_senones`] splits the active set into
 ///   `num_shards()` contiguous slices of equal estimated cost (mixture
 ///   component count) and scores them concurrently, concatenating the
-///   per-slice results in `active` order.  Shard 0 always scores on the
-///   calling thread; the rest are fed through the persistent worker pool
-///   (zero thread spawns per frame).
+///   per-slice results in `active` order.  The shards are grouped into
+///   lanes: lane 0 scores on the calling thread, every other lane on a
+///   thread that owns its shards for the scorer's life and meets the
+///   caller once per frame (zero thread spawns per frame).
 /// * [`SenoneScorer::step_hmm`] dispatches HMM updates round-robin across the
 ///   shards, mirroring [`SpeechSoc`]'s internal structure scheduling.
 /// * [`SenoneScorer::finish_utterance`] folds the shards' reports with
 ///   [`UtteranceReport::merge_parallel`], which also records the per-shard
 ///   scored-senone balance ([`UtteranceReport::shard_senones`] /
-///   [`UtteranceReport::worst_shard_share`]).  The worker pool stays warm
+///   [`UtteranceReport::worst_shard_share`]).  The lane threads stay warm
 ///   across utterances (neither `finish_utterance` nor
-///   [`SenoneScorer::reset`] touches it); it joins when the scorer is
-///   dropped, so a batch — or a serving worker — spawns
-///   threads once, not once per utterance.
+///   [`SenoneScorer::reset`] touches them); they join when the scorer is
+///   dropped, so a batch — or a serving worker — spawns threads once, not
+///   once per utterance.
 /// * The host-side bookkeeping calls ([`SenoneScorer::dma_fetch`], the
 ///   software-stage charge of [`SenoneScorer::end_frame`]) go to shard 0
 ///   only, so host cycles and dictionary traffic are not multiplied by the
@@ -240,22 +268,23 @@ fn fill_bounds(bounds: &mut Vec<usize>, n: usize, active: &[SenoneId], costs: &[
 /// [`SpeechSoc`]: asr_hw::SpeechSoc
 #[derive(Debug)]
 pub struct ShardedScorer {
-    /// `Some` between frames; entries leave only while a pooled score call
-    /// is in flight and return before it completes.
-    shards: Vec<Option<Box<dyn SenoneScorer>>>,
+    /// The shard groups in shard order; lane 0 scores on the caller.
+    lanes: Vec<Arc<Lane>>,
+    /// The threads serving lanes `1..`: empty until the first parallel
+    /// frame, then warm across utterances until the scorer drops.
+    workers: Vec<JoinHandle<()>>,
+    num_shards: usize,
     next_hmm_shard: usize,
-    /// Whether to score shards on threads at all.  Defaults to "only when the
+    /// Whether to score lanes on threads at all.  Defaults to "only when the
     /// host has more than one CPU": on a single-core host the threads would
     /// serialise anyway and only the dispatch overhead would remain.
     parallel: bool,
-    /// Per-model cost table + pooled model clone (survives utterances).
-    model_cache: Option<ModelCache>,
-    /// The long-lived worker pool (`None` until the first parallel frame,
-    /// then warm across utterances until the scorer drops).
-    pool: Option<WorkerPool>,
-    /// Cumulative OS threads spawned (pool workers) — the observable the
-    /// zero-spawns-per-utterance property is asserted on.
-    threads_spawned: usize,
+    /// The partition's estimated relative scoring cost per senone: its
+    /// mixture component count (each component costs one full pass over the
+    /// feature vector on every backend).  A model-level cache in the sense
+    /// of the [`SenoneScorer`] contract, keyed on [`AcousticModel::id`].
+    costs: Vec<u32>,
+    costs_model: Option<u64>,
     /// Reusable partition-boundary scratch.
     bounds: Vec<usize>,
 }
@@ -272,16 +301,30 @@ impl ShardedScorer {
                 "a sharded scorer needs at least one shard".into(),
             ));
         }
-        let host_cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let n = shards.len();
+        let lanes = n.min(host_cpus.max(2));
+        let mut shards = shards.into_iter();
         Ok(ShardedScorer {
-            parallel: shards.len() > 1 && host_cpus > 1,
-            shards: shards.into_iter().map(Some).collect(),
+            lanes: (0..lanes)
+                .map(|k| {
+                    let span = k * n / lanes..(k + 1) * n / lanes;
+                    let lane = Lane {
+                        span,
+                        ..Lane::default()
+                    };
+                    lane.lock()
+                        .shards
+                        .extend(shards.by_ref().take(lane.span.len()));
+                    Arc::new(lane)
+                })
+                .collect(),
+            workers: Vec::new(),
+            num_shards: n,
             next_hmm_shard: 0,
-            model_cache: None,
-            pool: None,
-            threads_spawned: 0,
+            parallel: n > 1 && host_cpus > 1,
+            costs: Vec::new(),
+            costs_model: None,
             bounds: Vec::new(),
         })
     }
@@ -290,7 +333,7 @@ impl ShardedScorer {
     /// scoring even on a single-core host, `false` forces the sequential
     /// fan-out.  Results are identical either way; only wall-clock changes.
     pub fn with_parallelism(mut self, parallel: bool) -> Self {
-        self.parallel = parallel && self.shards.len() > 1;
+        self.parallel = parallel && self.num_shards > 1;
         self
     }
 
@@ -302,23 +345,21 @@ impl ShardedScorer {
 
     /// Number of inner scorers.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.num_shards
     }
 
-    /// Whether the worker pool is currently live (any time after the first
-    /// parallel frame; the pool survives
-    /// [`SenoneScorer::finish_utterance`] and [`SenoneScorer::reset`] and
-    /// joins on drop).
+    /// Whether the lane threads are live (any time after the first parallel
+    /// frame; they survive [`SenoneScorer::finish_utterance`] and
+    /// [`SenoneScorer::reset`] and join on drop).
     pub fn pool_is_live(&self) -> bool {
-        self.pool.is_some()
+        !self.workers.is_empty()
     }
 
     /// The inner scorers' names, in shard order.
     pub fn shard_names(&self) -> Vec<&'static str> {
-        self.shards
-            .iter()
-            .map(|s| s.as_ref().expect(SHARD_PRESENT).name())
-            .collect()
+        let mut names = Vec::new();
+        self.for_each_shard(|_, shard| names.push(shard.name()));
+        names
     }
 
     /// The contiguous slice boundaries `active` is partitioned into for
@@ -326,53 +367,55 @@ impl ShardedScorer {
     /// load-balance inspection; scoring uses exactly this split.
     pub fn partition_bounds(&mut self, model: &AcousticModel, active: &[SenoneId]) -> Vec<usize> {
         let mut bounds = Vec::new();
-        fill_bounds(&mut bounds, self.shards.len(), active, self.costs(model));
+        fill_bounds(&mut bounds, self.num_shards, active, self.costs(model));
         bounds
     }
 
     /// The per-senone cost table of `model`, rebuilding the model cache
     /// when `model` is not the one it was built from.
     fn costs(&mut self, model: &AcousticModel) -> &[u32] {
-        if !self
-            .model_cache
-            .as_ref()
-            .is_some_and(|c| c.model_id == model.id())
-        {
-            self.model_cache = Some(ModelCache::build(model));
+        if self.costs_model != Some(model.id()) {
+            let senones = model.senones().iter();
+            self.costs = senones
+                .map(|s| s.mixture().num_components() as u32)
+                .collect();
+            self.costs_model = Some(model.id());
         }
-        &self
-            .model_cache
-            .as_ref()
-            .expect("model cache built above")
-            .costs
+        &self.costs
+    }
+
+    /// Calls `f` on every shard in shard order, with its index.
+    fn for_each_shard(&self, mut f: impl FnMut(usize, &mut dyn SenoneScorer)) {
+        for lane in &self.lanes {
+            for (k, shard) in lane.span.clone().zip(lane.lock().shards.iter_mut()) {
+                f(k, shard.as_mut());
+            }
+        }
     }
 
     /// Sequential fan-out over the partition on the calling thread (small
     /// frames, and hosts where threading cannot win).
     fn score_inline(
-        &mut self,
+        &self,
+        lanes: Range<usize>,
         model: &AcousticModel,
         active: &[SenoneId],
         feature: &[f32],
         bounds: &[usize],
         out: &mut Vec<(SenoneId, LogProb)>,
     ) -> Result<(), DecodeError> {
-        for (i, slot) in self.shards.iter_mut().enumerate() {
-            let part = &active[bounds[i]..bounds[i + 1]];
-            if part.is_empty() {
-                continue;
-            }
-            slot.as_mut()
-                .expect(SHARD_PRESENT)
-                .score_senones_into(model, part, feature, out)?;
+        for lane in &self.lanes[lanes] {
+            let cuts = &bounds[lane.span.start..];
+            score_shards(&mut lane.lock().shards, model, active, cuts, feature, out)?;
         }
         Ok(())
     }
 
-    /// Persistent-pool dispatch: shard boxes and reusable buffers travel to
-    /// the workers and back within this call; the calling thread scores
-    /// shard 0 while the workers run.
-    fn score_pooled(
+    /// Lock-step dispatch: posts the frame to every thread lane that has
+    /// work, scores lane 0 here, then collects the lanes' results in shard
+    /// order.  An error is held until every posted lane has answered, so no
+    /// lane is still scoring when the call returns; the first one wins.
+    fn score_parallel(
         &mut self,
         model: &AcousticModel,
         active: &[SenoneId],
@@ -380,91 +423,61 @@ impl ShardedScorer {
         bounds: &[usize],
         out: &mut Vec<(SenoneId, LogProb)>,
     ) -> Result<(), DecodeError> {
-        let n = self.shards.len();
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(n - 1));
-            self.threads_spawned += n - 1;
+        if self.workers.is_empty() {
+            for (k, lane) in self.lanes.iter().enumerate().skip(1) {
+                let lane = Arc::clone(lane);
+                let worker = std::thread::Builder::new()
+                    .name(format!("shard-lane-{k}"))
+                    .spawn(move || lane.serve())
+                    .expect("spawn shard lane thread");
+                self.workers.push(worker);
+            }
         }
-        let ShardedScorer {
-            shards,
-            pool,
-            model_cache,
-            ..
-        } = self;
-        let pool = pool.as_mut().expect("pool created above");
-        let shared = Arc::clone(
-            model_cache
-                .as_mut()
-                .expect("model cache refreshed before pooled dispatch")
-                .shared_model(model),
-        );
-        for w in 0..n - 1 {
-            let part = &active[bounds[w + 1]..bounds[w + 2]];
-            if part.is_empty() {
+        for (lane, worker) in self.lanes[1..].iter().zip(&self.workers) {
+            if bounds[lane.span.start] == bounds[lane.span.end] {
                 continue;
             }
-            let (mut active_buf, mut feature_buf, result_buf) = std::mem::take(&mut pool.spare[w]);
-            active_buf.clear();
-            active_buf.extend_from_slice(part);
-            feature_buf.clear();
-            feature_buf.extend_from_slice(feature);
-            let job = ScoreJob {
-                shard: shards[w + 1].take().expect(SHARD_PRESENT),
-                model: Arc::clone(&shared),
-                active: active_buf,
-                feature: feature_buf,
-                result: Ok(result_buf),
-            };
-            pool.senders[w].send(job).expect(WORKER_DIED);
+            let mut group = lane.lock();
+            if group.model.as_ref().map(AcousticModel::id) != Some(model.id()) {
+                group.model = Some(model.clone());
+            }
+            group.active.clear();
+            group.active.extend_from_slice(active);
+            group.bounds.clear();
+            group.bounds.extend_from_slice(&bounds[lane.span.start..]);
+            group.feature.clear();
+            group.feature.extend_from_slice(feature);
+            drop(group);
+            lane.post(lane.signals.posted.load(SeqCst) + 1, worker);
         }
-        // Score shard 0's slice here instead of idling on the replies; any
-        // error is held until every worker has answered, so the shard boxes
-        // are restored before it propagates.
-        let first_part = &active[bounds[0]..bounds[1]];
-        let mut first_err = if first_part.is_empty() {
-            None
-        } else {
-            shards[0]
-                .as_mut()
-                .expect(SHARD_PRESENT)
-                .score_senones_into(model, first_part, feature, out)
-                .err()
-        };
-        // Each worker replies on its own channel, so receiving in worker
-        // order yields shard order directly, and a worker that panicked
-        // disconnects its channel rather than leaving this recv waiting.
-        for w in 0..n - 1 {
-            if active[bounds[w + 1]..bounds[w + 2]].is_empty() {
+        let mut result = self.score_inline(0..1, model, active, feature, bounds, out);
+        for (lane, worker) in self.lanes[1..].iter().zip(&self.workers) {
+            if bounds[lane.span.start] == bounds[lane.span.end] {
                 continue;
             }
-            let job = pool.replies[w].recv().expect(WORKER_DIED);
-            let ScoreJob {
-                shard,
-                active: active_buf,
-                feature: feature_buf,
-                result,
-                model: _,
-            } = job;
-            shards[w + 1] = Some(shard);
-            let result_buf = match result {
-                Ok(mut scores) => {
-                    if first_err.is_none() {
-                        out.append(&mut scores);
-                    }
-                    scores
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    Vec::new()
-                }
-            };
-            pool.spare[w] = (active_buf, feature_buf, result_buf);
+            lane.wait_done(lane.signals.posted.load(SeqCst), worker);
+            let mut group = lane.lock();
+            if let Some(e) = group.error.take() {
+                result = result.and(Err(e));
+            }
+            if result.is_ok() {
+                out.append(&mut group.scores);
+            }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        result
+    }
+}
+
+impl Drop for ShardedScorer {
+    fn drop(&mut self) {
+        // A lane thread that panicked already surfaced as a caller panic in
+        // `wait_done`, so join errors are not re-raised here.
+        for (lane, worker) in self.lanes[1..].iter().zip(&self.workers) {
+            lane.signals.posted.store(STOP, SeqCst);
+            worker.thread().unpark();
+        }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -475,9 +488,7 @@ impl SenoneScorer for ShardedScorer {
     }
 
     fn begin_frame(&mut self, feature: &[f32]) {
-        for slot in &mut self.shards {
-            slot.as_mut().expect(SHARD_PRESENT).begin_frame(feature);
-        }
+        self.for_each_shard(|_, shard| shard.begin_frame(feature));
     }
 
     fn score_senones(
@@ -498,18 +509,15 @@ impl SenoneScorer for ShardedScorer {
         feature: &[f32],
         out: &mut Vec<(SenoneId, LogProb)>,
     ) -> Result<(), DecodeError> {
-        if self.shards.len() == 1 {
-            return self.shards[0]
-                .as_mut()
-                .expect(SHARD_PRESENT)
-                .score_senones_into(model, active, feature, out);
+        if self.num_shards == 1 {
+            return self.lanes[0].lock().shards[0].score_senones_into(model, active, feature, out);
         }
         let mut bounds = std::mem::take(&mut self.bounds);
-        fill_bounds(&mut bounds, self.shards.len(), active, self.costs(model));
+        fill_bounds(&mut bounds, self.num_shards, active, self.costs(model));
         let result = if !self.parallel || active.len() < MIN_PARALLEL_SENONES {
-            self.score_inline(model, active, feature, &bounds, out)
+            self.score_inline(0..self.lanes.len(), model, active, feature, &bounds, out)
         } else {
-            self.score_pooled(model, active, feature, &bounds, out)
+            self.score_parallel(model, active, feature, &bounds, out)
         };
         self.bounds = bounds;
         result
@@ -523,8 +531,10 @@ impl SenoneScorer for ShardedScorer {
         senone_scores: &[LogProb],
     ) -> Result<HmmStepResult, DecodeError> {
         let idx = self.next_hmm_shard;
-        self.next_hmm_shard = (idx + 1) % self.shards.len();
-        self.shards[idx].as_mut().expect(SHARD_PRESENT).step_hmm(
+        self.next_hmm_shard = (idx + 1) % self.num_shards;
+        let lane = self.lanes.iter().find(|lane| lane.span.contains(&idx));
+        let lane = lane.expect("the lanes cover every shard");
+        lane.lock().shards[idx - lane.span.start].step_hmm(
             prev_scores,
             entry_score,
             transitions,
@@ -534,64 +544,55 @@ impl SenoneScorer for ShardedScorer {
 
     fn dma_fetch(&mut self, bytes: u64) {
         // Dictionary / LM traffic happens once, not once per shard.
-        self.shards[0]
-            .as_mut()
-            .expect(SHARD_PRESENT)
-            .dma_fetch(bytes);
+        self.lanes[0].lock().shards[0].dma_fetch(bytes);
     }
 
     fn end_frame(&mut self, active_triphones: usize, lattice_edges: usize) {
         // The host software stages run once; charge them to shard 0.  Every
         // other shard still closes its frame window (idle cycles, bandwidth).
-        for (i, slot) in self.shards.iter_mut().enumerate() {
-            let shard = slot.as_mut().expect(SHARD_PRESENT);
+        self.for_each_shard(|i, shard| {
             if i == 0 {
                 shard.end_frame(active_triphones, lattice_edges);
             } else {
                 shard.end_frame(0, 0);
             }
-        }
+        });
     }
 
     fn finish_utterance(&mut self) -> Option<UtteranceReport> {
         self.next_hmm_shard = 0;
-        // The worker pool deliberately survives this call: like the model
-        // cache (cost table, pooled model clone), it is cross-utterance
-        // state, so the next utterance of a batch — or the next request on a
-        // warm serving worker — reuses the same threads.  The pool joins
-        // when the scorer drops (`WorkerPool::drop`).
+        // The lane threads deliberately survive this call: like the model
+        // cache, they are cross-utterance state, so the next utterance of a
+        // batch — or the next request on a warm serving worker — reuses
+        // them.  They join when the scorer drops.
         let mut merged: Option<UtteranceReport> = None;
-        for slot in &mut self.shards {
-            if let Some(report) = slot.as_mut().expect(SHARD_PRESENT).finish_utterance() {
-                merged = Some(match merged {
+        self.for_each_shard(|_, shard| {
+            if let Some(report) = shard.finish_utterance() {
+                merged = Some(match merged.take() {
                     Some(acc) => acc.merge_parallel(&report),
                     None => report,
                 });
             }
-        }
+        });
         merged
     }
 
     fn reset(&mut self) {
         self.next_hmm_shard = 0;
-        // The pool is cross-utterance state like the model cache: the
-        // decoder resets its scorer at the start of every utterance, so
-        // dropping the pool here would respawn N−1 threads per utterance.
-        for slot in &mut self.shards {
-            slot.as_mut().expect(SHARD_PRESENT).reset();
-        }
+        // The lane threads are cross-utterance state like the model cache:
+        // the decoder resets its scorer at the start of every utterance, so
+        // joining them here would respawn them per utterance.
+        self.for_each_shard(|_, shard| shard.reset());
     }
 
-    /// This scorer's pool workers, `num_shards() - 1`, spawned exactly once
-    /// for the scorer's whole life however many utterances it decodes, plus
-    /// whatever its shards spawned (a sharded shard has a pool of its own).
+    /// This scorer's lane threads, `min(N − 1, max(1, cpus − 1))`, spawned
+    /// exactly once for the scorer's whole life however many utterances it
+    /// decodes, plus whatever its shards spawned (a sharded shard has lanes
+    /// of its own).
     fn threads_spawned(&self) -> usize {
-        self.threads_spawned
-            + self
-                .shards
-                .iter()
-                .map(|s| s.as_ref().expect(SHARD_PRESENT).threads_spawned())
-                .sum::<usize>()
+        let mut spawned = self.workers.len();
+        self.for_each_shard(|_, shard| spawned += shard.threads_spawned());
+        spawned
     }
 }
 
@@ -609,6 +610,13 @@ mod tests {
 
     fn all_ids(m: &AcousticModel) -> Vec<SenoneId> {
         (0..m.senones().len() as u32).map(SenoneId).collect()
+    }
+
+    /// Lane threads a parallel `n`-shard scorer spawns on this host:
+    /// `min(n − 1, max(1, cpus − 1))`.
+    fn lane_threads(n: usize) -> usize {
+        let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+        (n - 1).min(cpus.saturating_sub(1).max(1))
     }
 
     fn soc_shards(n: usize) -> ShardedScorer {
@@ -690,7 +698,7 @@ mod tests {
             // The pool survives the utterance boundary: the workers spawned
             // on the first parallel frame serve every later utterance too.
             assert!(pooled.pool_is_live(), "finish_utterance keeps the pool");
-            assert_eq!(pooled.threads_spawned(), 2);
+            assert_eq!(pooled.threads_spawned(), lane_threads(3));
         }
         // reset() — what the decoder calls at every utterance start — keeps
         // the pool too: the next parallel frame reuses the same workers.
@@ -699,7 +707,7 @@ mod tests {
         let x = vec![0.1f32; m.feature_dim()];
         pooled.begin_frame(&x);
         pooled.score_senones(&m, &ids, &x).unwrap();
-        assert_eq!(pooled.threads_spawned(), 2);
+        assert_eq!(pooled.threads_spawned(), lane_threads(3));
     }
 
     #[test]
@@ -714,12 +722,12 @@ mod tests {
             .with_parallelism(true);
         nested.begin_frame(&x);
         nested.score_senones(&m, &ids, &x).unwrap();
-        // One outer pool worker plus the inner scorer's two.
-        assert_eq!(nested.threads_spawned(), 3);
+        // The outer scorer's lane thread plus the inner scorer's own.
+        assert_eq!(nested.threads_spawned(), lane_threads(2) + lane_threads(3));
     }
 
     /// The tentpole property behind warm-server zero-spawn serving: a
-    /// 16-utterance stream through one pooled scorer spawns its N−1 workers
+    /// 16-utterance stream through one pooled scorer spawns its lane threads
     /// exactly once, on the first parallel frame of the first utterance,
     /// and the results stay identical to a fresh scorer's.
     #[test]
@@ -748,7 +756,7 @@ mod tests {
             reports.push(warm.finish_utterance().unwrap());
             assert_eq!(
                 warm.threads_spawned(),
-                2,
+                lane_threads(3),
                 "utterance {utterance} must not respawn the pool"
             );
         }
@@ -831,8 +839,9 @@ mod tests {
 
     /// With the pool surviving utterance boundaries, a worker that panics on
     /// a *later* utterance of a batch (its threads long since spawned) must
-    /// still propagate to the caller as a panic, never a hang: the worker's
-    /// private reply channel disconnects and `recv` fails immediately.
+    /// still propagate to the caller as a panic, never a hang: the caller
+    /// stops waiting on the lane's `done` counter once its thread has
+    /// finished.
     #[test]
     fn pooled_worker_panic_mid_batch_propagates() {
         let m = model();
@@ -877,9 +886,8 @@ mod tests {
         );
     }
 
-    /// A worker that dies mid-job must panic the caller (its private reply
-    /// channel disconnects), never leave it blocked on a reply that cannot
-    /// arrive — the regression a shared reply channel had with ≥ 2 workers.
+    /// A lane thread that dies mid-frame must panic the caller, never leave
+    /// it waiting on a `done` counter that cannot advance.
     #[test]
     #[should_panic(expected = "shard scoring worker panicked")]
     fn pooled_worker_panic_propagates_instead_of_deadlocking() {
@@ -917,7 +925,7 @@ mod tests {
         let eligible: Vec<SenoneId> = (0..MIN_PARALLEL_SENONES as u32).map(SenoneId).collect();
         sharded.begin_frame(&x);
         sharded.score_senones(&m, &eligible, &x).unwrap();
-        assert_eq!(sharded.threads_spawned(), 3);
+        assert_eq!(sharded.threads_spawned(), lane_threads(4));
     }
 
     /// Wraps a [`SimdScorer`] and publishes its arena build count, which the
@@ -961,7 +969,7 @@ mod tests {
     }
 
     /// Frames alternating above and below the parallel threshold score
-    /// shard 1 on a worker (against the pooled model clone) and inline
+    /// shard 1 on a lane thread (against the lane's model clone) and inline
     /// (against the caller's model) in turn.  Both copies share one model
     /// identity, so each shard builds its SIMD arena exactly once.
     #[test]

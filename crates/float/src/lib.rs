@@ -17,9 +17,6 @@
 //!   ( (X−Y)²·Z, add, fused multiply-add ) as IEEE-754 single operations
 //!   with per-operation mantissa quantisation, so the hardware simulator in
 //!   `asr-hw` computes exactly what a fixed-width datapath would.
-//! * [`Q16_16`] — a fixed-point type used by the software-baseline decoder
-//!   (the paper contrasts its floating-point ASIC against fixed-point
-//!   software ports).
 //!
 //! # Example
 //!
@@ -38,13 +35,11 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod fixed;
 pub mod logmath;
 pub mod lut;
 pub mod reduced;
 pub mod softfloat;
 
-pub use fixed::Q16_16;
 pub use logmath::LogProb;
 pub use lut::{LogAddTable, LogAddTableConfig};
 pub use reduced::{MantissaWidth, Quantizer};
@@ -90,7 +85,6 @@ mod tests {
         assert_send_sync::<LogProb>();
         assert_send_sync::<LogAddTable>();
         assert_send_sync::<Quantizer>();
-        assert_send_sync::<Q16_16>();
         assert_send_sync::<FloatError>();
     }
 }

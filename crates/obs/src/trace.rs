@@ -124,14 +124,11 @@ pub enum SpanEvent {
         /// Which worker picked it up.
         worker: usize,
     },
-    /// The decode of this request spawned shard-pool worker threads: the
+    /// The decode of this request spawned shard lane threads: the
     /// serve worker reads its decoder's spawn count before and after each
     /// whole-utterance decode and, when it grew, records this before the
     /// trace's `Finished`.
     ShardDispatch {
-        /// Shards the spawned threads serve: `threads + 1` (shard 0
-        /// scores on the decoding thread).
-        shards: usize,
         /// Worker threads spawned during this decode.
         threads: usize,
     },
@@ -226,9 +223,7 @@ impl SpanEvent {
                 fact.with("worker", *worker).with("batch", *batch)
             }
             SpanEvent::DecodeStarted { worker } => fact.with("worker", *worker),
-            SpanEvent::ShardDispatch { shards, threads } => {
-                fact.with("shards", *shards).with("threads", *threads)
-            }
+            SpanEvent::ShardDispatch { threads } => fact.with("threads", *threads),
             SpanEvent::VadSpeechStart { frame } => fact.with("frame", *frame),
             SpanEvent::VadSpeechEnd { frames } | SpanEvent::ForcedEndpoint { frames } => {
                 fact.with("frames", *frames)

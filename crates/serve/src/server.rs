@@ -1418,10 +1418,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     if spawned > 0 {
                         shared.telemetry.emit(
                             admission.trace,
-                            &SpanEvent::ShardDispatch {
-                                shards: spawned + 1,
-                                threads: spawned,
-                            },
+                            &SpanEvent::ShardDispatch { threads: spawned },
                         );
                     }
                     record_outcome(shared, worker, &model.name, &outcome);

@@ -1,8 +1,8 @@
 //! Steady-state zero-spawn acceptance: a warm sharded decoder — whether
 //! driven directly through `decode_batch_with` or behind a multi-worker
-//! `AsrServer` — must not spawn threads per utterance.  The shard pool
-//! spawns its workers once, on the first parallel frame, and lives until the
-//! scorer is dropped.
+//! `AsrServer` — must not spawn threads per utterance.  A sharded scorer
+//! spawns its lane threads once, on the first parallel frame, and they live
+//! until the scorer is dropped.
 //!
 //! Each test reads only counts it owns: the direct tests read
 //! `SenoneScorer::threads_spawned` on their own decoder, and the server test
@@ -36,7 +36,7 @@ fn build_recognizer(task: &SyntheticTask, config: DecoderConfig) -> Recognizer {
 }
 
 /// A 16-utterance `decode_batch_with` over a 4-shard backend costs at most
-/// one pool spawn (3 worker threads) for the whole batch — not one per
+/// one pool spawn (at most 3 lane threads) for the whole batch — not one per
 /// utterance, as a `finish_utterance`-scoped pool would.
 #[test]
 fn decode_batch_pays_at_most_one_pool_spawn_for_16_utterances() {
@@ -60,7 +60,8 @@ fn decode_batch_pays_at_most_one_pool_spawn_for_16_utterances() {
 
 /// The same property with the pool forced on, so it holds on single-CPU
 /// hosts too: a 16-utterance `decode_batch_with` through one decoder over a
-/// forced-parallel 4-shard scorer spawns exactly one pool (3 threads).
+/// forced-parallel 4-shard scorer spawns its lane threads exactly once:
+/// `min(3, max(1, cpus − 1))` of them.
 #[test]
 fn forced_parallel_decode_batch_spawns_exactly_one_pool() {
     let task = build_task();
@@ -84,10 +85,11 @@ fn forced_parallel_decode_batch_spawns_exactly_one_pool() {
         .decode_batch_with(&utterances, &mut decoder)
         .expect("batch decode");
     assert_eq!(results.len(), 16);
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
     assert_eq!(
         decoder.scorer().threads_spawned(),
-        3,
-        "a forced-parallel 4-shard decoder spawns its pool once for the batch"
+        3.min(cpus.saturating_sub(1).max(1)),
+        "a forced-parallel 4-shard decoder spawns its lane threads once for the batch"
     );
 }
 

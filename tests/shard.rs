@@ -1,8 +1,7 @@
 //! Sharding integration tests: a `ShardedScorer` must be observationally
 //! identical to its unsharded inner scorer — same senone scores, same
 //! hypotheses, same decode statistics — for any shard count, whether its
-//! shards score on the persistent worker pool or inline on the calling
-//! thread.  Sharding is a pure throughput optimisation, exactly like
+//! shards score on lane threads or inline on the calling thread.  Sharding is a pure throughput optimisation, exactly like
 //! batching.
 
 use lvcsr::acoustic::{
@@ -11,10 +10,21 @@ use lvcsr::acoustic::{
 };
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{
-    DecodeResult, DecoderConfig, GmmSelectionConfig, PhoneDecoder, Recognizer, ScoringBackendKind,
-    SenoneScorer, ShardedScorer,
+    software_step_hmm, DecodeError, DecodeResult, DecoderConfig, GmmSelectionConfig, HmmStepResult,
+    PhoneDecoder, Recognizer, ScoringBackendKind, SenoneScorer, ShardedScorer,
 };
+use lvcsr::float::LogProb;
+use lvcsr::hw::UtteranceReport;
 use proptest::prelude::*;
+use std::sync::mpsc;
+use std::time::Duration;
+
+/// Lane threads a parallel `n`-shard scorer spawns on this host:
+/// `min(n − 1, max(1, cpus − 1))`.
+fn lane_threads(n: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+    (n - 1).min(cpus.saturating_sub(1).max(1))
+}
 
 fn build_task() -> SyntheticTask {
     TaskGenerator::new(2424)
@@ -116,7 +126,7 @@ proptest! {
     }
 }
 
-/// The persistent pool must give the same results as the inline fan-out on
+/// The lane threads must give the same results as the inline fan-out on
 /// the same shards — run both explicitly so the parallel code is exercised
 /// even where the host heuristic would disable it (single-CPU CI
 /// containers), both offline and through `DecodeSession` streaming steps.
@@ -152,9 +162,9 @@ fn forced_pool_and_inline_dispatch_agree() {
     assert_eq!(hw.frames, features.len());
     assert_eq!(hw.shard_senones.iter().sum::<u64>(), hw.senones_scored);
 
-    // The pool path holds across streaming steps too: frames arrive one
-    // chunk at a time, the workers persist between chunks, and finish()
-    // joins them.
+    // The threaded path holds across streaming steps too: frames arrive one
+    // chunk at a time, the lane threads persist between chunks, and they
+    // join when the session's decoder drops.
     let session_result = {
         let mut session = rec.begin_session_with(decoder_with(true));
         for piece in features.chunks(3) {
@@ -165,7 +175,7 @@ fn forced_pool_and_inline_dispatch_agree() {
     assert_eq!(fingerprint(&pooled), fingerprint(&session_result));
 }
 
-/// The pool must spawn its workers once per scorer — never per frame.
+/// The scorer must spawn its lane threads once — never per frame.
 /// Driven through the scorer directly (`PhoneDecoder` +
 /// `Recognizer::decode_features_with` would hide the counter behind the
 /// trait object).
@@ -194,7 +204,149 @@ fn pooled_dispatch_spawns_zero_threads_per_frame() {
         scorer.end_frame(0, 0);
     }
     assert!(scorer.finish_utterance().is_none(), "software shards");
-    assert_eq!(scorer.threads_spawned(), 3, "3 workers for 4 shards, once");
+    assert_eq!(
+        scorer.threads_spawned(),
+        lane_threads(4),
+        "one lane thread per CPU beyond the caller's, spawned once"
+    );
+}
+
+/// Sixteen shards on however many CPUs: the lanes group them, so a forced-
+/// parallel scorer spawns `min(15, max(1, cpus − 1))` threads — not one per
+/// shard — and its scores and merged report match the inline fan-out bit for
+/// bit.
+#[test]
+fn forced_parallel_16_shards_spawn_one_thread_per_spare_cpu() {
+    let task = build_task();
+    let model = &task.acoustic_model;
+    let ids: Vec<SenoneId> = (0..model.senones().len() as u32).map(SenoneId).collect();
+    let sharded = |parallel: bool| {
+        let shards: Vec<Box<dyn SenoneScorer>> = (0..16)
+            .map(|_| {
+                ScoringBackendKind::Hardware(lvcsr::hw::SocConfig::default())
+                    .build_scorer(&GmmSelectionConfig::default())
+                    .expect("shard")
+            })
+            .collect();
+        ShardedScorer::new(shards)
+            .expect("sharded scorer")
+            .with_parallelism(parallel)
+    };
+    let (mut parallel, mut inline) = (sharded(true), sharded(false));
+    for f in 0..20 {
+        let x: Vec<f32> = (0..model.feature_dim())
+            .map(|d| 0.02 * (f + d) as f32)
+            .collect();
+        let frame = |scorer: &mut ShardedScorer| {
+            scorer.begin_frame(&x);
+            let scores = scorer.score_senones(model, &ids, &x).expect("score");
+            scorer.end_frame(1, 0);
+            scores
+        };
+        let (a, b) = (frame(&mut parallel), frame(&mut inline));
+        assert_eq!(a.len(), ids.len());
+        for ((ia, sa), (ib, sb)) in a.iter().zip(&b) {
+            assert_eq!(ia, ib);
+            assert_eq!(sa.raw().to_bits(), sb.raw().to_bits(), "frame {f}, {ia:?}");
+        }
+    }
+    assert_eq!(parallel.threads_spawned(), lane_threads(16));
+    assert_eq!(inline.threads_spawned(), 0);
+    let (a, b) = (
+        parallel.finish_utterance().expect("report"),
+        inline.finish_utterance().expect("report"),
+    );
+    assert_eq!(
+        (a.frames, a.senones_scored, a.hmm_updates, &a.shard_senones),
+        (b.frames, b.senones_scored, b.hmm_updates, &b.shard_senones)
+    );
+}
+
+/// A shard whose scoring always panics: an inner-scorer bug on a lane thread.
+#[derive(Debug)]
+struct PanickingScorer;
+
+impl SenoneScorer for PanickingScorer {
+    fn name(&self) -> &'static str {
+        "panicking"
+    }
+    fn begin_frame(&mut self, _feature: &[f32]) {}
+    fn score_senones(
+        &mut self,
+        _model: &AcousticModel,
+        _active: &[SenoneId],
+        _feature: &[f32],
+    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+        panic!("inner scorer bug");
+    }
+    fn step_hmm(
+        &mut self,
+        prev_scores: &[LogProb],
+        entry_score: LogProb,
+        transitions: &TransitionMatrix,
+        senone_scores: &[LogProb],
+    ) -> Result<HmmStepResult, DecodeError> {
+        software_step_hmm(prev_scores, entry_score, transitions, senone_scores)
+    }
+    fn finish_utterance(&mut self) -> Option<UtteranceReport> {
+        None
+    }
+    fn reset(&mut self) {}
+}
+
+/// Lane threads park once they have spun past their window.  A frame posted
+/// to a parked lane must wake it, and dropping a scorer must join a parked
+/// lane and a lane whose thread panicked.  A lost wake-up would hang rather
+/// than fail, so the body runs on its own thread under a watchdog.
+#[test]
+fn parked_and_panicked_lanes_wake_score_and_drop_under_a_watchdog() {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let task = build_task();
+        let model = &task.acoustic_model;
+        let ids: Vec<SenoneId> = (0..model.senones().len() as u32).map(SenoneId).collect();
+        let x: Vec<f32> = (0..model.feature_dim()).map(|d| 0.05 * d as f32).collect();
+        let software = || -> Box<dyn SenoneScorer> {
+            ScoringBackendKind::Software
+                .build_scorer(&GmmSelectionConfig::default())
+                .expect("shard")
+        };
+        let sharded = |shards: Vec<Box<dyn SenoneScorer>>| {
+            ShardedScorer::new(shards)
+                .expect("sharded scorer")
+                .with_parallelism(true)
+        };
+        let mut inline = sharded((0..2).map(|_| software()).collect()).with_parallelism(false);
+        let want = inline.score_senones(model, &ids, &x).expect("score");
+        let mut pooled = sharded((0..2).map(|_| software()).collect());
+        for _ in 0..3 {
+            let got = pooled.score_senones(model, &ids, &x).expect("score");
+            assert_eq!(got, want);
+            // About 80 times the lane's spin window, so the next frame is
+            // posted to a parked thread.  The scores are checked whichever
+            // way the threads interleave; the sleep only picks the path.
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        assert!(pooled.pool_is_live());
+        drop(pooled);
+
+        let mut broken = sharded(vec![software(), Box::new(PanickingScorer)]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = broken.score_senones(model, &ids, &x);
+        }));
+        assert!(caught.is_err(), "a dead lane thread must panic the caller");
+        drop(broken);
+        done_tx.send(()).expect("watchdog listening");
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => {}
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("a lane handoff hung: lost wake-up or unjoinable lane thread")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("the watched test body panicked (see its output above)")
+        }
+    }
 }
 
 /// Sharding the SoC quarters the per-shard accelerator load, which the
