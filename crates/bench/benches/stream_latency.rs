@@ -1,9 +1,10 @@
 //! Streaming latency bench: the same 32-utterance workload decoded (a)
 //! offline through `decode_batch` (one warmed decoder, whole utterances) and
-//! (b) through streaming feature sessions fed 5-frame chunks, with the
-//! decoder recycled across sessions so both paths amortise the backend's
-//! model caches identically — the measured difference is the price of
-//! incremental operation itself.
+//! (b) through `DecodeSession`s fed 5-frame chunks, each push timed into a
+//! `StreamTiming` and followed by a partial-hypothesis read as a streaming
+//! caller does, with the decoder recycled across sessions so both paths
+//! amortise the backend's model caches identically — the measured
+//! difference is the price of incremental operation itself.
 //!
 //! The `bench_gate` acceptance check reads both: streaming must stay within
 //! 15 % of the offline path's throughput (the stream-vs-offline RTF overhead
@@ -13,15 +14,46 @@
 //! ordinary regression rule.
 
 use asr_bench::experiments::{batch_bench_task, recognizer};
-use asr_core::{DecoderConfig, Recognizer};
+use asr_core::{DecodeSession, DecoderConfig, PhoneDecoder, Recognizer};
 use asr_corpus::{ScenarioGenerator, ScenarioKind, ScenarioVoiceTask};
+use asr_hw::StreamTiming;
 use asr_stream::{AdaptiveVadConfig, StreamConfig, StreamingRecognizer, VadConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Frames per streamed chunk: 5 frames = 50 ms of audio per push, a typical
 /// interactive packet size.
 const CHUNK_FRAMES: usize = 5;
+
+/// Audio covered by one feature frame (the default 10 ms frame shift).
+const FRAME_SHIFT_S: f64 = 0.010;
+
+/// Streams one utterance through a decode session on `decoder` in
+/// `CHUNK_FRAMES` chunks, timing each push and reading the partial after it;
+/// returns the words decoded, the latency record and the decoder.
+fn stream_utterance(
+    rec: &Recognizer,
+    decoder: PhoneDecoder,
+    features: &[Vec<f32>],
+) -> (usize, StreamTiming, PhoneDecoder) {
+    let mut session = DecodeSession::begin(rec, decoder);
+    let mut timing = StreamTiming::new();
+    for chunk in features.chunks(CHUNK_FRAMES) {
+        let start = Instant::now();
+        session.push_chunk(chunk).expect("chunk decodes");
+        timing.record_chunk(
+            start.elapsed().as_secs_f64(),
+            chunk.len() as f64 * FRAME_SHIFT_S,
+        );
+        std::hint::black_box(session.partial());
+    }
+    let (result, decoder) = session.finish();
+    (
+        result.expect("finish").hypothesis.words.len(),
+        timing,
+        decoder,
+    )
+}
 
 fn bench_stream_latency(c: &mut Criterion) {
     let task = batch_bench_task(17);
@@ -40,24 +72,13 @@ fn bench_stream_latency(c: &mut Criterion) {
         b.iter(|| offline.decode_batch(&utterances).expect("decode").len())
     });
 
-    let streamer = StreamingRecognizer::feature_only(
-        recognizer(&task, DecoderConfig::simd()).expect("recogniser"),
-    )
-    .expect("streamer");
     group.bench_function("stream_32", |b| {
         b.iter(|| {
-            let mut decoder = streamer
-                .recognizer()
-                .phone_decoder()
-                .expect("decoder builds");
+            let mut decoder = offline.phone_decoder().expect("decoder builds");
             let mut words = 0usize;
             for features in &utterances {
-                let mut session = streamer.feature_session_with(decoder);
-                for chunk in features.chunks(CHUNK_FRAMES) {
-                    session.push_chunk(chunk).expect("chunk decodes");
-                }
-                let (outcome, recycled) = session.finish_parts();
-                words += outcome.expect("finish").result.hypothesis.words.len();
+                let (decoded, _, recycled) = stream_utterance(&offline, decoder, features);
+                words += decoded;
                 decoder = recycled;
             }
             words
@@ -65,7 +86,7 @@ fn bench_stream_latency(c: &mut Criterion) {
     });
     group.finish();
 
-    record_p50_chunk_latency(&streamer, &utterances);
+    record_p50_chunk_latency(&offline, &utterances);
 }
 
 /// Adversarial audio streaming: the full VAD → frontend → decoder path over a
@@ -126,19 +147,16 @@ fn bench_stream_adversarial(c: &mut Criterion) {
 /// Measures one representative streamed pass and records the median per-chunk
 /// latency into the `LVCSR_BENCH_JSON` document as
 /// `stream_latency/p50_chunk_seconds`.
-fn record_p50_chunk_latency(streamer: &StreamingRecognizer, utterances: &[Vec<Vec<f32>>]) {
+fn record_p50_chunk_latency(rec: &Recognizer, utterances: &[Vec<Vec<f32>>]) {
     let path = match std::env::var("LVCSR_BENCH_JSON") {
         Ok(p) if !p.is_empty() => p,
         _ => return,
     };
-    let mut timing = asr_hw::StreamTiming::new();
+    let mut timing = StreamTiming::new();
     for features in utterances {
-        let mut session = streamer.feature_session().expect("session");
-        for chunk in features.chunks(CHUNK_FRAMES) {
-            session.push_chunk(chunk).expect("chunk decodes");
-        }
-        let outcome = session.finish().expect("finish");
-        timing = timing.merge(&outcome.timing);
+        let decoder = rec.phone_decoder().expect("decoder builds");
+        let (_, streamed, _) = stream_utterance(rec, decoder, features);
+        timing = timing.merge(&streamed);
     }
     if let Err(e) = asr_bench::bench_json::record_entry(
         &path,

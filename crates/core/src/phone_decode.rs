@@ -223,14 +223,16 @@ mod tests {
             "counting-mock"
         }
         fn begin_frame(&mut self, _feature: &[f32]) {}
-        fn score_senones(
+        fn score_senones_into(
             &mut self,
             _model: &AcousticModel,
             active: &[SenoneId],
             _feature: &[f32],
-        ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+            out: &mut Vec<(SenoneId, LogProb)>,
+        ) -> Result<(), DecodeError> {
             self.score_calls.fetch_add(1, Ordering::SeqCst);
-            Ok(active.iter().map(|&id| (id, LogProb::new(-2.0))).collect())
+            out.extend(active.iter().map(|&id| (id, LogProb::new(-2.0))));
+            Ok(())
         }
         fn step_hmm(
             &mut self,

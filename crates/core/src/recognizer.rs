@@ -144,7 +144,10 @@ impl Recognizer {
     }
 
     /// Builds a fresh phone decoder from the configured backend, ready to
-    /// serve one utterance at a time (reusable across a batch).
+    /// serve one utterance at a time.  Its owner keeps it warm and lends it
+    /// utterance after utterance to [`Recognizer::decode_features_with`],
+    /// [`Recognizer::decode_batch_with`] and
+    /// [`DecodeSession::begin`](crate::DecodeSession::begin).
     ///
     /// # Errors
     ///

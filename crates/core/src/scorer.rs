@@ -60,13 +60,15 @@ pub struct HmmStepResult {
 ///         "flat"
 ///     }
 ///     fn begin_frame(&mut self, _feature: &[f32]) {}
-///     fn score_senones(
+///     fn score_senones_into(
 ///         &mut self,
 ///         _model: &AcousticModel,
 ///         active: &[SenoneId],
 ///         _feature: &[f32],
-///     ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-///         Ok(active.iter().map(|&id| (id, LogProb::new(-1.0))).collect())
+///         out: &mut Vec<(SenoneId, LogProb)>,
+///     ) -> Result<(), DecodeError> {
+///         out.extend(active.iter().map(|&id| (id, LogProb::new(-1.0))));
+///         Ok(())
 ///     }
 ///     fn step_hmm(
 ///         &mut self,
@@ -102,45 +104,45 @@ pub trait SenoneScorer: std::fmt::Debug + Send {
     /// Starts a 10 ms frame (hardware backends load the feature vector).
     fn begin_frame(&mut self, feature: &[f32]);
 
-    /// Scores the requested senones for the current frame.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific: hardware errors surface as
-    /// [`DecodeError::Hardware`], unknown senone ids as
-    /// [`DecodeError::Acoustic`].
-    fn score_senones(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError>;
-
-    /// Scores the requested senones into a caller-supplied buffer (appended
-    /// in `active` order), so a per-frame result allocation can be reused
-    /// across frames.  The decode hot path ([`PhoneDecoder::score_frame`])
-    /// calls this with a persistent scratch buffer; backends that assemble
-    /// results from parts (e.g. [`ShardedScorer`](crate::ShardedScorer))
-    /// override it to write the concatenation directly into `out`.
-    ///
-    /// The default implementation delegates to
-    /// [`SenoneScorer::score_senones`] and appends.
+    /// Scores the requested senones for the current frame, appending them
+    /// in `active` order to a caller-supplied buffer so a per-frame result
+    /// allocation can be reused across frames.  The decode hot path
+    /// ([`PhoneDecoder::score_frame`]) calls this with a persistent scratch
+    /// buffer; backends that assemble results from parts (e.g.
+    /// [`ShardedScorer`](crate::ShardedScorer)) write the concatenation
+    /// directly into `out`.
     ///
     /// [`PhoneDecoder::score_frame`]: crate::PhoneDecoder::score_frame
     ///
     /// # Errors
     ///
-    /// Identical to [`SenoneScorer::score_senones`]; on error `out` may hold
-    /// a partial prefix and must be discarded by the caller.
+    /// Backend-specific: hardware errors surface as
+    /// [`DecodeError::Hardware`], unknown senone ids as
+    /// [`DecodeError::Acoustic`].  On error `out` may hold a partial prefix
+    /// and must be discarded by the caller.
     fn score_senones_into(
         &mut self,
         model: &AcousticModel,
         active: &[SenoneId],
         feature: &[f32],
         out: &mut Vec<(SenoneId, LogProb)>,
-    ) -> Result<(), DecodeError> {
-        out.extend(self.score_senones(model, active, feature)?);
-        Ok(())
+    ) -> Result<(), DecodeError>;
+
+    /// Scores the requested senones into a fresh vector: the allocating
+    /// convenience over [`SenoneScorer::score_senones_into`].
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`SenoneScorer::score_senones_into`].
+    fn score_senones(
+        &mut self,
+        model: &AcousticModel,
+        active: &[SenoneId],
+        feature: &[f32],
+    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+        let mut out = Vec::with_capacity(active.len());
+        self.score_senones_into(model, active, feature, &mut out)?;
+        Ok(out)
     }
 
     /// Advances one HMM by one frame.
@@ -285,17 +287,6 @@ impl SenoneScorer for SocScorer {
         self.soc.begin_frame(feature);
     }
 
-    fn score_senones(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-        let mut out = Vec::with_capacity(active.len());
-        self.score_senones_into(model, active, feature, &mut out)?;
-        Ok(out)
-    }
-
     fn score_senones_into(
         &mut self,
         model: &AcousticModel,
@@ -365,17 +356,6 @@ impl SenoneScorer for SoftwareScorer {
     }
 
     fn begin_frame(&mut self, _feature: &[f32]) {}
-
-    fn score_senones(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-        let mut out = Vec::with_capacity(active.len());
-        self.score_senones_into(model, active, feature, &mut out)?;
-        Ok(out)
-    }
 
     fn score_senones_into(
         &mut self,
@@ -557,17 +537,6 @@ impl SenoneScorer for SimdScorer {
     }
 
     fn begin_frame(&mut self, _feature: &[f32]) {}
-
-    fn score_senones(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-        let mut out = Vec::with_capacity(active.len());
-        self.score_senones_into(model, active, feature, &mut out)?;
-        Ok(out)
-    }
 
     fn score_senones_into(
         &mut self,

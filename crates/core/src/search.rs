@@ -797,13 +797,15 @@ mod tests {
             "short-step"
         }
         fn begin_frame(&mut self, _feature: &[f32]) {}
-        fn score_senones(
+        fn score_senones_into(
             &mut self,
             _model: &AcousticModel,
             active: &[SenoneId],
             _feature: &[f32],
-        ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-            Ok(active.iter().map(|&id| (id, LogProb::new(-1.0))).collect())
+            out: &mut Vec<(SenoneId, LogProb)>,
+        ) -> Result<(), DecodeError> {
+            out.extend(active.iter().map(|&id| (id, LogProb::new(-1.0))));
+            Ok(())
         }
         fn step_hmm(
             &mut self,

@@ -13,14 +13,21 @@
 //! the workspace's `tests/stream.rs` property test pins on every backend.
 //!
 //! One session type serves both ways of holding the recogniser:
-//! [`DecodeSession<&Recognizer>`](DecodeSession) from
-//! [`Recognizer::begin_session`] for a caller that owns the recogniser on
-//! the same thread, and [`DecodeSession<Arc<Recognizer>>`](DecodeSession)
-//! from [`DecodeSession::begin`] — an **owned** decode-task handle with no
-//! lifetime, for worker threads that serve many models and must pin each
-//! session to the model version it was opened on (the serve layer's
-//! hot-swap invariant).
+//! [`DecodeSession<&Recognizer>`](DecodeSession) for a caller that owns the
+//! recogniser on the same thread, and
+//! [`DecodeSession<Arc<Recognizer>>`](DecodeSession) — an **owned**
+//! decode-task handle with no lifetime, for worker threads that serve many
+//! models and must pin each session to the model version it was opened on
+//! (the serve layer's hot-swap invariant).
 //!
+//! A session borrows its [`PhoneDecoder`] from its owner: [`begin`] takes
+//! one, and [`finish`] and [`cancel`] hand it back, re-armed, so one warm
+//! backend serves utterance after utterance the way the paper's OP and
+//! Viterbi units do.  A caller with no decoder to recycle opens a one-off
+//! session with `DecodeSession::begin(&rec, rec.phone_decoder()?)`.
+//!
+//! [`begin`]: DecodeSession::begin
+//! [`cancel`]: DecodeSession::cancel
 //! [`finish`]: DecodeSession::finish
 
 use crate::phone_decode::PhoneDecoder;
@@ -67,18 +74,19 @@ fn search(recognizer: &Recognizer) -> TokenPassingSearch<'_> {
 
 /// An in-flight incremental decode of one utterance.
 ///
-/// `R` is how the session holds its recogniser: `&Recognizer` for a session
-/// opened with [`Recognizer::begin_session`], or `Arc<Recognizer>` for one
-/// opened with [`DecodeSession::begin`].  An `Arc` session has no lifetime,
-/// so it can be stored in long-lived worker state, moved across threads, or
-/// outlive the place that opened it; a session opened on one model
+/// `R` is how the session holds its recogniser: `&Recognizer` or
+/// `Arc<Recognizer>`.  An `Arc` session has no lifetime, so it can be stored
+/// in long-lived worker state, moved across threads, or outlive the place
+/// that opened it; a session opened on one model
 /// *version* keeps decoding that exact version even if a registry has since
 /// hot-swapped the name to a newer one — the `Arc` pins it.
 ///
-/// Feed it frames with [`DecodeSession::step_frame`] /
-/// [`DecodeSession::push_chunk`] and close it with
-/// [`DecodeSession::finish`].  Chunk boundaries are invisible to the
-/// search: any chunking of the same frames produces the same result.
+/// Open it around a phone decoder with [`DecodeSession::begin`], feed it
+/// frames with [`DecodeSession::step_frame`] / [`DecodeSession::push_chunk`]
+/// and close it with [`DecodeSession::finish`] (or abandon it with
+/// [`DecodeSession::cancel`]); both closes hand the decoder back for the
+/// next session.  Chunk boundaries are invisible to the search: any chunking
+/// of the same frames produces the same result.
 ///
 /// # Example
 ///
@@ -100,20 +108,23 @@ fn search(recognizer: &Recognizer) -> TokenPassingSearch<'_> {
 /// let (features, reference) = task.synthesize_utterance(2, 0.2, 1);
 ///
 /// // Borrowed: the session lives inside the recogniser's scope.
-/// let mut session = recognizer.begin_session().unwrap();
+/// let decoder = recognizer.phone_decoder().unwrap();
+/// let mut session = DecodeSession::begin(&*recognizer, decoder);
 /// for chunk in features.chunks(3) {
 ///     session.push_chunk(chunk).unwrap();
 /// }
-/// let streamed = session.finish().unwrap();
+/// let (streamed, decoder) = session.finish();
+/// let streamed = streamed.unwrap();
 /// let offline = recognizer.decode_features(&features).unwrap();
 /// assert_eq!(streamed.hypothesis.words, reference);
 /// assert_eq!(streamed.hypothesis, offline.hypothesis);
 ///
 /// // Owned: no lifetime, so the session may move to another thread, and
 /// // dropping (or even replacing) `recognizer` would not invalidate it.
-/// let mut session = DecodeSession::begin(Arc::clone(&recognizer)).unwrap();
+/// // The warm decoder the first session handed back serves this one.
+/// let mut session = DecodeSession::begin(Arc::clone(&recognizer), decoder);
 /// session.push_chunk(&features).unwrap();
-/// assert_eq!(session.finish().unwrap().hypothesis, offline.hypothesis);
+/// assert_eq!(session.finish().0.unwrap().hypothesis, offline.hypothesis);
 /// ```
 #[derive(Debug)]
 pub struct DecodeSession<R: Deref<Target = Recognizer>> {
@@ -123,43 +134,12 @@ pub struct DecodeSession<R: Deref<Target = Recognizer>> {
     partial_words: Vec<WordId>,
 }
 
-impl Recognizer {
-    /// Opens an incremental decode session on the configured backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::InvalidConfig`] if the backend configuration is
-    /// invalid.
-    pub fn begin_session(&self) -> Result<DecodeSession<&Recognizer>, DecodeError> {
-        DecodeSession::begin(self)
-    }
-
-    /// Opens an incremental decode session around a caller-supplied phone
-    /// decoder — the streaming counterpart of
-    /// [`Recognizer::decode_features_with`], for custom backends and for
-    /// reusing one warmed decoder across consecutive sessions (reclaim it
-    /// with [`DecodeSession::finish_parts`]).
-    pub fn begin_session_with(&self, phone_decoder: PhoneDecoder) -> DecodeSession<&Recognizer> {
-        DecodeSession::begin_with(self, phone_decoder)
-    }
-}
-
 impl<R: Deref<Target = Recognizer>> DecodeSession<R> {
-    /// Opens a session on the recogniser's configured backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::InvalidConfig`] if the backend configuration is
-    /// invalid.
-    pub fn begin(recognizer: R) -> Result<Self, DecodeError> {
-        let phone_decoder = recognizer.phone_decoder()?;
-        Ok(Self::begin_with(recognizer, phone_decoder))
-    }
-
-    /// Opens a session around a caller-supplied phone decoder, for reusing
-    /// one warmed decoder across consecutive sessions (reclaim it with
-    /// [`DecodeSession::finish_parts`]).
-    pub fn begin_with(recognizer: R, mut phone_decoder: PhoneDecoder) -> Self {
+    /// Opens a session around a phone decoder — the recogniser's own
+    /// ([`Recognizer::phone_decoder`]) or a custom backend — which
+    /// [`DecodeSession::finish`] or [`DecodeSession::cancel`] hands back so
+    /// one warm decoder serves session after session.
+    pub fn begin(recognizer: R, mut phone_decoder: PhoneDecoder) -> Self {
         phone_decoder.begin_utterance();
         let state = search(&recognizer).begin();
         DecodeSession {
@@ -233,20 +213,12 @@ impl<R: Deref<Target = Recognizer>> DecodeSession<R> {
     }
 
     /// Closes the session: runs the global best path search over the lattice
-    /// and returns the full [`DecodeResult`].  A session that consumed zero
-    /// frames yields [`DecodeResult::empty`].
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in practice; the `Result` keeps the signature
-    /// stable for backends that may fail on utterance close.
-    pub fn finish(self) -> Result<DecodeResult, DecodeError> {
-        self.finish_parts().0
-    }
-
-    /// Like [`DecodeSession::finish`], but also hands back the phone decoder
-    /// so one warmed backend can serve the next session.
-    pub fn finish_parts(mut self) -> (Result<DecodeResult, DecodeError>, PhoneDecoder) {
+    /// and returns the full [`DecodeResult`] together with the phone
+    /// decoder, ready for the next session.  A session that consumed zero
+    /// frames yields [`DecodeResult::empty`].  The result is currently
+    /// infallible in practice; the `Result` keeps the signature stable for
+    /// backends that may fail on utterance close.
+    pub fn finish(mut self) -> (Result<DecodeResult, DecodeError>, PhoneDecoder) {
         if self.state.frames() == 0 {
             // Matches the offline path for empty input: no search ran, no
             // hardware report (the backend scored nothing).
@@ -297,6 +269,11 @@ mod tests {
         .unwrap()
     }
 
+    /// A one-off session on the recogniser's own backend.
+    fn open(rec: &Recognizer) -> DecodeSession<&Recognizer> {
+        DecodeSession::begin(rec, rec.phone_decoder().unwrap())
+    }
+
     #[test]
     fn session_matches_offline_decode_frame_by_frame() {
         let task = task();
@@ -304,12 +281,12 @@ mod tests {
         let (features, reference) = task.synthesize_utterance(2, 0.2, 3);
         let offline = rec.decode_features(&features).unwrap();
 
-        let mut session = rec.begin_session().unwrap();
+        let mut session = open(&rec);
         for frame in &features {
             session.step_frame(frame).unwrap();
         }
         assert_eq!(session.frames(), features.len());
-        let streamed = session.finish().unwrap();
+        let streamed = session.finish().0.unwrap();
         assert_eq!(streamed.hypothesis, offline.hypothesis);
         assert_eq!(streamed.live_hypothesis, offline.live_hypothesis);
         assert_eq!(streamed.best_score.raw(), offline.best_score.raw());
@@ -325,9 +302,9 @@ mod tests {
         let rec = recognizer(&task, DecoderConfig::hardware(2));
         let (features, _) = task.synthesize_utterance(1, 0.2, 9);
         let offline = rec.decode_features(&features).unwrap();
-        let mut session = rec.begin_session().unwrap();
+        let mut session = open(&rec);
         session.push_chunk(&features).unwrap();
-        let streamed = session.finish().unwrap();
+        let streamed = session.finish().0.unwrap();
         let (a, b) = (streamed.hardware.unwrap(), offline.hardware.unwrap());
         assert_eq!(a.frames, b.frames);
         assert_eq!(a.senones_scored, b.senones_scored);
@@ -339,7 +316,7 @@ mod tests {
         let task = task();
         let rec = recognizer(&task, DecoderConfig::simd());
         let (features, _) = task.synthesize_utterance(3, 0.2, 17);
-        let mut session = rec.begin_session().unwrap();
+        let mut session = open(&rec);
         let mut previous = PartialHypothesis::default();
         for chunk in features.chunks(2) {
             session.push_chunk(chunk).unwrap();
@@ -363,9 +340,9 @@ mod tests {
     fn zero_frame_session_is_the_typed_empty_result() {
         let task = task();
         let rec = recognizer(&task, DecoderConfig::software());
-        let session = rec.begin_session().unwrap();
+        let session = open(&rec);
         assert_eq!(session.partial(), PartialHypothesis::default());
-        let result = session.finish().unwrap();
+        let result = session.finish().0.unwrap();
         assert!(result.is_empty());
         assert!(result.hypothesis.words.is_empty());
         assert!(result.best_score.is_zero());
@@ -376,29 +353,14 @@ mod tests {
         let task = task();
         let rec = recognizer(&task, DecoderConfig::software());
         let (features, reference) = task.synthesize_utterance(1, 0.2, 4);
-        let mut session = rec.begin_session().unwrap();
+        let mut session = open(&rec);
         let bad = vec![0.0f32; task.acoustic_model.feature_dim() + 1];
         assert!(matches!(
             session.step_frame(&bad),
             Err(DecodeError::DimensionMismatch { .. })
         ));
         session.push_chunk(&features).unwrap();
-        assert_eq!(session.finish().unwrap().hypothesis.words, reference);
-    }
-
-    #[test]
-    fn finish_parts_recycles_the_decoder_across_sessions() {
-        let task = task();
-        let rec = recognizer(&task, DecoderConfig::simd());
-        let (features, reference) = task.synthesize_utterance(1, 0.2, 6);
-        let mut decoder = rec.phone_decoder().unwrap();
-        for _ in 0..2 {
-            let mut session = rec.begin_session_with(decoder);
-            session.push_chunk(&features).unwrap();
-            let (result, recycled) = session.finish_parts();
-            assert_eq!(result.unwrap().hypothesis.words, reference);
-            decoder = recycled;
-        }
+        assert_eq!(session.finish().0.unwrap().hypothesis.words, reference);
     }
 
     #[test]
@@ -410,14 +372,14 @@ mod tests {
 
         // Open on this thread, decode on another: no lifetime ties the
         // session to the opener's stack frame.
-        let mut session = DecodeSession::begin(Arc::clone(&rec)).unwrap();
+        let mut session = DecodeSession::begin(Arc::clone(&rec), rec.phone_decoder().unwrap());
         assert!(Arc::ptr_eq(session.recognizer(), &rec));
         let streamed = std::thread::spawn(move || {
             for chunk in features.chunks(3) {
                 session.push_chunk(chunk).unwrap();
             }
             assert_eq!(session.partial().frames, session.frames());
-            session.finish().unwrap()
+            session.finish().0.unwrap()
         })
         .join()
         .unwrap();
@@ -438,16 +400,16 @@ mod tests {
             let offline = rec.decode_features(&features).unwrap();
 
             // Decode half an utterance, then abandon it mid-flight.
-            let mut session = rec.begin_session().unwrap();
+            let mut session = open(&rec);
             session.push_chunk(&features[..features.len() / 2]).unwrap();
             assert!(session.frames() > 0);
             let decoder = session.cancel();
 
             // The recycled decoder behaves exactly like a fresh one — no
             // residue from the abandoned frames (hardware counters included).
-            let mut session = rec.begin_session_with(decoder);
+            let mut session = DecodeSession::begin(&rec, decoder);
             session.push_chunk(&features).unwrap();
-            let streamed = session.finish().unwrap();
+            let streamed = session.finish().0.unwrap();
             assert_eq!(streamed.hypothesis.words, reference);
             assert_eq!(streamed.hypothesis, offline.hypothesis);
             assert_eq!(streamed.best_score.raw(), offline.best_score.raw());
@@ -463,27 +425,31 @@ mod tests {
 
         // An `Arc` session exposes the same seam.
         let rec = Arc::new(recognizer(&task, DecoderConfig::simd()));
-        let mut session = DecodeSession::begin(Arc::clone(&rec)).unwrap();
+        let mut session = DecodeSession::begin(Arc::clone(&rec), rec.phone_decoder().unwrap());
         session.push_chunk(&features[..3]).unwrap();
         let decoder = session.cancel();
-        let mut session = DecodeSession::begin_with(Arc::clone(&rec), decoder);
+        let mut session = DecodeSession::begin(Arc::clone(&rec), decoder);
         session.push_chunk(&features).unwrap();
-        assert_eq!(session.finish().unwrap().hypothesis.words, reference);
+        assert_eq!(session.finish().0.unwrap().hypothesis.words, reference);
     }
 
     #[test]
-    fn shared_session_recycles_decoders_and_handles_empty_input() {
+    fn finish_recycles_the_decoder_across_sessions_and_empty_input() {
         let task = task();
         let rec = Arc::new(recognizer(&task, DecoderConfig::simd()));
         let (features, reference) = task.synthesize_utterance(1, 0.2, 6);
 
         // Zero frames → typed empty result, decoder handed back.
-        let empty = DecodeSession::begin(Arc::clone(&rec)).unwrap();
-        let (result, decoder) = empty.finish_parts();
+        let empty = DecodeSession::begin(Arc::clone(&rec), rec.phone_decoder().unwrap());
+        let (result, mut decoder) = empty.finish();
         assert!(result.unwrap().is_empty());
 
-        let mut session = DecodeSession::begin_with(Arc::clone(&rec), decoder);
-        session.push_chunk(&features).unwrap();
-        assert_eq!(session.finish().unwrap().hypothesis.words, reference);
+        for _ in 0..2 {
+            let mut session = DecodeSession::begin(Arc::clone(&rec), decoder);
+            session.push_chunk(&features).unwrap();
+            let (result, recycled) = session.finish();
+            assert_eq!(result.unwrap().hypothesis.words, reference);
+            decoder = recycled;
+        }
     }
 }

@@ -239,7 +239,7 @@ fn fill_bounds(bounds: &mut Vec<usize>, n: usize, active: &[SenoneId], costs: &[
 
 /// A scorer that shards the active-senone set across several inner scorers.
 ///
-/// * [`SenoneScorer::score_senones`] splits the active set into
+/// * [`SenoneScorer::score_senones_into`] splits the active set into
 ///   `num_shards()` contiguous slices of equal estimated cost (mixture
 ///   component count) and scores them concurrently, concatenating the
 ///   per-slice results in `active` order.  The shards are grouped into
@@ -489,17 +489,6 @@ impl SenoneScorer for ShardedScorer {
 
     fn begin_frame(&mut self, feature: &[f32]) {
         self.for_each_shard(|_, shard| shard.begin_frame(feature));
-    }
-
-    fn score_senones(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-        let mut out = Vec::with_capacity(active.len());
-        self.score_senones_into(model, active, feature, &mut out)?;
-        Ok(out)
     }
 
     fn score_senones_into(
@@ -773,12 +762,13 @@ mod tests {
             "panicking"
         }
         fn begin_frame(&mut self, _feature: &[f32]) {}
-        fn score_senones(
+        fn score_senones_into(
             &mut self,
             _model: &AcousticModel,
             _active: &[SenoneId],
             _feature: &[f32],
-        ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+            _out: &mut Vec<(SenoneId, LogProb)>,
+        ) -> Result<(), DecodeError> {
             panic!("inner scorer bug");
         }
         fn step_hmm(
@@ -810,17 +800,18 @@ mod tests {
             "late-panicking"
         }
         fn begin_frame(&mut self, _feature: &[f32]) {}
-        fn score_senones(
+        fn score_senones_into(
             &mut self,
             model: &AcousticModel,
             active: &[SenoneId],
             feature: &[f32],
-        ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+            out: &mut Vec<(SenoneId, LogProb)>,
+        ) -> Result<(), DecodeError> {
             self.calls += 1;
             if self.calls > self.healthy_calls {
                 panic!("inner scorer bug on call {}", self.calls);
             }
-            self.inner.score_senones(model, active, feature)
+            self.inner.score_senones_into(model, active, feature, out)
         }
         fn step_hmm(
             &mut self,
@@ -941,13 +932,14 @@ mod tests {
             "simd"
         }
         fn begin_frame(&mut self, _feature: &[f32]) {}
-        fn score_senones(
+        fn score_senones_into(
             &mut self,
             model: &AcousticModel,
             active: &[SenoneId],
             feature: &[f32],
-        ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-            let scores = self.inner.score_senones(model, active, feature);
+            out: &mut Vec<(SenoneId, LogProb)>,
+        ) -> Result<(), DecodeError> {
+            let scores = self.inner.score_senones_into(model, active, feature, out);
             let builds = self.inner.table_builds();
             self.builds
                 .store(builds, std::sync::atomic::Ordering::Relaxed);

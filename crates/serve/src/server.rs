@@ -756,7 +756,9 @@ impl AsrServer {
 
     /// Opens an incremental stream session on the default model: the
     /// serving-side counterpart of
-    /// [`Recognizer::begin_session`](asr_core::Recognizer::begin_session).
+    /// [`DecodeSession`](asr_core::DecodeSession), decoding on a warm
+    /// decoder its worker lends it until the session finishes or is
+    /// cancelled.
     /// Push feature chunks as they arrive, read partial hypotheses between
     /// pushes, and [`StreamHandle::finish`] for a [`DecodeFuture`] resolving
     /// to the same result an offline decode of the concatenated chunks would
@@ -1188,21 +1190,56 @@ impl Drop for CloseOnExit<'_> {
 }
 
 /// One live stream session on a worker: the incremental decoder (owning an
-/// `Arc` of the model version pinned at open) plus the shared state its
-/// partials publish into.  The whole entry degrades to the first error the
-/// session hit; the finish command collects it.
-type WorkerStream = Result<(DecodeSession<Arc<Recognizer>>, Arc<StreamState>), ServeError>;
+/// `Arc` of the model version pinned at open) on a decoder lent from the
+/// worker's pool, and the shared state its partials publish into.  The
+/// worker keeps `Err` in the session's place once it hit an error, for the
+/// finish command to collect.
+struct WorkerStream {
+    session: DecodeSession<Arc<Recognizer>>,
+    state: Arc<StreamState>,
+    loan: Loan,
+}
 
-/// The worker's long-lived decoder for one model version, built on first
-/// use and evicted once a hot-swap retires the version.
-fn decoder_for<'d>(
-    decoders: &'d mut HashMap<(Arc<str>, u64), PhoneDecoder>,
-    model: &ModelVersion,
-) -> Result<&'d mut PhoneDecoder, ServeError> {
-    use std::collections::hash_map::Entry;
-    match decoders.entry((Arc::clone(&model.name), model.version)) {
-        Entry::Occupied(entry) => Ok(entry.into_mut()),
-        Entry::Vacant(vacant) => Ok(vacant.insert(model.recognizer.phone_decoder()?)),
+/// What a worker needs to take a lent decoder back: the model version it
+/// decodes and its scorer's spawn count when it was lent.
+struct Loan {
+    model: Arc<ModelVersion>,
+    spawned: usize,
+}
+
+/// A worker's decoders: idle ones per (model, version), lent to a decode or
+/// a stream session and given back when it is done.  A warm worker builds
+/// nothing, and holds at most one decoder per concurrently open session per
+/// version.
+struct DecoderPool<'s> {
+    shared: &'s Shared,
+    idle: HashMap<(Arc<str>, u64), Vec<PhoneDecoder>>,
+}
+
+impl DecoderPool<'_> {
+    /// Lends an idle decoder for `model`, building one when none is idle.
+    fn lend(&mut self, model: &Arc<ModelVersion>) -> Result<(PhoneDecoder, Loan), ServeError> {
+        let key = (Arc::clone(&model.name), model.version);
+        let decoder = match self.idle.get_mut(&key).and_then(Vec::pop) {
+            Some(decoder) => decoder,
+            None => model.recognizer.phone_decoder()?,
+        };
+        let spawned = decoder.scorer().threads_spawned();
+        let model = Arc::clone(model);
+        Ok((decoder, Loan { model, spawned }))
+    }
+
+    /// Takes a lent decoder back.  The scorer holds no telemetry, so the
+    /// lane threads it spawned while lent are reported on the borrower's
+    /// trace.
+    fn give_back(&mut self, loan: &Loan, decoder: PhoneDecoder, trace: TraceId) {
+        let spawned = decoder.scorer().threads_spawned() - loan.spawned;
+        if spawned > 0 {
+            let event = SpanEvent::ShardDispatch { threads: spawned };
+            self.shared.telemetry.emit(trace, &event);
+        }
+        let key = (Arc::clone(&loan.model.name), loan.model.version);
+        self.idle.entry(key).or_default().push(decoder);
     }
 }
 
@@ -1240,17 +1277,20 @@ fn record_outcome(
 
 /// One decoder worker: wait for commands it may take, coalesce, decode,
 /// fulfil — until the queue is closed *and* holds nothing for this worker.
-/// Whole-utterance decodes run through the worker's long-lived per-(model,
-/// version) decoder; each stream session pinned here owns its own
-/// incremental decoder state in `sessions` (interleaved sessions cannot
-/// share CDS / arena state).  Requests this worker does not take (streams
-/// pinned to a sibling, decodes of a model other than the flush's anchor)
-/// are left in place, in order.
+/// The worker owns every decoder it uses ([`DecoderPool`]): decodes and the
+/// stream sessions pinned here borrow one and give it back when done; an
+/// open stream session keeps its own until it finishes, fails or is
+/// cancelled (interleaved sessions cannot share CDS / arena state).
+/// Requests this worker does not take (streams pinned to a sibling, decodes
+/// of a model other than the flush's anchor) are left in place, in order.
 fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
     let workers = config.workers;
     let _close_on_exit = CloseOnExit(shared);
-    let mut sessions: HashMap<u64, WorkerStream> = HashMap::new();
-    let mut decoders: HashMap<(Arc<str>, u64), PhoneDecoder> = HashMap::new();
+    let mut sessions: HashMap<u64, Result<WorkerStream, ServeError>> = HashMap::new();
+    let mut pool = DecoderPool {
+        shared,
+        idle: HashMap::new(),
+    };
     let mine = |queue: &Queue| {
         queue
             .pending
@@ -1405,22 +1445,14 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                         .telemetry
                         .emit(admission.trace, &SpanEvent::DecodeStarted { worker });
                     let started = Instant::now();
-                    let mut spawned = 0;
-                    let outcome = decoder_for(&mut decoders, model).and_then(|decoder| {
-                        let before = decoder.scorer().threads_spawned();
-                        let result = model.recognizer.decode_features_with(features, decoder);
-                        spawned = decoder.scorer().threads_spawned() - before;
+                    let outcome = pool.lend(model).and_then(|(mut decoder, loan)| {
+                        let result = model
+                            .recognizer
+                            .decode_features_with(features, &mut decoder);
+                        pool.give_back(&loan, decoder, admission.trace);
                         result.map_err(ServeError::from)
                     });
                     c.service.record(started.elapsed());
-                    // The scorer holds no telemetry; a shard pool it spun up
-                    // during this decode is reported on this request's trace.
-                    if spawned > 0 {
-                        shared.telemetry.emit(
-                            admission.trace,
-                            &SpanEvent::ShardDispatch { threads: spawned },
-                        );
-                    }
                     record_outcome(shared, worker, &model.name, &outcome);
                     shared.telemetry.emit(
                         admission.trace,
@@ -1442,9 +1474,14 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     state,
                     admission,
                 } => {
-                    let entry = DecodeSession::begin(Arc::clone(&admission.model.recognizer))
-                        .map(|session| (session, Arc::clone(state)))
-                        .map_err(ServeError::from);
+                    let recognizer = &admission.model.recognizer;
+                    let entry = pool
+                        .lend(&admission.model)
+                        .map(|(decoder, loan)| WorkerStream {
+                            session: DecodeSession::begin(Arc::clone(recognizer), decoder),
+                            state: Arc::clone(state),
+                            loan,
+                        });
                     sessions.insert(*id, entry);
                 }
                 Command::StreamPush {
@@ -1453,32 +1490,38 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     admission,
                 } => {
                     shared.counters(&admission.model.name).stream_chunks.inc();
-                    if let Some(entry) = sessions.get_mut(id) {
-                        if let Ok((session, state)) = entry {
-                            // Timestamps only when traced: the disabled
-                            // path pays one branch per push.
-                            let started = shared.telemetry.is_enabled().then(Instant::now);
-                            match session.push_chunk(chunk) {
-                                Ok(()) => {
-                                    let partial = session.partial();
-                                    if let Some(started) = started {
-                                        shared.telemetry.emit(
-                                            admission.trace,
-                                            &SpanEvent::PartialEmitted {
-                                                words: partial.words.len(),
-                                                latency_us: started
-                                                    .elapsed()
-                                                    .as_micros()
-                                                    .min(u64::MAX as u128)
-                                                    as u64,
-                                            },
-                                        );
-                                    }
-                                    state.store(partial);
+                    if let Some(Ok(stream)) = sessions.get_mut(id) {
+                        // Timestamps only when traced: the disabled path
+                        // pays one branch per push.
+                        let started = shared.telemetry.is_enabled().then(Instant::now);
+                        match stream.session.push_chunk(chunk) {
+                            Ok(()) => {
+                                let partial = stream.session.partial();
+                                if let Some(started) = started {
+                                    shared.telemetry.emit(
+                                        admission.trace,
+                                        &SpanEvent::PartialEmitted {
+                                            words: partial.words.len(),
+                                            latency_us: started
+                                                .elapsed()
+                                                .as_micros()
+                                                .min(u64::MAX as u128)
+                                                as u64,
+                                        },
+                                    );
                                 }
-                                // The session degrades to its first error;
-                                // finish() will deliver it.
-                                Err(e) => *entry = Err(ServeError::from(e)),
+                                stream.state.store(partial);
+                            }
+                            // The session degrades to its first error, which
+                            // finish() will deliver; its decoder goes back
+                            // to the idle list now.
+                            Err(e) => {
+                                if let Some(Ok(stream)) =
+                                    sessions.insert(*id, Err(ServeError::from(e)))
+                                {
+                                    let decoder = stream.session.cancel();
+                                    pool.give_back(&stream.loan, decoder, admission.trace);
+                                }
                             }
                         }
                     }
@@ -1493,7 +1536,11 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     c.queue_wait.record(request.enqueued.elapsed());
                     let started = Instant::now();
                     let outcome = match sessions.remove(id) {
-                        Some(Ok((session, _state))) => session.finish().map_err(ServeError::from),
+                        Some(Ok(stream)) => {
+                            let (result, decoder) = stream.session.finish();
+                            pool.give_back(&stream.loan, decoder, admission.trace);
+                            result.map_err(ServeError::from)
+                        }
                         Some(Err(e)) => Err(e),
                         // Unreachable through the handle API (open precedes
                         // finish in queue order on the same pinned worker);
@@ -1520,10 +1567,11 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     // The client cancelled (explicitly or by dropping its
                     // handle): abandon the session through the decode-side
                     // cancel seam, which hard-resets the backend's
-                    // per-utterance state.  No result, no completed/failed
-                    // tick — but the trace terminates as cancelled.
-                    if let Some(Ok((session, _state))) = sessions.remove(id) {
-                        drop(session.cancel());
+                    // per-utterance state and hands the decoder back.  No
+                    // result, no completed/failed tick — but the trace
+                    // terminates as cancelled.
+                    if let Some(Ok(stream)) = sessions.remove(id) {
+                        pool.give_back(&stream.loan, stream.session.cancel(), *trace);
                     }
                     shared.telemetry.emit(
                         *trace,
@@ -1535,12 +1583,13 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                 }
             }
         }
-        // Retire decoders whose version a hot-swap replaced.  A straggler
-        // admitted under the old version can still arrive (its Arc pins the
-        // recogniser) — the worker just rebuilds for that flush; what must
-        // not happen is a stale scorer (and its shard pool) lingering for
-        // the life of the server.
-        decoders.retain(|(name, version), _| {
+        // Retire idle decoders whose version a hot-swap replaced.  A
+        // straggler admitted under the old version can still arrive (its Arc
+        // pins the recogniser) — the worker just rebuilds for it, and a
+        // stream still open on the old version gives its decoder back to be
+        // retired here; what must not happen is a stale scorer (and its
+        // shard pool) lingering for the life of the server.
+        pool.idle.retain(|(name, version), _| {
             shared.models.get(name).is_some_and(|m| {
                 m.current.read().expect("model slot lock poisoned").version == *version
             })
@@ -2151,6 +2200,38 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 1);
+    }
+
+    #[test]
+    fn a_stream_that_fails_on_a_push_leaves_its_worker_decoding() {
+        let task = task();
+        let dim = task.acoustic_model.feature_dim();
+        let direct = recognizer(&task, DecoderConfig::hardware(2));
+        let server = AsrServer::spawn(
+            recognizer(&task, DecoderConfig::hardware(2)),
+            ServeConfig::default().workers(1),
+        )
+        .unwrap();
+        let (good, reference) = task.synthesize_utterance(2, 0.2, 52);
+        let failing = server.open_stream().unwrap();
+        failing.push_chunk(&good[..good.len() / 2]).unwrap();
+        failing.push_chunk(&[vec![0.0; dim + 2]]).unwrap();
+        assert!(matches!(
+            failing.finish().unwrap().wait(),
+            Err(ServeError::Decode(DecodeError::DimensionMismatch { .. }))
+        ));
+        // The failed stream gave its decoder back mid-utterance; the next
+        // request decodes on it exactly as on a fresh one, counters
+        // included.
+        let offline = direct.decode_features(&good).unwrap();
+        let served = server.submit(good.clone()).unwrap().wait().unwrap();
+        assert_eq!(served.hypothesis.words, reference);
+        assert_eq!(served.hypothesis, offline.hypothesis);
+        assert_eq!(served.best_score.raw(), offline.best_score.raw());
+        let (a, b) = (served.hardware.unwrap(), offline.hardware.unwrap());
+        assert_eq!(a.frames, b.frames);
+        assert_eq!(a.senones_scored, b.senones_scored);
+        assert_eq!(a.hmm_updates, b.hmm_updates);
     }
 
     #[test]

@@ -17,22 +17,26 @@
 //!                   the hardware UtteranceReport)
 //! ```
 //!
-//! Two session shapes, both opened from a [`StreamingRecognizer`]:
+//! A [`StreamingRecognizer`] opens [`AudioStreamSession`]s: continuous raw
+//! audio in, a stream of endpointed utterances out.  The chunked frontend
+//! turns samples into features with *live* (running-mean) CMN, the energy
+//! VAD opens an utterance when speech starts and closes it after a hangover
+//! of silence, and each utterance decodes incrementally while its audio is
+//! still arriving.  The session builds one phone decoder when it opens and
+//! lends it to every utterance's [`asr_core::DecodeSession`], so a long
+//! stream keeps one warm backend, as the paper's OP and Viterbi units serve
+//! utterance after utterance.
 //!
-//! * [`FeatureStreamSession`] — feature-vector chunks in, one utterance out.
-//!   The core invariant, property-tested across every backend in the
-//!   workspace's `tests/stream.rs`: **any chunking of the same frames decodes
-//!   to exactly the offline result** of
-//!   [`Recognizer::decode_features`](asr_core::Recognizer::decode_features),
-//!   because chunk boundaries never reach the search
-//!   ([`asr_core::DecodeSession`] steps the identical per-frame loop).
-//! * [`AudioStreamSession`] — continuous raw audio in, a stream of endpointed
-//!   utterances out: the chunked frontend turns samples into features with
-//!   *live* (running-mean) CMN, the energy VAD opens an utterance when speech
-//!   starts and closes it after a hangover of silence, and each utterance
-//!   decodes incrementally while its audio is still arriving.
+//! The core invariant, property-tested across every backend in the
+//! workspace's `tests/stream.rs`: **any chunking of the same frames decodes
+//! to exactly the offline result** of
+//! [`Recognizer::decode_features`](asr_core::Recognizer::decode_features),
+//! because chunk boundaries never reach the search
+//! ([`asr_core::DecodeSession`] steps the identical per-frame loop).
+//! Callers that stream feature chunks rather than audio use
+//! [`asr_core::DecodeSession`] directly.
 //!
-//! Between chunks, sessions surface [`PartialHypothesis`] snapshots —
+//! Between chunks, the session surfaces [`PartialHypothesis`] snapshots —
 //! prefix-consistent, monotone previews of the final result.  Every chunk's
 //! wall-clock latency and audio coverage is recorded into an
 //! [`asr_hw::StreamTiming`], which [`StreamOutcome`] carries and which is
@@ -45,9 +49,13 @@
 //! ```
 //! use asr_core::{DecoderConfig, Recognizer};
 //! use asr_corpus::{TaskConfig, TaskGenerator};
-//! use asr_stream::{StreamConfig, StreamingRecognizer};
+//! use asr_frontend::FrontendConfig;
+//! use asr_stream::{StreamConfig, StreamEvent, StreamingRecognizer};
 //!
-//! let task = TaskGenerator::new(7).generate(&TaskConfig::tiny()).unwrap();
+//! // A 13-dim model, to match the delta-less MFCC frontend below.
+//! let task = TaskGenerator::new(7)
+//!     .generate(&TaskConfig { feature_dim: 13, ..TaskConfig::tiny() })
+//!     .unwrap();
 //! let recognizer = Recognizer::new(
 //!     task.acoustic_model.clone(),
 //!     task.dictionary.clone(),
@@ -55,21 +63,37 @@
 //!     DecoderConfig::simd(),
 //! )
 //! .unwrap();
-//! let (features, reference) = task.synthesize_utterance(2, 0.2, 1);
+//! let config = StreamConfig {
+//!     frontend: FrontendConfig {
+//!         use_delta: false,
+//!         use_delta_delta: false,
+//!         ..FrontendConfig::default()
+//!     },
+//!     capture_features: true,
+//!     ..StreamConfig::default()
+//! };
+//! let streamer = StreamingRecognizer::new(recognizer, config).unwrap();
+//! let mut session = streamer.audio_session().unwrap();
 //!
-//! // Offline result for comparison…
-//! let offline = recognizer.decode_features(&features).unwrap();
-//!
-//! // …and the same frames streamed in 3-frame chunks.
-//! let streamer = StreamingRecognizer::feature_only(recognizer).unwrap();
-//! let mut session = streamer.feature_session().unwrap();
-//! for chunk in features.chunks(3) {
-//!     session.push_chunk(chunk).unwrap();
+//! // 0.2 s of silence, a 0.3 s tone burst, 0.5 s of silence, in 10 ms hops.
+//! let mut audio = vec![0.0f32; 3_200];
+//! audio.extend((0..4_800).map(|n| 0.5 * (n as f32 * 0.17).sin()));
+//! audio.extend(vec![0.0f32; 8_000]);
+//! let mut ended = Vec::new();
+//! for hop in audio.chunks(160) {
+//!     for event in session.push_audio(hop).unwrap() {
+//!         if let StreamEvent::UtteranceEnd(outcome) = event {
+//!             ended.push(outcome);
+//!         }
+//!     }
 //! }
-//! let outcome = session.finish().unwrap();
-//! assert_eq!(outcome.result.hypothesis.words, reference);
-//! assert_eq!(outcome.result.hypothesis, offline.hypothesis);
-//! assert!(outcome.timing.chunks() > 0);
+//! assert_eq!(ended.len(), 1);
+//! assert!(ended[0].timing.chunks() > 0);
+//! // The streamed utterance equals the offline decode of its frames.
+//! let frames = ended[0].features.as_ref().unwrap();
+//! let offline = streamer.recognizer().decode_features(frames).unwrap();
+//! assert_eq!(ended[0].result.hypothesis, offline.hypothesis);
+//! assert!(session.close().unwrap().result.is_empty());
 //! ```
 
 #![deny(missing_docs)]
@@ -80,9 +104,7 @@ pub mod session;
 pub mod vad;
 
 pub use frontend::StreamingFrontend;
-pub use session::{
-    AudioStreamSession, FeatureStreamSession, StreamEvent, StreamOutcome, StreamingRecognizer,
-};
+pub use session::{AudioStreamSession, StreamEvent, StreamOutcome, StreamingRecognizer};
 pub use vad::{AdaptiveVadConfig, EnergyVad, VadConfig, VadEvent};
 
 // The partial-hypothesis type is asr-core's (the serving layer shares it);

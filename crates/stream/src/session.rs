@@ -1,6 +1,6 @@
-//! Streaming sessions: feature-chunk sessions (one utterance, any chunking)
-//! and continuous-audio sessions (VAD-endpointed utterance stream), both with
-//! per-chunk latency accounting.
+//! Continuous-audio streaming sessions: raw PCM in, VAD-endpointed
+//! utterances out, each decoded incrementally with per-chunk latency
+//! accounting.
 
 use crate::frontend::StreamingFrontend;
 use crate::vad::{hop_rms, EnergyVad, VadEvent};
@@ -95,19 +95,6 @@ impl StreamingRecognizer {
         &self.telemetry
     }
 
-    /// Wraps a recogniser for feature-level streaming with the default
-    /// configuration — enough for [`StreamingRecognizer::feature_session`];
-    /// audio sessions additionally need the frontend dimension to match the
-    /// acoustic model's.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice (the default configuration is valid); the
-    /// `Result` mirrors [`StreamingRecognizer::new`].
-    pub fn feature_only(recognizer: Recognizer) -> Result<Self, StreamError> {
-        Self::new(recognizer, StreamConfig::default())
-    }
-
     /// The wrapped recogniser.
     pub fn recognizer(&self) -> &Recognizer {
         &self.recognizer
@@ -118,40 +105,22 @@ impl StreamingRecognizer {
         &self.config
     }
 
-    /// Releases the wrapped recogniser.
-    pub fn into_recognizer(self) -> Recognizer {
-        self.recognizer
-    }
-
     fn frame_shift_s(&self) -> f64 {
         self.config.frontend.frame_shift_ms as f64 / 1000.0
     }
 
-    /// Opens a feature-chunk session for one utterance on the configured
-    /// backend.
+    /// Decodes one utterance pushed as feature chunks, on a phone decoder
+    /// built for it alone.  New code opens an [`asr_core::DecodeSession`]
+    /// around a decoder it keeps warm instead; this entry stays only for the
+    /// repository benchmark's stream workload, which replays captured
+    /// features through it.
     ///
     /// # Errors
     ///
     /// Propagates backend construction failures.
-    pub fn feature_session(&self) -> Result<FeatureStreamSession<'_>, StreamError> {
-        Ok(FeatureStreamSession {
-            session: self.recognizer.begin_session()?,
-            timing: StreamTiming::new(),
-            frame_shift_s: self.frame_shift_s(),
-            captured: self.config.capture_features.then(Vec::new),
-        })
-    }
-
-    /// Opens a feature-chunk session around a caller-supplied phone decoder
-    /// — reclaim it with [`FeatureStreamSession::finish_parts`] so one warmed
-    /// backend serves session after session.
-    pub fn feature_session_with(&self, decoder: PhoneDecoder) -> FeatureStreamSession<'_> {
-        FeatureStreamSession {
-            session: self.recognizer.begin_session_with(decoder),
-            timing: StreamTiming::new(),
-            frame_shift_s: self.frame_shift_s(),
-            captured: self.config.capture_features.then(Vec::new),
-        }
+    #[doc(hidden)]
+    pub fn feature_session(&self) -> Result<Utterance<'_>, StreamError> {
+        Ok(Utterance::open(self, self.recognizer.phone_decoder()?))
     }
 
     /// Opens a continuous-audio session: push raw samples, collect endpointed
@@ -161,7 +130,9 @@ impl StreamingRecognizer {
     ///
     /// Returns [`StreamError::InvalidConfig`] when the configured frontend's
     /// feature dimension does not match the acoustic model's, and propagates
-    /// frontend construction failures.
+    /// frontend and backend construction failures: the session builds its
+    /// one phone decoder here, which then serves every utterance it
+    /// endpoints.
     pub fn audio_session(&self) -> Result<AudioStreamSession<'_>, StreamError> {
         let frontend_dim = self.config.frontend.feature_dim();
         let model_dim = self.recognizer.model().feature_dim();
@@ -197,6 +168,7 @@ impl StreamingRecognizer {
             residue: Vec::with_capacity(hop),
             preroll: VecDeque::with_capacity(preroll_len),
             preroll_len,
+            decoder: Some(self.recognizer.phone_decoder()?),
             current: None,
             last_partial_words: 0,
             utterances_finished: 0,
@@ -207,17 +179,11 @@ impl StreamingRecognizer {
     }
 }
 
-/// One utterance streamed as feature-vector chunks.
-///
-/// Chunk boundaries are invisible to the search: any chunking of the same
-/// frames finishes with exactly the offline
-/// [`Recognizer::decode_features`] result.  Each [`push_chunk`] records its
-/// wall-clock latency and audio coverage into the session's
-/// [`StreamTiming`].
-///
-/// [`push_chunk`]: FeatureStreamSession::push_chunk
+/// The utterance an [`AudioStreamSession`] has open: a decode session on
+/// the audio session's phone decoder, plus the utterance's latency record
+/// and (when [`StreamConfig::capture_features`] is on) every frame pushed.
 #[derive(Debug)]
-pub struct FeatureStreamSession<'r> {
+pub struct Utterance<'r> {
     session: DecodeSession<&'r Recognizer>,
     timing: StreamTiming,
     frame_shift_s: f64,
@@ -226,15 +192,24 @@ pub struct FeatureStreamSession<'r> {
     captured: Option<Vec<Vec<f32>>>,
 }
 
-impl<'r> FeatureStreamSession<'r> {
-    /// Consumes one chunk of feature frames (any size) and returns the
-    /// updated partial hypothesis.
+impl<'r> Utterance<'r> {
+    fn open(owner: &'r StreamingRecognizer, decoder: PhoneDecoder) -> Self {
+        Utterance {
+            session: DecodeSession::begin(&owner.recognizer, decoder),
+            timing: StreamTiming::new(),
+            frame_shift_s: owner.frame_shift_s(),
+            captured: owner.config.capture_features.then(Vec::new),
+        }
+    }
+
+    /// Decodes one chunk of feature frames (any size), recording its
+    /// wall-clock latency and audio coverage.
     ///
     /// # Errors
     ///
     /// Propagates decode errors; earlier frames of the chunk have been
     /// consumed.
-    pub fn push_chunk(&mut self, frames: &[Vec<f32>]) -> Result<PartialHypothesis, StreamError> {
+    pub fn push_chunk(&mut self, frames: &[Vec<f32>]) -> Result<(), StreamError> {
         let start = Instant::now();
         self.session.push_chunk(frames)?;
         if let Some(captured) = &mut self.captured {
@@ -244,43 +219,16 @@ impl<'r> FeatureStreamSession<'r> {
             start.elapsed().as_secs_f64(),
             frames.len() as f64 * self.frame_shift_s,
         );
-        Ok(self.session.partial())
+        Ok(())
     }
 
-    /// The current partial hypothesis.
-    pub fn partial(&self) -> PartialHypothesis {
-        self.session.partial()
-    }
-
-    /// Feature frames consumed so far.
-    pub fn frames(&self) -> usize {
-        self.session.frames()
-    }
-
-    /// The latency record so far.
-    pub fn timing(&self) -> &StreamTiming {
-        &self.timing
-    }
-
-    /// Closes the session: the full [`DecodeResult`] (identical to offline
-    /// decoding of the concatenated chunks; [`DecodeResult::empty`] when no
-    /// frame was pushed) plus the latency record, which is also folded into
-    /// the hardware report when the backend kept one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors.
-    pub fn finish(self) -> Result<StreamOutcome, StreamError> {
-        self.finish_parts().0
-    }
-
-    /// Like [`FeatureStreamSession::finish`], but also hands back the phone
-    /// decoder for reuse via
-    /// [`StreamingRecognizer::feature_session_with`].
-    pub fn finish_parts(self) -> (Result<StreamOutcome, StreamError>, PhoneDecoder) {
+    /// Closes the utterance: the [`StreamOutcome`] (the latency record
+    /// folded into the hardware report when the backend kept one) and the
+    /// phone decoder, re-armed for the next utterance.
+    fn close(self) -> (Result<StreamOutcome, StreamError>, PhoneDecoder) {
+        let (result, decoder) = self.session.finish();
         let timing = self.timing;
-        let captured = self.captured;
-        let (result, decoder) = self.session.finish_parts();
+        let features = self.captured;
         let outcome = result.map_err(StreamError::from).map(|mut result| {
             if let Some(hw) = &mut result.hardware {
                 hw.streaming = Some(timing.clone());
@@ -288,18 +236,20 @@ impl<'r> FeatureStreamSession<'r> {
             StreamOutcome {
                 result,
                 timing,
-                features: captured,
+                features,
             }
         });
         (outcome, decoder)
     }
 
-    /// Abandons the utterance without decoding a final result (barge-in):
-    /// the search state is discarded and the phone decoder handed back,
-    /// re-armed for the next utterance.  Frames already pushed are simply
-    /// dropped.
-    pub fn cancel(self) -> PhoneDecoder {
-        self.session.cancel()
+    /// Closes a one-off utterance opened by
+    /// [`StreamingRecognizer::feature_session`], dropping its decoder.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decode errors.
+    pub fn finish(self) -> Result<StreamOutcome, StreamError> {
+        self.close().0
     }
 }
 
@@ -309,7 +259,9 @@ impl<'r> FeatureStreamSession<'r> {
 /// endpointer reports silence, hops accumulate in a bounded pre-roll; when
 /// speech opens, the pre-roll and every further hop stream through the
 /// chunked frontend into an incremental decode session, and utterance events
-/// surface as they happen.
+/// surface as they happen.  The session builds one phone decoder when it
+/// opens, and every utterance it endpoints, finishes or cancels decodes on
+/// that same warm decoder.
 #[derive(Debug)]
 pub struct AudioStreamSession<'r> {
     owner: &'r StreamingRecognizer,
@@ -333,7 +285,11 @@ pub struct AudioStreamSession<'r> {
     preroll: VecDeque<f32>,
     /// Samples of `preroll_hops + min_speech_hops` hops (at least one hop).
     preroll_len: usize,
-    current: Option<FeatureStreamSession<'r>>,
+    /// The phone decoder while no utterance is open; the open utterance
+    /// holds it otherwise, so exactly one of `decoder` and `current` is
+    /// `Some`.
+    decoder: Option<PhoneDecoder>,
+    current: Option<Utterance<'r>>,
     last_partial_words: usize,
     utterances_finished: usize,
     utterances_cancelled: usize,
@@ -466,7 +422,6 @@ impl<'r> AudioStreamSession<'r> {
                     // to silence so the session stays usable (the next hop
                     // must not find in_speech with no open utterance).
                     self.vad.reset();
-                    self.current = None;
                     self.frontend.finish_utterance();
                     return Err(e);
                 }
@@ -479,13 +434,14 @@ impl<'r> AudioStreamSession<'r> {
         let ended = self.vad.push_hop(rms) == Some(VadEvent::SpeechEnd);
         let features = self.frontend.push_samples(hop);
         self.features_emitted += features.len();
-        let session = self
+        let utterance = self
             .current
             .as_mut()
             .expect("an utterance is open while the VAD is in speech");
         if !features.is_empty() {
             let started = self.owner.telemetry.is_enabled().then(Instant::now);
-            let partial = session.push_chunk(&features)?;
+            utterance.push_chunk(&features)?;
+            let partial = utterance.session.partial();
             if partial.words.len() > self.last_partial_words {
                 self.last_partial_words = partial.words.len();
                 let words = partial.words.len();
@@ -509,6 +465,7 @@ impl<'r> AudioStreamSession<'r> {
                 .current
                 .as_ref()
                 .expect("utterance still open: the VAD did not end it")
+                .session
                 .frames();
             if frames >= limit {
                 // Forced endpoint: close the runaway utterance (flushing the
@@ -523,7 +480,6 @@ impl<'r> AudioStreamSession<'r> {
                     // Same rollback as the SpeechStart path: return the whole
                     // session to silence so it stays usable.
                     self.vad.reset();
-                    self.current = None;
                     self.frontend.finish_utterance();
                     return Err(e);
                 }
@@ -536,45 +492,56 @@ impl<'r> AudioStreamSession<'r> {
         Ok(())
     }
 
-    /// Opens the utterance the VAD just triggered: builds a decode session
-    /// and replays the buffered pre-roll into it.
+    /// Opens the utterance the VAD just triggered on the session's decoder
+    /// and replays the buffered pre-roll into it.  On a replay error the
+    /// decoder comes back and no utterance is open.
     fn open_utterance(&mut self) -> Result<(), StreamError> {
-        let mut session = self.owner.feature_session()?;
-        let replayed = self.replay_preroll(&mut session);
+        let decoder = self
+            .decoder
+            .take()
+            .expect("no utterance is open, so the session holds its decoder");
+        let mut utterance = Utterance::open(self.owner, decoder);
+        let replayed = self.replay_preroll(&mut utterance);
         self.preroll.clear();
-        replayed?;
-        self.current = Some(session);
+        if let Err(e) = replayed {
+            self.decoder = Some(utterance.session.cancel());
+            return Err(e);
+        }
+        self.current = Some(utterance);
         Ok(())
     }
 
-    /// Streams the buffered pre-roll into `session`, one hop per chunk.
-    fn replay_preroll(
-        &mut self,
-        session: &mut FeatureStreamSession<'r>,
-    ) -> Result<(), StreamError> {
+    /// Streams the buffered pre-roll into `utterance`, one hop per chunk.
+    fn replay_preroll(&mut self, utterance: &mut Utterance<'r>) -> Result<(), StreamError> {
         for buffered in self.preroll.make_contiguous().chunks(self.hop) {
             let features = self.frontend.push_samples(buffered);
             self.features_emitted += features.len();
             if !features.is_empty() {
-                session.push_chunk(&features)?;
+                utterance.push_chunk(&features)?;
             }
         }
         Ok(())
     }
 
-    /// Flushes the frontend tail into the open session and finishes it.
+    /// Flushes the frontend tail into the open utterance and finishes it,
+    /// taking the decoder back (also when the flush fails).
     fn finish_current(&mut self) -> Result<StreamOutcome, StreamError> {
-        let mut session = self
+        let mut utterance = self
             .current
             .take()
             .expect("finish_current requires an open utterance");
         let tail = self.frontend.finish_utterance();
         self.features_emitted += tail.len();
-        if !tail.is_empty() {
-            session.push_chunk(&tail)?;
-        }
         self.last_partial_words = 0;
-        let outcome = session.finish()?;
+        if !tail.is_empty() {
+            if let Err(e) = utterance.push_chunk(&tail) {
+                self.decoder = Some(utterance.session.cancel());
+                return Err(e);
+            }
+        }
+        let (outcome, decoder) = utterance.close();
+        self.decoder = Some(decoder);
+        let outcome = outcome?;
         self.utterances_finished += 1;
         Ok(outcome)
     }
@@ -587,9 +554,9 @@ impl<'r> AudioStreamSession<'r> {
     /// sample residue are cleared — the next audio pushed is treated as the
     /// start of a new listening window.
     pub fn cancel(&mut self) -> Option<usize> {
-        let session = self.current.take()?;
-        let decoded = session.frames();
-        drop(session.cancel());
+        let utterance = self.current.take()?;
+        let decoded = utterance.session.frames();
+        self.decoder = Some(utterance.session.cancel());
         let tail = self.frontend.finish_utterance();
         self.features_emitted += tail.len();
         let discarded = decoded + tail.len();
@@ -697,57 +664,18 @@ mod tests {
     }
 
     #[test]
-    fn feature_session_equals_offline_and_records_timing() {
-        let task = task_with_dim(6);
-        let rec = recognizer(&task, DecoderConfig::simd());
-        let (features, reference) = task.synthesize_utterance(2, 0.2, 2);
-        let offline = rec.decode_features(&features).unwrap();
-        let streamer = StreamingRecognizer::feature_only(rec).unwrap();
-        let mut session = streamer.feature_session().unwrap();
-        for chunk in features.chunks(4) {
-            session.push_chunk(chunk).unwrap();
-        }
-        assert_eq!(session.frames(), features.len());
-        assert!(session.timing().chunks() > 0);
-        let outcome = session.finish().unwrap();
-        assert_eq!(outcome.result.hypothesis.words, reference);
-        assert_eq!(outcome.result.hypothesis, offline.hypothesis);
-        assert_eq!(outcome.result.best_score.raw(), offline.best_score.raw());
-        assert_eq!(outcome.timing.chunks(), features.len().div_ceil(4));
-        // 10 ms of audio per frame was accounted.
-        let expected_audio = features.len() as f64 * 0.010;
-        assert!((outcome.timing.audio_seconds() - expected_audio).abs() < 1e-9);
-    }
-
-    #[test]
     fn hardware_report_carries_the_stream_timing() {
-        let task = task_with_dim(6);
+        let task = task_with_dim(13);
         let rec = recognizer(&task, DecoderConfig::hardware(2));
-        let (features, _) = task.synthesize_utterance(1, 0.2, 5);
-        let streamer = StreamingRecognizer::feature_only(rec).unwrap();
-        let mut session = streamer.feature_session().unwrap();
-        session.push_chunk(&features).unwrap();
-        let outcome = session.finish().unwrap();
+        let streamer = StreamingRecognizer::new(rec, audio_config()).unwrap();
+        let mut session = streamer.audio_session().unwrap();
+        // Tone right up to the end: close() finishes the open utterance.
+        session.push_audio(&tone(0.3)).unwrap();
+        let outcome = session.close().unwrap();
         let hw = outcome.result.hardware.expect("hardware report");
         let timing = hw.streaming.expect("stream timing folded into report");
-        assert_eq!(timing.chunks(), 1);
+        assert!(timing.chunks() > 0);
         assert_eq!(timing, outcome.timing);
-    }
-
-    #[test]
-    fn feature_session_decoder_reuse() {
-        let task = task_with_dim(6);
-        let rec = recognizer(&task, DecoderConfig::simd());
-        let (features, reference) = task.synthesize_utterance(1, 0.2, 7);
-        let streamer = StreamingRecognizer::feature_only(rec).unwrap();
-        let mut decoder = streamer.recognizer().phone_decoder().unwrap();
-        for _ in 0..2 {
-            let mut session = streamer.feature_session_with(decoder);
-            session.push_chunk(&features).unwrap();
-            let (outcome, recycled) = session.finish_parts();
-            assert_eq!(outcome.unwrap().result.hypothesis.words, reference);
-            decoder = recycled;
-        }
     }
 
     #[test]
@@ -1030,10 +958,7 @@ mod tests {
             streamer.audio_session(),
             Err(StreamError::InvalidConfig(_))
         ));
-        // Feature sessions are still fine: they bypass the frontend.
-        assert!(streamer.feature_session().is_ok());
         assert_eq!(streamer.config().vad.min_speech_hops, 2);
-        let rec = streamer.into_recognizer();
-        assert_eq!(rec.model().feature_dim(), 6);
+        assert_eq!(streamer.recognizer().model().feature_dim(), 6);
     }
 }

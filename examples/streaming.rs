@@ -3,19 +3,21 @@
 //! Two demonstrations:
 //!
 //! 1. **Feature streaming** — one utterance pushed through a
-//!    [`FeatureStreamSession`](lvcsr::stream::FeatureStreamSession) in small
-//!    chunks, partial hypotheses surfacing as words complete, and the final
-//!    result provably identical to the offline decode of the same frames.
+//!    [`DecodeSession`](lvcsr::decoder::DecodeSession) in small chunks,
+//!    partial hypotheses surfacing as words complete, and the final result
+//!    provably identical to the offline decode of the same frames.  The
+//!    session hands its warm phone decoder back, and a second utterance
+//!    decodes on it.
 //! 2. **Continuous audio** — raw PCM with silence around two tone bursts
 //!    pushed into an [`AudioStreamSession`](lvcsr::stream::AudioStreamSession):
 //!    the energy VAD opens an utterance per burst, decodes it incrementally
-//!    while its audio is still arriving, and reports per-chunk latency and
-//!    the stream's host real-time factor.
+//!    on the session's one decoder while its audio is still arriving, and
+//!    reports per-chunk latency and the stream's host real-time factor.
 //!
 //! Run with: `cargo run --example streaming --release`
 
 use lvcsr::corpus::{TaskConfig, TaskGenerator};
-use lvcsr::decoder::{DecoderConfig, Recognizer};
+use lvcsr::decoder::{DecodeSession, DecoderConfig, Recognizer};
 use lvcsr::frontend::FrontendConfig;
 use lvcsr::stream::{StreamConfig, StreamEvent, StreamingRecognizer, VadConfig};
 use lvcsr::LvcsrError;
@@ -32,12 +34,12 @@ fn main() -> Result<(), LvcsrError> {
     let (features, reference) = task.synthesize_utterance(4, 0.2, 3);
     let offline = recognizer.decode_features(&features)?;
 
-    let streamer = StreamingRecognizer::feature_only(recognizer)?;
-    let mut session = streamer.feature_session()?;
+    let mut session = DecodeSession::begin(&recognizer, recognizer.phone_decoder()?);
     println!("streaming {} frames in 5-frame chunks:", features.len());
     let mut last_words = 0;
     for chunk in features.chunks(5) {
-        let partial = session.push_chunk(chunk)?;
+        session.push_chunk(chunk)?;
+        let partial = session.partial();
         if partial.words.len() > last_words {
             last_words = partial.words.len();
             println!(
@@ -47,30 +49,32 @@ fn main() -> Result<(), LvcsrError> {
             );
         }
     }
-    let outcome = session.finish()?;
+    let (result, decoder) = session.finish();
+    let result = result?;
     println!(
         "final: \"{}\" ({})",
-        outcome.result.hypothesis.to_sentence(),
-        if outcome.result.hypothesis.words == reference {
+        result.hypothesis.to_sentence(),
+        if result.hypothesis.words == reference {
             "correct"
         } else {
             "incorrect"
         }
     );
-    assert_eq!(outcome.result.hypothesis, offline.hypothesis);
+    assert_eq!(result.hypothesis, offline.hypothesis);
+    let hw = result.hardware.expect("hardware backend report");
     println!(
-        "identical to offline decode; {} chunks, p50 chunk latency {:.2} µs, \
-         stream RTF {:.4}",
-        outcome.timing.chunks(),
-        outcome.timing.p50_latency_s() * 1.0e6,
-        outcome.timing.real_time_factor()
+        "identical to offline decode; SoC report: {} frames",
+        hw.frames
     );
-    let hw = outcome.result.hardware.expect("hardware backend report");
-    println!(
-        "SoC report: {} frames, host-side stream timing folded in ({} chunks)\n",
-        hw.frames,
-        hw.streaming.expect("stream timing").chunks()
-    );
+
+    // The session handed its warm decoder back: the next utterance decodes
+    // on it without rebuilding the backend.
+    let (features, _) = task.synthesize_utterance(3, 0.2, 5);
+    let mut session = DecodeSession::begin(&recognizer, decoder);
+    session.push_chunk(&features)?;
+    let result = session.finish().0?;
+    let sentence = result.hypothesis.to_sentence();
+    println!("second utterance on the recycled decoder: \"{sentence}\"\n");
 
     // --- 2. continuous audio with VAD endpointing ---
     // A 13-dim task so the delta-less MFCC frontend matches the model.

@@ -89,15 +89,6 @@ impl SenoneScorer for HmmCounting {
         self.inner.begin_frame(feature);
     }
 
-    fn score_senones(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
-        self.inner.score_senones(model, active, feature)
-    }
-
     fn score_senones_into(
         &mut self,
         model: &AcousticModel,

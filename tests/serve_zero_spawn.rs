@@ -1,12 +1,12 @@
 //! Steady-state zero-spawn acceptance: a warm sharded decoder — whether
 //! driven directly through `decode_batch_with` or behind a multi-worker
-//! `AsrServer` — must not spawn threads per utterance.  A sharded scorer
-//! spawns its lane threads once, on the first parallel frame, and they live
-//! until the scorer is dropped.
+//! `AsrServer`, for decodes and stream sessions alike — must not spawn
+//! threads per utterance.  A sharded scorer spawns its lane threads once, on
+//! the first parallel frame, and they live until the scorer is dropped.
 //!
 //! Each test reads only counts it owns: the direct tests read
-//! `SenoneScorer::threads_spawned` on their own decoder, and the server test
-//! sums the `shard_dispatch` facts of its own telemetry sink.  On
+//! `SenoneScorer::threads_spawned` on their own decoder, and the server tests
+//! sum the `shard_dispatch` facts of their own telemetry sink.  On
 //! single-CPU hosts the parallelism heuristic keeps scoring inline, making
 //! zero spawns trivially true for the configured backends — the
 //! forced-parallel batch test below carries the property there.
@@ -16,7 +16,7 @@ use lvcsr::decoder::{
     DecoderConfig, GmmSelectionConfig, PhoneDecoder, Recognizer, ScoringBackendKind, SenoneScorer,
     ShardedScorer,
 };
-use lvcsr::obs::{FieldValue, Telemetry};
+use lvcsr::obs::{FieldValue, MemorySink, Telemetry};
 use lvcsr::serve::{AsrServer, ServeConfig};
 
 fn build_task() -> SyntheticTask {
@@ -33,6 +33,19 @@ fn build_recognizer(task: &SyntheticTask, config: DecoderConfig) -> Recognizer {
         config,
     )
     .expect("recogniser")
+}
+
+/// The lane threads the `shard_dispatch` facts in `sink` report.
+fn shard_dispatch_threads(sink: &MemorySink) -> u64 {
+    sink.facts()
+        .iter()
+        .filter(|f| f.field("event").and_then(FieldValue::as_str) == Some("shard_dispatch"))
+        .map(|f| {
+            f.field("threads")
+                .and_then(FieldValue::as_u64)
+                .expect("threads")
+        })
+        .sum()
 }
 
 /// A 16-utterance `decode_batch_with` over a 4-shard backend costs at most
@@ -126,19 +139,59 @@ fn a_warm_multi_worker_server_decodes_with_zero_thread_spawns() {
         decode_round(4);
     }
     server.close();
-    let spawned: u64 = sink
-        .facts()
-        .iter()
-        .filter(|f| f.field("event").and_then(FieldValue::as_str) == Some("shard_dispatch"))
-        .map(|f| {
-            f.field("threads")
-                .and_then(FieldValue::as_u64)
-                .expect("threads")
-        })
-        .sum();
+    let spawned = shard_dispatch_threads(&sink);
     assert!(
         spawned <= (WORKERS * (SHARDS - 1)) as u64,
         "a warm server must not spawn threads per utterance: {spawned} threads \
          for 32 utterances on {WORKERS} workers of {SHARDS} shards"
     );
+}
+
+/// Stream sessions borrow their worker's warm decoder too: a 2-worker
+/// server on a 4-shard backend serves 16 stream sessions, two open at a
+/// time (one per worker), and the lane threads their traces report stay
+/// within one pool per worker.  On a multi-core host the first session on
+/// each worker is the one that spins its pool up, so the traces must report
+/// that spawn rather than nothing.
+#[test]
+fn a_warm_multi_worker_server_streams_with_zero_thread_spawns() {
+    const WORKERS: usize = 2;
+    const SHARDS: usize = 4;
+    let task = build_task();
+    let (telemetry, sink) = Telemetry::to_memory();
+    let server = AsrServer::spawn_observed(
+        build_recognizer(&task, DecoderConfig::sharded_hardware(SHARDS)),
+        ServeConfig::default().workers(WORKERS),
+        telemetry,
+    )
+    .expect("server");
+    let (features, reference) = task.synthesize_utterance(1, 0.2, 7);
+    for _ in 0..16 / WORKERS {
+        // Consecutive stream ids pin to different workers.
+        let streams: Vec<_> = (0..WORKERS)
+            .map(|_| server.open_stream().expect("open"))
+            .collect();
+        for chunk in features.chunks(4) {
+            for stream in &streams {
+                stream.push_chunk(chunk).expect("push");
+            }
+        }
+        for stream in streams {
+            let result = stream.finish().expect("finish").wait().expect("decode");
+            assert_eq!(result.hypothesis.words, reference);
+        }
+    }
+    server.close();
+    let spawned = shard_dispatch_threads(&sink);
+    assert!(
+        spawned <= (WORKERS * (SHARDS - 1)) as u64,
+        "a warm server must not spawn threads per stream: {spawned} threads \
+         for 16 streams on {WORKERS} workers of {SHARDS} shards"
+    );
+    if std::thread::available_parallelism().map_or(1, |c| c.get()) > 1 {
+        assert!(
+            spawned > 0,
+            "the streams' traces report their pools' spawns"
+        );
+    }
 }

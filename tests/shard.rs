@@ -10,8 +10,8 @@ use lvcsr::acoustic::{
 };
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{
-    software_step_hmm, DecodeError, DecodeResult, DecoderConfig, GmmSelectionConfig, HmmStepResult,
-    PhoneDecoder, Recognizer, ScoringBackendKind, SenoneScorer, ShardedScorer,
+    software_step_hmm, DecodeError, DecodeResult, DecodeSession, DecoderConfig, GmmSelectionConfig,
+    HmmStepResult, PhoneDecoder, Recognizer, ScoringBackendKind, SenoneScorer, ShardedScorer,
 };
 use lvcsr::float::LogProb;
 use lvcsr::hw::UtteranceReport;
@@ -117,11 +117,12 @@ proptest! {
 
         // The same sharded decoder fed frame chunks through a streaming
         // session must land on the identical result.
-        let mut session = sharded.begin_session().expect("session");
+        let decoder = sharded.phone_decoder().expect("decoder");
+        let mut session = DecodeSession::begin(&sharded, decoder);
         for piece in features.chunks(chunk) {
             session.push_chunk(piece).expect("chunk decodes");
         }
-        let streamed = session.finish().expect("finish");
+        let streamed = session.finish().0.expect("finish");
         prop_assert_eq!(fingerprint(&want), fingerprint(&streamed));
     }
 }
@@ -166,11 +167,11 @@ fn forced_pool_and_inline_dispatch_agree() {
     // chunk at a time, the lane threads persist between chunks, and they
     // join when the session's decoder drops.
     let session_result = {
-        let mut session = rec.begin_session_with(decoder_with(true));
+        let mut session = DecodeSession::begin(&rec, decoder_with(true));
         for piece in features.chunks(3) {
             session.push_chunk(piece).expect("chunk decodes");
         }
-        session.finish().expect("finish")
+        session.finish().0.expect("finish")
     };
     assert_eq!(fingerprint(&pooled), fingerprint(&session_result));
 }
@@ -271,12 +272,13 @@ impl SenoneScorer for PanickingScorer {
         "panicking"
     }
     fn begin_frame(&mut self, _feature: &[f32]) {}
-    fn score_senones(
+    fn score_senones_into(
         &mut self,
         _model: &AcousticModel,
         _active: &[SenoneId],
         _feature: &[f32],
-    ) -> Result<Vec<(SenoneId, LogProb)>, DecodeError> {
+        _out: &mut Vec<(SenoneId, LogProb)>,
+    ) -> Result<(), DecodeError> {
         panic!("inner scorer bug");
     }
     fn step_hmm(

@@ -8,7 +8,7 @@
 
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{
-    DecodeResult, DecoderConfig, PartialHypothesis, Recognizer, ScoringBackendKind,
+    DecodeResult, DecodeSession, DecoderConfig, PartialHypothesis, Recognizer, ScoringBackendKind,
 };
 use lvcsr::stream::{StreamEvent, StreamingRecognizer, VadConfig};
 use proptest::prelude::*;
@@ -88,11 +88,12 @@ proptest! {
 
         let offline = rec.decode_features(&features).expect("offline decode");
 
-        let streamer = StreamingRecognizer::feature_only(rec).expect("streamer");
-        let mut session = streamer.feature_session().expect("session");
+        let decoder = rec.phone_decoder().expect("decoder");
+        let mut session = DecodeSession::begin(&rec, decoder);
         let mut previous = PartialHypothesis::default();
         for piece in features.chunks(chunk) {
-            let partial = session.push_chunk(piece).expect("chunk decodes");
+            session.push_chunk(piece).expect("chunk decodes");
+            let partial = session.partial();
             // Monotone frame counts…
             prop_assert!(partial.frames > previous.frames);
             prop_assert_eq!(partial.frames, session.frames());
@@ -105,19 +106,8 @@ proptest! {
             );
             previous = partial;
         }
-        let outcome = session.finish().expect("finish");
-        prop_assert_eq!(fingerprint(&outcome.result), fingerprint(&offline));
-        // The latency record covered every chunk and all the audio.
-        prop_assert_eq!(outcome.timing.chunks(), features.len().div_ceil(chunk));
-        let audio = outcome.timing.audio_seconds();
-        prop_assert!((audio - features.len() as f64 * 0.010).abs() < 1e-9);
-        // Hardware backends carry the fold into their report.
-        if let Some(hw) = &outcome.result.hardware {
-            prop_assert_eq!(
-                hw.streaming.as_ref().expect("timing folded").chunks(),
-                outcome.timing.chunks()
-            );
-        }
+        let streamed = session.finish().0.expect("finish");
+        prop_assert_eq!(fingerprint(&streamed), fingerprint(&offline));
     }
 }
 
@@ -150,30 +140,77 @@ fn serve_stream_sessions_equal_offline_on_every_backend() {
     }
 }
 
-/// A continuous-audio session over silence only: the VAD never opens an
-/// utterance and close() is the typed empty result — not an error.
-#[test]
-fn silent_audio_session_closes_empty() {
+/// An audio streamer on a 13-dim task: the statics-only frontend matches
+/// it, and each 10 ms hop (and the endpoint tail) carries at most one
+/// feature frame.
+fn audio_streamer(backend: ScoringBackendKind, vad: VadConfig) -> StreamingRecognizer {
     let task = TaskGenerator::new(99)
         .generate(&TaskConfig {
             feature_dim: 13,
             ..TaskConfig::tiny()
         })
         .expect("task");
-    let rec = build_recognizer(&task, ScoringBackendKind::Software);
-    let streamer = StreamingRecognizer::new(
-        rec,
+    StreamingRecognizer::new(
+        build_recognizer(&task, backend),
         lvcsr::stream::StreamConfig {
             frontend: lvcsr::frontend::FrontendConfig {
                 use_delta: false,
                 use_delta_delta: false,
                 ..lvcsr::frontend::FrontendConfig::default()
             },
-            vad: VadConfig::default(),
+            vad,
             ..lvcsr::stream::StreamConfig::default()
         },
     )
-    .expect("streamer");
+    .expect("streamer")
+}
+
+/// An audio session's latency record covers its utterance exactly, on every
+/// backend: one timed chunk per non-empty feature push — with a statics-only
+/// frontend each push is one hop of at most one frame, so that is one chunk
+/// per decoded frame — and the audio those pushes carried, frames × the
+/// 10 ms frame shift.  Hardware backends fold the same record into their
+/// report.
+#[test]
+fn audio_session_timing_covers_every_feature_push_on_every_backend() {
+    let mut audio = vec![0.0f32; 3_200];
+    audio.extend((0..4_800).map(|n| 0.5 * (n as f32 * 0.17).sin()));
+    audio.extend(vec![0.0f32; 8_000]);
+    for backend_index in 0..4 {
+        let streamer = audio_streamer(backend(backend_index), VadConfig::default());
+        let mut session = streamer.audio_session().expect("audio session");
+        let mut ended = Vec::new();
+        for chunk in audio.chunks(777) {
+            for event in session.push_audio(chunk).expect("push") {
+                if let StreamEvent::UtteranceEnd(outcome) = event {
+                    ended.push(outcome);
+                }
+            }
+        }
+        assert_eq!(ended.len(), 1, "backend {backend_index}");
+        let outcome = &ended[0];
+        let frames = outcome.result.stats.num_frames();
+        assert!(frames > 10, "backend {backend_index}");
+        assert_eq!(outcome.timing.chunks(), frames, "backend {backend_index}");
+        let audio_s = outcome.timing.audio_seconds();
+        assert!(
+            (audio_s - frames as f64 * 0.010).abs() < 1e-9,
+            "backend {backend_index}: {audio_s} s for {frames} frames"
+        );
+        // The SoC and sharded backends fold the record into their report.
+        let hw = outcome.result.hardware.as_ref();
+        assert_eq!(hw.is_some(), backend_index >= 2, "backend {backend_index}");
+        if let Some(hw) = hw {
+            assert_eq!(hw.streaming.as_ref(), Some(&outcome.timing));
+        }
+    }
+}
+
+/// A continuous-audio session over silence only: the VAD never opens an
+/// utterance and close() is the typed empty result — not an error.
+#[test]
+fn silent_audio_session_closes_empty() {
+    let streamer = audio_streamer(ScoringBackendKind::Software, VadConfig::default());
     let mut session = streamer.audio_session().expect("audio session");
     let events = session.push_audio(&vec![0.0f32; 16_000]).expect("push");
     assert!(
@@ -194,28 +231,9 @@ fn silent_audio_session_closes_empty() {
 /// clean speech afterwards must still open and end an utterance.
 #[test]
 fn hostile_audio_neither_breaks_the_session_nor_deafens_it() {
-    let task = TaskGenerator::new(99)
-        .generate(&TaskConfig {
-            feature_dim: 13,
-            ..TaskConfig::tiny()
-        })
-        .expect("task");
-    let rec = build_recognizer(&task, ScoringBackendKind::Software);
     let vad = VadConfig::adaptive();
     let clamps = vad.adaptive.clone().expect("adaptive VAD");
-    let streamer = StreamingRecognizer::new(
-        rec,
-        lvcsr::stream::StreamConfig {
-            frontend: lvcsr::frontend::FrontendConfig {
-                use_delta: false,
-                use_delta_delta: false,
-                ..lvcsr::frontend::FrontendConfig::default()
-            },
-            vad,
-            ..lvcsr::stream::StreamConfig::default()
-        },
-    )
-    .expect("streamer");
+    let streamer = audio_streamer(ScoringBackendKind::Software, vad);
     let mut session = streamer.audio_session().expect("audio session");
     let check_threshold = |threshold: f32, label: &str| {
         assert!(

@@ -9,6 +9,9 @@
 //! * a silent hop through `AudioStreamSession::push_audio` allocates nothing
 //!   (whole hops are borrowed from the caller's chunk and the pre-roll
 //!   recycles its storage).
+//! * the hop that opens an audio session's second utterance skips the
+//!   allocations a fresh decoder makes on its first frames: the session
+//!   decodes every utterance on the one decoder it built when it opened.
 //!
 //! The counting allocator below counts per thread, so tests of other
 //! binaries or threads cannot disturb the figures.
@@ -143,8 +146,9 @@ fn warm_frontend_allocates_only_what_it_returns() {
     }
 }
 
-#[test]
-fn warm_silent_hop_through_the_audio_session_allocates_nothing() {
+/// A SIMD recogniser on a 13-dim task behind the scenario voice task's
+/// frontend and the adaptive VAD.
+fn voice_streamer() -> StreamingRecognizer {
     let task = TaskGenerator::new(99)
         .generate(&TaskConfig {
             feature_dim: 13,
@@ -161,7 +165,7 @@ fn warm_silent_hop_through_the_audio_session_allocates_nothing() {
         },
     )
     .expect("recogniser");
-    let streamer = StreamingRecognizer::new(
+    StreamingRecognizer::new(
         recognizer,
         StreamConfig {
             frontend: ScenarioVoiceTask::frontend_config(),
@@ -169,7 +173,12 @@ fn warm_silent_hop_through_the_audio_session_allocates_nothing() {
             ..StreamConfig::default()
         },
     )
-    .expect("streamer");
+    .expect("streamer")
+}
+
+#[test]
+fn warm_silent_hop_through_the_audio_session_allocates_nothing() {
+    let streamer = voice_streamer();
     let mut session = streamer.audio_session().expect("audio session");
     // Warm up through one utterance, so the pre-roll has been drained and
     // refilled once.
@@ -203,4 +212,38 @@ fn warm_silent_hop_through_the_audio_session_allocates_nothing() {
         session.push_audio(chunk).expect("silent chunk");
     }
     assert_eq!(allocations() - before, 0, "silent sub-hop chunks");
+}
+
+/// The session builds its phone decoder once, when it opens, and every
+/// utterance decodes on it.  A fresh decoder allocates its per-utterance
+/// buffers as it scores its first frames, which happens in the hop that
+/// opens an utterance (the pre-roll replays there) — a quarter or more of
+/// that hop's allocations.  The hop that opens the second utterance finds
+/// them warm; a session that built a decoder per utterance would pay them
+/// again.
+#[test]
+fn the_second_utterance_opens_on_the_warm_decoder() {
+    let streamer = voice_streamer();
+    let mut session = streamer.audio_session().expect("audio session");
+    let audio = [quiet(1.0), speech(0.5), quiet(2.0)].concat();
+    let mut opening_hops = Vec::new();
+    for _ in 0..2 {
+        for hop in audio.chunks(HOP) {
+            let was_open = session.in_utterance();
+            let before = allocations();
+            session.push_audio(hop).expect("hop");
+            let made = allocations() - before;
+            if !was_open && session.in_utterance() {
+                opening_hops.push(made);
+            }
+        }
+        assert!(!session.in_utterance(), "the utterance ended");
+    }
+    let [first, second] = opening_hops[..] else {
+        panic!("one utterance per burst: {opening_hops:?}");
+    };
+    assert!(
+        second * 4 <= first * 3,
+        "opening the second utterance allocated {second} times, the first {first}"
+    );
 }
