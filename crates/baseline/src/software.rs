@@ -4,7 +4,6 @@
 //! bytes moved) into cycles, real-time factor, power and energy.
 
 use asr_acoustic::AcousticModelConfig;
-use asr_core::DecodeStats;
 use asr_hw::{ClockDomain, HostCpuModel};
 
 /// Which general-purpose platform runs the software decoder.
@@ -90,15 +89,7 @@ pub struct SoftwareBaseline {
     pub platform: SoftwarePlatform,
     /// Operation-level cost model.
     pub cost: SoftwareCostModel,
-    /// Acoustic-model geometry being decoded.
-    pub geometry: AcousticModelConfig2,
-}
-
-/// The subset of the acoustic-model geometry the cost model needs.
-/// (Mirrors [`asr_acoustic::AcousticModelConfig`] but kept `Copy`.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AcousticModelConfig2 {
-    /// Number of senones in the inventory.
+    /// Senones in the decoded model's inventory.
     pub num_senones: usize,
     /// Mixture components per senone.
     pub num_components: usize,
@@ -106,17 +97,6 @@ pub struct AcousticModelConfig2 {
     pub feature_dim: usize,
     /// HMM states per triphone.
     pub states_per_hmm: usize,
-}
-
-impl From<&AcousticModelConfig> for AcousticModelConfig2 {
-    fn from(c: &AcousticModelConfig) -> Self {
-        AcousticModelConfig2 {
-            num_senones: c.num_senones,
-            num_components: c.num_components,
-            feature_dim: c.feature_dim,
-            states_per_hmm: c.topology.num_states(),
-        }
-    }
 }
 
 /// Result of evaluating the software baseline over a decode's workload.
@@ -144,7 +124,10 @@ impl SoftwareBaseline {
         SoftwareBaseline {
             platform,
             cost,
-            geometry: geometry.into(),
+            num_senones: geometry.num_senones,
+            num_components: geometry.num_components,
+            feature_dim: geometry.feature_dim,
+            states_per_hmm: geometry.topology.num_states(),
         }
     }
 
@@ -159,11 +142,10 @@ impl SoftwareBaseline {
         let frame_period = 0.010f64;
         let per_senone = self
             .cost
-            .cycles_per_senone(self.geometry.feature_dim, self.geometry.num_components);
+            .cycles_per_senone(self.feature_dim, self.num_components);
         let gaussian_cycles = senones_per_frame * per_senone;
-        let viterbi_cycles = active_hmms_per_frame
-            * self.geometry.states_per_hmm as f64
-            * self.cost.cycles_per_state_update;
+        let viterbi_cycles =
+            active_hmms_per_frame * self.states_per_hmm as f64 * self.cost.cycles_per_state_update;
         let search_cycles = active_hmms_per_frame * self.cost.cycles_per_active_hmm;
         let cycles_per_frame =
             gaussian_cycles + viterbi_cycles + search_cycles + self.cost.frontend_cycles_per_frame;
@@ -195,40 +177,10 @@ impl SoftwareBaseline {
     /// figure assumes: every senone scored every frame, with a proportional
     /// number of active HMMs.
     pub fn evaluate_full_evaluation(&self) -> SoftwareReport {
-        let senones = self.geometry.num_senones as f64;
+        let senones = self.num_senones as f64;
         // Roughly one active triphone per 3 scored senones (its 3 states).
-        let hmms = senones / self.geometry.states_per_hmm as f64;
+        let hmms = senones / self.states_per_hmm as f64;
         self.evaluate_workload(senones, hmms)
-    }
-
-    /// Evaluates the baseline replaying the measured workload of a real
-    /// decode (the per-frame senone and HMM counts from [`DecodeStats`]).
-    pub fn evaluate_decode(&self, stats: &DecodeStats) -> SoftwareReport {
-        self.evaluate_workload(stats.mean_senones_scored(), stats.mean_active_hmms())
-    }
-
-    /// Evaluates the baseline over a whole batch of decodes (e.g. the
-    /// per-utterance statistics out of `Recognizer::decode_batch`), weighting
-    /// each utterance's per-frame means by its frame count so the result is
-    /// the true per-frame average of the combined stream.  Empty batches (or
-    /// batches of empty utterances) evaluate the zero workload.
-    pub fn evaluate_decode_batch<'a, I>(&self, stats: I) -> SoftwareReport
-    where
-        I: IntoIterator<Item = &'a DecodeStats>,
-    {
-        let mut frames = 0.0f64;
-        let mut senones = 0.0f64;
-        let mut hmms = 0.0f64;
-        for s in stats {
-            let f = s.num_frames() as f64;
-            frames += f;
-            senones += s.mean_senones_scored() * f;
-            hmms += s.mean_active_hmms() * f;
-        }
-        if frames == 0.0 {
-            return self.evaluate_workload(0.0, 0.0);
-        }
-        self.evaluate_workload(senones / frames, hmms / frames)
     }
 }
 
@@ -302,68 +254,6 @@ mod tests {
         let r2 = b.evaluate_workload(3000.0, 1000.0);
         assert!(r2.cycles_per_frame > r.cycles_per_frame);
         assert!(r2.real_time_factor > r.real_time_factor);
-    }
-
-    #[test]
-    fn evaluate_decode_uses_measured_stats() {
-        use asr_core::FrameStats;
-        let mut stats = DecodeStats::new();
-        for t in 0..10 {
-            stats.push(FrameStats {
-                frame: t,
-                senones_scored: 100,
-                senone_inventory: 6000,
-                active_hmms: 30,
-                pruned_hmms: 0,
-                word_ends: 0,
-                cds_skipped: false,
-            });
-        }
-        let b = SoftwareBaseline::new(
-            SoftwarePlatform::DesktopPentium,
-            SoftwareCostModel::scalar_decoder(),
-            &paper_geometry(),
-        );
-        let r = b.evaluate_decode(&stats);
-        let manual = b.evaluate_workload(100.0, 30.0);
-        assert_eq!(r, manual);
-        assert!(r.real_time_factor < 1.0);
-    }
-
-    #[test]
-    fn evaluate_decode_batch_weights_by_frames() {
-        use asr_core::FrameStats;
-        let make = |frames: usize, senones: usize, hmms: usize| {
-            let mut s = DecodeStats::new();
-            for t in 0..frames {
-                s.push(FrameStats {
-                    frame: t,
-                    senones_scored: senones,
-                    senone_inventory: 6000,
-                    active_hmms: hmms,
-                    pruned_hmms: 0,
-                    word_ends: 0,
-                    cds_skipped: false,
-                });
-            }
-            s
-        };
-        let b = SoftwareBaseline::new(
-            SoftwarePlatform::DesktopPentium,
-            SoftwareCostModel::scalar_decoder(),
-            &paper_geometry(),
-        );
-        // 10 frames at 100 senones + 30 frames at 300 senones → mean 250.
-        let parts = [make(10, 100, 20), make(30, 300, 40)];
-        let batch = b.evaluate_decode_batch(parts.iter());
-        let manual = b.evaluate_workload(250.0, 35.0);
-        assert_eq!(batch, manual);
-        // A batch is NOT the naive mean of per-utterance reports.
-        let naive = b.evaluate_workload(200.0, 30.0);
-        assert!(batch.cycles_per_frame > naive.cycles_per_frame);
-        // Degenerate batches evaluate the zero workload.
-        let empty = b.evaluate_decode_batch([]);
-        assert_eq!(empty, b.evaluate_workload(0.0, 0.0));
     }
 
     #[test]

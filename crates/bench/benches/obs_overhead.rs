@@ -20,31 +20,30 @@
 
 use asr_bench::experiments::{batch_bench_task, recognizer};
 use asr_core::{DecoderConfig, Recognizer};
-use asr_obs::{
-    Counter, Histogram, MetricsRegistry, Outcome, RequestKind, SpanEvent, Telemetry, TraceId,
-};
+use asr_obs::{LatencyHistogram, Outcome, RequestKind, SpanEvent, Telemetry, TraceId};
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// The per-request instrumentation the serving front performs: registry
-/// handles plus a telemetry pipeline.  One instance per bench variant, so
-/// the handles' registration cost stays outside the measured loop — exactly
-/// like a server registering its model counters once at spawn.
+/// The per-request instrumentation the serving front performs: its
+/// per-model counters (relaxed atomics and a latency histogram) plus a
+/// telemetry pipeline.  One instance per bench variant, built outside the
+/// measured loop — exactly like a server building its model counters once
+/// at spawn.
 struct Instrumentation {
     telemetry: Telemetry,
-    submitted: Counter,
-    completed: Counter,
-    service: Histogram,
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    service: LatencyHistogram,
 }
 
 impl Instrumentation {
     fn new(telemetry: Telemetry) -> Self {
-        let metrics = MetricsRegistry::new();
         Instrumentation {
-            submitted: metrics.counter("serve.bench.submitted"),
-            completed: metrics.counter("serve.bench.completed"),
-            service: metrics.histogram("serve.bench.service_us"),
             telemetry,
+            submitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            service: LatencyHistogram::new(),
         }
     }
 }
@@ -61,7 +60,7 @@ impl Instrumentation {
 #[inline(never)]
 fn decode_one(rec: &Recognizer, features: &[Vec<f32>], instr: Option<&Instrumentation>) -> usize {
     let started = instr.map(|i| {
-        i.submitted.inc();
+        i.submitted.fetch_add(1, Ordering::Relaxed);
         Instant::now()
     });
     let trace = match instr {
@@ -88,7 +87,7 @@ fn decode_one(rec: &Recognizer, features: &[Vec<f32>], instr: Option<&Instrument
     if let Some(i) = instr {
         i.service
             .record(started.expect("timed with instrumentation").elapsed());
-        i.completed.inc();
+        i.completed.fetch_add(1, Ordering::Relaxed);
         i.telemetry.emit(
             trace,
             &SpanEvent::Finished {

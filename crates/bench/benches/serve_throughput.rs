@@ -15,7 +15,7 @@
 //! through a two-worker server, covering the worker wake-up path that
 //! closed-loop floods never exercise, and `two_model_mixed_32` floods a
 //! two-model registry with interleaved per-model traffic to guard the
-//! routing / per-model micro-batching overhead.
+//! routing and per-model decoder-pool overhead.
 
 use asr_bench::experiments::{recognizer, serve_bench_task};
 use asr_core::DecoderConfig;
@@ -47,8 +47,8 @@ fn bench_serve_throughput(c: &mut Criterion) {
         b.iter(|| sharded.decode_batch(&utterances).expect("decode").len())
     });
 
-    // The full serving path: 32 submissions through the bounded queue, the
-    // micro-batcher coalescing them onto the worker's warmed sharded scorer.
+    // The full serving path: 32 submissions through the bounded queue, each
+    // decoded on the worker's warm pooled sharded decoder.
     let serve_config = ServeConfig::default()
         .max_pending(64)
         .max_batch(8)
@@ -88,8 +88,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
 
     // Two models co-resident in one server, mixed traffic: 16 requests to
     // each, interleaved, through two workers.  Routing, per-model admission
-    // and version-anchored micro-batching are all on the hot path here, so
-    // the variant guards the multi-model layer's overhead.
+    // and mixed-model flushes over per-version pooled decoders are all on
+    // the hot path here, so the variant guards the multi-model layer's
+    // overhead.
     let other_task = serve_bench_task(14);
     let other_utterances: Vec<Vec<Vec<f32>>> = (0..16)
         .map(|i| other_task.synthesize_utterance(1, 0.3, 400 + i as u64).0)

@@ -292,9 +292,7 @@ impl Recognizer {
     /// Decodes a batch of utterances through a caller-supplied phone decoder
     /// — [`Recognizer::decode_batch`] with the scorer's lifetime under the
     /// caller's control, so one decoder (and its warmed model caches) can
-    /// serve *many* batches.  This is the entry point the serving layer's
-    /// micro-batcher uses: each coalesced batch reuses the worker's
-    /// long-lived decoder instead of rebuilding the backend per flush.
+    /// serve *many* batches instead of rebuilding the backend per batch.
     ///
     /// # Errors
     ///

@@ -1,6 +1,5 @@
 //! The fixed-bucket latency histogram, promoted out of the serving crate so
-//! every layer (and the metrics registry) shares one bucket geometry and one
-//! percentile walk.
+//! every layer shares one bucket geometry and one percentile walk.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -2,18 +2,17 @@
 //!
 //! The paper's low-power argument is an accounting argument: it only holds
 //! if every cycle, frame, and joule is attributable.  This crate is the
-//! runtime side of that accounting — one coherent layer the whole
-//! serve→stream→shard pipeline reports into, instead of per-crate counters
-//! that fold differently per layer:
+//! runtime side of that accounting — one tracing layer the serve→stream
+//! pipeline reports into, and one latency histogram every layer's counters
+//! share:
 //!
 //! ```text
 //!  asr-serve ──┐  Admitted/Enqueued/BatchFormed/DecodeStarted/Finished…
 //!  asr-stream ─┴► Telemetry ──► span Facts ──► ObsSink ──► facts.jsonl
 //!                 (TraceId per admitted request / stream session)
 //!
-//!  Counters / Gauges / Histograms ──► MetricsRegistry ──► MetricsSnapshot
-//!  (lock-cheap handles: relaxed atomics on the hot path)      │
-//!                                            metric Facts ◄───┘
+//!  LatencyHistogram: log₂ µs buckets, relaxed atomics, summed across
+//!  sources before one percentile walk
 //! ```
 //!
 //! Three pieces:
@@ -24,10 +23,10 @@
 //!   to a layer is the only way its events reach a sink.  Off by default
 //!   ([`Telemetry::disabled`]) — the disabled hot path is one branch,
 //!   enforced by the `obs_overhead` bench gate.
-//! * **Metrics registry** ([`metrics`]): named counters, gauges, and
-//!   latency histograms.  Handles are `Arc`s over plain atomics, so
-//!   recording never takes a lock; [`LatencyHistogram`] (promoted out of
-//!   the serving crate) keeps percentile math exact under merging.
+//! * **Latency histograms** ([`hist`]): [`LatencyHistogram`] is the one
+//!   bucket geometry and percentile walk every layer shares; recording is a
+//!   relaxed atomic add, and per-source histograms merge bucket-wise so
+//!   aggregate percentiles stay exact.
 //! * **Fact sink** ([`sink`]): one self-describing JSONL record per event
 //!   or snapshot, written to memory (tests) or an append-only run directory
 //!   with host metadata — the format the experiment harness and
@@ -36,13 +35,13 @@
 //! # Example
 //!
 //! ```
-//! use asr_obs::{MetricsRegistry, SpanEvent, Telemetry, RequestKind, Outcome};
+//! use asr_obs::{LatencyHistogram, SpanEvent, Telemetry, RequestKind, Outcome};
+//! use std::time::Duration;
 //!
-//! // Metrics: registry once, handles on the hot path.
-//! let registry = MetricsRegistry::new();
-//! let served = registry.counter("serve.completed");
-//! served.inc();
-//! assert_eq!(registry.snapshot().len(), 1);
+//! // Latency: record on the hot path, read percentiles at snapshot time.
+//! let service = LatencyHistogram::new();
+//! service.record(Duration::from_micros(300));
+//! assert_eq!(service.percentile(0.5), Some(Duration::from_micros(512)));
 //!
 //! // Tracing: a trace per request, events at each seam, one terminal.
 //! let (telemetry, sink) = Telemetry::to_memory();
@@ -60,11 +59,9 @@
 #![deny(missing_debug_implementations)]
 
 pub mod hist;
-pub mod metrics;
 pub mod sink;
 pub mod trace;
 
 pub use hist::{percentile_of, LatencyHistogram, LATENCY_BUCKETS};
-pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use sink::{host_fact, now_micros, Fact, FieldValue, MemorySink, ObsSink, RunDirSink};
 pub use trace::{Outcome, RequestKind, SpanEvent, Telemetry, TraceId};

@@ -21,7 +21,7 @@ use std::time::Instant;
 pub enum FieldValue {
     /// An unsigned integer (counts, ids, microseconds).
     U64(u64),
-    /// A signed integer (gauges).
+    /// A signed integer (a non-negative one reads back as `U64`).
     I64(i64),
     /// A float (ratios, RTF).
     F64(f64),
@@ -97,7 +97,7 @@ impl From<String> for FieldValue {
 /// order preserved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
-    /// Record type: `"host"`, `"span"`, `"metric"`, `"utterance"`, ….
+    /// Record type: `"host"`, `"span"`, `"hw_report"`, ….
     pub kind: String,
     /// Microseconds since the process observability epoch (first telemetry
     /// use); monotone across all facts of one process.
@@ -164,13 +164,16 @@ impl Fact {
     /// This is a reader for the *flat* schema this module writes (string,
     /// integer, float, and boolean values only — no nesting), not a general
     /// JSON parser; the `obs_validate` tool and tests use it to check emitted
-    /// run directories.
+    /// run directories.  It runs in time linear in the line's length and
+    /// takes any line, however malformed, without panicking; a fact it
+    /// returns re-encodes to a line that parses back to the same fact.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first malformed construct.
     pub fn parse_json(line: &str) -> Result<Fact, String> {
         let mut p = Parser {
+            text: line,
             bytes: line.as_bytes(),
             pos: 0,
         };
@@ -233,6 +236,7 @@ fn push_json_string(out: &mut String, s: &str) {
 
 /// Minimal cursor over one flat JSON object line.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -304,11 +308,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 character.  Every step before this
+                    // one consumed whole characters, so `pos` is on a
+                    // boundary of the input `&str`.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid utf-8")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -342,16 +349,22 @@ impl Parser<'_> {
                 }
                 let text = std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| "invalid number")?;
+                // The writer encodes a non-finite float as `null` and a
+                // non-negative integer as `U64`; reading the same way keeps
+                // every parsed fact re-encodable to itself.
                 if float {
-                    text.parse::<f64>()
-                        .map(FieldValue::F64)
-                        .map_err(|_| format!("invalid float {text:?}"))
+                    match text.parse::<f64>() {
+                        Ok(v) if v.is_finite() => Ok(FieldValue::F64(v)),
+                        _ => Err(format!("invalid float {text:?}")),
+                    }
                 } else if let Ok(v) = text.parse::<u64>() {
                     Ok(FieldValue::U64(v))
                 } else {
-                    text.parse::<i64>()
-                        .map(FieldValue::I64)
-                        .map_err(|_| format!("invalid integer {text:?}"))
+                    match text.parse::<i64>() {
+                        Ok(v) if v < 0 => Ok(FieldValue::I64(v)),
+                        Ok(v) => Ok(FieldValue::U64(v.unsigned_abs())),
+                        Err(_) => Err(format!("invalid integer {text:?}")),
+                    }
                 }
             }
             _ => Err(format!("unexpected value at offset {}", self.pos)),
@@ -547,6 +560,108 @@ mod tests {
         ] {
             assert!(Fact::parse_json(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    /// xorshift64: a local seeded generator, so the hostile-input test
+    /// needs no dev-dependency.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Truncations, byte flips and splices of valid lines: every input
+    /// parses or is rejected without a panic, and whatever parses
+    /// re-encodes to a line that parses back to the same fact.
+    #[test]
+    fn hostile_lines_parse_or_fail_and_what_parses_round_trips() {
+        let valid: Vec<String> = [
+            Fact::new("span")
+                .with("trace", 7u64)
+                .with("event", "finished")
+                .with("ok", true)
+                .with("delta", -3i64)
+                .with("rtf", 0.25f64),
+            Fact::new("host")
+                .with("note", "quote \" slash \\ nl \n tab \t ctl \u{1} é 😀")
+                .with("big", u64::MAX)
+                .with("small", i64::MIN)
+                .with("tiny", 1e-300f64)
+                .with("huge", 1e300f64)
+                .with("neg", -0.0f64)
+                .with("off", false),
+            Fact::new(""),
+        ]
+        .iter()
+        .map(Fact::to_json)
+        .collect();
+        // Bytes that change a line's JSON structure, flipped in half the time.
+        let significant = b"{}\":,.-+0123456789eEtrufalsn \\\t\n";
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut parsed = 0;
+        for _ in 0..20_000 {
+            let mut bytes = valid[rng.below(valid.len())].as_bytes().to_vec();
+            match rng.below(3) {
+                0 => bytes.truncate(rng.below(bytes.len() + 1)),
+                1 => {
+                    for _ in 0..=rng.below(4) {
+                        let at = rng.below(bytes.len());
+                        bytes[at] = if rng.below(2) == 0 {
+                            significant[rng.below(significant.len())]
+                        } else {
+                            rng.next() as u8
+                        };
+                    }
+                }
+                _ => {
+                    let other = valid[rng.below(valid.len())].as_bytes();
+                    bytes.truncate(rng.below(bytes.len() + 1));
+                    bytes.extend_from_slice(&other[rng.below(other.len() + 1)..]);
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            if let Ok(fact) = Fact::parse_json(&line) {
+                parsed += 1;
+                let again = fact.to_json();
+                assert_eq!(
+                    Fact::parse_json(&again).as_ref(),
+                    Ok(&fact),
+                    "{line:?} re-encodes as {again:?}"
+                );
+            }
+        }
+        assert!(parsed > 0, "some mutations must still parse");
+    }
+
+    /// Parsing is linear in the line's length: a 2 MB string field parses
+    /// well inside a watchdog that a per-character rescan of the rest of
+    /// the line would blow by minutes.
+    #[test]
+    fn a_two_megabyte_string_field_parses_under_a_watchdog() {
+        let unit = "text é 😀 \" ";
+        let note = unit.repeat((2 << 20) / unit.len() + 1);
+        let fact = Fact::new("span").with("note", note);
+        let line = fact.to_json();
+        let (done, finished) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let parsed = Fact::parse_json(&line);
+            let _ = done.send(());
+            parsed
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a 2 MB string field must parse within 10 s");
+        let back = parser.join().expect("parser thread").expect("parse");
+        assert_eq!(back, fact);
     }
 
     #[test]

@@ -111,12 +111,12 @@ pub enum SpanEvent {
         /// Queue depth after the insert (this command included).
         depth: usize,
     },
-    /// A micro-batch was flushed to a decoder; recorded on the trace of
-    /// every decode coalesced into it.
+    /// A worker took a flush of queued commands; recorded on the trace of
+    /// every decode in it.
     BatchFormed {
         /// Which worker flushed it.
         worker: usize,
-        /// Whole-utterance decodes coalesced into the flush.
+        /// Whole-utterance decodes of this request's model in the flush.
         batch: usize,
     },
     /// A worker began decoding this request.

@@ -7,22 +7,23 @@
 //! callers [`submit`] a [`DecodeRequest`] carrying feature frames plus
 //! routing (model name, tenant) into a **bounded request queue** and get
 //! back a [`DecodeFuture`]; M decoder workers ([`ServeConfig::workers`])
-//! drain the queue, each coalescing pending requests into **per-model
-//! micro-batches** and streaming them through a long-lived per-model scorer
-//! (flushing on batch size or deadline, whichever comes first) — the
-//! amortisation of [`Recognizer::decode_batch_with`] per worker and per
-//! model, with per-request error isolation.  Under a sharded backend each
-//! worker's shard pools stay warm across utterances, so a warm server
-//! decodes indefinitely with zero thread spawns.
+//! drain the queue.  Each worker waits until it has `max_batch` commands or
+//! its oldest has waited `max_batch_delay`, takes them in **arrival order**,
+//! and decodes each request on a **warm decoder of the request's own model
+//! version**, lent from the worker's pool — so models amortise their scorer
+//! state across the whole stream, and a bad utterance fails alone.  Under a
+//! sharded backend the pooled decoders' shard lanes stay warm across
+//! utterances, so a warm server decodes indefinitely with zero thread
+//! spawns.
 //!
 //! ```text
 //!  clients ──DecodeRequest{features, model?, tenant?}──► admission
 //!     ▲         │ registry: name ──► Arc<ModelVersion>  (version pinned
 //!     │         │ quotas:  queue bound, per-model, per-tenant → QueueFull)
 //!     │         ▼
-//!     │      bounded queue ──┬─► worker 0 ─► per-(model, version) decoders
-//!     │       (FIFO, typed   ├─► worker 1 ─►   (micro-batches never mix
-//!     │        backpressure) └─► worker M ─►    models or versions)
+//!     │      bounded queue ──┬─► worker 0 ─► flush in arrival order; each
+//!     │       (FIFO, typed   ├─► worker 1 ─►   decode on a pooled decoder
+//!     │        backpressure) └─► worker M ─►   of its own (model, version)
 //!     └── DecodeFuture (std Future and/or blocking wait()) ◄──┘
 //! ```
 //!
@@ -60,7 +61,6 @@
 //!
 //! [`submit`]: AsrServer::submit
 //! [`Recognizer`]: asr_core::Recognizer
-//! [`Recognizer::decode_batch_with`]: asr_core::Recognizer::decode_batch_with
 //!
 //! # Example
 //!
@@ -91,8 +91,8 @@
 //!     .default_model("dictation");
 //! let server = AsrServer::spawn(registry, ServeConfig::default()).unwrap();
 //!
-//! // Enqueue a few utterances; the batcher coalesces same-model requests
-//! // into one decode micro-batch over the worker's warmed scorer.
+//! // Enqueue a few utterances; a worker takes them in one flush and decodes
+//! // each on its warm "dictation" decoder.
 //! let pending: Vec<_> = (0..4)
 //!     .map(|seed| {
 //!         let (features, reference) = task.synthesize_utterance(1, 0.2, seed);
@@ -132,9 +132,9 @@ pub use server::{AsrServer, ServeStats, StreamHandle};
 // type is asr-core's, re-exported so callers need only this crate.
 pub use asr_core::PartialHypothesis;
 
-// The observability types the observed spawn path and metrics snapshot
-// speak in; re-exported so serving callers need only this crate.
-pub use asr_obs::{MetricsSnapshot, Telemetry};
+// The telemetry handle the observed spawn path takes; re-exported so
+// serving callers need only this crate.
+pub use asr_obs::Telemetry;
 
 use asr_core::DecodeError;
 use std::time::Duration;

@@ -1,20 +1,20 @@
 //! The server: a bounded request queue routed across a registry of named
-//! models and fanned out to M micro-batching decoder workers.  Each worker
-//! keeps one long-lived phone decoder per *(model, version)* it has served
-//! and coalesces pending whole-utterance requests into per-model-version
-//! micro-batches; incremental stream sessions multiplex over the same queue
-//! (pinned to one worker each so their chunks stay ordered) and pin the
-//! model version they opened under.
+//! models and fanned out to M decoder workers.  Each worker takes its next
+//! commands in arrival order and decodes each on a warm decoder of the
+//! request's own *(model, version)*, lent from the worker's pool;
+//! incremental stream sessions multiplex over the same queue (pinned to one
+//! worker each so their chunks stay ordered) and pin the model version they
+//! opened under.
 
 use crate::future::{DecodeFuture, Slot};
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::request::{DecodeRequest, StreamOptions};
 use crate::{QueueScope, ServeConfig, ServeError};
-use asr_core::{DecodeSession, PartialHypothesis, PhoneDecoder, Recognizer};
+use asr_core::{DecodeResult, DecodeSession, PartialHypothesis, PhoneDecoder, Recognizer};
 use asr_hw::UtteranceReport;
 use asr_obs::{
-    percentile_of, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Outcome,
-    RequestKind, SpanEvent, Telemetry, TraceId, LATENCY_BUCKETS,
+    percentile_of, LatencyHistogram, Outcome, RequestKind, SpanEvent, Telemetry, TraceId,
+    LATENCY_BUCKETS,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,10 +75,8 @@ enum Command {
         admission: Admission,
     },
     /// Discard stream `id`'s session without producing a result (the
-    /// client's handle was dropped unfinished).  Carries the session's
-    /// trace id so the worker can terminate the trace — a cancel is the
-    /// one command without an [`Admission`].
-    StreamCancel { id: u64, trace: TraceId },
+    /// client's handle was dropped unfinished).
+    StreamCancel { id: u64, admission: Admission },
 }
 
 impl Command {
@@ -106,16 +104,29 @@ impl Command {
         }
     }
 
-    /// The admission the command was accepted under (every command but a
-    /// cancel carries one).
-    fn admission(&self) -> Option<&Admission> {
+    /// The admission the command was accepted under.
+    fn admission(&self) -> &Admission {
         match self {
             Command::Decode { admission, .. }
             | Command::StreamOpen { admission, .. }
             | Command::StreamPush { admission, .. }
-            | Command::StreamFinish { admission, .. } => Some(admission),
-            Command::StreamCancel { .. } => None,
+            | Command::StreamFinish { admission, .. }
+            | Command::StreamCancel { admission, .. } => admission,
         }
+    }
+
+    /// Whether the command carries a feature payload: the queue bound and
+    /// the quotas apply to it, and it holds its quota charge until applied.
+    /// Opens, finishes and cancels carry none — and bouncing a *finish*
+    /// would strand a session whose work is already done.
+    fn bounded(&self) -> bool {
+        matches!(self, Command::Decode { .. } | Command::StreamPush { .. })
+    }
+
+    /// Whether the command resolves as `completed`/`failed`, and so counts
+    /// as `submitted` work.
+    fn counted(&self) -> bool {
+        matches!(self, Command::Decode { .. } | Command::StreamFinish { .. })
     }
 }
 
@@ -207,10 +218,8 @@ impl Queue {
     /// [`ServeError::Closed`]), releasing the quota the bounded ones held.
     fn drain(&mut self) {
         while let Some(request) = self.pending.pop_front() {
-            if let Command::Decode { admission, .. } | Command::StreamPush { admission, .. } =
-                &request.command
-            {
-                self.release(admission);
+            if request.command.bounded() {
+                self.release(request.command.admission());
             }
         }
     }
@@ -226,50 +235,24 @@ fn release_quota(shared: &Shared, admission: &Admission) {
 }
 
 /// Monotonic counters, one set **per registered model**; the whole-server
-/// snapshot is a fold over every model's set.
-///
-/// Each field is a registry-backed handle (the [`asr_obs::LatencyHistogram`]
-/// this crate's private histogram was promoted into lives behind
-/// [`Histogram`]), registered in the server's [`MetricsRegistry`] as
-/// `serve.<model>.<name>` — so [`AsrServer::metrics`] exports the same
-/// values [`AsrServer::stats`] folds, under stable names.  Handles are
-/// relaxed atomics underneath: the hot path pays what the old private
-/// `AtomicU64` fields did.
-#[derive(Debug)]
+/// snapshot is a fold over every model's set ([`ServeStats`] is the one way
+/// to read them).  Relaxed atomics: each is a statistic that publishes no
+/// other data.
+#[derive(Debug, Default)]
 struct Counters {
-    submitted: Counter,
-    rejected: Counter,
-    completed: Counter,
-    failed: Counter,
-    batches: Counter,
-    largest_batch: Gauge,
-    stream_sessions: Counter,
-    stream_chunks: Counter,
+    submitted: AtomicU64,
+    rejected: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
+    batches: AtomicU64,
+    largest_batch: AtomicU64,
+    stream_sessions: AtomicU64,
+    stream_chunks: AtomicU64,
     /// Enqueue-to-dequeue wait of result-producing requests (decodes and
     /// stream finishes — the same units `submitted` counts).
-    queue_wait: Histogram,
+    queue_wait: LatencyHistogram,
     /// Decode/finish execution time of those same requests.
-    service: Histogram,
-}
-
-impl Counters {
-    /// Registers one model's counter set in `metrics` under
-    /// `serve.<model>.*`.
-    fn register(metrics: &MetricsRegistry, model: &str) -> Counters {
-        let name = |field: &str| format!("serve.{model}.{field}");
-        Counters {
-            submitted: metrics.counter(&name("submitted")),
-            rejected: metrics.counter(&name("rejected")),
-            completed: metrics.counter(&name("completed")),
-            failed: metrics.counter(&name("failed")),
-            batches: metrics.counter(&name("batches")),
-            largest_batch: metrics.gauge(&name("largest_batch")),
-            stream_sessions: metrics.counter(&name("stream_sessions")),
-            stream_chunks: metrics.counter(&name("stream_chunks")),
-            queue_wait: metrics.histogram(&name("queue_wait_us")),
-            service: metrics.histogram(&name("service_us")),
-        }
-    }
+    service: LatencyHistogram,
 }
 
 /// One registry slot: the hot-swappable current version plus the model's
@@ -304,9 +287,6 @@ struct Shared {
     /// wall-clock audio the server saw, exactly the distinction the two merge
     /// operations exist for.
     hardware: Mutex<Vec<HashMap<Arc<str>, UtteranceReport>>>,
-    /// The registry every model's [`Counters`] set registers in — one
-    /// snapshot ([`AsrServer::metrics`]) reads the whole server.
-    metrics: MetricsRegistry,
     /// The tracing handle: disabled unless the server was spawned through
     /// [`AsrServer::spawn_observed`], and then every admitted request's span
     /// events record through it.
@@ -342,10 +322,12 @@ pub struct ServeStats {
     pub completed: u64,
     /// Requests that failed to decode (the error went to the caller).
     pub failed: u64,
-    /// Micro-batches flushed to a decoder (flushes that carried at least one
-    /// whole-utterance decode; batches never mix models or versions).
+    /// Flushes that decoded this model: a worker's flush counts once for
+    /// each model it carried whole-utterance decodes of, whatever else it
+    /// carried.
     pub batches: u64,
-    /// Largest number of whole-utterance decodes in one micro-batch so far.
+    /// Largest number of this model's whole-utterance decodes in one flush
+    /// so far.
     pub largest_batch: usize,
     /// Incremental stream sessions opened.
     pub stream_sessions: u64,
@@ -386,17 +368,16 @@ fn fold_stats<'c>(counters: impl Iterator<Item = &'c Counters>) -> ServeStats {
     let mut stats = ServeStats::default();
     let mut queue_wait = [0u64; LATENCY_BUCKETS];
     let mut service = [0u64; LATENCY_BUCKETS];
+    let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
     for c in counters {
-        stats.submitted += c.submitted.get();
-        stats.rejected += c.rejected.get();
-        stats.completed += c.completed.get();
-        stats.failed += c.failed.get();
-        stats.batches += c.batches.get();
-        stats.largest_batch = stats
-            .largest_batch
-            .max(c.largest_batch.get().max(0) as usize);
-        stats.stream_sessions += c.stream_sessions.get();
-        stats.stream_chunks += c.stream_chunks.get();
+        stats.submitted += get(&c.submitted);
+        stats.rejected += get(&c.rejected);
+        stats.completed += get(&c.completed);
+        stats.failed += get(&c.failed);
+        stats.batches += get(&c.batches);
+        stats.largest_batch = stats.largest_batch.max(get(&c.largest_batch) as usize);
+        stats.stream_sessions += get(&c.stream_sessions);
+        stats.stream_chunks += get(&c.stream_chunks);
         c.queue_wait.add_counts(&mut queue_wait);
         c.service.add_counts(&mut service);
     }
@@ -414,13 +395,13 @@ fn fold_stats<'c>(counters: impl Iterator<Item = &'c Counters>) -> ServeStats {
 /// threads.  Requests enter through [`AsrServer::submit`] as
 /// [`DecodeRequest`]s — feature frames plus routing — pass layered
 /// admission (queue bound, per-model quota, per-tenant quota, each
-/// rejecting with a typed scope), and fan out to whichever worker is idle.  Each worker lazily builds and keeps **one
-/// long-lived phone decoder per (model, version)** it serves and coalesces
-/// pending requests into micro-batches that never mix models or versions —
-/// the serving-scale version of [`Recognizer::decode_batch`]'s one-scorer
-/// amortisation, replicated M ways and per model.  Stream sessions are
+/// rejecting with a typed scope), and fan out to whichever worker is idle.
+/// Each worker waits out a short coalescing window, takes its next commands
+/// in arrival order, and decodes each request on a **warm decoder of the
+/// request's own (model, version)**, lent from the worker's pool — so one
+/// flush may carry several models and versions.  Stream sessions are
 /// pinned to one worker each and pin the model version they opened under.
-/// With a sharded backend each worker's shard pools survive across
+/// With a sharded backend each pooled decoder's shard lanes survive across
 /// utterances, so a warm server decodes indefinitely without spawning a
 /// single thread.
 ///
@@ -431,8 +412,6 @@ fn fold_stats<'c>(counters: impl Iterator<Item = &'c Counters>) -> ServeStats {
 /// Dropping the server closes the queue, drains the already-accepted
 /// requests, and joins every worker; see [`AsrServer::close`] for the
 /// explicit form.
-///
-/// [`Recognizer::decode_batch`]: asr_core::Recognizer::decode_batch
 #[derive(Debug)]
 pub struct AsrServer {
     shared: Arc<Shared>,
@@ -475,7 +454,6 @@ impl AsrServer {
     ) -> Result<Self, ServeError> {
         config.validate()?;
         let (models, default) = models.into().into_parts()?;
-        let metrics = MetricsRegistry::new();
         let mut map = HashMap::with_capacity(models.len());
         let mut default_name: Option<Arc<str>> = None;
         for (name, recognizer) in models {
@@ -492,12 +470,11 @@ impl AsrServer {
                 version: 1,
                 recognizer,
             });
-            let counters = Counters::register(&metrics, &name);
             map.insert(
                 name,
                 ModelState {
                     current: RwLock::new(version),
-                    counters,
+                    counters: Counters::default(),
                 },
             );
         }
@@ -508,7 +485,6 @@ impl AsrServer {
             default_model: default_name.expect("into_parts validated the default name"),
             next_stream_id: AtomicU64::new(0),
             hardware: Mutex::new(vec![HashMap::new(); config.workers]),
-            metrics,
             telemetry,
         });
         let workers = (0..config.workers)
@@ -643,15 +619,11 @@ impl AsrServer {
         self.trace_admission(&mut admission, RequestKind::Decode);
         let trace = admission.trace;
         let slot = Slot::new();
-        if let Err(error) = self.enqueue(
-            Command::Decode {
-                features,
-                slot: Arc::clone(&slot),
-                admission,
-            },
-            true,
-            true,
-        ) {
+        if let Err(error) = self.enqueue(Command::Decode {
+            features,
+            slot: Arc::clone(&slot),
+            admission,
+        }) {
             self.trace_rejection(trace, &error);
             return Err(error);
         }
@@ -691,63 +663,43 @@ impl AsrServer {
         Ok(())
     }
 
-    /// Enqueues one command.  `count_submitted` is set for the commands that
-    /// will eventually resolve as `completed`/`failed` (whole-utterance
-    /// decodes, stream finishes), so a `stats()` snapshot never sees
-    /// `completed + failed > submitted`; the increment happens while the
-    /// queue lock is still held, before the batcher can complete the work.
-    /// Session open/finish commands are exempt from the bounds — they carry
-    /// no feature payload, and bouncing a *finish* would strand a session
-    /// whose work is already done.
-    fn enqueue(
-        &self,
-        command: Command,
-        bounded: bool,
-        count_submitted: bool,
-    ) -> Result<(), ServeError> {
+    /// Enqueues one command.  A [bounded](Command::bounded) command passes
+    /// the admission bounds first; a [counted](Command::counted) one ticks
+    /// `submitted` while the queue lock is still held, before a worker can
+    /// complete it, so a `stats()` snapshot never sees `completed + failed >
+    /// submitted`.
+    fn enqueue(&self, command: Command) -> Result<(), ServeError> {
         let mut queue = self.lock_queue();
         if queue.closed {
             return Err(ServeError::Closed);
         }
-        if bounded {
-            let admission = command
-                .admission()
-                .expect("bounded commands carry an admission");
+        let admission = command.admission();
+        let counters = || self.shared.counters(&admission.model.name);
+        if command.bounded() {
             if let Err(rejection) = self.check_quotas(&queue, admission) {
-                self.shared.counters(&admission.model.name).rejected.inc();
+                counters().rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(rejection);
             }
             queue.charge(admission);
         }
-        if count_submitted {
-            let admission = command
-                .admission()
-                .expect("counted commands carry an admission");
-            self.shared.counters(&admission.model.name).submitted.inc();
+        if command.counted() {
+            counters().submitted.fetch_add(1, Ordering::Relaxed);
         }
+        // Emit the Enqueued span while the queue lock is still held: the
+        // worker cannot dequeue (and emit this trace's next event) until
+        // the lock drops, so per-trace event order matches queue order.  A
+        // cancel's trace goes straight to its terminal.
+        let trace = admission.trace;
+        let traced = !trace.is_none() && !matches!(command, Command::StreamCancel { .. });
         queue.pending.push_back(Request {
             command,
             enqueued: Instant::now(),
         });
-        // Emit the Enqueued span while the queue lock is still held: the
-        // worker cannot dequeue (and emit this trace's next event) until
-        // the lock drops, so per-trace event order matches queue order.
-        // One branch when telemetry is off.
-        if self.shared.telemetry.is_enabled() {
+        if traced {
             let depth = queue.pending.len();
-            if let Some(admission) = queue
-                .pending
-                .back()
-                .expect("command was just pushed")
-                .command
-                .admission()
-            {
-                if !admission.trace.is_none() {
-                    self.shared
-                        .telemetry
-                        .emit(admission.trace, &SpanEvent::Enqueued { depth });
-                }
-            }
+            self.shared
+                .telemetry
+                .emit(trace, &SpanEvent::Enqueued { depth });
         }
         drop(queue);
         self.shared.wakeup.notify_all();
@@ -790,22 +742,18 @@ impl AsrServer {
         self.trace_admission(&mut admission, RequestKind::Stream);
         let id = self.shared.next_stream_id.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(StreamState::default());
-        if let Err(error) = self.enqueue(
-            Command::StreamOpen {
-                id,
-                state: Arc::clone(&state),
-                admission: admission.clone(),
-            },
-            false,
-            false,
-        ) {
+        if let Err(error) = self.enqueue(Command::StreamOpen {
+            id,
+            state: Arc::clone(&state),
+            admission: admission.clone(),
+        }) {
             self.trace_rejection(admission.trace, &error);
             return Err(error);
         }
         self.shared
             .counters(&admission.model.name)
             .stream_sessions
-            .inc();
+            .fetch_add(1, Ordering::Relaxed);
         Ok(StreamHandle {
             server: self,
             id,
@@ -862,15 +810,6 @@ impl AsrServer {
         fold_stats(self.shared.models.values().map(|m| &m.counters))
     }
 
-    /// A point-in-time snapshot of the server's metrics registry: every
-    /// per-model counter, gauge, and histogram under its stable
-    /// `serve.<model>.<name>` key — the same values [`AsrServer::stats`]
-    /// folds, exportable as `metric` facts
-    /// ([`MetricsSnapshot::to_facts`]).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
     /// The telemetry handle this server traces requests through — disabled
     /// unless spawned via [`AsrServer::spawn_observed`].
     pub fn telemetry(&self) -> &Telemetry {
@@ -900,31 +839,7 @@ impl AsrServer {
     /// hardware-backed utterance completes (software backends keep no
     /// report).
     pub fn hardware_report(&self) -> Option<UtteranceReport> {
-        let slots = self
-            .shared
-            .hardware
-            .lock()
-            .expect("hardware report lock poisoned");
-        let mut merged: Option<UtteranceReport> = None;
-        for worker in slots.iter() {
-            let mut names: Vec<&Arc<str>> = worker.keys().collect();
-            names.sort();
-            let mut folded: Option<UtteranceReport> = None;
-            for name in names {
-                let report = &worker[name];
-                folded = Some(match folded {
-                    Some(acc) => acc.merge(report),
-                    None => report.clone(),
-                });
-            }
-            if let Some(report) = folded {
-                merged = Some(match merged {
-                    Some(acc) => acc.merge_parallel(&report),
-                    None => report,
-                });
-            }
-        }
-        merged
+        self.fold_hardware(|_| true)
     }
 
     /// One model's hardware report: its per-worker accumulators folded with
@@ -932,21 +847,29 @@ impl AsrServer {
     /// concurrently).  `None` for an unregistered name or before a
     /// hardware-backed utterance of this model completes.
     pub fn model_hardware_report(&self, name: &str) -> Option<UtteranceReport> {
+        self.fold_hardware(|model| model == name)
+    }
+
+    /// Folds the accumulators of the models `include` selects: sequentially
+    /// within a worker, in sorted name order, then in parallel across
+    /// workers.
+    fn fold_hardware(&self, include: impl Fn(&str) -> bool) -> Option<UtteranceReport> {
         let slots = self
             .shared
             .hardware
             .lock()
             .expect("hardware report lock poisoned");
-        let mut merged: Option<UtteranceReport> = None;
-        for worker in slots.iter() {
-            if let Some(report) = worker.get(name) {
-                merged = Some(match merged {
-                    Some(acc) => acc.merge_parallel(report),
-                    None => report.clone(),
-                });
-            }
-        }
-        merged
+        slots
+            .iter()
+            .filter_map(|worker| {
+                let mut names: Vec<&Arc<str>> = worker.keys().filter(|n| include(n)).collect();
+                names.sort();
+                names
+                    .into_iter()
+                    .map(|name| worker[name].clone())
+                    .reduce(|acc, report| acc.merge(&report))
+            })
+            .reduce(|acc, report| acc.merge_parallel(&report))
     }
 
     /// Number of requests currently waiting in the queue.
@@ -1019,25 +942,8 @@ impl Drop for StreamHandle<'_> {
     fn drop(&mut self) {
         if !self.consumed {
             // Best effort: on a closed server the worker is draining anyway
-            // and its session map dies with it.  The worker terminates the
-            // trace when it processes the cancel; if the cancel cannot even
-            // be enqueued, terminate it here so the trace stays balanced.
-            if let Err(_closed) = self.server.enqueue(
-                Command::StreamCancel {
-                    id: self.id,
-                    trace: self.admission.trace,
-                },
-                false,
-                false,
-            ) {
-                self.server.shared.telemetry.emit(
-                    self.admission.trace,
-                    &SpanEvent::Finished {
-                        outcome: Outcome::Cancelled,
-                        frames: 0,
-                    },
-                );
-            }
+            // and its session map dies with it.
+            let _ = self.cancel_session();
         }
     }
 }
@@ -1065,15 +971,11 @@ impl StreamHandle<'_> {
     /// after shutdown began.  Decode errors inside the worker surface on
     /// [`StreamHandle::finish`], not here.
     pub fn push_chunk(&self, chunk: &[Vec<f32>]) -> Result<(), ServeError> {
-        self.server.enqueue(
-            Command::StreamPush {
-                id: self.id,
-                chunk: chunk.to_vec(),
-                admission: self.admission.clone(),
-            },
-            true,
-            false,
-        )
+        self.server.enqueue(Command::StreamPush {
+            id: self.id,
+            chunk: chunk.to_vec(),
+            admission: self.admission.clone(),
+        })
     }
 
     /// The latest partial hypothesis the worker has published for this
@@ -1099,26 +1001,12 @@ impl StreamHandle<'_> {
         // after this.
         self.consumed = true;
         let slot = Slot::new();
-        if let Err(error) = self.server.enqueue(
-            Command::StreamFinish {
-                id: self.id,
-                slot: Arc::clone(&slot),
-                admission: self.admission.clone(),
-            },
-            false,
-            true,
-        ) {
-            // The worker will never see this session again: terminate its
-            // trace here (the error went to the caller).
-            self.server.shared.telemetry.emit(
-                self.admission.trace,
-                &SpanEvent::Finished {
-                    outcome: Outcome::Failed,
-                    frames: 0,
-                },
-            );
-            return Err(error);
-        }
+        let finish = Command::StreamFinish {
+            id: self.id,
+            slot: Arc::clone(&slot),
+            admission: self.admission.clone(),
+        };
+        self.end_session(finish, Outcome::Failed)?;
         Ok(DecodeFuture::new(slot))
     }
 
@@ -1135,23 +1023,29 @@ impl StreamHandle<'_> {
     /// way).
     pub fn cancel(mut self) -> Result<(), ServeError> {
         self.consumed = true;
-        let result = self.server.enqueue(
-            Command::StreamCancel {
-                id: self.id,
-                trace: self.admission.trace,
-            },
-            false,
-            false,
-        );
+        self.cancel_session()
+    }
+
+    fn cancel_session(&self) -> Result<(), ServeError> {
+        let cancel = Command::StreamCancel {
+            id: self.id,
+            admission: self.admission.clone(),
+        };
+        self.end_session(cancel, Outcome::Cancelled)
+    }
+
+    /// Enqueues the command that ends this session.  The worker terminates
+    /// the session's trace when it processes the command; if the command
+    /// cannot be enqueued the worker never sees the session again, so the
+    /// trace terminates here with `outcome` and stays balanced.
+    fn end_session(&self, command: Command, outcome: Outcome) -> Result<(), ServeError> {
+        let result = self.server.enqueue(command);
         if result.is_err() {
-            // As in drop: the worker will never terminate this trace.
-            self.server.shared.telemetry.emit(
-                self.admission.trace,
-                &SpanEvent::Finished {
-                    outcome: Outcome::Cancelled,
-                    frames: 0,
-                },
-            );
+            let finished = SpanEvent::Finished { outcome, frames: 0 };
+            self.server
+                .shared
+                .telemetry
+                .emit(self.admission.trace, &finished);
         }
         result
     }
@@ -1243,20 +1137,30 @@ impl DecoderPool<'_> {
     }
 }
 
-/// Folds a decoded utterance's outcome into its model's counters and
-/// `worker`'s per-model hardware accumulator (sequential
-/// [`UtteranceReport::merge`] within a worker; the parallel fold across
-/// workers happens at read time in [`AsrServer::hardware_report`]).
-fn record_outcome(
+/// Resolves a result-producing command — a decode or a stream finish — the
+/// one way: `serve` produces its outcome, timed as its service; the queue
+/// wait, the outcome and `worker`'s per-model hardware accumulator
+/// (sequential [`UtteranceReport::merge`] within a worker; the parallel fold
+/// across workers happens at read time in [`AsrServer::hardware_report`])
+/// are recorded, the trace terminates, a bounded command's quota is
+/// released, and the slot is fulfilled.
+fn resolve(
     shared: &Shared,
     worker: usize,
-    model: &Arc<str>,
-    outcome: &Result<asr_core::DecodeResult, ServeError>,
+    request: &Request,
+    slot: &Slot,
+    serve: impl FnOnce() -> Result<DecodeResult, ServeError>,
 ) {
+    let admission = request.command.admission();
+    let model = &admission.model.name;
     let c = shared.counters(model);
-    match outcome {
+    c.queue_wait.record(request.enqueued.elapsed());
+    let started = Instant::now();
+    let outcome = serve();
+    c.service.record(started.elapsed());
+    match &outcome {
         Ok(result) => {
-            c.completed.inc();
+            c.completed.fetch_add(1, Ordering::Relaxed);
             if let Some(report) = &result.hardware {
                 let mut slots = shared
                     .hardware
@@ -1270,19 +1174,40 @@ fn record_outcome(
             }
         }
         Err(_) => {
-            c.failed.inc();
+            c.failed.fetch_add(1, Ordering::Relaxed);
         }
     }
+    let frames = match (&request.command, &outcome) {
+        (Command::Decode { features, .. }, _) => features.len(),
+        (_, Ok(result)) => result.stats.num_frames(),
+        (_, Err(_)) => 0,
+    };
+    let outcome_name = match &outcome {
+        Ok(_) => Outcome::Completed,
+        Err(_) => Outcome::Failed,
+    };
+    shared.telemetry.emit(
+        admission.trace,
+        &SpanEvent::Finished {
+            outcome: outcome_name,
+            frames,
+        },
+    );
+    // Release before fulfilling, so a caller that waits and resubmits
+    // always finds its quota free.
+    if request.command.bounded() {
+        release_quota(shared, admission);
+    }
+    slot.fulfil(outcome);
 }
 
 /// One decoder worker: wait for commands it may take, coalesce, decode,
 /// fulfil — until the queue is closed *and* holds nothing for this worker.
-/// The worker owns every decoder it uses ([`DecoderPool`]): decodes and the
-/// stream sessions pinned here borrow one and give it back when done; an
+/// The worker owns every decoder it uses ([`DecoderPool`]): each decode
+/// borrows one of its own model version and gives it back when done; an
 /// open stream session keeps its own until it finishes, fails or is
 /// cancelled (interleaved sessions cannot share CDS / arena state).
-/// Requests this worker does not take (streams pinned to a sibling, decodes
-/// of a model other than the flush's anchor) are left in place, in order.
+/// Stream commands pinned to a sibling are left in place, in order.
 fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
     let workers = config.workers;
     let _close_on_exit = CloseOnExit(shared);
@@ -1355,33 +1280,13 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     }
                 }
             }
-            // Take up to max_batch of this worker's requests, preserving
-            // their relative order; everything else stays queued, in order,
-            // for the other workers (or this worker's next flush).  Decodes
-            // coalesce per model *version*: the first decode taken anchors
-            // the flush, and a decode admitted under any other version —
-            // a different model, or the same name across a hot-swap — stays
-            // queued.  Micro-batches never mix models or versions, so one
-            // warmed scorer serves the whole flush; stream commands ride
-            // along regardless, each session owning its pinned decoder.
+            // The flush is this worker's next `max_batch` commands in
+            // arrival order; everything else stays queued, in order, for the
+            // other workers (or this worker's next flush).
             let mut batch = Vec::new();
-            let mut anchor: Option<Arc<ModelVersion>> = None;
             let mut rest = VecDeque::with_capacity(queue.pending.len());
             for request in queue.pending.drain(..) {
-                let take = batch.len() < config.max_batch
-                    && request.command.belongs_to(worker, workers)
-                    && match (&request.command, &anchor) {
-                        (Command::Decode { admission, .. }, Some(pin)) => {
-                            Arc::ptr_eq(pin, &admission.model)
-                        }
-                        _ => true,
-                    };
-                if take {
-                    if anchor.is_none() {
-                        if let Command::Decode { admission, .. } = &request.command {
-                            anchor = Some(Arc::clone(&admission.model));
-                        }
-                    }
+                if batch.len() < config.max_batch && request.command.belongs_to(worker, workers) {
                     batch.push(request);
                 } else {
                     rest.push_back(request);
@@ -1391,47 +1296,49 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
             batch
         };
         // Taking a batch may have freed queue capacity and left work for
-        // siblings (or other models) in front; wake them in case they slept
-        // through the original notify while this worker held the lock.
+        // siblings in front; wake them in case they slept through the
+        // original notify while this worker held the lock.
         shared.wakeup.notify_all();
 
-        // Work outside the lock so submissions stay non-blocking.  Commands
-        // run in arrival order: whole-utterance decodes stream through the
-        // anchor version's long-lived decoder (`decode_batch_with`'s
-        // amortisation, unrolled per request so a bad utterance fails alone
-        // instead of poisoning its batch neighbours), and stream commands
-        // advance their session's own incremental state.
-        let decodes = batch
-            .iter()
-            .filter(|r| matches!(r.command, Command::Decode { .. }))
-            .count();
-        if decodes > 0 {
-            let anchor_name = batch
-                .iter()
-                .find_map(|r| match &r.command {
-                    Command::Decode { admission, .. } => Some(&admission.model.name),
-                    _ => None,
-                })
-                .expect("a flush with decodes has an anchor");
-            let c = shared.counters(anchor_name);
-            c.batches.inc();
-            c.largest_batch.set_max(decodes as i64);
-            // Every coalesced decode's trace records the flush it rode in.
-            if shared.telemetry.is_enabled() {
-                for request in &batch {
-                    if let Command::Decode { admission, .. } = &request.command {
-                        shared.telemetry.emit(
-                            admission.trace,
-                            &SpanEvent::BatchFormed {
-                                worker,
-                                batch: decodes,
-                            },
-                        );
-                    }
+        // A flush counts once per model it decodes, at that model's decode
+        // count, and every coalesced decode's trace records that count.
+        let mut decodes: Vec<(&Arc<str>, usize)> = Vec::new();
+        for request in &batch {
+            if let Command::Decode { admission, .. } = &request.command {
+                let name = &admission.model.name;
+                match decodes.iter_mut().find(|(model, _)| *model == name) {
+                    Some((_, count)) => *count += 1,
+                    None => decodes.push((name, 1)),
                 }
             }
         }
-        for request in batch {
+        for (name, count) in &decodes {
+            let c = shared.counters(name);
+            c.batches.fetch_add(1, Ordering::Relaxed);
+            c.largest_batch.fetch_max(*count as u64, Ordering::Relaxed);
+        }
+        if shared.telemetry.is_enabled() {
+            for request in &batch {
+                if let Command::Decode { admission, .. } = &request.command {
+                    let (_, batch) = decodes
+                        .iter()
+                        .find(|(model, _)| **model == admission.model.name)
+                        .expect("every decode was counted");
+                    let event = SpanEvent::BatchFormed {
+                        worker,
+                        batch: *batch,
+                    };
+                    shared.telemetry.emit(admission.trace, &event);
+                }
+            }
+        }
+
+        // Work outside the lock so submissions stay non-blocking.  Commands
+        // run in arrival order: each whole-utterance decode runs on a
+        // decoder of its own model version (so a bad utterance fails
+        // alone), and stream commands advance their session's own
+        // incremental state.
+        for request in &batch {
             match &request.command {
                 Command::Decode {
                     features,
@@ -1439,35 +1346,17 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     admission,
                 } => {
                     let model = &admission.model;
-                    let c = shared.counters(&model.name);
-                    c.queue_wait.record(request.enqueued.elapsed());
                     shared
                         .telemetry
                         .emit(admission.trace, &SpanEvent::DecodeStarted { worker });
-                    let started = Instant::now();
-                    let outcome = pool.lend(model).and_then(|(mut decoder, loan)| {
+                    resolve(shared, worker, request, slot, || {
+                        let (mut decoder, loan) = pool.lend(model)?;
                         let result = model
                             .recognizer
                             .decode_features_with(features, &mut decoder);
                         pool.give_back(&loan, decoder, admission.trace);
-                        result.map_err(ServeError::from)
+                        Ok(result?)
                     });
-                    c.service.record(started.elapsed());
-                    record_outcome(shared, worker, &model.name, &outcome);
-                    shared.telemetry.emit(
-                        admission.trace,
-                        &SpanEvent::Finished {
-                            outcome: match &outcome {
-                                Ok(_) => Outcome::Completed,
-                                Err(_) => Outcome::Failed,
-                            },
-                            frames: features.len(),
-                        },
-                    );
-                    // Release before fulfilling, so a caller that waits and
-                    // resubmits always finds its quota free.
-                    release_quota(shared, admission);
-                    slot.fulfil(outcome);
                 }
                 Command::StreamOpen {
                     id,
@@ -1489,7 +1378,10 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     chunk,
                     admission,
                 } => {
-                    shared.counters(&admission.model.name).stream_chunks.inc();
+                    shared
+                        .counters(&admission.model.name)
+                        .stream_chunks
+                        .fetch_add(1, Ordering::Relaxed);
                     if let Some(Ok(stream)) = sessions.get_mut(id) {
                         // Timestamps only when traced: the disabled path
                         // pays one branch per push.
@@ -1531,39 +1423,21 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     id,
                     slot,
                     admission,
-                } => {
-                    let c = shared.counters(&admission.model.name);
-                    c.queue_wait.record(request.enqueued.elapsed());
-                    let started = Instant::now();
-                    let outcome = match sessions.remove(id) {
+                } => resolve(shared, worker, request, slot, || {
+                    match sessions.remove(id) {
                         Some(Ok(stream)) => {
                             let (result, decoder) = stream.session.finish();
                             pool.give_back(&stream.loan, decoder, admission.trace);
-                            result.map_err(ServeError::from)
+                            Ok(result?)
                         }
                         Some(Err(e)) => Err(e),
                         // Unreachable through the handle API (open precedes
                         // finish in queue order on the same pinned worker);
                         // fail typed, not by hanging.
                         None => Err(ServeError::Closed),
-                    };
-                    c.service.record(started.elapsed());
-                    record_outcome(shared, worker, &admission.model.name, &outcome);
-                    shared.telemetry.emit(
-                        admission.trace,
-                        &SpanEvent::Finished {
-                            outcome: match &outcome {
-                                Ok(_) => Outcome::Completed,
-                                Err(_) => Outcome::Failed,
-                            },
-                            frames: outcome
-                                .as_ref()
-                                .map_or(0, |result| result.stats.num_frames()),
-                        },
-                    );
-                    slot.fulfil(outcome);
-                }
-                Command::StreamCancel { id, trace } => {
+                    }
+                }),
+                Command::StreamCancel { id, admission } => {
                     // The client cancelled (explicitly or by dropping its
                     // handle): abandon the session through the decode-side
                     // cancel seam, which hard-resets the backend's
@@ -1571,10 +1445,11 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     // result, no completed/failed tick — but the trace
                     // terminates as cancelled.
                     if let Some(Ok(stream)) = sessions.remove(id) {
-                        pool.give_back(&stream.loan, stream.session.cancel(), *trace);
+                        let decoder = stream.session.cancel();
+                        pool.give_back(&stream.loan, decoder, admission.trace);
                     }
                     shared.telemetry.emit(
-                        *trace,
+                        admission.trace,
                         &SpanEvent::Finished {
                             outcome: Outcome::Cancelled,
                             frames: 0,
@@ -1906,13 +1781,12 @@ mod tests {
             version: 1,
             recognizer: Arc::new(recognizer(&task, DecoderConfig::simd())),
         });
-        let metrics = MetricsRegistry::new();
         let mut models = HashMap::new();
         models.insert(
             Arc::clone(&name),
             ModelState {
                 current: RwLock::new(version),
-                counters: Counters::register(&metrics, &name),
+                counters: Counters::default(),
             },
         );
         Shared {
@@ -1922,7 +1796,6 @@ mod tests {
             default_model: name,
             next_stream_id: AtomicU64::new(0),
             hardware: Mutex::new(vec![HashMap::new(); workers]),
-            metrics,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -2322,13 +2195,11 @@ mod tests {
         assert!(sharded.hardware_report().is_some());
     }
 
-    /// The histogram itself (promoted to `asr-obs`) is unit-tested there;
-    /// here: the registry-backed counters surface through both `stats()`
-    /// and the named `metrics()` snapshot, and an observed server's traces
-    /// are balanced.
+    /// The histogram itself is unit-tested in `asr-obs`; here: the counters
+    /// surface through `stats()`, and an observed server's traces are
+    /// balanced.
     #[test]
-    fn metrics_snapshot_mirrors_stats_and_traces_balance() {
-        use asr_obs::MetricValue;
+    fn stats_and_traces_balance() {
         let task = task();
         let (telemetry, sink) = Telemetry::to_memory();
         let server = AsrServer::spawn_observed(
@@ -2343,22 +2214,9 @@ mod tests {
             server.submit(features.clone()).unwrap().wait().unwrap();
         }
         let stats = server.stats();
-        let snapshot = server.metrics();
-        assert_eq!(
-            snapshot.get(&format!("serve.{DEFAULT_MODEL}.completed")),
-            Some(&MetricValue::Counter(stats.completed))
-        );
-        assert_eq!(
-            snapshot.get(&format!("serve.{DEFAULT_MODEL}.submitted")),
-            Some(&MetricValue::Counter(3))
-        );
-        match snapshot.get(&format!("serve.{DEFAULT_MODEL}.queue_wait_us")) {
-            Some(MetricValue::Histogram { total, p50, .. }) => {
-                assert_eq!(*total, 3);
-                assert_eq!(*p50, stats.queue_wait_p50);
-            }
-            other => panic!("bad queue_wait metric: {other:?}"),
-        }
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.completed, 3);
+        assert!(stats.queue_wait_p50.is_some());
         // Three decode traces, each Admitted → … → exactly one terminal.
         let spans = sink.facts();
         let mut by_trace: HashMap<u64, Vec<&asr_obs::Fact>> = HashMap::new();

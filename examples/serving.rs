@@ -1,10 +1,10 @@
 //! Serving quickstart: an async batched front over a sharded multi-SoC
 //! scorer, with end-to-end telemetry.  32 utterances are enqueued into the
-//! bounded request queue, two decoder workers coalesce them into
-//! micro-batches over their own warmed scorers, every request is traced
-//! admission-to-finish into a JSONL run directory, and the unified metrics
-//! registry plus the stream-level hardware report show what the sharded
-//! machines did.
+//! bounded request queue, two decoder workers take them in flushes and
+//! decode each on a warm decoder from their own pool, every request is traced
+//! admission-to-finish into a JSONL run directory, and the serving stats
+//! plus the stream-level hardware report show what the sharded machines
+//! did.
 //!
 //! Run with: `cargo run --example serving --release`
 //!
@@ -32,7 +32,7 @@ fn main() -> Result<(), LvcsrError> {
     )?;
 
     // 2. Telemetry: an append-only run directory receiving one JSONL fact
-    //    per span event and snapshot.  The server is the only holder of the
+    //    per span event, and the hardware report at the end.  The server is the only holder of the
     //    handle; a shard pool spun up by a request's decode is reported on
     //    that request's trace.
     let obs_dir = std::env::var("LVCSR_OBS_DIR").unwrap_or_else(|_| "target/obs-demo".to_string());
@@ -45,8 +45,9 @@ fn main() -> Result<(), LvcsrError> {
     let telemetry = Telemetry::to_sink(sink.clone() as Arc<dyn ObsSink>);
 
     // 3. The serving front: a bounded queue (typed backpressure when full)
-    //    feeding two decoder workers, each coalescing micro-batches of up to
-    //    8 requests (or 2 ms) through its own long-lived sharded scorer.
+    //    feeding two decoder workers, each taking flushes of up to 8
+    //    requests (or what arrived within 2 ms) and decoding them on warm
+    //    sharded decoders it keeps across flushes.
     let server = AsrServer::spawn_observed(
         recognizer,
         ServeConfig::default()
@@ -116,16 +117,8 @@ fn main() -> Result<(), LvcsrError> {
         report.energy.average_power_w()
     );
 
-    // 7. The unified metrics registry: every serving counter/gauge/histogram
-    //    by name, in one snapshot.  The snapshot also exports as facts, so
-    //    the run directory ends with the final metric values and the
-    //    hardware report next to the per-request spans.
-    let snapshot = server.metrics();
-    println!("\nmetrics registry ({} entries):", snapshot.len());
-    print!("{snapshot}");
-    for fact in snapshot.to_facts() {
-        sink.record(&fact);
-    }
+    // 7. The run directory ends with the hardware report next to the
+    //    per-request spans.
     sink.record(&report.snapshot_fact());
     server.close();
     sink.flush();

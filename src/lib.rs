@@ -15,7 +15,7 @@
 //! | [`baseline`] | `asr-baseline` | software-decoder and related-work accelerator baselines |
 //! | [`serve`] | `asr-serve` | async batched serving front: bounded queue, micro-batcher, typed backpressure, incremental stream sessions |
 //! | [`stream`] | `asr-stream` | streaming recognition: chunked frontend with live CMN, energy VAD endpointing, incremental decode sessions with partials and chunk-latency accounting |
-//! | [`obs`] | `asr-obs` | observability: request traces with typed span events, the unified metrics registry (counters / gauges / latency histograms), JSONL fact sinks |
+//! | [`obs`] | `asr-obs` | observability: request traces with typed span events, the shared log-bucketed latency histogram, JSONL fact sinks |
 //!
 //! # Quickstart
 //!

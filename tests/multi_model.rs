@@ -6,6 +6,7 @@
 
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{DecodeResult, DecoderConfig, Recognizer};
+use lvcsr::obs::Telemetry;
 use lvcsr::serve::{
     AsrServer, DecodeRequest, ModelRegistry, QueueScope, ServeConfig, ServeError, StreamOptions,
     DEFAULT_MODEL,
@@ -144,6 +145,64 @@ fn two_models_serve_concurrently_with_per_model_stats_and_reports() {
     assert!(report_a.frames > 0);
     assert!(report_b.frames > 0);
     assert!(server.hardware_report().is_some());
+    server.close();
+}
+
+/// A flush is the worker's next commands in arrival order, whatever models
+/// they name: with a, b, a queued on one worker, b decodes second instead of
+/// waiting out a second coalescing window behind a's.  The flush counts once
+/// for each model it decodes, at that model's decode count.
+#[test]
+fn a_flush_decodes_mixed_models_in_arrival_order() {
+    let task_a = build_task(31415);
+    let task_b = build_task(27182);
+    let registry = ModelRegistry::new()
+        .register("a", build_recognizer(&task_a, DecoderConfig::simd()))
+        .expect("register")
+        .register("b", build_recognizer(&task_b, DecoderConfig::simd()))
+        .expect("register");
+    let (telemetry, sink) = Telemetry::to_memory();
+    let server = AsrServer::spawn_observed(
+        registry,
+        // Three commands fill the flush at once; the long window is what
+        // a request left behind would wait out.
+        ServeConfig::default()
+            .workers(1)
+            .max_batch(3)
+            .max_batch_delay(Duration::from_millis(300)),
+        telemetry,
+    )
+    .expect("server");
+    let (features_a, _) = task_a.synthesize_utterance(1, 0.2, 1);
+    let (features_b, _) = task_b.synthesize_utterance(1, 0.2, 2);
+    let futures =
+        [("a", &features_a), ("b", &features_b), ("a", &features_a)].map(|(model, features)| {
+            server
+                .submit(DecodeRequest::new(features.clone()).model(model))
+                .expect("submit")
+        });
+    for future in futures {
+        future.wait().expect("decode");
+    }
+
+    // The sink holds span facts in `seq` order.
+    let facts = sink.facts();
+    let traces_of = |event: &str| -> Vec<u64> {
+        facts
+            .iter()
+            .filter(|f| f.field("event").and_then(|v| v.as_str()) == Some(event))
+            .map(|f| f.field("trace").and_then(|v| v.as_u64()).expect("trace"))
+            .collect()
+    };
+    assert_eq!(
+        traces_of("decode_started"),
+        traces_of("admitted"),
+        "decodes must start in arrival order a1, b1, a2"
+    );
+    let stats_a = server.model_stats("a").expect("a stats");
+    let stats_b = server.model_stats("b").expect("b stats");
+    assert_eq!((stats_a.batches, stats_a.largest_batch), (1, 2));
+    assert_eq!((stats_b.batches, stats_b.largest_batch), (1, 1));
     server.close();
 }
 
