@@ -224,16 +224,6 @@ impl GaussianMixture {
         acc
     }
 
-    /// Log likelihood of only the best-scoring component (max approximation,
-    /// used by some fast-GMM layers).
-    pub fn max_component_log_likelihood(&self, x: &[f32]) -> LogProb {
-        self.components
-            .iter()
-            .enumerate()
-            .map(|(k, g)| LogProb::new(self.log_weight_consts[k] - g.log_norm()) + g.log_density(x))
-            .fold(LogProb::zero(), |acc, p| acc.max(p))
-    }
-
     /// Returns a copy with all parameters quantised.
     pub fn quantized(&self, quantizer: &Quantizer) -> GaussianMixture {
         let comps: Vec<DiagGaussian> = self
@@ -355,10 +345,11 @@ mod tests {
         let mix = GaussianMixture::new(vec![(0.5, g1.clone()), (0.5, g2.clone())]).unwrap();
         let x = [1.0f32];
         let full = mix.log_likelihood(&x);
-        let max_only = mix.max_component_log_likelihood(&x);
-        // max approximation is a lower bound on the full mixture.
-        assert!(max_only.raw() <= full.raw() + 1e-5);
-        assert!(full.raw() <= max_only.raw() + core::f32::consts::LN_2 + 1e-5);
+        let best = g1.log_density(&x).max(g2.log_density(&x));
+        // An equal-weight mixture of two lies between half its best
+        // component's density and that density.
+        assert!(full.raw() >= best.raw() - core::f32::consts::LN_2 - 1e-5);
+        assert!(full.raw() <= best.raw() + 1e-5);
     }
 
     #[test]

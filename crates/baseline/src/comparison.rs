@@ -51,7 +51,7 @@ impl ComparisonTable {
         let ours_bandwidth =
             layout.active_bandwidth_gb_per_s(active_senones_per_frame, geometry.num_senones);
         // Capacity argument: two OP units at 50 MHz cover ~2800 senones/frame.
-        let capacity = 2 * asr_hw::OpuConfig::default().senone_capacity(
+        let capacity = 2 * asr_hw::ObservationProbabilityUnit::senone_capacity(
             geometry.feature_dim,
             geometry.num_components,
             500_000,

@@ -3,7 +3,7 @@
 
 use asr_acoustic::{AcousticModel, AcousticModelConfig, SenoneId};
 use asr_float::MantissaWidth;
-use asr_hw::{ObservationProbabilityUnit, OpuConfig};
+use asr_hw::ObservationProbabilityUnit;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -24,18 +24,17 @@ fn bench_opu(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_millis(800));
     for width in MantissaWidth::PAPER_SWEEP {
-        let cfg = OpuConfig::with_width(width);
         println!(
             "# {}: {} hardware cycles per senone (39 dims x 8 Gaussians)",
             width,
-            cfg.cycles_per_senone(39, 8)
+            ObservationProbabilityUnit::cycles_per_senone(39, 8)
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{width}")),
-            &cfg,
-            |b, cfg| {
+            &width,
+            |b, &width| {
                 b.iter(|| {
-                    let mut opu = ObservationProbabilityUnit::new(cfg.clone());
+                    let mut opu = ObservationProbabilityUnit::new(width);
                     opu.load_feature_vector(&x);
                     ids.iter()
                         .map(|&id| opu.score_senone(&model, id).expect("score"))

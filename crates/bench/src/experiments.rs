@@ -7,7 +7,7 @@ use asr_core::{DecoderConfig, GmmSelectionConfig, Recognizer, ScoringBackendKind
 use asr_corpus::{align_wer, SyntheticTask, WerScore, Wsj5kTask};
 use asr_float::{LogAddTable, MantissaWidth};
 use asr_hw::{
-    AreaBudget, ObservationProbabilityUnit, OpuConfig, PowerModel, SocConfig, ViterbiUnitConfig,
+    AreaBudget, HostCpuModel, ObservationProbabilityUnit, PowerModel, SpeechSoc, ViterbiUnit,
 };
 use asr_lexicon::DictionaryStorage;
 
@@ -139,7 +139,7 @@ pub fn e3_wer_vs_mantissa(
             let model = quantize_model(&task.acoustic_model, width).expect("quantise");
             let mut config = DecoderConfig::hardware(2);
             if let ScoringBackendKind::Hardware(soc) = &mut config.backend {
-                soc.opu = OpuConfig::with_width(width);
+                soc.datapath_width = width;
             }
             let rec = Recognizer::new(
                 model,
@@ -237,10 +237,14 @@ pub struct E5Report {
 
 /// E5 — two structures support real time at the feedback-limited workload.
 pub fn e5_realtime_capacity(scale: usize) -> E5Report {
-    let opu = OpuConfig::default();
     let paper = AcousticModelConfig::paper_default();
-    let per_senone = opu.cycles_per_senone(paper.feature_dim, paper.num_components);
-    let one = opu.senone_capacity(paper.feature_dim, paper.num_components, 500_000);
+    let per_senone =
+        ObservationProbabilityUnit::cycles_per_senone(paper.feature_dim, paper.num_components);
+    let one = ObservationProbabilityUnit::senone_capacity(
+        paper.feature_dim,
+        paper.num_components,
+        500_000,
+    );
     let two = 2 * one;
 
     let task = build_eval_task(scale, 31);
@@ -346,16 +350,15 @@ pub fn f1_pipeline_breakdown(scale: usize) -> F1Report {
     let rec = recognizer(&task, DecoderConfig::hardware(2)).expect("valid recogniser");
     let (features, _) = task.synthesize_utterance(4, 0.3, 5);
     let result = rec.decode_features(&features).expect("decode succeeds");
-    let soc_cfg = SocConfig::default();
     // Recover per-frame means from the per-utterance report by decoding once
     // and averaging the per-frame numbers the stats carry.
     let hw = result.hardware.expect("hardware decode");
     // Approximate per-frame unit cycles from activity factors and the budget.
-    let budget = soc_cfg.cycle_budget_per_frame();
+    let budget = SpeechSoc::cycle_budget_per_frame();
     F1Report {
         opu_cycles_per_frame: hw.energy.opu_activity * budget as f64,
         viterbi_cycles_per_frame: hw.energy.viterbi_activity * budget as f64,
-        host_cycles_per_frame: soc_cfg.host.software_cycles_per_frame(
+        host_cycles_per_frame: HostCpuModel::arm9_embedded().software_cycles_per_frame(
             result.stats.mean_active_hmms() as usize,
             result.lattice.len() / result.stats.num_frames().max(1),
         ) as f64,
@@ -383,15 +386,11 @@ pub struct F2Report {
 /// F2 — characterises the OP unit against its reference.
 pub fn f2_opu_figures() -> F2Report {
     let table = LogAddTable::new();
-    let opu_cfg = OpuConfig::default();
     let paper = AcousticModelConfig::paper_default();
-    let cycles_per_gaussian = opu_cfg.pipeline_fill_cycles
-        + opu_cfg.cycles_per_dimension * paper.feature_dim as u64
-        + opu_cfg.swa_cycles;
 
     // Probe accuracy on a small model.
     let model = AcousticModel::untrained(AcousticModelConfig::tiny()).expect("tiny model");
-    let mut opu = ObservationProbabilityUnit::new(opu_cfg.clone());
+    let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
     let x: Vec<f32> = (0..model.feature_dim())
         .map(|d| 0.21 * d as f32 - 0.4)
         .collect();
@@ -404,10 +403,13 @@ pub fn f2_opu_figures() -> F2Report {
         max_dev = max_dev.max((hw - sw).abs());
     }
     F2Report {
-        logadd_sram_bytes: table.config().sram_bytes(),
+        logadd_sram_bytes: LogAddTable::SRAM_BYTES,
         logadd_max_error: table.max_abs_error(),
-        cycles_per_gaussian,
-        cycles_per_senone: opu_cfg.cycles_per_senone(paper.feature_dim, paper.num_components),
+        cycles_per_gaussian: ObservationProbabilityUnit::cycles_per_gaussian(paper.feature_dim),
+        cycles_per_senone: ObservationProbabilityUnit::cycles_per_senone(
+            paper.feature_dim,
+            paper.num_components,
+        ),
         max_score_deviation: max_dev,
     }
 }
@@ -426,13 +428,12 @@ pub struct F3Row {
 /// F3 — Viterbi unit throughput for the 3/5/7-state topologies it supports,
 /// at what the unit charges for a Bakis step.
 pub fn f3_viterbi_figures() -> Vec<F3Row> {
-    let cfg = ViterbiUnitConfig::default();
     [3usize, 5, 7]
         .iter()
         .map(|&states| {
             // Bakis: a self-loop into every state, a forward transition
             // into every state but the first.
-            let cycles = cfg.cycles_per_hmm(states, 2 * states - 1);
+            let cycles = ViterbiUnit::cycles_per_hmm(states, 2 * states - 1);
             F3Row {
                 states,
                 cycles_per_hmm: cycles,

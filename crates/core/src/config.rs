@@ -14,11 +14,6 @@ use asr_hw::SocConfig;
 /// [`Recognizer::decode_features_with`] — no enum variant needed.
 ///
 /// [`Recognizer::decode_features_with`]: crate::Recognizer::decode_features_with
-//
-// `SocConfig` is much larger than the unit variants, but a `DecoderConfig` is
-// built once per recogniser, never stored in bulk, so boxing it would only
-// complicate every construction site.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScoringBackendKind {
     /// The cycle-accurate hardware model (`asr-hw`): OP units + Viterbi units,
@@ -61,21 +56,28 @@ impl Default for ScoringBackendKind {
 impl ScoringBackendKind {
     /// Builds a live scorer for this backend.
     ///
+    /// `_selection` is unused: no scorer reads the fast-GMM layers (the two
+    /// the machine runs, CDS and senone feedback, are applied around the
+    /// scorer by the [`PhoneDecoder`](crate::PhoneDecoder) and the search).
+    /// The parameter stays only because `perfbench`'s layer tracer
+    /// (`TracedDecoder::new`) calls this signature; it goes with the next
+    /// change to the benchmark.
+    ///
     /// # Errors
     ///
     /// Returns [`DecodeError::InvalidConfig`] if the SoC configuration is
     /// invalid.
     pub fn build_scorer(
         &self,
-        selection: &GmmSelectionConfig,
+        _selection: &GmmSelectionConfig,
     ) -> Result<Box<dyn SenoneScorer>, DecodeError> {
         match self {
-            ScoringBackendKind::Hardware(cfg) => Ok(Box::new(SocScorer::new(cfg.clone())?)),
-            ScoringBackendKind::Software => Ok(Box::new(SoftwareScorer::new(*selection))),
-            ScoringBackendKind::Simd => Ok(Box::new(SimdScorer::new(*selection))),
+            ScoringBackendKind::Hardware(cfg) => Ok(Box::new(SocScorer::new(*cfg)?)),
+            ScoringBackendKind::Software => Ok(Box::new(SoftwareScorer::new())),
+            ScoringBackendKind::Simd => Ok(Box::new(SimdScorer::new())),
             ScoringBackendKind::Sharded { shards, inner } => {
                 let built = (0..*shards)
-                    .map(|_| inner.build_scorer(selection))
+                    .map(|_| inner.build_scorer(_selection))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Box::new(ShardedScorer::new(built)?))
             }
@@ -106,11 +108,18 @@ impl ScoringBackendKind {
     }
 }
 
-/// The four-layer fast-GMM-computation scheme of Chan et al. that the paper's
-/// architecture "adapts to".  Each layer skips work at a different
-/// granularity; Conditional Down Sampling (the frame layer) is the one the
+/// The fast-GMM-computation layers the machine runs.
+///
+/// The paper's architecture "adapts to" the four-layer scheme of Chan et
+/// al.: frame, GMM, Gaussian and component layers, each skipping work at a
+/// different granularity.  The machine runs the first two, around whichever
+/// scorer it drives: Conditional Down Sampling (the frame layer), which the
 /// paper highlights as having "the potential to cut the power usage by a
-/// considerable margin".
+/// considerable margin", and the word-decode senone feedback (the GMM
+/// layer).  The Gaussian layer (best component only) and the component
+/// layer (dimension truncation) are not modelled: the OP unit evaluates
+/// every component over every dimension, only the software scorers ever
+/// honoured them, and no experiment or workload set them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GmmSelectionConfig {
     /// Frame layer — Conditional Down Sampling: reuse the previous frame's
@@ -129,12 +138,6 @@ pub struct GmmSelectionConfig {
     /// scored at all (this is the paper's own feedback mechanism; always on in
     /// the real system but can be disabled to measure its effect).
     pub senone_feedback: bool,
-    /// Gaussian layer: evaluate only the best-scoring mixture component
-    /// instead of the full log-sum (a common approximation).
-    pub best_component_only: bool,
-    /// Component layer: evaluate only the first `max_dims` feature dimensions
-    /// of each Gaussian (`None` = all), a dimension-truncation shortcut.
-    pub max_dims: Option<usize>,
 }
 
 impl Default for GmmSelectionConfig {
@@ -143,18 +146,11 @@ impl Default for GmmSelectionConfig {
             cds_period: 1,
             cds_threshold: 1.0,
             senone_feedback: true,
-            best_component_only: false,
-            max_dims: None,
         }
     }
 }
 
 impl GmmSelectionConfig {
-    /// All four layers disabled except the architectural senone feedback.
-    pub fn baseline() -> Self {
-        Self::default()
-    }
-
     /// Conditional Down Sampling at the given period, other layers default.
     pub fn with_cds(period: usize) -> Self {
         GmmSelectionConfig {
@@ -216,7 +212,8 @@ impl DecoderConfig {
     }
 
     /// A configuration using the hardware model with `n` accelerator
-    /// structures.
+    /// structures and the full 23-bit datapath.  The SoC's other knob, the
+    /// mantissa width, is [`SocConfig::datapath_width`].
     pub fn hardware(num_structures: usize) -> Self {
         DecoderConfig {
             backend: ScoringBackendKind::Hardware(SocConfig {
@@ -244,18 +241,29 @@ impl DecoderConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::InvalidConfig`] for non-positive beams, a zero
-    /// instance cap, a non-positive LM weight or an invalid SoC configuration.
+    /// Returns [`DecodeError::InvalidConfig`] for beams or an LM weight
+    /// that are not finite and positive, a word insertion penalty that is
+    /// not finite, a zero instance cap, an invalid CDS setting or an invalid
+    /// SoC configuration.  NaN and infinite scores would otherwise pass the
+    /// comparisons below and silently wreck the search.
     pub fn validate(&self) -> Result<(), DecodeError> {
-        if self.beam <= 0.0 || self.word_beam <= 0.0 {
-            return Err(DecodeError::InvalidConfig("beams must be positive".into()));
+        let finite_positive = |x: f32| x.is_finite() && x > 0.0;
+        if !finite_positive(self.beam) || !finite_positive(self.word_beam) {
+            return Err(DecodeError::InvalidConfig(
+                "beams must be finite and positive".into(),
+            ));
         }
         if self.max_active_hmms == 0 {
             return Err(DecodeError::InvalidConfig("max_active_hmms == 0".into()));
         }
-        if self.lm_weight <= 0.0 {
+        if !finite_positive(self.lm_weight) {
             return Err(DecodeError::InvalidConfig(
-                "lm_weight must be positive".into(),
+                "lm_weight must be finite and positive".into(),
+            ));
+        }
+        if !self.word_insertion_penalty.is_finite() {
+            return Err(DecodeError::InvalidConfig(
+                "word_insertion_penalty must be finite".into(),
             ));
         }
         if self.gmm_selection.cds_period == 0 {
@@ -419,13 +427,45 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// NaN and ∞ compare false against `<= 0.0`, so a sign check alone lets
+    /// each of these through, and each decodes to a wrong result (a
+    /// one-word hypothesis scored −1e30 or +∞, or pruning switched off)
+    /// instead of failing.
+    #[test]
+    fn non_finite_scores_are_rejected() {
+        type Case = (&'static str, fn(&mut DecoderConfig));
+        let cases: [Case; 9] = [
+            ("lm_weight = NaN", |c| c.lm_weight = f32::NAN),
+            ("lm_weight = +inf", |c| c.lm_weight = f32::INFINITY),
+            ("word_insertion_penalty = NaN", |c| {
+                c.word_insertion_penalty = f32::NAN
+            }),
+            ("word_insertion_penalty = +inf", |c| {
+                c.word_insertion_penalty = f32::INFINITY
+            }),
+            ("word_insertion_penalty = -inf", |c| {
+                c.word_insertion_penalty = f32::NEG_INFINITY
+            }),
+            ("beam = NaN", |c| c.beam = f32::NAN),
+            ("beam = +inf", |c| c.beam = f32::INFINITY),
+            ("word_beam = NaN", |c| c.word_beam = f32::NAN),
+            ("word_beam = +inf", |c| c.word_beam = f32::INFINITY),
+        ];
+        for (case, set) in cases {
+            let mut config = DecoderConfig::simd();
+            set(&mut config);
+            assert!(
+                matches!(config.validate(), Err(DecodeError::InvalidConfig(_))),
+                "{case} must be rejected"
+            );
+        }
+    }
+
     #[test]
     fn gmm_selection_helpers() {
-        let base = GmmSelectionConfig::baseline();
+        let base = GmmSelectionConfig::default();
         assert_eq!(base.cds_period, 1);
         assert!(base.senone_feedback);
-        assert!(!base.best_component_only);
-        assert_eq!(base.max_dims, None);
         let cds = GmmSelectionConfig::with_cds(2);
         assert_eq!(cds.cds_period, 2);
         assert_eq!(GmmSelectionConfig::with_cds(0).cds_period, 1);

@@ -363,33 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn software_fast_gmm_layers() {
-        let m = model();
-        let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.3 * d as f32).collect();
-        let ids: Vec<SenoneId> = (0..m.senones().len() as u32).map(SenoneId).collect();
-        let score_with = |selection: GmmSelectionConfig| -> Vec<LogProb> {
-            let mut d = software_decoder(selection);
-            d.score_frame(&m, &ids, &x).unwrap();
-            ids.iter().map(|&id| d.score_of(id)).collect()
-        };
-        let full = score_with(GmmSelectionConfig::default());
-        let best_comp = score_with(GmmSelectionConfig {
-            best_component_only: true,
-            ..GmmSelectionConfig::default()
-        });
-        let truncated = score_with(GmmSelectionConfig {
-            max_dims: Some(3),
-            ..GmmSelectionConfig::default()
-        });
-        for (k, _) in ids.iter().enumerate() {
-            // Best-component is a lower bound on the full mixture.
-            assert!(best_comp[k].raw() <= full[k].raw() + 1e-5);
-            // Truncation changes the score but keeps it finite.
-            assert!(truncated[k].raw().is_finite());
-        }
-    }
-
-    #[test]
     fn hmm_step_backends_agree() {
         let m = model();
         let t = m.transitions();

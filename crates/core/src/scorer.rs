@@ -15,12 +15,10 @@
 //! `HashMap<SenoneId, LogProb>` the decoder used to allocate and clone every
 //! frame.
 
-use crate::config::GmmSelectionConfig;
 use crate::DecodeError;
 use asr_acoustic::{AcousticError, AcousticModel, SenoneId, TransitionMatrix};
 use asr_float::LogProb;
 use asr_hw::{SocConfig, SpeechSoc, UtteranceReport};
-use std::borrow::Cow;
 
 /// Result of advancing one HMM by one frame, independent of backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,23 +231,6 @@ pub fn software_step_hmm(
     })
 }
 
-/// Applies the dimension-truncation fast-GMM layer: zeroes the feature tail
-/// beyond `max_dims` (the model expects the full vector length, so those
-/// dimensions contribute only their constant term).  Borrows when no
-/// truncation applies.
-fn truncated<'a>(selection: &GmmSelectionConfig, feature: &'a [f32]) -> Cow<'a, [f32]> {
-    match selection.max_dims {
-        Some(d) if d < feature.len() => {
-            let mut v = feature.to_vec();
-            for x in v.iter_mut().skip(d) {
-                *x = 0.0;
-            }
-            Cow::Owned(v)
-        }
-        _ => Cow::Borrowed(feature),
-    }
-}
-
 /// The paper's system: OP units + Viterbi units with cycle, bandwidth and
 /// power accounting, behind the [`SenoneScorer`] seam.
 #[derive(Debug)]
@@ -337,16 +318,13 @@ impl SenoneScorer for SocScorer {
 
 /// The scalar software reference: the same arithmetic as the hardware OP
 /// unit, evaluated senone by senone with no cycle/power accounting.
-#[derive(Debug, Clone)]
-pub struct SoftwareScorer {
-    selection: GmmSelectionConfig,
-}
+#[derive(Debug, Clone, Default)]
+pub struct SoftwareScorer;
 
 impl SoftwareScorer {
-    /// Creates the scorer; `selection` controls the Gaussian-layer fast-GMM
-    /// shortcuts (best-component-only, dimension truncation).
-    pub fn new(selection: GmmSelectionConfig) -> Self {
-        SoftwareScorer { selection }
+    /// Creates the scorer.
+    pub fn new() -> Self {
+        SoftwareScorer
     }
 }
 
@@ -364,20 +342,13 @@ impl SenoneScorer for SoftwareScorer {
         feature: &[f32],
         out: &mut Vec<(SenoneId, LogProb)>,
     ) -> Result<(), DecodeError> {
-        let x = truncated(&self.selection, feature);
         out.reserve(active.len());
         for &id in active {
             let senone = model
                 .senones()
                 .get(id)
                 .ok_or_else(|| AcousticError::UnknownId(format!("senone {}", id.0)))?;
-            let mix = senone.mixture();
-            let score = if self.selection.best_component_only {
-                mix.max_component_log_likelihood(&x)
-            } else {
-                mix.log_likelihood(&x)
-            };
-            out.push((id, score));
+            out.push((id, senone.mixture().log_likelihood(feature)));
         }
         Ok(())
     }
@@ -462,9 +433,8 @@ const LANES: usize = 4;
 /// the batch API exists to exploit.
 ///
 /// [`decode_batch`]: crate::Recognizer::decode_batch
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SimdScorer {
-    selection: GmmSelectionConfig,
     table: Option<FlattenedModel>,
     table_builds: usize,
 }
@@ -472,12 +442,8 @@ pub struct SimdScorer {
 impl SimdScorer {
     /// Creates the scorer; the parameter arena is built lazily on the first
     /// scored frame.
-    pub fn new(selection: GmmSelectionConfig) -> Self {
-        SimdScorer {
-            selection,
-            table: None,
-            table_builds: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Whether the flattened parameter arena has been built.
@@ -492,7 +458,7 @@ impl SimdScorer {
         self.table_builds
     }
 
-    fn score_one(table: &FlattenedModel, senone: usize, x: &[f32], best_only: bool) -> LogProb {
+    fn score_one(table: &FlattenedModel, senone: usize, x: &[f32]) -> LogProb {
         let (first, count) = table.components[senone];
         let dim = table.dim;
         let main = dim - dim % LANES;
@@ -520,12 +486,9 @@ impl SimdScorer {
                     d * d * pi
                 })
                 .sum();
-            let component = LogProb::new(table.consts[k] + lanes.iter().sum::<f32>() + tail);
-            acc = if best_only {
-                acc.max(component)
-            } else {
-                acc.log_add(component)
-            };
+            acc = acc.log_add(LogProb::new(
+                table.consts[k] + lanes.iter().sum::<f32>() + tail,
+            ));
         }
         acc
     }
@@ -554,14 +517,12 @@ impl SenoneScorer for SimdScorer {
             self.table_builds += 1;
         }
         let table = self.table.as_ref().expect("table built above");
-        let x = truncated(&self.selection, feature);
-        let best_only = self.selection.best_component_only;
         out.reserve(active.len());
         for &id in active {
             if id.index() >= table.components.len() {
                 return Err(AcousticError::UnknownId(format!("senone {}", id.0)).into());
             }
-            out.push((id, Self::score_one(table, id.index(), &x, best_only)));
+            out.push((id, Self::score_one(table, id.index(), feature)));
         }
         Ok(())
     }
@@ -706,7 +667,7 @@ mod tests {
 
     #[test]
     fn scorer_construction_and_names() {
-        let sel = GmmSelectionConfig::default();
+        let sel = crate::GmmSelectionConfig::default();
         let soc = ScoringBackendKind::Hardware(SocConfig::default())
             .build_scorer(&sel)
             .unwrap();
@@ -727,8 +688,8 @@ mod tests {
         let m = model();
         let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.17 * d as f32).collect();
         let ids = all_ids(&m);
-        let mut scalar = SoftwareScorer::new(GmmSelectionConfig::default());
-        let mut simd = SimdScorer::new(GmmSelectionConfig::default());
+        let mut scalar = SoftwareScorer::new();
+        let mut simd = SimdScorer::new();
         assert!(!simd.is_warm());
         let a = scalar.score_senones(&m, &ids, &x).unwrap();
         let b = simd.score_senones(&m, &ids, &x).unwrap();
@@ -745,44 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn simd_honours_gaussian_fast_gmm_layers() {
-        let m = model();
-        let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.3 * d as f32).collect();
-        let ids = all_ids(&m);
-        let full = SimdScorer::new(GmmSelectionConfig::default())
-            .score_senones(&m, &ids, &x)
-            .unwrap();
-        let best = SimdScorer::new(GmmSelectionConfig {
-            best_component_only: true,
-            ..GmmSelectionConfig::default()
-        })
-        .score_senones(&m, &ids, &x)
-        .unwrap();
-        let trunc = SimdScorer::new(GmmSelectionConfig {
-            max_dims: Some(3),
-            ..GmmSelectionConfig::default()
-        })
-        .score_senones(&m, &ids, &x)
-        .unwrap();
-        let trunc_scalar = SoftwareScorer::new(GmmSelectionConfig {
-            max_dims: Some(3),
-            ..GmmSelectionConfig::default()
-        })
-        .score_senones(&m, &ids, &x)
-        .unwrap();
-        for (k, (id, s)) in full.iter().enumerate() {
-            // Best-component is a lower bound on the full mixture.
-            assert!(best[k].1.raw() <= s.raw() + 1e-4, "{id:?}");
-            // Truncation matches the scalar truncation semantics.
-            assert!((trunc[k].1.raw() - trunc_scalar[k].1.raw()).abs() < 1e-2);
-        }
-    }
-
-    #[test]
     fn simd_arena_survives_utterance_reset_and_tracks_the_model() {
         let m = model();
         let x = vec![0.1f32; m.feature_dim()];
-        let mut simd = SimdScorer::new(GmmSelectionConfig::default());
+        let mut simd = SimdScorer::new();
         simd.score_senones(&m, &all_ids(&m), &x).unwrap();
         assert!(simd.is_warm());
         assert_eq!(simd.table_builds(), 1);
@@ -821,11 +748,10 @@ mod tests {
         let x: Vec<f32> = (0..model().feature_dim())
             .map(|d| 0.21 * d as f32)
             .collect();
-        let sel = GmmSelectionConfig::default();
-        let mut warm = SimdScorer::new(sel);
+        let mut warm = SimdScorer::new();
         let mut sharded = crate::ShardedScorer::new(vec![
-            Box::new(SimdScorer::new(sel)) as Box<dyn SenoneScorer>,
-            Box::new(SimdScorer::new(sel)) as Box<dyn SenoneScorer>,
+            Box::new(SimdScorer::new()) as Box<dyn SenoneScorer>,
+            Box::new(SimdScorer::new()) as Box<dyn SenoneScorer>,
         ])
         .unwrap()
         .with_parallelism(true);
@@ -840,7 +766,7 @@ mod tests {
         let via_warm_scorer = warm.score_senones(&b, &ids, &x).unwrap();
         assert_eq!(warm.table_builds(), 2, "same-shape model must rebuild");
         let via_sharded_scorer = sharded.score_senones(&b, &ids, &x).unwrap();
-        let via_fresh_scorer = SimdScorer::new(sel).score_senones(&b, &ids, &x).unwrap();
+        let via_fresh_scorer = SimdScorer::new().score_senones(&b, &ids, &x).unwrap();
         assert!(
             via_a
                 .iter()
@@ -862,8 +788,8 @@ mod tests {
         let m = model();
         let x = vec![0.0f32; m.feature_dim()];
         let bad = [SenoneId(9_999)];
-        let mut scalar = SoftwareScorer::new(GmmSelectionConfig::default());
-        let mut simd = SimdScorer::new(GmmSelectionConfig::default());
+        let mut scalar = SoftwareScorer::new();
+        let mut simd = SimdScorer::new();
         assert!(matches!(
             scalar.score_senones(&m, &bad, &x),
             Err(DecodeError::Acoustic(_))

@@ -837,18 +837,17 @@ mod tests {
     fn pooled_worker_panic_mid_batch_propagates() {
         let m = model();
         let ids = all_ids(&m);
-        let sel = GmmSelectionConfig::default();
-        let healthy = |sel| Box::new(SoftwareScorer::new(sel)) as Box<dyn SenoneScorer>;
+        let healthy = || Box::new(SoftwareScorer::new()) as Box<dyn SenoneScorer>;
         // Worker shard 1 stays healthy for its first 2 frames (utterance 1),
         // then dies on its first frame of utterance 2.
         let mut sharded = ShardedScorer::new(vec![
-            healthy(sel),
+            healthy(),
             Box::new(LatePanickingScorer {
-                inner: SoftwareScorer::new(sel),
+                inner: SoftwareScorer::new(),
                 healthy_calls: 2,
                 calls: 0,
             }) as Box<dyn SenoneScorer>,
-            healthy(sel),
+            healthy(),
         ])
         .unwrap()
         .with_parallelism(true);
@@ -885,12 +884,11 @@ mod tests {
         let m = model();
         let ids = all_ids(&m);
         let x = vec![0.1f32; m.feature_dim()];
-        let sel = GmmSelectionConfig::default();
         let mut sharded = ShardedScorer::new(vec![
-            Box::new(SoftwareScorer::new(sel)) as Box<dyn SenoneScorer>,
-            Box::new(SoftwareScorer::new(sel)) as Box<dyn SenoneScorer>,
+            Box::new(SoftwareScorer::new()) as Box<dyn SenoneScorer>,
+            Box::new(SoftwareScorer::new()) as Box<dyn SenoneScorer>,
             Box::new(PanickingScorer) as Box<dyn SenoneScorer>,
-            Box::new(SoftwareScorer::new(sel)) as Box<dyn SenoneScorer>,
+            Box::new(SoftwareScorer::new()) as Box<dyn SenoneScorer>,
         ])
         .unwrap()
         .with_parallelism(true);
@@ -967,7 +965,6 @@ mod tests {
     #[test]
     fn inline_and_pooled_frames_share_the_inner_simd_arenas() {
         let m = model();
-        let sel = GmmSelectionConfig::default();
         let builds: Vec<_> = (0..2)
             .map(|_| Arc::new(std::sync::atomic::AtomicUsize::new(0)))
             .collect();
@@ -976,7 +973,7 @@ mod tests {
                 .iter()
                 .map(|b| {
                     Box::new(BuildCountingSimd {
-                        inner: SimdScorer::new(sel),
+                        inner: SimdScorer::new(),
                         builds: Arc::clone(b),
                     }) as Box<dyn SenoneScorer>
                 })
@@ -1026,10 +1023,9 @@ mod tests {
         let m = model();
         let ids = all_ids(&m);
         let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.11 * d as f32).collect();
-        let sel = GmmSelectionConfig::default();
         let mut mixed = ShardedScorer::new(vec![
-            Box::new(SoftwareScorer::new(sel)) as Box<dyn SenoneScorer>,
-            Box::new(SimdScorer::new(sel)) as Box<dyn SenoneScorer>,
+            Box::new(SoftwareScorer::new()) as Box<dyn SenoneScorer>,
+            Box::new(SimdScorer::new()) as Box<dyn SenoneScorer>,
         ])
         .unwrap();
         assert_eq!(mixed.num_shards(), 2);
@@ -1037,7 +1033,7 @@ mod tests {
         assert_eq!(mixed.name(), "sharded");
         mixed.begin_frame(&x);
         let got = mixed.score_senones(&m, &ids, &x).unwrap();
-        let mut scalar = SoftwareScorer::new(sel);
+        let mut scalar = SoftwareScorer::new();
         let want = scalar.score_senones(&m, &ids, &x).unwrap();
         for ((ia, sa), (ib, sb)) in want.iter().zip(&got) {
             assert_eq!(ia, ib);

@@ -13,10 +13,10 @@
 //! and frame accounting against these labels.
 //!
 //! The speech content comes from [`ScenarioVoiceTask`]: a small command
-//! vocabulary whose acoustic models are *trained from rendered audio* (the
-//! same k-means/EM recipe as the `voice_command` example), so scenario
-//! transcripts are meaningful end-to-end — raw samples to word ids — rather
-//! than features sampled from the model being scored.
+//! vocabulary whose acoustic models are *trained from rendered audio* (a
+//! k-means/EM recipe the `voice_command` and `multi_model` examples share),
+//! so scenario transcripts are meaningful end-to-end — raw samples to word
+//! ids — rather than features sampled from the model being scored.
 
 use crate::{AudioSynthesizer, CorpusError};
 use asr_acoustic::{
@@ -45,7 +45,8 @@ const SCENARIO_WORDS: &[(&str, &[u16])] = &[
 /// Training renders each phone several times with [`AudioSynthesizer`],
 /// extracts MFCCs with [`ScenarioVoiceTask::frontend_config`], splits each
 /// rendering into thirds (one per HMM state) and fits a 2-component mixture
-/// per state — the `voice_command` example's recipe, packaged for reuse.
+/// per state.  The `voice_command` and `multi_model` examples decode this
+/// task too.
 #[derive(Debug, Clone)]
 pub struct ScenarioVoiceTask {
     /// Audio-trained acoustic model (3-state Bakis phones, 2-component

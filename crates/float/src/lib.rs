@@ -9,7 +9,8 @@
 //!   ("all the calculation are done in logarithm domain").
 //! * [`LogAddTable`] — the 512-byte SRAM lookup table the OP unit uses to
 //!   evaluate `log(A + B) = log(A) + log(1 + B/A)` with 16-bit fraction
-//!   entries (paper Section III-B).
+//!   entries (paper Section III-B).  Its geometry is the paper's and fixed:
+//!   256 entries over differences up to 11.1, 16 fraction bits.
 //! * [`MantissaWidth`] / [`Quantizer`] — reduced-mantissa IEEE-754 storage
 //!   (23 / 15 / 12-bit mantissas) used for the memory-and-bandwidth study in
 //!   the paper's results table.
@@ -41,7 +42,7 @@ pub mod reduced;
 pub mod softfloat;
 
 pub use logmath::LogProb;
-pub use lut::{LogAddTable, LogAddTableConfig};
+pub use lut::LogAddTable;
 pub use reduced::{MantissaWidth, Quantizer};
 pub use softfloat::SoftFloat;
 
@@ -50,8 +51,6 @@ pub use softfloat::SoftFloat;
 pub enum FloatError {
     /// A mantissa width outside the representable `1..=23` range was requested.
     InvalidMantissaWidth(u8),
-    /// A log-add table configuration was invalid (zero entries or zero range).
-    InvalidTableConfig(&'static str),
 }
 
 impl core::fmt::Display for FloatError {
@@ -60,7 +59,6 @@ impl core::fmt::Display for FloatError {
             FloatError::InvalidMantissaWidth(bits) => {
                 write!(f, "invalid mantissa width {bits}, expected 1..=23")
             }
-            FloatError::InvalidTableConfig(msg) => write!(f, "invalid log-add table config: {msg}"),
         }
     }
 }
@@ -74,9 +72,7 @@ mod tests {
     #[test]
     fn error_display_is_nonempty() {
         let e = FloatError::InvalidMantissaWidth(31);
-        assert!(!e.to_string().is_empty());
-        let e = FloatError::InvalidTableConfig("entries == 0");
-        assert!(e.to_string().contains("entries"));
+        assert!(e.to_string().contains("31"));
     }
 
     #[test]

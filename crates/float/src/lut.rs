@@ -19,57 +19,18 @@
 //! approximation is harmless for recognition.
 
 use crate::logmath::LogProb;
-use crate::FloatError;
 
-/// Configuration of the hardware log-add table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogAddTableConfig {
-    /// Number of table entries (the paper's SRAM holds 256 × 16-bit values).
-    pub entries: usize,
-    /// Largest difference `d = log(A) - log(B)` covered by the table.  Beyond
-    /// this the correction is below the 16-bit quantisation step and the
-    /// hardware simply returns `log(A)`.
-    pub max_difference: f32,
-    /// Number of fractional bits stored per entry (16 in the paper).
-    pub fraction_bits: u8,
-}
-
-impl LogAddTableConfig {
-    /// The configuration described in the paper: 512-byte SRAM, 16-bit
-    /// fractions, 256 entries.
-    pub const PAPER: LogAddTableConfig = LogAddTableConfig {
-        entries: 256,
-        max_difference: 11.1,
-        fraction_bits: 16,
-    };
-
-    /// Total SRAM footprint in bytes.
-    pub fn sram_bytes(&self) -> usize {
-        self.entries * 2
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), FloatError> {
-        if self.entries == 0 {
-            return Err(FloatError::InvalidTableConfig("entries == 0"));
-        }
-        if self.max_difference <= 0.0 || self.max_difference.is_nan() {
-            return Err(FloatError::InvalidTableConfig("max_difference <= 0"));
-        }
-        if self.fraction_bits == 0 || self.fraction_bits > 16 {
-            return Err(FloatError::InvalidTableConfig(
-                "fraction_bits must be in 1..=16",
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for LogAddTableConfig {
-    fn default() -> Self {
-        Self::PAPER
-    }
-}
+/// Number of table entries: the paper's 512-byte SRAM holds 256 × 16-bit
+/// values.
+const ENTRIES: usize = 256;
+/// Largest difference `d = log(A) - log(B)` the table covers.  Beyond it the
+/// correction is below the 16-bit quantisation step and the hardware simply
+/// returns `log(A)`.
+const MAX_DIFFERENCE: f32 = 11.1;
+/// Fractional bits stored per entry.
+const FRACTION_BITS: u32 = 16;
+/// Width of one table cell in the difference dimension.
+const STEP: f32 = MAX_DIFFERENCE / ENTRIES as f32;
 
 /// The 512-byte SRAM log-add lookup table of the OP unit.
 ///
@@ -78,62 +39,43 @@ impl Default for LogAddTableConfig {
 /// ```
 /// use asr_float::{LogAddTable, LogProb};
 /// let t = LogAddTable::new();
-/// assert_eq!(t.config().sram_bytes(), 512);
+/// assert_eq!(LogAddTable::SRAM_BYTES, 512);
 /// let approx = t.log_add(LogProb::new(-3.0), LogProb::new(-4.0));
 /// let exact = LogProb::new(-3.0).log_add(LogProb::new(-4.0));
 /// assert!((approx.raw() - exact.raw()).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogAddTable {
-    config: LogAddTableConfig,
-    /// 16-bit fraction entries: `round(log(1 + exp(-d)) * 2^fraction_bits)`.
+    /// 16-bit fraction entries: `round(log(1 + exp(-d)) * 2^16)`.
     entries: Vec<u16>,
-    /// The same entries as the corrections they encode,
-    /// `entry / 2^fraction_bits`.  A `u16` and a power-of-two divisor are
-    /// both exact in f32, so each correction is its word's value exactly.
+    /// The same entries as the corrections they encode, `entry / 2^16`.  A
+    /// `u16` and a power-of-two divisor are both exact in f32, so each
+    /// correction is its word's value exactly.
     corrections: Vec<f32>,
-    /// Quantisation step of the index dimension.
-    step: f32,
 }
 
 impl LogAddTable {
-    /// Builds the table with the paper's configuration
-    /// (256 × 16-bit entries, 512 bytes of SRAM).
-    pub fn new() -> Self {
-        Self::with_config(LogAddTableConfig::PAPER).expect("paper config is valid")
-    }
+    /// SRAM footprint in bytes: 256 entries of 16 bits.
+    pub const SRAM_BYTES: usize = ENTRIES * 2;
 
-    /// Builds a table with a custom configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FloatError::InvalidTableConfig`] if the configuration has no
-    /// entries, a non-positive range, or an unsupported fraction width.
-    pub fn with_config(config: LogAddTableConfig) -> Result<Self, FloatError> {
-        config.validate()?;
-        let step = config.max_difference / config.entries as f32;
-        let scale = (1u32 << config.fraction_bits) as f64;
-        let entries: Vec<u16> = (0..config.entries)
+    /// Builds the table the paper describes: 256 × 16-bit entries over
+    /// differences up to 11.1, 512 bytes of SRAM.
+    pub fn new() -> Self {
+        let scale = (1u32 << FRACTION_BITS) as f64;
+        let entries: Vec<u16> = (0..ENTRIES)
             .map(|i| {
                 // Index i covers differences in [i*step, (i+1)*step); the
                 // hardware stores the value at the bin centre.
-                let d = (i as f64 + 0.5) * step as f64;
+                let d = (i as f64 + 0.5) * STEP as f64;
                 let value = (1.0 + (-d).exp()).ln();
                 (value * scale).round().min(scale - 1.0) as u16
             })
             .collect();
         let corrections = entries.iter().map(|&e| e as f32 / scale as f32).collect();
-        Ok(LogAddTable {
-            config,
+        LogAddTable {
             entries,
             corrections,
-            step,
-        })
-    }
-
-    /// The configuration the table was built with.
-    pub fn config(&self) -> &LogAddTableConfig {
-        &self.config
+        }
     }
 
     /// Raw table contents, as they would be loaded into the SRAM at start-up.
@@ -146,16 +88,16 @@ impl LogAddTable {
     ///
     /// Differences beyond the table range return `0.0`, exactly as the
     /// hardware saturates the index.  The index is `d / step` truncated: the
-    /// paper's step (11.1 / 256) is not a power of two, so a multiply by its
+    /// step (11.1 / 256) is not a power of two, so a multiply by its
     /// reciprocal would move bin edges.
     #[inline]
     pub fn correction(&self, difference: f32) -> f32 {
         debug_assert!(difference >= 0.0, "difference must be non-negative");
-        if difference >= self.config.max_difference {
+        if difference >= MAX_DIFFERENCE {
             return 0.0;
         }
-        let idx = (difference / self.step) as usize;
-        self.corrections[idx.min(self.corrections.len() - 1)]
+        let idx = (difference / STEP) as usize;
+        self.corrections[idx.min(ENTRIES - 1)]
     }
 
     /// Hardware log-add: `log(exp(a) + exp(b))` via the SRAM table.
@@ -186,15 +128,15 @@ impl LogAddTable {
     /// Maximum absolute error of [`LogAddTable::correction`] versus the exact
     /// correction `ln(1 + e^-d)` over every `d >= 0`.  The exact correction
     /// falls monotonically while a cell returns one constant, so each cell's
-    /// worst error sits at one of its two edges; past `max_difference` the
+    /// worst error sits at one of its two edges; past the table's range the
     /// lookup returns 0, so the worst error there is the exact correction at
-    /// `max_difference`.  Used by the experiment harness to report the
+    /// the range's end.  Used by the experiment harness to report the
     /// quality of the 512-byte table.
     pub fn max_abs_error(&self) -> f32 {
         let exact = |d: f64| (1.0 + (-d).exp()).ln();
-        let scale = (1u32 << self.config.fraction_bits) as f64;
-        let step = self.step as f64;
-        let max_difference = self.config.max_difference as f64;
+        let scale = (1u32 << FRACTION_BITS) as f64;
+        let step = STEP as f64;
+        let max_difference = MAX_DIFFERENCE as f64;
         let mut worst = exact(max_difference);
         for (i, &entry) in self.entries.iter().enumerate() {
             let value = entry as f64 / scale;
@@ -209,10 +151,10 @@ impl LogAddTable {
 
     /// Mean absolute error over a dense sweep of the covered range.
     pub fn mean_abs_error(&self) -> f32 {
-        let samples = self.config.entries * 16;
+        let samples = ENTRIES * 16;
         let mut total = 0.0f64;
         for i in 0..samples {
-            let d = self.config.max_difference * (i as f32 + 0.5) / samples as f32;
+            let d = MAX_DIFFERENCE * (i as f32 + 0.5) / samples as f32;
             let exact = (1.0 + (-(d as f64)).exp()).ln() as f32;
             total += (exact - self.correction(d)).abs() as f64;
         }
@@ -234,10 +176,8 @@ mod tests {
     #[test]
     fn paper_config_is_512_bytes() {
         let t = LogAddTable::new();
-        assert_eq!(t.config().entries, 256);
-        assert_eq!(t.config().sram_bytes(), 512);
+        assert_eq!(LogAddTable::SRAM_BYTES, 512);
         assert_eq!(t.sram_contents().len(), 256);
-        assert_eq!(t.config().fraction_bits, 16);
     }
 
     #[test]
@@ -313,103 +253,47 @@ mod tests {
 
     #[test]
     fn max_abs_error_is_the_maximum_over_the_whole_domain() {
-        for entries in [64, 256, 1024] {
-            let config = LogAddTableConfig {
-                entries,
-                ..LogAddTableConfig::PAPER
-            };
-            let t = LogAddTable::with_config(config).unwrap();
-            let step = config.max_difference / entries as f32;
-            let error = |d: f32| ((1.0 + (-(d as f64)).exp()).ln() - t.correction(d) as f64).abs();
-            // Every cell edge and the f32 values either side of it, a dense
-            // sweep inside every cell, then the saturated region out to 4×
-            // the range and beyond.
-            let edges = (0..=entries)
-                .map(|cell| cell as f32 * step)
-                .flat_map(|edge| {
-                    let bits = edge.to_bits();
-                    [
-                        edge,
-                        f32::from_bits(bits + 1),
-                        f32::from_bits(bits.max(1) - 1),
-                    ]
-                });
-            let cells = (0..entries * 32).map(|k| k as f32 * step / 32.0);
-            let saturated = (0..1000).map(|k| config.max_difference * (1.0 + k as f32 / 333.0));
-            let swept = edges
-                .chain(cells)
-                .chain(saturated)
-                .chain([f32::MAX])
-                .map(error)
-                .fold(0.0, f64::max);
-            let claimed = t.max_abs_error() as f64;
-            assert!(
-                (swept - claimed).abs() < 1e-6,
-                "{entries} entries: swept maximum {swept} vs max_abs_error {claimed}"
-            );
-        }
-    }
-
-    #[test]
-    fn finer_tables_are_more_accurate() {
-        let coarse = LogAddTable::with_config(LogAddTableConfig {
-            entries: 64,
-            ..LogAddTableConfig::PAPER
-        })
-        .unwrap();
-        let fine = LogAddTable::with_config(LogAddTableConfig {
-            entries: 1024,
-            ..LogAddTableConfig::PAPER
-        })
-        .unwrap();
-        assert!(fine.max_abs_error() < coarse.max_abs_error());
-    }
-
-    #[test]
-    fn invalid_configs_are_rejected() {
-        assert!(LogAddTable::with_config(LogAddTableConfig {
-            entries: 0,
-            ..LogAddTableConfig::PAPER
-        })
-        .is_err());
-        assert!(LogAddTable::with_config(LogAddTableConfig {
-            max_difference: 0.0,
-            ..LogAddTableConfig::PAPER
-        })
-        .is_err());
-        assert!(LogAddTable::with_config(LogAddTableConfig {
-            fraction_bits: 0,
-            ..LogAddTableConfig::PAPER
-        })
-        .is_err());
-        assert!(LogAddTable::with_config(LogAddTableConfig {
-            fraction_bits: 17,
-            ..LogAddTableConfig::PAPER
-        })
-        .is_err());
+        let t = LogAddTable::new();
+        let error = |d: f32| ((1.0 + (-(d as f64)).exp()).ln() - t.correction(d) as f64).abs();
+        // Every cell edge and the f32 values either side of it, a dense
+        // sweep inside every cell, then the saturated region out to 4× the
+        // range and beyond.
+        let edges = (0..=ENTRIES)
+            .map(|cell| cell as f32 * STEP)
+            .flat_map(|edge| {
+                let bits = edge.to_bits();
+                [
+                    edge,
+                    f32::from_bits(bits + 1),
+                    f32::from_bits(bits.max(1) - 1),
+                ]
+            });
+        let cells = (0..ENTRIES * 32).map(|k| k as f32 * STEP / 32.0);
+        let saturated = (0..1000).map(|k| MAX_DIFFERENCE * (1.0 + k as f32 / 333.0));
+        let swept = edges
+            .chain(cells)
+            .chain(saturated)
+            .chain([f32::MAX])
+            .map(error)
+            .fold(0.0, f64::max);
+        let claimed = t.max_abs_error() as f64;
+        assert!(
+            (swept - claimed).abs() < 1e-6,
+            "swept maximum {swept} vs max_abs_error {claimed}"
+        );
     }
 
     /// The lookup serves the SRAM word of the cell `d / step` falls in, as a
-    /// fraction of `2^fraction_bits`, at every cell edge and centre.
+    /// fraction of `2^16`, at every cell edge and centre.
     #[test]
     fn lookups_return_the_sram_words_as_fractions() {
-        for config in [
-            LogAddTableConfig::PAPER,
-            LogAddTableConfig {
-                entries: 1000,
-                max_difference: 8.0,
-                fraction_bits: 12,
-            },
-        ] {
-            let t = LogAddTable::with_config(config).unwrap();
-            let scale = (1u32 << config.fraction_bits) as f32;
-            let step = config.max_difference / config.entries as f32;
-            for i in 0..config.entries {
-                for d in [i as f32 * step, (i as f32 + 0.5) * step] {
-                    let cell = ((d / step) as usize).min(config.entries - 1);
-                    let want = t.sram_contents()[cell] as f32 / scale;
-                    assert_eq!(t.correction(d).to_bits(), want.to_bits(), "d = {d}");
-                }
+        let t = LogAddTable::new();
+        let scale = (1u32 << FRACTION_BITS) as f32;
+        for i in 0..ENTRIES {
+            for d in [i as f32 * STEP, (i as f32 + 0.5) * STEP] {
+                let cell = ((d / STEP) as usize).min(ENTRIES - 1);
+                let want = t.sram_contents()[cell] as f32 / scale;
+                assert_eq!(t.correction(d).to_bits(), want.to_bits(), "d = {d}");
             }
         }
     }
@@ -419,7 +303,6 @@ mod tests {
         let a = LogAddTable::default();
         let b = LogAddTable::new();
         assert_eq!(a.sram_contents(), b.sram_contents());
-        assert_eq!(LogAddTableConfig::default(), LogAddTableConfig::PAPER);
     }
 
     proptest! {

@@ -18,19 +18,26 @@
 //! identical arithmetic (IEEE-754 single with per-operation mantissa
 //! quantisation via [`asr_float::SoftFloat`], and the SRAM log-add table of
 //! [`asr_float::LogAddTable`]), explicit cycle counting per pipeline stage,
-//! activity tracking for clock gating, a flash/DMA memory system with
-//! bandwidth counters, and a power/area model calibrated to the paper's
-//! synthesis results (200 mW and 2.2 mm² per structure at 50 MHz;
-//! two structures → 400 mW, 4.4 mm²).
+//! activity tracking for clock gating, a flash model with bandwidth counters
+//! (the Gaussian parameters streamed into the OP units and the word decode's
+//! DMA fetches), and a power/area model calibrated to the paper's synthesis
+//! results (200 mW and 2.2 mm² per structure at 50 MHz; two structures →
+//! 400 mW, 4.4 mm²).
+//!
+//! The units are fixed-function, as in the paper: their pipeline depths,
+//! the log-add SRAM and the clock are constants, and a unit is built from
+//! its datapath's mantissa width alone.  The SoC ([`SocConfig`]) has the two
+//! knobs the paper's results vary: the number of structures and that width.
 //!
 //! # Example
 //!
 //! ```
-//! use asr_hw::{ObservationProbabilityUnit, OpuConfig};
+//! use asr_hw::ObservationProbabilityUnit;
 //! use asr_acoustic::{AcousticModel, AcousticModelConfig, SenoneId};
+//! use asr_float::MantissaWidth;
 //!
 //! let model = AcousticModel::untrained(AcousticModelConfig::tiny()).unwrap();
-//! let mut opu = ObservationProbabilityUnit::new(OpuConfig::default());
+//! let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
 //! let x = vec![0.1_f32; model.feature_dim()];
 //! opu.load_feature_vector(&x);
 //! let score = opu.score_senone(&model, SenoneId(0)).unwrap();
@@ -51,11 +58,11 @@ pub mod viterbi_unit;
 
 pub use clock::{ClockDomain, CycleCount};
 pub use latency::StreamTiming;
-pub use memory::{DmaEngine, FlashMemory, MemoryStats, WorkingRam};
-pub use opu::{ObservationProbabilityUnit, OpuConfig, OpuStats};
+pub use memory::{FlashMemory, MemoryStats};
+pub use opu::{ObservationProbabilityUnit, OpuStats};
 pub use power::{AreaBudget, EnergyReport, HostCpuModel, PowerModel};
 pub use soc::{FrameReport, SocConfig, SpeechSoc, UtteranceReport};
-pub use viterbi_unit::{ViterbiUnit, ViterbiUnitConfig, ViterbiUnitStats};
+pub use viterbi_unit::{ViterbiUnit, ViterbiUnitStats};
 
 /// Errors produced by the hardware simulators.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,14 +1,16 @@
-//! Flash, working RAM and DMA models with bandwidth accounting.
+//! The flash model with bandwidth accounting.
 //!
 //! "The system uses RAM for the intermediate values and flash memory to store
 //! acoustic and language models for speech recognition.  [...] The word decode
 //! is implemented in software and it accesses the dictionary (stored in flash
 //! memory) through a DMA interface."
 //!
-//! The models here do not store actual data (the parameter values already
-//! live in the `asr-acoustic` structures); they account for every byte the
-//! decoder *would* move so the bandwidth claims of the paper can be measured
-//! rather than assumed.
+//! The model does not store actual data (the parameter values already live
+//! in the `asr-acoustic` structures); it accounts for every byte the decoder
+//! *would* stream from flash — Gaussian parameters into the OP units and
+//! dictionary fetches over the DMA — so the bandwidth claims of the paper
+//! can be measured rather than assumed.  The RAM's traffic is not modelled:
+//! no reported figure depends on it.
 
 use asr_float::MantissaWidth;
 
@@ -156,107 +158,6 @@ impl Default for FlashMemory {
     }
 }
 
-/// The on-chip working RAM holding intermediate values (senone scores, Viterbi
-/// path scores, the phone/word lattices under construction).
-#[derive(Debug, Clone, Default)]
-pub struct WorkingRam {
-    stats: MemoryStats,
-    /// High-water mark of bytes resident at once.
-    peak_resident_bytes: u64,
-    resident_bytes: u64,
-}
-
-impl WorkingRam {
-    /// Creates an empty RAM model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a write of `bytes` (e.g. storing senone scores for the frame).
-    pub fn write(&mut self, bytes: u64) {
-        self.stats.bytes_written += bytes;
-        self.stats.write_transactions += 1;
-        self.resident_bytes += bytes;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-    }
-
-    /// Records a read of `bytes`.
-    pub fn read(&mut self, bytes: u64) {
-        self.stats.bytes_read += bytes;
-        self.stats.read_transactions += 1;
-    }
-
-    /// Frees `bytes` of residency (end of frame reuse).
-    pub fn free(&mut self, bytes: u64) {
-        self.resident_bytes = self.resident_bytes.saturating_sub(bytes);
-    }
-
-    /// Cumulative traffic statistics.
-    pub fn stats(&self) -> &MemoryStats {
-        &self.stats
-    }
-
-    /// The largest number of bytes ever resident at once.
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident_bytes
-    }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// The DMA engine the software word-decode stage uses to fetch dictionary and
-/// language-model data from flash without occupying the host CPU.
-///
-/// The paper criticises a related design where "the acoustic models are not
-/// accessed through a DMA, therefore, performance may be poor because of
-/// resource contention" — the DMA model tracks how many host cycles were *not*
-/// spent copying because the DMA did the work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DmaEngine {
-    transfers: u64,
-    bytes_transferred: u64,
-    /// Host CPU cycles that a programmed-I/O copy would have cost (4 bytes per
-    /// cycle assumed), i.e. the contention the DMA removed.
-    host_cycles_saved: u64,
-}
-
-impl DmaEngine {
-    /// Creates an idle DMA engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a DMA transfer of `bytes` from flash to RAM.
-    pub fn transfer(&mut self, bytes: u64) {
-        self.transfers += 1;
-        self.bytes_transferred += bytes;
-        self.host_cycles_saved += bytes / 4;
-    }
-
-    /// Number of transfers performed.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total bytes moved.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes_transferred
-    }
-
-    /// Host cycles that would have been spent on programmed I/O.
-    pub fn host_cycles_saved(&self) -> u64 {
-        self.host_cycles_saved
-    }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,34 +219,5 @@ mod tests {
         // 1000 bytes in 1 µs = 1 GB/s.
         assert!((stats.bandwidth_gb_per_s(1.0e-6) - 1.0).abs() < 1e-9);
         assert_eq!(stats.bandwidth_gb_per_s(0.0), 0.0);
-    }
-
-    #[test]
-    fn working_ram_residency() {
-        let mut ram = WorkingRam::new();
-        ram.write(1000);
-        ram.write(500);
-        assert_eq!(ram.peak_resident_bytes(), 1500);
-        ram.free(1200);
-        ram.write(100);
-        assert_eq!(ram.peak_resident_bytes(), 1500);
-        ram.read(50);
-        assert_eq!(ram.stats().bytes_read, 50);
-        assert_eq!(ram.stats().bytes_written, 1600);
-        ram.free(10_000); // saturates, does not underflow
-        ram.reset();
-        assert_eq!(ram.peak_resident_bytes(), 0);
-    }
-
-    #[test]
-    fn dma_engine_tracks_savings() {
-        let mut dma = DmaEngine::new();
-        dma.transfer(4096);
-        dma.transfer(1024);
-        assert_eq!(dma.transfers(), 2);
-        assert_eq!(dma.bytes_transferred(), 5120);
-        assert_eq!(dma.host_cycles_saved(), 5120 / 4);
-        dma.reset();
-        assert_eq!(dma.transfers(), 0);
     }
 }

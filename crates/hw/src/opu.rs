@@ -20,71 +20,19 @@
 use crate::clock::{ClockGate, CycleCount};
 use crate::HwError;
 use asr_acoustic::{AcousticModel, SenoneId};
-use asr_float::{LogAddTable, LogAddTableConfig, LogProb, MantissaWidth, SoftFloat};
+use asr_float::{LogAddTable, LogProb, MantissaWidth, SoftFloat};
 
-/// Configuration of the OP unit datapath.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpuConfig {
-    /// Mantissa width of the floating-point datapath (the paper's sweep:
-    /// 23, 15 or 12 bits).
-    pub datapath_width: MantissaWidth,
-    /// Log-add SRAM table configuration (512 bytes in the paper).
-    pub logadd_table: LogAddTableConfig,
-    /// Pipeline fill latency in cycles before the first result of a senone
-    /// emerges (depth of the (X−Y)²·Z + adder pipeline).
-    pub pipeline_fill_cycles: CycleCount,
-    /// Cycles per feature dimension once the pipeline is full (1 = fully
-    /// pipelined).
-    pub cycles_per_dimension: CycleCount,
-    /// Cycles for the scale-and-weight fused multiply-add at the end of each
-    /// Gaussian.
-    pub swa_cycles: CycleCount,
-    /// Cycles for one log-add (SRAM lookup + add).
-    pub logadd_cycles: CycleCount,
-    /// Cycles to latch one feature-vector element into the input buffer.
-    pub feature_load_cycles_per_dim: CycleCount,
-}
-
-impl Default for OpuConfig {
-    fn default() -> Self {
-        OpuConfig {
-            datapath_width: MantissaWidth::FULL,
-            logadd_table: LogAddTableConfig::PAPER,
-            pipeline_fill_cycles: 6,
-            cycles_per_dimension: 1,
-            swa_cycles: 2,
-            logadd_cycles: 2,
-            feature_load_cycles_per_dim: 1,
-        }
-    }
-}
-
-impl OpuConfig {
-    /// A config with a reduced-mantissa datapath, everything else default.
-    pub fn with_width(width: MantissaWidth) -> Self {
-        OpuConfig {
-            datapath_width: width,
-            ..OpuConfig::default()
-        }
-    }
-
-    /// Cycles needed to score one senone with `components` mixture components
-    /// over `dim` feature dimensions (analytic form of the cycle model, used
-    /// by capacity planning; the simulator counts the same quantity
-    /// operationally).
-    pub fn cycles_per_senone(&self, dim: usize, components: usize) -> CycleCount {
-        let per_gaussian =
-            self.pipeline_fill_cycles + self.cycles_per_dimension * dim as u64 + self.swa_cycles;
-        components as u64 * per_gaussian + components as u64 * self.logadd_cycles
-    }
-
-    /// Maximum senones one OP unit can score within a cycle budget
-    /// (e.g. the 500 000 cycles of a 10 ms frame at 50 MHz).
-    pub fn senone_capacity(&self, dim: usize, components: usize, budget: CycleCount) -> usize {
-        let per_senone = self.cycles_per_senone(dim, components).max(1);
-        (budget / per_senone) as usize
-    }
-}
+/// Pipeline fill latency in cycles before the first result of a Gaussian
+/// emerges (depth of the (X−Y)²·Z + adder pipeline).
+const PIPELINE_FILL_CYCLES: CycleCount = 6;
+/// Cycles per feature dimension once the pipeline is full (fully pipelined).
+const CYCLES_PER_DIMENSION: CycleCount = 1;
+/// Cycles for the scale-and-weight fused multiply-add closing each Gaussian.
+const SWA_CYCLES: CycleCount = 2;
+/// Cycles for one log-add (SRAM lookup + add).
+const LOGADD_CYCLES: CycleCount = 2;
+/// Cycles to latch one feature-vector element into the input buffer.
+const FEATURE_LOAD_CYCLES_PER_DIM: CycleCount = 1;
 
 /// Activity statistics of the OP unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,7 +54,6 @@ pub struct OpuStats {
 /// The Observation Probability unit simulator.
 #[derive(Debug, Clone)]
 pub struct ObservationProbabilityUnit {
-    config: OpuConfig,
     datapath: SoftFloat,
     logadd: LogAddTable,
     feature: Option<Vec<f32>>,
@@ -115,28 +62,35 @@ pub struct ObservationProbabilityUnit {
 }
 
 impl ObservationProbabilityUnit {
-    /// Builds an OP unit from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log-add table configuration is invalid (the default and
-    /// paper configurations are always valid).
-    pub fn new(config: OpuConfig) -> Self {
-        let logadd = LogAddTable::with_config(config.logadd_table)
-            .expect("log-add table configuration must be valid");
+    /// Builds an OP unit whose floating-point datapath carries `width`
+    /// mantissa bits (the paper's sweep: 23, 15 or 12).
+    pub fn new(width: MantissaWidth) -> Self {
         ObservationProbabilityUnit {
-            datapath: SoftFloat::with_width(config.datapath_width),
-            logadd,
-            config,
+            datapath: SoftFloat::with_width(width),
+            logadd: LogAddTable::new(),
             feature: None,
             stats: OpuStats::default(),
             gate: ClockGate::new(),
         }
     }
 
-    /// The unit configuration.
-    pub fn config(&self) -> &OpuConfig {
-        &self.config
+    /// Cycles to evaluate one Gaussian over `dim` feature dimensions:
+    /// pipeline fill, one beat per dimension and the scale-and-weight step.
+    pub fn cycles_per_gaussian(dim: usize) -> CycleCount {
+        PIPELINE_FILL_CYCLES + CYCLES_PER_DIMENSION * dim as u64 + SWA_CYCLES
+    }
+
+    /// Cycles needed to score one senone with `components` mixture components
+    /// over `dim` feature dimensions (analytic form of the cycle model, used
+    /// by capacity planning; the simulator charges exactly this per senone).
+    pub fn cycles_per_senone(dim: usize, components: usize) -> CycleCount {
+        components as u64 * (Self::cycles_per_gaussian(dim) + LOGADD_CYCLES)
+    }
+
+    /// Maximum senones one OP unit can score within a cycle budget
+    /// (e.g. the 500 000 cycles of a 10 ms frame at 50 MHz).
+    pub fn senone_capacity(dim: usize, components: usize, budget: CycleCount) -> usize {
+        (budget / Self::cycles_per_senone(dim, components).max(1)) as usize
     }
 
     /// Activity statistics since the last reset.
@@ -152,7 +106,7 @@ impl ObservationProbabilityUnit {
     /// Loads the frame's feature vector into the internal buffer
     /// ("the input feature vector is first stored in the internal buffer").
     pub fn load_feature_vector(&mut self, x: &[f32]) {
-        let cycles = self.config.feature_load_cycles_per_dim * x.len() as u64;
+        let cycles = FEATURE_LOAD_CYCLES_PER_DIM * x.len() as u64;
         self.stats.cycles += cycles;
         self.stats.feature_loads += x.len() as u64;
         self.gate.record_active(cycles);
@@ -210,7 +164,7 @@ impl ObservationProbabilityUnit {
         // component, one Gaussian and one log-add each, and the cycles of
         // the pipeline model.
         let (dim, k) = (x.len() as u64, components.len() as u64);
-        let cycles = self.config.cycles_per_senone(x.len(), components.len());
+        let cycles = Self::cycles_per_senone(x.len(), components.len());
         self.stats.parameters_streamed += k * (2 * dim + 1);
         self.stats.gaussians_evaluated += k;
         self.stats.logadds += k;
@@ -243,7 +197,7 @@ mod tests {
     #[test]
     fn requires_feature_vector() {
         let m = model();
-        let mut opu = ObservationProbabilityUnit::new(OpuConfig::default());
+        let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
         assert_eq!(
             opu.score_senone(&m, SenoneId(0)).unwrap_err(),
             HwError::NoFeatureLoaded
@@ -253,7 +207,7 @@ mod tests {
     #[test]
     fn rejects_bad_ids_and_shapes() {
         let m = model();
-        let mut opu = ObservationProbabilityUnit::new(OpuConfig::default());
+        let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
         opu.load_feature_vector(&vec![0.0; m.feature_dim()]);
         assert!(matches!(
             opu.score_senone(&m, SenoneId(9_999)),
@@ -271,7 +225,7 @@ mod tests {
         // The hardware's answer (table log-add, full-width datapath) must track
         // the exact software reference within the table's error bound.
         let m = model();
-        let mut opu = ObservationProbabilityUnit::new(OpuConfig::default());
+        let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
         let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.3 * d as f32 - 0.7).collect();
         opu.load_feature_vector(&x);
         for i in 0..m.senones().len() {
@@ -290,14 +244,12 @@ mod tests {
     #[test]
     fn reduced_width_still_tracks_reference() {
         let m = model();
-        let mut opu =
-            ObservationProbabilityUnit::new(OpuConfig::with_width(MantissaWidth::BITS_12));
+        let mut opu = ObservationProbabilityUnit::new(MantissaWidth::BITS_12);
         let x: Vec<f32> = (0..m.feature_dim()).map(|d| 0.1 * d as f32).collect();
         opu.load_feature_vector(&x);
         let hw = opu.score_senone(&m, SenoneId(3)).unwrap();
         let sw = m.score_senone(SenoneId(3), &x).unwrap();
         assert!((hw.raw() - sw.raw()).abs() < 0.5);
-        assert_eq!(opu.config().datapath_width, MantissaWidth::BITS_12);
     }
 
     /// A random model: 1–40 dimensions, 1–8 components per senone, means in
@@ -380,7 +332,7 @@ mod tests {
             let m = random_model(&mut rng);
             let x: Vec<f32> = (0..m.feature_dim()).map(|_| rng.uniform(-4.0, 4.0)).collect();
             for width in MantissaWidth::PAPER_SWEEP {
-                let mut opu = ObservationProbabilityUnit::new(OpuConfig::with_width(width));
+                let mut opu = ObservationProbabilityUnit::new(width);
                 opu.load_feature_vector(&x);
                 for (i, senone) in m.senones().iter().enumerate() {
                     let id = SenoneId(i as u32);
@@ -406,8 +358,7 @@ mod tests {
     #[test]
     fn cycle_counts_match_analytic_model() {
         let m = model();
-        let cfg = OpuConfig::default();
-        let mut opu = ObservationProbabilityUnit::new(cfg.clone());
+        let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
         let x = vec![0.0f32; m.feature_dim()];
         opu.load_feature_vector(&x);
         let before = opu.stats().cycles;
@@ -415,7 +366,10 @@ mod tests {
         let per_senone = opu.stats().cycles - before;
         let dim = m.feature_dim();
         let comps = m.config().num_components;
-        assert_eq!(per_senone, cfg.cycles_per_senone(dim, comps));
+        assert_eq!(
+            per_senone,
+            ObservationProbabilityUnit::cycles_per_senone(dim, comps)
+        );
     }
 
     #[test]
@@ -424,10 +378,9 @@ mod tests {
         // 50 MHz can score ~1400 senones in a 10 ms frame, so two structures
         // cover just under half of the 6000-senone inventory — exactly the
         // claim that active senones must stay below 50 % for real time.
-        let cfg = OpuConfig::default();
-        let per_senone = cfg.cycles_per_senone(39, 8);
+        let per_senone = ObservationProbabilityUnit::cycles_per_senone(39, 8);
         assert!(per_senone > 300 && per_senone < 450, "{per_senone}");
-        let capacity = cfg.senone_capacity(39, 8, 500_000);
+        let capacity = ObservationProbabilityUnit::senone_capacity(39, 8, 500_000);
         assert!(capacity > 1000 && capacity < 2000, "{capacity}");
         let two_units = 2 * capacity;
         assert!(two_units < 3000, "two structures stay under 50% of 6000");
@@ -437,7 +390,7 @@ mod tests {
     #[test]
     fn stats_accumulate_and_reset() {
         let m = model();
-        let mut opu = ObservationProbabilityUnit::new(OpuConfig::default());
+        let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
         let x = vec![0.0f32; m.feature_dim()];
         opu.load_feature_vector(&x);
         let ids: Vec<SenoneId> = (0..4).map(SenoneId).collect();
@@ -470,7 +423,7 @@ mod tests {
         // A feature vector equal to senone 5's mean must score senone 5 best —
         // through the hardware path, not just the software reference.
         let m = model();
-        let mut opu = ObservationProbabilityUnit::new(OpuConfig::default());
+        let mut opu = ObservationProbabilityUnit::new(MantissaWidth::FULL);
         let target_mean = m.senones().get(SenoneId(5)).unwrap().mixture().components()[0]
             .mean()
             .to_vec();

@@ -1,49 +1,54 @@
 //! The assembled SoC: host processor + dedicated accelerator structures +
-//! memory system.
+//! flash.
 //!
 //! "Two such dedicated structures (observation probability unit and the
 //! Viterbi decoder combined) can support real time speech recognition."
 //! [`SpeechSoc`] instantiates `n` structures (default 2), distributes the
 //! active-senone scoring and HMM updates across them, charges every streamed
-//! parameter to the flash/DMA model, and produces per-frame and per-utterance
-//! reports of cycles, real-time factor, bandwidth, power and energy — the raw
-//! material for experiments E2, E5, E6 and E7.
+//! parameter and every DMA fetch to the flash model, and produces per-frame
+//! and per-utterance reports of cycles, real-time factor, bandwidth, power
+//! and energy — the raw material for experiments E2, E5, E6 and E7.
 
-use crate::clock::{ClockDomain, CycleCount};
-use crate::memory::{DmaEngine, FlashMemory, WorkingRam};
-use crate::opu::{ObservationProbabilityUnit, OpuConfig};
+use crate::clock::CycleCount;
+use crate::memory::FlashMemory;
+use crate::opu::ObservationProbabilityUnit;
 use crate::power::{EnergyReport, HostCpuModel, PowerModel};
-use crate::viterbi_unit::{HmmStep, ViterbiUnit, ViterbiUnitConfig};
+use crate::viterbi_unit::{HmmStep, ViterbiUnit};
 use crate::HwError;
 use asr_acoustic::{AcousticModel, SenoneId, TransitionMatrix};
-use asr_float::LogProb;
+use asr_float::{LogProb, MantissaWidth};
 
-/// Configuration of the SoC.
-#[derive(Debug, Clone, PartialEq)]
+/// Speech frame period in seconds: one feature vector every 10 ms.
+const FRAME_PERIOD_S: f64 = 0.010;
+
+/// Most structures a SoC may have.  The paper's machine has two; the bound
+/// keeps a hostile count from becoming an unbounded allocation, since every
+/// structure carries its own units, log-add table and buffers.
+const MAX_STRUCTURES: usize = 1024;
+
+/// Configuration of the SoC: the paper's two design axes.
+///
+/// Everything else about the machine is fixed, as in the paper's
+/// fixed-function silicon: the 50 MHz clock and the 200 mW / 2.2 mm² per
+/// structure of [`PowerModel::paper_calibrated`], the ARM9-class host of
+/// [`HostCpuModel::arm9_embedded`], the 10 ms frame, the units' pipeline
+/// depths and the 512-byte log-add SRAM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SocConfig {
-    /// Number of accelerator structures (OP unit + Viterbi decoder pairs).
+    /// Number of accelerator structures (OP unit + Viterbi decoder pairs),
+    /// 1 to 1024.
     pub num_structures: usize,
-    /// OP-unit configuration shared by all structures.
-    pub opu: OpuConfig,
-    /// Viterbi-unit configuration shared by all structures.
-    pub viterbi: ViterbiUnitConfig,
-    /// Power/area model of one structure.
-    pub power: PowerModel,
-    /// Host CPU model for the software stages.
-    pub host: HostCpuModel,
-    /// Speech frame period in seconds (10 ms).
-    pub frame_period_s: f64,
+    /// Mantissa width of the OP units' datapath and of the Gaussian
+    /// parameters stored in flash (the paper's sweep: 23, 15 or 12 bits).
+    /// The Viterbi units keep the full 23 bits.
+    pub datapath_width: MantissaWidth,
 }
 
 impl Default for SocConfig {
     fn default() -> Self {
         SocConfig {
             num_structures: 2,
-            opu: OpuConfig::default(),
-            viterbi: ViterbiUnitConfig::default(),
-            power: PowerModel::paper_calibrated(),
-            host: HostCpuModel::arm9_embedded(),
-            frame_period_s: 0.010,
+            datapath_width: MantissaWidth::FULL,
         }
     }
 }
@@ -53,37 +58,29 @@ impl SocConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`HwError::InvalidConfig`] when there are no structures or the
-    /// frame period is not positive.
+    /// Returns [`HwError::InvalidConfig`] when there are no structures or
+    /// more than 1024.
     pub fn validate(&self) -> Result<(), HwError> {
         if self.num_structures == 0 {
             return Err(HwError::InvalidConfig("num_structures == 0".into()));
         }
-        if self.frame_period_s <= 0.0 || self.frame_period_s.is_nan() {
-            return Err(HwError::InvalidConfig(
-                "frame_period_s must be positive".into(),
-            ));
+        if self.num_structures > MAX_STRUCTURES {
+            return Err(HwError::InvalidConfig(format!(
+                "num_structures must be at most {MAX_STRUCTURES}"
+            )));
         }
         Ok(())
-    }
-
-    /// The accelerator clock (taken from the power model).
-    pub fn clock(&self) -> ClockDomain {
-        self.power.clock
-    }
-
-    /// Cycle budget available per frame per structure.
-    pub fn cycle_budget_per_frame(&self) -> CycleCount {
-        self.clock().cycles_per_frame(self.frame_period_s)
     }
 
     /// Maximum senones the whole SoC can score per frame
     /// (capacity × number of structures).
     pub fn senone_capacity_per_frame(&self, dim: usize, components: usize) -> usize {
         self.num_structures
-            * self
-                .opu
-                .senone_capacity(dim, components, self.cycle_budget_per_frame())
+            * ObservationProbabilityUnit::senone_capacity(
+                dim,
+                components,
+                SpeechSoc::cycle_budget_per_frame(),
+            )
     }
 }
 
@@ -361,10 +358,10 @@ impl UtteranceReport {
 #[derive(Debug, Clone)]
 pub struct SpeechSoc {
     config: SocConfig,
+    power: PowerModel,
+    host: HostCpuModel,
     structures: Vec<Structure>,
     flash: FlashMemory,
-    ram: WorkingRam,
-    dma: DmaEngine,
     frames: Vec<FrameReport>,
     next_structure: usize,
     /// Senones and HMM updates already counted in `frames`.
@@ -382,19 +379,18 @@ impl SpeechSoc {
         config.validate()?;
         let structures = (0..config.num_structures)
             .map(|_| Structure {
-                opu: ObservationProbabilityUnit::new(config.opu.clone()),
-                viterbi: ViterbiUnit::new(config.viterbi),
+                opu: ObservationProbabilityUnit::new(config.datapath_width),
+                viterbi: ViterbiUnit::default(),
                 frame_start_opu_cycles: 0,
                 frame_start_viterbi_cycles: 0,
             })
             .collect();
-        let flash = FlashMemory::new(config.opu.datapath_width);
         Ok(SpeechSoc {
             config,
+            power: PowerModel::paper_calibrated(),
+            host: HostCpuModel::arm9_embedded(),
             structures,
-            flash,
-            ram: WorkingRam::new(),
-            dma: DmaEngine::new(),
+            flash: FlashMemory::new(config.datapath_width),
             frames: Vec::new(),
             next_structure: 0,
             reported_senones: 0,
@@ -407,19 +403,17 @@ impl SpeechSoc {
         &self.config
     }
 
+    /// Cycle budget of one structure per 10 ms frame at the power model's
+    /// 50 MHz (500 000).
+    pub fn cycle_budget_per_frame() -> CycleCount {
+        PowerModel::paper_calibrated()
+            .clock
+            .cycles_per_frame(FRAME_PERIOD_S)
+    }
+
     /// The flash memory model (for inspecting bandwidth counters).
     pub fn flash(&self) -> &FlashMemory {
         &self.flash
-    }
-
-    /// The working RAM model.
-    pub fn ram(&self) -> &WorkingRam {
-        &self.ram
-    }
-
-    /// The DMA engine model.
-    pub fn dma(&self) -> &DmaEngine {
-        &self.dma
     }
 
     /// Completed per-frame reports.
@@ -436,8 +430,6 @@ impl SpeechSoc {
             s.frame_start_viterbi_cycles = s.viterbi.stats().cycles;
             s.opu.load_feature_vector(feature);
         }
-        // The frame's feature vector is staged in RAM for the software stages.
-        self.ram.write((feature.len() * 4) as u64);
     }
 
     /// Scores the frame's active senones into `out` (appended in `ids`
@@ -467,8 +459,6 @@ impl SpeechSoc {
             }
             let streamed = structure.opu.stats().parameters_streamed - before;
             self.flash.read_parameters(streamed as usize);
-            // Senone scores are written to RAM for the Viterbi stage.
-            self.ram.write(chunk.len() as u64 * 4);
         }
         Ok(())
     }
@@ -488,24 +478,21 @@ impl SpeechSoc {
     ) -> Result<HmmStep, HwError> {
         let idx = self.next_structure;
         self.next_structure = (self.next_structure + 1) % self.structures.len();
-        // Path scores are read from and written back to RAM each frame.
-        self.ram.read(prev_scores.len() as u64 * 4);
-        self.ram.write(senone_scores.len() as u64 * 4);
         self.structures[idx]
             .viterbi
             .step_hmm(prev_scores, entry_score, transitions, senone_scores)
     }
 
-    /// Records a dictionary / language-model DMA transfer (word-decode stage).
+    /// Records a dictionary / language-model DMA transfer (word-decode
+    /// stage): its bytes are read from flash.
     pub fn dma_fetch(&mut self, bytes: u64) {
-        self.dma.transfer(bytes);
         self.flash.read_bytes(bytes);
     }
 
     /// Ends the frame, charging the host-CPU cost of the software stages and
     /// producing a [`FrameReport`].
     pub fn end_frame(&mut self, active_triphones: usize, lattice_edges: usize) -> FrameReport {
-        let budget = self.config.cycle_budget_per_frame();
+        let budget = Self::cycle_budget_per_frame();
         let mut senones = 0u64;
         let mut hmms = 0u64;
         let mut worst_opu = 0u64;
@@ -532,13 +519,12 @@ impl SpeechSoc {
         self.reported_hmms = hmms;
 
         let host_cycles = self
-            .config
             .host
             .software_cycles_per_frame(active_triphones, lattice_edges);
 
         let accel_busy = worst_opu + worst_vit;
         let accelerator_rtf = accel_busy as f64 / budget as f64;
-        let host_budget = self.config.host.clock.cycles_in(self.config.frame_period_s);
+        let host_budget = self.host.clock.cycles_in(FRAME_PERIOD_S);
         let host_rtf = host_cycles as f64 / host_budget.max(1) as f64;
 
         let report = FrameReport {
@@ -563,7 +549,7 @@ impl SpeechSoc {
         if frames == 0 {
             return UtteranceReport::default();
         }
-        let audio_seconds = frames as f64 * self.config.frame_period_s;
+        let audio_seconds = frames as f64 * FRAME_PERIOD_S;
         let mut opu_activity_sum = 0.0;
         let mut vit_activity_sum = 0.0;
         let mut accel_energy = 0.0;
@@ -572,21 +558,14 @@ impl SpeechSoc {
             let vit_act = s.viterbi.clock_gate().activity_factor();
             opu_activity_sum += opu_act;
             vit_activity_sum += vit_act;
-            let elapsed = self.config.clock().cycles_in(audio_seconds);
-            accel_energy += self
-                .config
-                .power
-                .structure_energy_j(elapsed, opu_act, vit_act);
+            let elapsed = self.power.clock.cycles_in(audio_seconds);
+            accel_energy += self.power.structure_energy_j(elapsed, opu_act, vit_act);
         }
         let n = self.structures.len() as f64;
         let host_energy: f64 = self
             .frames
             .iter()
-            .map(|f| {
-                self.config
-                    .host
-                    .energy_per_frame_j(f.host_cycles, self.config.frame_period_s)
-            })
+            .map(|f| self.host.energy_per_frame_j(f.host_cycles, FRAME_PERIOD_S))
             .sum();
 
         let worst_rtf = self
@@ -610,12 +589,8 @@ impl SpeechSoc {
             worst_frame_rtf: worst_rtf,
             mean_rtf,
             real_time_fraction: rt_frames as f64 / frames as f64,
-            peak_bandwidth_gb_per_s: self
-                .flash
-                .peak_bandwidth_gb_per_s(self.config.frame_period_s),
-            mean_bandwidth_gb_per_s: self.flash.mean_frame_bytes()
-                / self.config.frame_period_s
-                / 1.0e9,
+            peak_bandwidth_gb_per_s: self.flash.peak_bandwidth_gb_per_s(FRAME_PERIOD_S),
+            mean_bandwidth_gb_per_s: self.flash.mean_frame_bytes() / FRAME_PERIOD_S / 1.0e9,
             shard_senones: Vec::new(),
             energy: EnergyReport {
                 accelerator_energy_j: accel_energy,
@@ -637,8 +612,6 @@ impl SpeechSoc {
             s.frame_start_viterbi_cycles = 0;
         }
         self.flash.reset();
-        self.ram.reset();
-        self.dma.reset();
         self.frames.clear();
         self.next_structure = 0;
         self.reported_senones = 0;
@@ -672,13 +645,13 @@ mod tests {
         .validate()
         .is_err());
         assert!(SocConfig {
-            frame_period_s: 0.0,
+            num_structures: MAX_STRUCTURES + 1,
             ..SocConfig::default()
         }
         .validate()
         .is_err());
         let cfg = SocConfig::default();
-        assert_eq!(cfg.cycle_budget_per_frame(), 500_000);
+        assert_eq!(SpeechSoc::cycle_budget_per_frame(), 500_000);
         // Paper geometry: two structures score 2000–3000 senones per frame.
         let cap = cfg.senone_capacity_per_frame(39, 8);
         assert!(cap > 2000 && cap < 3000, "{cap}");
@@ -716,8 +689,6 @@ mod tests {
         assert!(report.real_time, "tiny frame must be real-time: {report:?}");
         assert!(report.accelerator_rtf < 0.1);
         assert_eq!(soc.frame_reports().len(), 1);
-        assert_eq!(soc.dma().transfers(), 1);
-        assert!(soc.ram().stats().bytes_written > 0);
     }
 
     #[test]
@@ -831,7 +802,7 @@ mod tests {
         // but above leakage.
         let avg_power = report.energy.average_power_w();
         assert!(avg_power < 0.4, "{avg_power}");
-        assert!(avg_power > 2.0 * soc.config().power.leakage_w * 0.9);
+        assert!(avg_power > 2.0 * PowerModel::paper_calibrated().leakage_w * 0.9);
         // Energy is positive and dominated by the accelerator or host, not NaN.
         assert!(report.energy.total_energy_j() > 0.0);
 

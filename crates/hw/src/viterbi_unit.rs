@@ -25,54 +25,25 @@ use crate::HwError;
 use asr_acoustic::{HmmTopology, TransitionMatrix};
 use asr_float::{LogProb, MantissaWidth, SoftFloat};
 
-/// Configuration of the Viterbi datapath.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViterbiUnitConfig {
-    /// Mantissa width of the 32-bit adder datapath.
-    pub datapath_width: MantissaWidth,
-    /// Cycles per add (path score + transition, and + senone score).
-    pub add_cycles: CycleCount,
-    /// Cycles per compare ("Add & Compare (2 cycles)" in Figure 3).
-    pub compare_cycles: CycleCount,
-    /// Pipeline fill cycles per destination-state column.
-    pub column_fill_cycles: CycleCount,
-}
+/// Cycles per add (path score + transition, and + senone score).
+const ADD_CYCLES: CycleCount = 1;
+/// Cycles per compare ("Add & Compare (2 cycles)" in Figure 3).
+const COMPARE_CYCLES: CycleCount = 2;
+/// Pipeline fill cycles per destination-state column.
+const COLUMN_FILL_CYCLES: CycleCount = 1;
 
-impl Default for ViterbiUnitConfig {
-    fn default() -> Self {
-        ViterbiUnitConfig {
-            datapath_width: MantissaWidth::FULL,
-            add_cycles: 1,
-            compare_cycles: 2,
-            column_fill_cycles: 1,
-        }
-    }
-}
-
-impl ViterbiUnitConfig {
-    /// Cycles to advance one HMM of `states` emitting states by one frame,
-    /// `transition_adds` being its non-zero incoming transitions over all
-    /// columns (`2·states − 1` for a Bakis HMM).  Exactly what
-    /// [`ViterbiUnit::step_hmm`] charges.
-    pub fn cycles_per_hmm(&self, states: usize, transition_adds: usize) -> CycleCount {
-        self.step_charge(states, transition_adds).cycles
-    }
-
-    /// The one charge of an HMM step: each destination column costs a fill,
-    /// its transition adds, a compare and the senone add; the exit
-    /// reduction then costs an add per state and one compare.
-    fn step_charge(&self, states: usize, transition_adds: usize) -> ViterbiUnitStats {
-        let states = states as u64;
-        let adds = transition_adds as u64 + 2 * states;
-        let compares = states + 1;
-        ViterbiUnitStats {
-            cycles: self.column_fill_cycles * states
-                + self.add_cycles * adds
-                + self.compare_cycles * compares,
-            hmm_updates: 1,
-            adds,
-            compares,
-        }
+/// The one charge of an HMM step: each destination column costs a fill, its
+/// transition adds, a compare and the senone add; the exit reduction then
+/// costs an add per state and one compare.
+fn step_charge(states: usize, transition_adds: usize) -> ViterbiUnitStats {
+    let states = states as u64;
+    let adds = transition_adds as u64 + 2 * states;
+    let compares = states + 1;
+    ViterbiUnitStats {
+        cycles: COLUMN_FILL_CYCLES * states + ADD_CYCLES * adds + COMPARE_CYCLES * compares,
+        hmm_updates: 1,
+        adds,
+        compares,
     }
 }
 
@@ -121,26 +92,27 @@ impl HmmStep {
 /// The Viterbi decoder unit simulator.
 #[derive(Debug, Clone)]
 pub struct ViterbiUnit {
-    config: ViterbiUnitConfig,
     datapath: SoftFloat,
     stats: ViterbiUnitStats,
     gate: ClockGate,
 }
 
 impl ViterbiUnit {
-    /// Builds a Viterbi unit.
-    pub fn new(config: ViterbiUnitConfig) -> Self {
+    /// Builds a Viterbi unit whose adder carries `width` mantissa bits.
+    pub fn new(width: MantissaWidth) -> Self {
         ViterbiUnit {
-            datapath: SoftFloat::with_width(config.datapath_width),
-            config,
+            datapath: SoftFloat::with_width(width),
             stats: ViterbiUnitStats::default(),
             gate: ClockGate::new(),
         }
     }
 
-    /// The unit configuration.
-    pub fn config(&self) -> &ViterbiUnitConfig {
-        &self.config
+    /// Cycles to advance one HMM of `states` emitting states by one frame,
+    /// `transition_adds` being its non-zero incoming transitions over all
+    /// columns (`2·states − 1` for a Bakis HMM).  Exactly what
+    /// [`ViterbiUnit::step_hmm`] charges.
+    pub fn cycles_per_hmm(states: usize, transition_adds: usize) -> CycleCount {
+        step_charge(states, transition_adds).cycles
     }
 
     /// Activity statistics since the last reset.
@@ -266,7 +238,7 @@ impl ViterbiUnit {
                 step.exit_score = e;
             }
         }
-        let charge = self.config.step_charge(step.states, transition_adds);
+        let charge = step_charge(step.states, transition_adds);
         self.stats.adds += charge.adds;
         self.stats.compares += charge.compares;
         self.stats.cycles += charge.cycles;
@@ -284,7 +256,7 @@ impl ViterbiUnit {
 
 impl Default for ViterbiUnit {
     fn default() -> Self {
-        Self::new(ViterbiUnitConfig::default())
+        Self::new(MantissaWidth::FULL)
     }
 }
 
@@ -334,7 +306,7 @@ mod tests {
         t: &TransitionMatrix,
         obs: &[LogProb],
     ) -> (Vec<LogProb>, Vec<usize>, LogProb, ViterbiUnitStats) {
-        let (fp, cfg) = (SoftFloat::with_width(width), ViterbiUnitConfig::default());
+        let fp = SoftFloat::with_width(width);
         let add = |a: LogProb, b: LogProb| {
             if a.is_zero() || b.is_zero() {
                 LogProb::zero()
@@ -349,36 +321,36 @@ mod tests {
         };
         let (mut scores, mut backpointers) = (Vec::new(), Vec::new());
         for (j, &obs_j) in obs.iter().enumerate() {
-            stats.cycles += cfg.column_fill_cycles;
+            stats.cycles += COLUMN_FILL_CYCLES;
             let (mut best, mut best_src) = (LogProb::zero(), j);
             for i in (0..n).filter(|&i| !t.log_prob(i, j).is_zero()) {
                 let candidate = add(prev[i], t.log_prob(i, j));
-                stats.cycles += cfg.add_cycles;
+                stats.cycles += ADD_CYCLES;
                 stats.adds += 1;
                 if candidate.raw() > best.raw() {
                     (best, best_src) = (candidate, i);
                 }
             }
-            stats.cycles += cfg.compare_cycles;
+            stats.cycles += COMPARE_CYCLES;
             stats.compares += 1;
             if j == 0 && !entry.is_zero() && entry.raw() > best.raw() {
                 (best, best_src) = (entry, usize::MAX);
             }
             scores.push(add(best, obs_j));
             backpointers.push(best_src);
-            stats.cycles += cfg.add_cycles;
+            stats.cycles += ADD_CYCLES;
             stats.adds += 1;
         }
         let mut exit = LogProb::zero();
         for (i, &score) in scores.iter().enumerate() {
             let e = add(score, t.log_exit_prob(i));
-            stats.cycles += cfg.add_cycles;
+            stats.cycles += ADD_CYCLES;
             stats.adds += 1;
             if e.raw() > exit.raw() {
                 exit = e;
             }
         }
-        stats.cycles += cfg.compare_cycles;
+        stats.cycles += COMPARE_CYCLES;
         stats.compares += 1;
         (scores, backpointers, exit, stats)
     }
@@ -438,10 +410,7 @@ mod tests {
                     };
                     for bits in 1..=23 {
                         let width = MantissaWidth::new(bits).unwrap();
-                        let mut unit = ViterbiUnit::new(ViterbiUnitConfig {
-                            datapath_width: width,
-                            ..ViterbiUnitConfig::default()
-                        });
+                        let mut unit = ViterbiUnit::new(width);
                         let step = unit.step_hmm(&prev, entry, t, &obs).unwrap();
                         let (scores, backpointers, exit, stats) =
                             per_operation_step(width, &prev, entry, t, &obs);
@@ -550,17 +519,19 @@ mod tests {
 
     #[test]
     fn cycle_count_matches_analytic_model() {
-        let cfg = ViterbiUnitConfig::default();
         for (topology, cycles) in HmmTopology::ALL.into_iter().zip([22, 36, 50]) {
             let n = topology.num_states();
             let t = TransitionMatrix::bakis(topology, 0.6).unwrap();
-            let mut unit = ViterbiUnit::new(cfg);
+            let mut unit = ViterbiUnit::default();
             let prev = vec![LogProb::new(-1.0); n];
             let obs = vec![LogProb::new(-1.0); n];
             unit.step_hmm(&prev, LogProb::zero(), &t, &obs).unwrap();
             // Bakis: a self-loop into every state, a forward transition into
             // every state but the first.
-            assert_eq!(unit.stats().cycles, cfg.cycles_per_hmm(n, 2 * n - 1));
+            assert_eq!(
+                unit.stats().cycles,
+                ViterbiUnit::cycles_per_hmm(n, 2 * n - 1)
+            );
             assert_eq!(unit.stats().cycles, cycles, "{topology}");
         }
     }
@@ -578,6 +549,5 @@ mod tests {
         unit.reset_stats();
         assert_eq!(unit.stats(), &ViterbiUnitStats::default());
         assert_eq!(unit.clock_gate().total_cycles(), 0);
-        assert_eq!(unit.config().compare_cycles, 2);
     }
 }

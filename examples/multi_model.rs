@@ -6,8 +6,8 @@
 //! The flow:
 //!
 //! 1. build a "dictation" recogniser over a synthetic task (hardware backend),
-//! 2. train a compact "voice_command" model from synthesised audio (the
-//!    `voice_command` example's pipeline, abbreviated),
+//! 2. train the "voice_command" model from synthesised audio
+//!    ([`ScenarioVoiceTask::train`], the `voice_command` example's task),
 //! 3. register both in a [`ModelRegistry`] and spawn one two-worker server,
 //! 4. submit mixed traffic routed by model id (and tagged by tenant),
 //! 5. hot-swap the dictation model to a sharded backend mid-service,
@@ -15,107 +15,14 @@
 //!
 //! Run with: `cargo run --example multi_model --release`
 
-use lvcsr::acoustic::{
-    AcousticModel, AcousticModelConfig, GaussianMixture, GmmTrainer, HmmTopology, PhoneId,
-    SenoneId, SenonePool, TrainerConfig, TransitionMatrix, Triphone, TriphoneInventory,
+use lvcsr::corpus::{
+    align_wer, AudioSynthesizer, ScenarioVoiceTask, TaskConfig, TaskGenerator, WerScore,
 };
-use lvcsr::corpus::{align_wer, AudioSynthesizer, TaskConfig, TaskGenerator, WerScore};
 use lvcsr::decoder::{DecoderConfig, Recognizer};
-use lvcsr::frontend::{Frontend, FrontendConfig};
-use lvcsr::lexicon::{Dictionary, NGramModel, Pronunciation};
+use lvcsr::frontend::Frontend;
 use lvcsr::serve::{AsrServer, DecodeRequest, ModelRegistry, ServeConfig};
 use lvcsr::LvcsrError;
 use std::time::Duration;
-
-/// The command vocabulary: (spelling, phone sequence).
-const COMMANDS: &[(&str, &[u16])] = &[
-    ("forward", &[1, 2, 3]),
-    ("back", &[4, 5]),
-    ("left", &[6, 7, 8]),
-    ("right", &[9, 10, 11]),
-];
-
-/// Trains the compact voice-command recogniser from rendered audio, returning
-/// it with the frontend and dictionary needed to feed it at decode time.
-fn train_voice_command() -> Result<(Recognizer, Frontend, Dictionary), LvcsrError> {
-    let synth = AudioSynthesizer::default_16khz();
-    // Static cepstra only, no per-utterance mean normalisation: the phone
-    // models are trained on isolated phone renderings, so the features of a
-    // full command must be extracted the same way.
-    let fe = Frontend::new(FrontendConfig {
-        use_delta: false,
-        use_delta_delta: false,
-        cepstral_mean_norm: false,
-        ..FrontendConfig::default()
-    })?;
-    let dim = fe.config().feature_dim();
-    let phones: Vec<u16> = {
-        let mut p: Vec<u16> = COMMANDS
-            .iter()
-            .flat_map(|(_, ph)| ph.iter().copied())
-            .collect();
-        p.sort_unstable();
-        p.dedup();
-        p
-    };
-    let num_phones = 1 + *phones.iter().max().unwrap() as usize;
-
-    let trainer = GmmTrainer::new(TrainerConfig {
-        num_components: 2,
-        kmeans_iterations: 6,
-        em_iterations: 3,
-        ..TrainerConfig::default()
-    });
-    let states = 3usize;
-    let mut mixtures: Vec<GaussianMixture> = Vec::new();
-    let mut inventory = TriphoneInventory::new(HmmTopology::Three);
-    for &phone in &phones {
-        let mut per_state: Vec<Vec<Vec<f32>>> = vec![Vec::new(); states];
-        for take in 0..6u64 {
-            let audio = synth.render_phones(&[PhoneId(phone)], take * 31 + phone as u64);
-            let frames = fe.process(&audio);
-            let third = frames.len() / states;
-            for (i, f) in frames.into_iter().enumerate() {
-                let state = (i / third.max(1)).min(states - 1);
-                per_state[state].push(f);
-            }
-        }
-        let senone_base = mixtures.len() as u32;
-        for state_frames in per_state {
-            mixtures.push(trainer.fit(&state_frames)?);
-        }
-        inventory.add(
-            Triphone::context_independent(PhoneId(phone)),
-            (0..states as u32)
-                .map(|k| SenoneId(senone_base + k))
-                .collect(),
-        )?;
-    }
-    let num_senones = mixtures.len();
-    let model = AcousticModel::new(
-        AcousticModelConfig {
-            num_senones,
-            num_components: 2,
-            feature_dim: dim,
-            topology: HmmTopology::Three,
-            num_phones,
-            self_loop_prob: 0.7,
-        },
-        SenonePool::new(mixtures)?,
-        inventory,
-        TransitionMatrix::bakis(HmmTopology::Three, 0.7)?,
-    )?;
-    let mut dictionary = Dictionary::new();
-    for (spelling, phones) in COMMANDS {
-        dictionary.add_word(
-            spelling,
-            Pronunciation::new(phones.iter().map(|&p| PhoneId(p)).collect()),
-        )?;
-    }
-    let lm = NGramModel::uniform(dictionary.len())?;
-    let recognizer = Recognizer::new(model, dictionary.clone(), lm, DecoderConfig::hardware(1))?;
-    Ok((recognizer, fe, dictionary))
-}
 
 fn main() -> Result<(), LvcsrError> {
     // 1. The "dictation" model: a synthetic task on a two-structure SoC.
@@ -129,9 +36,18 @@ fn main() -> Result<(), LvcsrError> {
         )
     };
 
-    // 2. The "voice_command" model, trained from rendered audio.
+    // 2. The "voice_command" model, trained from rendered audio, and the
+    //    frontend its features must be extracted with.
     println!("training the voice-command model from synthesised audio...");
-    let (command_model, fe, command_dict) = train_voice_command()?;
+    let commands = ScenarioVoiceTask::train(11)?;
+    let fe = Frontend::new(ScenarioVoiceTask::frontend_config())?;
+    let command_dict = commands.dictionary.clone();
+    let command_model = Recognizer::new(
+        commands.acoustic_model,
+        commands.dictionary,
+        commands.language_model,
+        DecoderConfig::hardware(1),
+    )?;
 
     // 3. One server, both models.  Unnamed requests route to "dictation";
     //    the per-model quota keeps either workload from starving the other.
@@ -158,8 +74,10 @@ fn main() -> Result<(), LvcsrError> {
     let mut command_pending = Vec::new();
     for (i, (features, _)) in dictation_set.iter().enumerate() {
         dictation_pending.push(server.submit(features.clone())?);
-        let (spelling, _) = COMMANDS[i % COMMANDS.len()];
-        let word = command_dict.id_of(spelling).expect("command in dictionary");
+        let (word, spelling, _) = command_dict
+            .iter()
+            .nth(i % command_dict.len())
+            .expect("command in dictionary");
         let audio = synth.render_words(&command_dict, &[word], 1000 + i as u64);
         command_pending.push((
             spelling,

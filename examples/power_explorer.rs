@@ -8,16 +8,19 @@ use lvcsr::acoustic::AcousticModelConfig;
 use lvcsr::baseline::{ComparisonTable, SoftwareBaseline, SoftwareCostModel, SoftwarePlatform};
 use lvcsr::corpus::Wsj5kTask;
 use lvcsr::decoder::{DecoderConfig, GmmSelectionConfig, Recognizer};
-use lvcsr::hw::{OpuConfig, PowerModel};
+use lvcsr::hw::{ObservationProbabilityUnit, PowerModel};
 use lvcsr::LvcsrError;
 
 fn main() -> Result<(), LvcsrError> {
     let geometry = AcousticModelConfig::paper_default();
     let power = PowerModel::paper_calibrated();
-    let opu = OpuConfig::default();
 
     // --- capacity: how many senones fit in a 10 ms frame per structure? ---
-    let per_structure = opu.senone_capacity(geometry.feature_dim, geometry.num_components, 500_000);
+    let per_structure = ObservationProbabilityUnit::senone_capacity(
+        geometry.feature_dim,
+        geometry.num_components,
+        500_000,
+    );
     println!("-- capacity at 50 MHz --");
     for structures in 1..=4 {
         let capacity = structures * per_structure;

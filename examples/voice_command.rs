@@ -3,135 +3,41 @@
 //!
 //! This example runs the *whole* chain with no shortcuts:
 //!
-//! 1. render command words to waveforms ([`lvcsr::corpus::AudioSynthesizer`]),
-//! 2. extract MFCC features with the software frontend (Figure 1's first box),
-//! 3. train senone Gaussians from those features with the k-means/EM trainer,
-//! 4. build a recogniser over the command dictionary,
-//! 5. decode new renderings of spoken commands on the hardware model.
+//! 1. train the command task ([`lvcsr::corpus::ScenarioVoiceTask::train`]):
+//!    phones rendered to waveforms, MFCC features extracted with the
+//!    software frontend (Figure 1's first box), senone Gaussians fitted to
+//!    them with the k-means/EM trainer, and a recogniser's dictionary and
+//!    uniform language model over the commands,
+//! 2. render fresh spoken commands to audio
+//!    ([`lvcsr::corpus::AudioSynthesizer`]),
+//! 3. decode them from audio, through the task's frontend, on a
+//!    single-structure hardware model.
 //!
 //! Run with: `cargo run --example voice_command --release`
 
-use lvcsr::acoustic::{
-    AcousticModel, AcousticModelConfig, GaussianMixture, GmmTrainer, HmmTopology, PhoneId,
-    SenoneId, SenonePool, TrainerConfig, TransitionMatrix, Triphone, TriphoneInventory,
-};
-use lvcsr::corpus::AudioSynthesizer;
+use lvcsr::corpus::{AudioSynthesizer, ScenarioVoiceTask};
 use lvcsr::decoder::{DecoderConfig, Recognizer};
-use lvcsr::frontend::{Frontend, FrontendConfig};
-use lvcsr::lexicon::{Dictionary, NGramModel, Pronunciation};
+use lvcsr::frontend::Frontend;
 use lvcsr::LvcsrError;
 
-/// The command vocabulary: (spelling, phone sequence).
-const COMMANDS: &[(&str, &[u16])] = &[
-    ("forward", &[1, 2, 3]),
-    ("back", &[4, 5]),
-    ("left", &[6, 7, 8]),
-    ("right", &[9, 10, 11]),
-    ("stop", &[12, 13]),
-    ("faster", &[14, 15, 16]),
-];
-
-fn frontend() -> Frontend {
-    // 13 static cepstra, no deltas: keeps the trained models small.  Per-
-    // utterance cepstral mean normalisation is disabled because the phone
-    // models are trained on isolated phone renderings whose utterance mean
-    // differs from that of a full command — the features must match.
-    let cfg = FrontendConfig {
-        use_delta: false,
-        use_delta_delta: false,
-        cepstral_mean_norm: false,
-        ..FrontendConfig::default()
-    };
-    Frontend::new(cfg).expect("frontend configuration is valid")
-}
-
 fn main() -> Result<(), LvcsrError> {
-    let synth = AudioSynthesizer::default_16khz();
-    let fe = frontend();
-    let dim = fe.config().feature_dim();
-    let phones: Vec<u16> = {
-        let mut p: Vec<u16> = COMMANDS
-            .iter()
-            .flat_map(|(_, ph)| ph.iter().copied())
-            .collect();
-        p.sort_unstable();
-        p.dedup();
-        p
-    };
-    let num_phones = 1 + *phones.iter().max().unwrap() as usize;
-
-    // --- train one 3-state model per phone from rendered audio ---
-    println!(
-        "training {} phone models from synthesised audio...",
-        phones.len()
-    );
-    let trainer = GmmTrainer::new(TrainerConfig {
-        num_components: 2,
-        kmeans_iterations: 6,
-        em_iterations: 3,
-        ..TrainerConfig::default()
-    });
-    let states = 3usize;
-    let mut mixtures: Vec<GaussianMixture> = Vec::new();
-    let mut inventory = TriphoneInventory::new(HmmTopology::Three);
-    for &phone in &phones {
-        // Several renderings of the phone give training data; each rendering's
-        // frames are split into three equal thirds, one per HMM state.
-        let mut per_state: Vec<Vec<Vec<f32>>> = vec![Vec::new(); states];
-        for take in 0..6u64 {
-            let audio = synth.render_phones(&[PhoneId(phone)], take * 31 + phone as u64);
-            let frames = fe.process(&audio);
-            let third = frames.len() / states;
-            for (i, f) in frames.into_iter().enumerate() {
-                let state = (i / third.max(1)).min(states - 1);
-                per_state[state].push(f);
-            }
-        }
-        let senone_base = mixtures.len() as u32;
-        for state_frames in per_state {
-            mixtures.push(trainer.fit(&state_frames)?);
-        }
-        inventory.add(
-            Triphone::context_independent(PhoneId(phone)),
-            (0..states as u32)
-                .map(|k| SenoneId(senone_base + k))
-                .collect(),
-        )?;
-    }
-    let num_senones = mixtures.len();
-    let model = AcousticModel::new(
-        AcousticModelConfig {
-            num_senones,
-            num_components: 2,
-            feature_dim: dim,
-            topology: HmmTopology::Three,
-            num_phones,
-            self_loop_prob: 0.7,
-        },
-        SenonePool::new(mixtures)?,
-        inventory,
-        TransitionMatrix::bakis(HmmTopology::Three, 0.7)?,
+    println!("training the command phone models from synthesised audio...");
+    let task = ScenarioVoiceTask::train(11)?;
+    let fe = Frontend::new(ScenarioVoiceTask::frontend_config())?;
+    let recognizer = Recognizer::new(
+        task.acoustic_model,
+        task.dictionary.clone(),
+        task.language_model,
+        DecoderConfig::hardware(1),
     )?;
 
-    // --- dictionary + uniform LM over the commands ---
-    let mut dictionary = Dictionary::new();
-    for (spelling, phones) in COMMANDS {
-        dictionary.add_word(
-            spelling,
-            Pronunciation::new(phones.iter().map(|&p| PhoneId(p)).collect()),
-        )?;
-    }
-    let lm = NGramModel::uniform(dictionary.len())?;
-    let recognizer = Recognizer::new(model, dictionary.clone(), lm, DecoderConfig::hardware(1))?;
-
-    // --- recognise freshly rendered commands ---
     println!("\nrecognising spoken commands (fresh renderings, decoded from audio):");
+    let synth = AudioSynthesizer::default_16khz();
     let mut correct = 0usize;
-    for (i, (spelling, _)) in COMMANDS.iter().enumerate() {
-        let word = dictionary.id_of(spelling).expect("command in dictionary");
-        let audio = synth.render_words(&dictionary, &[word], 1000 + i as u64);
+    for (i, (word, spelling, _)) in task.dictionary.iter().enumerate() {
+        let audio = synth.render_words(&task.dictionary, &[word], 1000 + i as u64);
         let result = recognizer.decode_audio(&audio, &fe)?;
-        let ok = result.hypothesis.text.first().map(String::as_str) == Some(*spelling);
+        let ok = result.hypothesis.text.first().map(String::as_str) == Some(spelling);
         if ok {
             correct += 1;
         }
@@ -144,7 +50,7 @@ fn main() -> Result<(), LvcsrError> {
     println!(
         "\ncommand accuracy: {}/{} with a single 50 MHz structure",
         correct,
-        COMMANDS.len()
+        task.dictionary.len()
     );
     Ok(())
 }

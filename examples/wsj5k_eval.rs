@@ -9,7 +9,6 @@ use lvcsr::acoustic::{quantize_model, AcousticModelConfig, StorageLayout};
 use lvcsr::corpus::{align_wer, WerScore, Wsj5kTask};
 use lvcsr::decoder::{DecoderConfig, Recognizer, ScoringBackendKind};
 use lvcsr::float::MantissaWidth;
-use lvcsr::hw::OpuConfig;
 use lvcsr::LvcsrError;
 
 fn main() -> Result<(), LvcsrError> {
@@ -31,7 +30,7 @@ fn main() -> Result<(), LvcsrError> {
         let model = quantize_model(&task.acoustic_model, width)?;
         let mut config = DecoderConfig::hardware(2);
         if let ScoringBackendKind::Hardware(soc) = &mut config.backend {
-            soc.opu = OpuConfig::with_width(width);
+            soc.datapath_width = width;
         }
         let recognizer = Recognizer::new(
             model,
