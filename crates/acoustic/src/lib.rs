@@ -53,6 +53,11 @@ pub use storage::{FlashImage, StorageLayout};
 pub use trainer::{GmmTrainer, TrainerConfig};
 pub use triphone::{PhoneId, Triphone, TriphoneId, TriphoneInventory};
 
+/// Speech frame period in seconds: one feature vector every 10 ms, the
+/// period over which the paper re-reads the model from flash and budgets the
+/// machine's cycles, power and bandwidth.
+pub const FRAME_PERIOD_S: f64 = 0.010;
+
 /// Errors produced by acoustic-model construction and evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AcousticError {

@@ -4,7 +4,7 @@
 use crate::gmm::GaussianMixture;
 use crate::hmm::{HmmTopology, TransitionMatrix};
 use crate::senone::{SenoneId, SenonePool};
-use crate::triphone::{Triphone, TriphoneId, TriphoneInventory};
+use crate::triphone::{Triphone, TriphoneInventory};
 use crate::AcousticError;
 use asr_float::LogProb;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,20 +253,6 @@ impl AcousticModel {
         self.senones().score_all(x)
     }
 
-    /// Scores a subset of senones (the active set from word-decode feedback).
-    pub fn score_active_senones(&self, ids: &[SenoneId], x: &[f32]) -> Vec<(SenoneId, LogProb)> {
-        self.senones().score_subset(ids, x)
-    }
-
-    /// The senone sequence of a triphone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcousticError::UnknownId`] for an unknown triphone.
-    pub fn triphone_senones(&self, id: TriphoneId) -> Result<&[SenoneId], AcousticError> {
-        self.triphones().senones(id)
-    }
-
     /// Total stored Gaussian parameters (the quantity that drives the paper's
     /// memory/bandwidth table).
     pub fn gaussian_param_count(&self) -> usize {
@@ -318,8 +304,7 @@ mod tests {
         assert!(std::ptr::eq(m.clone().senones(), m.senones()));
         assert_ne!(AcousticModel::untrained(cfg.clone()).unwrap().id(), m.id());
         // Every registered triphone's senones are valid.
-        for (id, _, senones) in m.triphones().iter() {
-            assert_eq!(m.triphone_senones(id).unwrap(), senones);
+        for (_, _, senones) in m.triphones().iter() {
             for &s in senones {
                 assert!(m.senones().get(s).is_some());
             }
@@ -332,10 +317,8 @@ mod tests {
         let x = vec![0.5f32; m.feature_dim()];
         let all = m.score_all_senones(&x);
         assert_eq!(all.len(), m.senones().len());
-        let some: Vec<SenoneId> = (0..5).map(SenoneId).collect();
-        for (id, score) in m.score_active_senones(&some, &x) {
-            assert_eq!(score.raw(), all[id.index()].raw());
-            assert_eq!(m.score_senone(id, &x).unwrap().raw(), score.raw());
+        for id in (0..5).map(SenoneId) {
+            assert_eq!(m.score_senone(id, &x).unwrap().raw(), all[id.index()].raw());
         }
         assert!(m.score_senone(SenoneId(9999), &x).is_err());
     }

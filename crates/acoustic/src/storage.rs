@@ -17,7 +17,7 @@
 //! backed by a real serialiser rather than a formula alone.
 
 use crate::model::{AcousticModel, AcousticModelConfig};
-use crate::AcousticError;
+use crate::{AcousticError, FRAME_PERIOD_S};
 use asr_float::{MantissaWidth, Quantizer};
 
 /// Analytic storage/bandwidth accounting for an acoustic model configuration.
@@ -27,9 +27,6 @@ pub struct StorageLayout {
     pub gaussian_params: usize,
     /// Storage width of each parameter.
     pub width: MantissaWidth,
-    /// Frame period in seconds over which the whole model may be re-read
-    /// (10 ms in the paper).
-    pub frame_period_s: f64,
 }
 
 impl StorageLayout {
@@ -38,7 +35,6 @@ impl StorageLayout {
         StorageLayout {
             gaussian_params: config.total_gaussian_params(),
             width,
-            frame_period_s: 0.010,
         }
     }
 
@@ -47,7 +43,6 @@ impl StorageLayout {
         StorageLayout {
             gaussian_params: model.gaussian_param_count(),
             width,
-            frame_period_s: 0.010,
         }
     }
 
@@ -62,9 +57,10 @@ impl StorageLayout {
     }
 
     /// Worst-case bandwidth in bytes/second: the whole model streamed once per
-    /// frame ("assuming all 6000 senones are evaluated in a frame of 10ms").
+    /// frame ("assuming all 6000 senones are evaluated in a frame of 10ms",
+    /// [`FRAME_PERIOD_S`]).
     pub fn worst_case_bandwidth_bytes_per_s(&self) -> f64 {
-        self.model_bytes() / self.frame_period_s
+        self.model_bytes() / FRAME_PERIOD_S
     }
 
     /// Worst-case bandwidth in GB/s (10⁹ bytes, as the paper reports).

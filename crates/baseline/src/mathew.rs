@@ -14,7 +14,7 @@
 //! magnitude more power than the paper's 2 × 200 mW structures, and charges a
 //! host-contention penalty for the non-DMA model accesses.
 
-use asr_acoustic::AcousticModelConfig;
+use asr_acoustic::{AcousticModelConfig, FRAME_PERIOD_S};
 use asr_float::MantissaWidth;
 use asr_hw::ClockDomain;
 
@@ -66,7 +66,7 @@ impl MathewAccelerator {
     pub fn bandwidth_gb_per_s(&self, geometry: &AcousticModelConfig) -> f64 {
         let params = geometry.total_gaussian_params() as f64;
         let bytes = params * MantissaWidth::FULL.storage_bytes();
-        bytes / 0.010 / 1.0e9
+        bytes / FRAME_PERIOD_S / 1.0e9
     }
 
     /// Real-time factor: the published design meets real time for the full
@@ -78,7 +78,7 @@ impl MathewAccelerator {
             * (geometry.feature_dim as f64 / self.parallel_lanes.max(1.0) + 8.0);
         let accel_cycles = geometry.num_senones as f64 * cycles_per_senone;
         let accel_time = accel_cycles / self.clock.frequency_hz();
-        let accel_rtf = accel_time / 0.010;
+        let accel_rtf = accel_time / FRAME_PERIOD_S;
         // Host search at ~0.4 RTF, inflated by contention.
         let host_rtf = 0.4 * (1.0 + self.contention_overhead);
         accel_rtf.max(host_rtf)

@@ -29,15 +29,15 @@ const CHUNK_FRAMES: usize = 5;
 const FRAME_SHIFT_S: f64 = 0.010;
 
 /// Streams one utterance through a decode session on `decoder` in
-/// `CHUNK_FRAMES` chunks, timing each push and reading the partial after it;
-/// returns the words decoded, the latency record and the decoder.
+/// `CHUNK_FRAMES` chunks, timing each push into `timing` and reading the
+/// partial after it; returns the words decoded and the decoder.
 fn stream_utterance(
     rec: &Recognizer,
     decoder: PhoneDecoder,
     features: &[Vec<f32>],
-) -> (usize, StreamTiming, PhoneDecoder) {
+    timing: &mut StreamTiming,
+) -> (usize, PhoneDecoder) {
     let mut session = DecodeSession::begin(rec, decoder);
-    let mut timing = StreamTiming::new();
     for chunk in features.chunks(CHUNK_FRAMES) {
         let start = Instant::now();
         session.push_chunk(chunk).expect("chunk decodes");
@@ -48,11 +48,7 @@ fn stream_utterance(
         std::hint::black_box(session.partial());
     }
     let (result, decoder) = session.finish();
-    (
-        result.expect("finish").hypothesis.words.len(),
-        timing,
-        decoder,
-    )
+    (result.expect("finish").hypothesis.words.len(), decoder)
 }
 
 fn bench_stream_latency(c: &mut Criterion) {
@@ -77,7 +73,9 @@ fn bench_stream_latency(c: &mut Criterion) {
             let mut decoder = offline.phone_decoder().expect("decoder builds");
             let mut words = 0usize;
             for features in &utterances {
-                let (decoded, _, recycled) = stream_utterance(&offline, decoder, features);
+                let mut timing = StreamTiming::new();
+                let (decoded, recycled) =
+                    stream_utterance(&offline, decoder, features, &mut timing);
                 words += decoded;
                 decoder = recycled;
             }
@@ -155,8 +153,7 @@ fn record_p50_chunk_latency(rec: &Recognizer, utterances: &[Vec<Vec<f32>>]) {
     let mut timing = StreamTiming::new();
     for features in utterances {
         let decoder = rec.phone_decoder().expect("decoder builds");
-        let (_, streamed, _) = stream_utterance(rec, decoder, features);
-        timing = timing.merge(&streamed);
+        stream_utterance(rec, decoder, features, &mut timing);
     }
     if let Err(e) = asr_bench::bench_json::record_entry(
         &path,

@@ -1,7 +1,9 @@
 //! The per-experiment harness functions (see the experiment index in
 //! DESIGN.md).  Every function is deterministic given its arguments.
 
-use asr_acoustic::{quantize_model, AcousticModel, AcousticModelConfig, StorageLayout};
+use asr_acoustic::{
+    quantize_model, AcousticModel, AcousticModelConfig, StorageLayout, FRAME_PERIOD_S,
+};
 use asr_baseline::ComparisonTable;
 use asr_core::{DecoderConfig, GmmSelectionConfig, Recognizer, ScoringBackendKind};
 use asr_corpus::{align_wer, SyntheticTask, WerScore, Wsj5kTask};
@@ -362,7 +364,7 @@ pub fn f1_pipeline_breakdown(scale: usize) -> F1Report {
             result.stats.mean_active_hmms() as usize,
             result.lattice.len() / result.stats.num_frames().max(1),
         ) as f64,
-        flash_bytes_per_frame: hw.mean_bandwidth_gb_per_s * 1.0e9 * 0.010,
+        flash_bytes_per_frame: hw.mean_bandwidth_gb_per_s * 1.0e9 * FRAME_PERIOD_S,
         cycle_budget: budget,
     }
 }

@@ -65,8 +65,8 @@ impl ScoringBackendKind {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::InvalidConfig`] if the SoC configuration is
-    /// invalid.
+    /// Returns [`DecodeError::InvalidConfig`] if the SoC configuration or
+    /// a shard count is invalid.
     pub fn build_scorer(
         &self,
         _selection: &GmmSelectionConfig,
@@ -76,6 +76,7 @@ impl ScoringBackendKind {
             ScoringBackendKind::Software => Ok(Box::new(SoftwareScorer::new())),
             ScoringBackendKind::Simd => Ok(Box::new(SimdScorer::new())),
             ScoringBackendKind::Sharded { shards, inner } => {
+                self.validate()?;
                 let built = (0..*shards)
                     .map(|_| inner.build_scorer(_selection))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -89,7 +90,10 @@ impl ScoringBackendKind {
     /// # Errors
     ///
     /// Returns [`DecodeError::InvalidConfig`] for an invalid SoC
-    /// configuration or a zero shard count.
+    /// configuration, a zero shard count, or more than
+    /// [`SocConfig::MAX_STRUCTURES`] scorers in total (the product of the
+    /// nested shard counts: every scorer is built, so a hostile count must
+    /// not become an unbounded allocation).
     pub fn validate(&self) -> Result<(), DecodeError> {
         match self {
             ScoringBackendKind::Hardware(soc) => soc
@@ -102,8 +106,25 @@ impl ScoringBackendKind {
                         "a sharded backend needs at least one shard".into(),
                     ));
                 }
+                if self.scorer_count() > SocConfig::MAX_STRUCTURES {
+                    return Err(DecodeError::InvalidConfig(format!(
+                        "a sharded backend may build at most {} scorers",
+                        SocConfig::MAX_STRUCTURES
+                    )));
+                }
                 inner.validate()
             }
+        }
+    }
+
+    /// The number of scorers this backend builds: the product of the nested
+    /// shard counts (saturating), 1 for an unsharded backend.
+    fn scorer_count(&self) -> usize {
+        match self {
+            ScoringBackendKind::Sharded { shards, inner } => {
+                shards.saturating_mul(inner.scorer_count())
+            }
+            _ => 1,
         }
     }
 }
@@ -390,6 +411,26 @@ mod tests {
             ..DecoderConfig::default()
         };
         assert!(bad_leaf.validate().is_err());
+        // The total scorer count is bounded by the SoC's structure bound,
+        // as a product over the nesting.
+        let max = SocConfig::MAX_STRUCTURES;
+        nest(nest(ScoringBackendKind::Simd, 32), max / 32)
+            .validate()
+            .unwrap();
+        for too_many in [
+            nest(ScoringBackendKind::Simd, max + 1),
+            nest(ScoringBackendKind::Software, usize::MAX),
+            nest(nest(ScoringBackendKind::Simd, 33), max / 32),
+            nest(nest(ScoringBackendKind::Simd, usize::MAX), usize::MAX),
+        ] {
+            assert!(
+                matches!(too_many.validate(), Err(DecodeError::InvalidConfig(_))),
+                "{too_many:?}"
+            );
+            assert!(too_many
+                .build_scorer(&GmmSelectionConfig::default())
+                .is_err());
+        }
     }
 
     #[test]

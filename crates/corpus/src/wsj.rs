@@ -14,7 +14,7 @@
 use crate::generator::{SyntheticTask, TaskConfig, TaskGenerator};
 use crate::CorpusError;
 use asr_acoustic::{AcousticModelConfig, HmmTopology};
-use asr_lexicon::{DictionaryStorage, NGramOrder};
+use asr_lexicon::NGramOrder;
 
 /// The WSJ5K-like task bundle.
 #[derive(Debug, Clone)]
@@ -25,12 +25,6 @@ impl Wsj5kTask {
     /// 8 Gaussians, 39 dimensions, 3-state HMMs, 51 phones.
     pub fn paper_geometry() -> AcousticModelConfig {
         AcousticModelConfig::paper_default()
-    }
-
-    /// The dictionary-sizing exercise of the paper (20 000 words, ~9
-    /// triphones/word, 3-state HMMs → ≈ 11 Mb).
-    pub fn paper_dictionary_storage() -> DictionaryStorage {
-        DictionaryStorage::paper_estimate()
     }
 
     /// A scaled synthetic stand-in for the WSJ5K evaluation set: `scale` is a
@@ -63,15 +57,6 @@ impl Wsj5kTask {
         };
         TaskGenerator::new(seed).generate(&config)
     }
-
-    /// A very small variant for fast tests (same structure, ~25 words).
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation errors.
-    pub fn evaluation_tiny(seed: u64) -> Result<SyntheticTask, CorpusError> {
-        Self::evaluation(200, seed)
-    }
 }
 
 #[cfg(test)]
@@ -85,9 +70,6 @@ mod tests {
         assert_eq!(g.num_components, 8);
         assert_eq!(g.feature_dim, 39);
         assert_eq!(g.params_per_senone(), 632);
-        let d = Wsj5kTask::paper_dictionary_storage();
-        assert_eq!(d.num_words, 20_000);
-        assert!((d.total_megabits() - 11.0).abs() < 0.2);
     }
 
     #[test]
@@ -103,7 +85,7 @@ mod tests {
 
     #[test]
     fn tiny_evaluation_task_is_decodeable_shape() {
-        let task = Wsj5kTask::evaluation_tiny(2).unwrap();
+        let task = Wsj5kTask::evaluation(200, 2).unwrap();
         assert!(task.dictionary.len() >= 10);
         let (features, words) = task.synthesize_utterance(3, 0.3, 1);
         assert_eq!(words.len(), 3);

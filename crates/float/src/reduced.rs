@@ -208,28 +208,9 @@ impl Quantizer {
         self.storage_bits(count) as f64 / 8.0
     }
 
-    /// Packed storage, in megabytes (10^6 bytes, as the paper reports), of
-    /// `count` values at this width.
-    pub fn storage_megabytes(&self, count: usize) -> f64 {
-        self.storage_bytes(count) / 1.0e6
-    }
-
     /// Largest relative error introduced on any single quantised value.
     pub fn max_relative_error(&self) -> f64 {
         self.width.max_relative_error()
-    }
-
-    /// Measures the actual maximum relative error over a slice (useful in the
-    /// experiment harness to confirm the analytic bound).
-    pub fn measured_relative_error(&self, values: &[f32]) -> f64 {
-        values
-            .iter()
-            .filter(|v| v.is_finite() && **v != 0.0)
-            .map(|&v| {
-                let q = self.quantize(v);
-                ((q - v).abs() / v.abs()) as f64
-            })
-            .fold(0.0, f64::max)
     }
 }
 
@@ -318,7 +299,6 @@ mod tests {
         let mut in_place = src.clone();
         q.quantize_slice(&mut in_place);
         assert_eq!(copy, in_place);
-        assert!(q.measured_relative_error(&src) <= q.max_relative_error());
         // Full-width in-place is a no-op fast path.
         let full = Quantizer::default();
         let mut same = src.clone();
@@ -331,7 +311,6 @@ mod tests {
         let q = Quantizer::new(MantissaWidth::BITS_12);
         assert_eq!(q.storage_bits(1000), 21_000);
         assert!((q.storage_bytes(1000) - 2625.0).abs() < 1e-9);
-        assert!((q.storage_megabytes(1_000_000) - 2.625).abs() < 1e-9);
         let full = Quantizer::new(MantissaWidth::FULL);
         assert_eq!(full.storage_bits(10), 320);
     }

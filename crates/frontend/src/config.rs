@@ -113,11 +113,6 @@ impl FrontendConfig {
         self.frame_length_samples().next_power_of_two()
     }
 
-    /// Number of frames produced per second of audio.
-    pub fn frames_per_second(&self) -> f32 {
-        1000.0 / self.frame_shift_ms
-    }
-
     /// Dimension of the final feature vector
     /// (cepstra, optionally + deltas + delta-deltas).
     pub fn feature_dim(&self) -> usize {
@@ -240,7 +235,6 @@ mod tests {
         assert_eq!(cfg.frame_shift_samples(), 160); // 10 ms @ 16 kHz
         assert_eq!(cfg.fft_size(), 512);
         assert_eq!(cfg.feature_dim(), 39);
-        assert!((cfg.frames_per_second() - 100.0).abs() < 1e-6);
     }
 
     #[test]

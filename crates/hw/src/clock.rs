@@ -59,11 +59,6 @@ impl ClockDomain {
         (seconds * self.frequency_hz).floor() as CycleCount
     }
 
-    /// Cycles available in one 10 ms speech frame.
-    pub fn cycles_per_frame(&self, frame_period_s: f64) -> CycleCount {
-        self.cycles_in(frame_period_s)
-    }
-
     /// Real-time factor of a workload: processing time divided by the audio
     /// time it covers.  Values ≤ 1 mean real-time operation.
     pub fn real_time_factor(&self, cycles: CycleCount, audio_seconds: f64) -> f64 {
@@ -147,11 +142,8 @@ mod tests {
         assert_eq!(ClockDomain::ACCELERATOR_50MHZ.frequency_hz(), 50.0e6);
         assert_eq!(ClockDomain::default(), ClockDomain::ACCELERATOR_50MHZ);
         // 10 ms frame at 50 MHz = 500 000 cycles.
-        assert_eq!(
-            ClockDomain::ACCELERATOR_50MHZ.cycles_per_frame(0.010),
-            500_000
-        );
-        assert_eq!(ClockDomain::HOST_200MHZ.cycles_per_frame(0.010), 2_000_000);
+        assert_eq!(ClockDomain::ACCELERATOR_50MHZ.cycles_in(0.010), 500_000);
+        assert_eq!(ClockDomain::HOST_200MHZ.cycles_in(0.010), 2_000_000);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! real time; a *streaming* software reproduction is judged the same way,
 //! but in host wall-clock terms: how long did each pushed chunk take to
 //! process, and how does the total processing time compare to the audio it
-//! covered?  [`StreamTiming`] collects those figures chunk by chunk and is
-//! folded into [`UtteranceReport`](crate::UtteranceReport) by the streaming
-//! layer, next to the simulated-cycle figures the SoC model keeps.
+//! covered?  [`StreamTiming`] collects those figures chunk by chunk; the
+//! streaming layer returns it beside the decode result, next to the
+//! simulated-cycle figures of the SoC model's
+//! [`UtteranceReport`](crate::UtteranceReport).
 
-/// Per-chunk latency statistics of one streamed utterance (or a merged
-/// stream of them).
+/// Per-chunk latency statistics of one streamed utterance.
 ///
 /// Latencies are recorded in seconds of host wall-clock per pushed chunk;
 /// audio time is the duration of the audio (or feature frames × frame shift)
@@ -96,32 +96,6 @@ impl StreamTiming {
             self.total_latency_s() / self.audio_seconds
         }
     }
-
-    /// Folds another stream's timing into this one (chunk records
-    /// concatenate, audio adds) — the sequential-stream counterpart of
-    /// [`UtteranceReport::merge`](crate::UtteranceReport::merge).
-    pub fn merge(&self, other: &StreamTiming) -> StreamTiming {
-        let mut merged = self.clone();
-        merged
-            .chunk_latencies_s
-            .extend_from_slice(&other.chunk_latencies_s);
-        merged.audio_seconds += other.audio_seconds;
-        merged
-    }
-
-    /// Combines two optional timings, for report folding: present beats
-    /// absent, two present records merge.
-    pub fn merge_options(
-        a: &Option<StreamTiming>,
-        b: &Option<StreamTiming>,
-    ) -> Option<StreamTiming> {
-        match (a, b) {
-            (Some(x), Some(y)) => Some(x.merge(y)),
-            (Some(x), None) => Some(x.clone()),
-            (None, Some(y)) => Some(y.clone()),
-            (None, None) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,36 +140,5 @@ mod tests {
         assert_eq!(t.total_latency_s(), 0.0);
         assert_eq!(t.audio_seconds(), 0.0);
         assert_eq!(t.real_time_factor(), 0.0);
-    }
-
-    #[test]
-    fn merge_concatenates_chunks_and_adds_audio() {
-        let mut a = StreamTiming::new();
-        a.record_chunk(0.001, 0.1);
-        let mut b = StreamTiming::new();
-        b.record_chunk(0.003, 0.2);
-        b.record_chunk(0.002, 0.2);
-        let m = a.merge(&b);
-        assert_eq!(m.chunks(), 3);
-        assert!((m.audio_seconds() - 0.5).abs() < 1e-12);
-        assert!((m.total_latency_s() - 0.006).abs() < 1e-12);
-        assert_eq!(m.max_latency_s(), 0.003);
-    }
-
-    #[test]
-    fn option_folding_prefers_presence() {
-        let mut a = StreamTiming::new();
-        a.record_chunk(0.001, 0.1);
-        assert_eq!(StreamTiming::merge_options(&None, &None), None);
-        assert_eq!(
-            StreamTiming::merge_options(&Some(a.clone()), &None),
-            Some(a.clone())
-        );
-        assert_eq!(
-            StreamTiming::merge_options(&None, &Some(a.clone())),
-            Some(a.clone())
-        );
-        let both = StreamTiming::merge_options(&Some(a.clone()), &Some(a)).unwrap();
-        assert_eq!(both.chunks(), 2);
     }
 }

@@ -12,6 +12,7 @@
 //! can be measured rather than assumed.  The RAM's traffic is not modelled:
 //! no reported figure depends on it.
 
+use asr_acoustic::FRAME_PERIOD_S;
 use asr_float::MantissaWidth;
 
 /// Counters describing traffic through one memory device.
@@ -134,12 +135,9 @@ impl FlashMemory {
         self.completed_bytes as f64 / self.completed_frames as f64
     }
 
-    /// Peak per-frame bandwidth in GB/s for a given frame period.
-    pub fn peak_bandwidth_gb_per_s(&self, frame_period_s: f64) -> f64 {
-        if frame_period_s <= 0.0 {
-            return 0.0;
-        }
-        self.peak_frame_bytes() as f64 / frame_period_s / 1.0e9
+    /// Peak per-frame bandwidth in GB/s over the 10 ms frame.
+    pub fn peak_bandwidth_gb_per_s(&self) -> f64 {
+        self.peak_frame_bytes() as f64 / FRAME_PERIOD_S / 1.0e9
     }
 
     /// Resets all counters.
@@ -189,8 +187,7 @@ mod tests {
         assert_eq!(flash.peak_frame_bytes(), 4000);
         assert!((flash.mean_frame_bytes() - 3050.0).abs() < 1e-9);
         // Peak bandwidth for a 10 ms frame: 4000 B / 0.01 s = 400 kB/s.
-        assert!((flash.peak_bandwidth_gb_per_s(0.010) - 4.0e-4).abs() < 1e-12);
-        assert_eq!(flash.peak_bandwidth_gb_per_s(0.0), 0.0);
+        assert!((flash.peak_bandwidth_gb_per_s() - 4.0e-4).abs() < 1e-12);
         flash.reset();
         assert_eq!(flash.stats().total_bytes(), 0);
         assert_eq!(flash.peak_frame_bytes(), 0);
@@ -203,7 +200,7 @@ mod tests {
         flash.begin_frame();
         flash.read_parameters(3_792_000);
         flash.end_utterance();
-        let gbps = flash.peak_bandwidth_gb_per_s(0.010);
+        let gbps = flash.peak_bandwidth_gb_per_s();
         assert!((gbps - 1.5168).abs() < 0.01, "{gbps}");
     }
 

@@ -11,6 +11,7 @@
 //! activity factors of the cycle-accurate unit models.
 
 use crate::clock::{ClockDomain, CycleCount};
+use asr_acoustic::FRAME_PERIOD_S;
 
 /// Per-structure area budget in mm², 0.18 µm technology.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,17 +112,6 @@ impl PowerModel {
         self.structure_power_w(opu_activity, viterbi_activity)
             * self.clock.cycles_to_seconds(elapsed)
     }
-
-    /// Energy per full-activity cycle of the OP unit, joules
-    /// (used for fine-grained per-operation accounting).
-    pub fn opu_energy_per_active_cycle_j(&self) -> f64 {
-        self.opu_dynamic_w / self.clock.frequency_hz()
-    }
-
-    /// Energy per full-activity cycle of the Viterbi unit, joules.
-    pub fn viterbi_energy_per_active_cycle_j(&self) -> f64 {
-        self.viterbi_dynamic_w / self.clock.frequency_hz()
-    }
 }
 
 impl Default for PowerModel {
@@ -188,17 +178,17 @@ impl HostCpuModel {
             + self.best_path_cycles_per_edge * lattice_edges as u64
     }
 
-    /// Average host power over a frame in which `busy_cycles` of its clock
-    /// were spent working and the rest idle.
-    pub fn average_power_w(&self, busy_cycles: CycleCount, frame_period_s: f64) -> f64 {
-        let available = self.clock.cycles_in(frame_period_s).max(1);
+    /// Average host power over a 10 ms frame in which `busy_cycles` of its
+    /// clock were spent working and the rest idle.
+    pub fn average_power_w(&self, busy_cycles: CycleCount) -> f64 {
+        let available = self.clock.cycles_in(FRAME_PERIOD_S).max(1);
         let duty = (busy_cycles as f64 / available as f64).clamp(0.0, 1.0);
         self.active_power_w * duty + self.idle_power_w * (1.0 - duty)
     }
 
-    /// Energy used by the host over one frame.
-    pub fn energy_per_frame_j(&self, busy_cycles: CycleCount, frame_period_s: f64) -> f64 {
-        self.average_power_w(busy_cycles, frame_period_s) * frame_period_s
+    /// Energy used by the host over one 10 ms frame.
+    pub fn energy_per_frame_j(&self, busy_cycles: CycleCount) -> f64 {
+        self.average_power_w(busy_cycles) * FRAME_PERIOD_S
     }
 }
 
@@ -286,8 +276,6 @@ mod tests {
         assert!((e1 - 0.002).abs() < 1e-9);
         let e_half = p.structure_energy_j(500_000, 0.5, 0.5);
         assert!(e_half < e1);
-        assert!(p.opu_energy_per_active_cycle_j() > 0.0);
-        assert!(p.viterbi_energy_per_active_cycle_j() > 0.0);
     }
 
     #[test]
@@ -297,10 +285,9 @@ mod tests {
         let cycles = arm.software_cycles_per_frame(500, 200);
         assert_eq!(cycles, 60_000 + 40 * 500 + 25 * 200);
         // Fully-busy frame → active power; idle frame → idle power.
-        let frame = 0.010;
-        assert!((arm.average_power_w(arm.clock.cycles_in(frame), frame) - 0.100).abs() < 1e-9);
-        assert!((arm.average_power_w(0, frame) - 0.005).abs() < 1e-9);
-        assert!(arm.energy_per_frame_j(100_000, frame) > 0.0);
+        assert!((arm.average_power_w(arm.clock.cycles_in(FRAME_PERIOD_S)) - 0.100).abs() < 1e-9);
+        assert!((arm.average_power_w(0) - 0.005).abs() < 1e-9);
+        assert!(arm.energy_per_frame_j(100_000) > 0.0);
         // The desktop baseline burns far more power.
         let desktop = HostCpuModel::desktop_pentium();
         assert!(desktop.active_power_w > 100.0 * arm.active_power_w);

@@ -15,16 +15,8 @@ use crate::opu::ObservationProbabilityUnit;
 use crate::power::{EnergyReport, HostCpuModel, PowerModel};
 use crate::viterbi_unit::{HmmStep, ViterbiUnit};
 use crate::HwError;
-use asr_acoustic::{AcousticModel, SenoneId, TransitionMatrix};
+use asr_acoustic::{AcousticModel, SenoneId, TransitionMatrix, FRAME_PERIOD_S};
 use asr_float::{LogProb, MantissaWidth};
-
-/// Speech frame period in seconds: one feature vector every 10 ms.
-const FRAME_PERIOD_S: f64 = 0.010;
-
-/// Most structures a SoC may have.  The paper's machine has two; the bound
-/// keeps a hostile count from becoming an unbounded allocation, since every
-/// structure carries its own units, log-add table and buffers.
-const MAX_STRUCTURES: usize = 1024;
 
 /// Configuration of the SoC: the paper's two design axes.
 ///
@@ -54,6 +46,12 @@ impl Default for SocConfig {
 }
 
 impl SocConfig {
+    /// Most structures a SoC may have.  The paper's machine has two; the
+    /// bound keeps a hostile count from becoming an unbounded allocation,
+    /// since every structure carries its own units, log-add table and
+    /// buffers.
+    pub const MAX_STRUCTURES: usize = 1024;
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -64,23 +62,13 @@ impl SocConfig {
         if self.num_structures == 0 {
             return Err(HwError::InvalidConfig("num_structures == 0".into()));
         }
-        if self.num_structures > MAX_STRUCTURES {
+        if self.num_structures > Self::MAX_STRUCTURES {
             return Err(HwError::InvalidConfig(format!(
-                "num_structures must be at most {MAX_STRUCTURES}"
+                "num_structures must be at most {}",
+                Self::MAX_STRUCTURES
             )));
         }
         Ok(())
-    }
-
-    /// Maximum senones the whole SoC can score per frame
-    /// (capacity × number of structures).
-    pub fn senone_capacity_per_frame(&self, dim: usize, components: usize) -> usize {
-        self.num_structures
-            * ObservationProbabilityUnit::senone_capacity(
-                dim,
-                components,
-                SpeechSoc::cycle_budget_per_frame(),
-            )
     }
 }
 
@@ -141,15 +129,10 @@ pub struct UtteranceReport {
     pub energy: EnergyReport,
     /// Scored-senone counts per parallel shard, in shard order — filled by
     /// [`UtteranceReport::merge_parallel`] when per-shard reports fold into
-    /// one (a sharded scorer), empty for an unsharded machine.  The
-    /// sequential [`UtteranceReport::merge`] adds the counts element-wise,
-    /// so a batch through one sharded scorer accumulates per-shard totals.
+    /// one (a sharded scorer), empty for an unsharded machine.
+    /// [`UtteranceReport::merge`] adds the counts element-wise, so utterances
+    /// decoded on N-shard machines accumulate N per-shard totals.
     pub shard_senones: Vec<u64>,
-    /// Host wall-clock streaming latency record, when the utterance was
-    /// decoded through a streaming session (per-chunk latencies and the
-    /// stream's real-time factor).  `None` for offline decodes; the SoC model
-    /// itself never fills this — the streaming layer folds it in.
-    pub streaming: Option<crate::latency::StreamTiming>,
 }
 
 impl UtteranceReport {
@@ -171,8 +154,7 @@ impl UtteranceReport {
     /// `"hw_report"`), ready for an [`asr_obs::ObsSink`] — the bridge from
     /// the cycle-accurate hardware model into the JSONL observability
     /// pipeline.  Flat scalar fields only; the per-shard senone vector is
-    /// summarised by `shards` and [`worst_shard_share`], and the streaming
-    /// latency record by chunk count and stream RTF.
+    /// summarised by `shards` and [`worst_shard_share`].
     ///
     /// [`worst_shard_share`]: UtteranceReport::worst_shard_share
     pub fn snapshot_fact(&self) -> asr_obs::Fact {
@@ -193,11 +175,6 @@ impl UtteranceReport {
         if let Some(share) = self.worst_shard_share() {
             fact = fact.with("worst_shard_share", share);
         }
-        if let Some(timing) = &self.streaming {
-            fact = fact
-                .with("stream_chunks", timing.chunks() as u64)
-                .with("stream_rtf", timing.real_time_factor());
-        }
         fact
     }
 
@@ -212,10 +189,13 @@ impl UtteranceReport {
         }
     }
 
-    /// Folds another utterance's report into this one — the batch-level
-    /// aggregation used when one SoC model serves a stream of utterances
-    /// (`Recognizer::decode_batch`): counters add, means re-weight by frame
-    /// (or audio-second) counts, and peak figures take the maximum.
+    /// Folds another utterance's report into this one — the aggregation of
+    /// *different* utterances, wherever they were decoded (one batch, one
+    /// session, or a server's concurrent workers): counters, frames, audio
+    /// seconds and energies add, means re-weight by frame (or audio-second)
+    /// counts, and peak figures take the maximum.  Every figure depends only
+    /// on the utterances folded, not on where or in which order they ran
+    /// (up to floating-point rounding of the sums).
     pub fn merge(&self, other: &UtteranceReport) -> UtteranceReport {
         if self.frames == 0 {
             return other.clone();
@@ -281,18 +261,15 @@ impl UtteranceReport {
                     other.energy.viterbi_activity,
                 ),
             },
-            streaming: crate::latency::StreamTiming::merge_options(
-                &self.streaming,
-                &other.streaming,
-            ),
         }
     }
 
     /// Folds the report of a *parallel shard* into this one — the aggregation
     /// used when several SoC instances process the **same** frames
     /// concurrently, each scoring a slice of the active-senone set (a sharded
-    /// scorer), as opposed to [`UtteranceReport::merge`], which concatenates
-    /// reports of *different* utterances of a sequential stream.
+    /// scorer), as opposed to [`UtteranceReport::merge`], which adds reports
+    /// of *different* utterances.  Only a sharded scorer's
+    /// `finish_utterance` calls it.
     ///
     /// The combination models one scaled-out machine over one audio stream:
     /// work counters (senones, HMM updates) add; frame and audio-second
@@ -346,10 +323,6 @@ impl UtteranceReport {
                     shard.energy.viterbi_activity,
                 ),
             },
-            // Parallel shards saw the same chunks; keeping one record (the
-            // stream layer stamps the merged report anyway) avoids counting
-            // the same chunk N times.
-            streaming: self.streaming.clone().or_else(|| shard.streaming.clone()),
         }
     }
 }
@@ -408,7 +381,7 @@ impl SpeechSoc {
     pub fn cycle_budget_per_frame() -> CycleCount {
         PowerModel::paper_calibrated()
             .clock
-            .cycles_per_frame(FRAME_PERIOD_S)
+            .cycles_in(FRAME_PERIOD_S)
     }
 
     /// The flash memory model (for inspecting bandwidth counters).
@@ -565,7 +538,7 @@ impl SpeechSoc {
         let host_energy: f64 = self
             .frames
             .iter()
-            .map(|f| self.host.energy_per_frame_j(f.host_cycles, FRAME_PERIOD_S))
+            .map(|f| self.host.energy_per_frame_j(f.host_cycles))
             .sum();
 
         let worst_rtf = self
@@ -589,7 +562,7 @@ impl SpeechSoc {
             worst_frame_rtf: worst_rtf,
             mean_rtf,
             real_time_fraction: rt_frames as f64 / frames as f64,
-            peak_bandwidth_gb_per_s: self.flash.peak_bandwidth_gb_per_s(FRAME_PERIOD_S),
+            peak_bandwidth_gb_per_s: self.flash.peak_bandwidth_gb_per_s(),
             mean_bandwidth_gb_per_s: self.flash.mean_frame_bytes() / FRAME_PERIOD_S / 1.0e9,
             shard_senones: Vec::new(),
             energy: EnergyReport {
@@ -599,7 +572,6 @@ impl SpeechSoc {
                 opu_activity: opu_activity_sum / n,
                 viterbi_activity: vit_activity_sum / n,
             },
-            streaming: None,
         }
     }
 
@@ -645,16 +617,12 @@ mod tests {
         .validate()
         .is_err());
         assert!(SocConfig {
-            num_structures: MAX_STRUCTURES + 1,
+            num_structures: SocConfig::MAX_STRUCTURES + 1,
             ..SocConfig::default()
         }
         .validate()
         .is_err());
-        let cfg = SocConfig::default();
         assert_eq!(SpeechSoc::cycle_budget_per_frame(), 500_000);
-        // Paper geometry: two structures score 2000–3000 senones per frame.
-        let cap = cfg.senone_capacity_per_frame(39, 8);
-        assert!(cap > 2000 && cap < 3000, "{cap}");
         assert!(SpeechSoc::new(SocConfig {
             num_structures: 0,
             ..SocConfig::default()
@@ -717,7 +685,6 @@ mod tests {
         // An unsharded offline report omits the optional fields.
         let plain = UtteranceReport::default().snapshot_fact();
         assert!(plain.field("worst_shard_share").is_none());
-        assert!(plain.field("stream_chunks").is_none());
     }
 
     #[test]

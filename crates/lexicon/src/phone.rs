@@ -79,15 +79,6 @@ impl PhoneSet {
             .enumerate()
             .map(|(i, n)| (PhoneId(i as u16), n.as_str()))
     }
-
-    /// All phone ids except silence — the candidates used when generating
-    /// synthetic pronunciations.
-    pub fn speech_phones(&self) -> Vec<PhoneId> {
-        self.iter()
-            .filter(|(id, _)| *id != self.silence())
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 impl Default for PhoneSet {
@@ -119,14 +110,6 @@ mod tests {
         }
         assert_eq!(p.id_of("NOT_A_PHONE"), None);
         assert_eq!(p.name_of(PhoneId(200)), None);
-    }
-
-    #[test]
-    fn speech_phones_excludes_silence() {
-        let p = PhoneSet::english_51();
-        let speech = p.speech_phones();
-        assert_eq!(speech.len(), 50);
-        assert!(!speech.contains(&p.silence()));
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl TraceId {
     /// span fact is ever recorded under it.
     pub const NONE: TraceId = TraceId(0);
 
-    /// Rebuilds a trace id from its raw value (fact-file readers).
-    pub fn from_raw(raw: u64) -> TraceId {
-        TraceId(raw)
-    }
-
     /// The raw id value (0 for [`TraceId::NONE`]).
     pub fn raw(self) -> u64 {
         self.0

@@ -256,11 +256,16 @@ struct Counters {
 }
 
 /// One registry slot: the hot-swappable current version plus the model's
-/// counters (which survive swaps — stats are per *name*, not per version).
+/// counters and hardware report (which survive swaps — stats are per
+/// *name*, not per version).
 #[derive(Debug)]
 struct ModelState {
     current: RwLock<Arc<ModelVersion>>,
     counters: Counters,
+    /// Every served utterance of this model folded with
+    /// [`UtteranceReport::merge`]; `None` until a hardware-backed one
+    /// completes.
+    hardware: Mutex<Option<UtteranceReport>>,
 }
 
 #[derive(Debug)]
@@ -277,16 +282,6 @@ struct Shared {
     /// Stream-session ids (monotonic; never reused within a server).  Also
     /// the pinning key: session `id` lives on worker `id % workers`.
     next_stream_id: AtomicU64,
-    /// Per-worker, per-model hardware accumulators, indexed by worker.
-    /// Within a worker each model's served utterances fold *sequentially*
-    /// with [`UtteranceReport::merge`] (one thread, one request stream —
-    /// sharded backends have already parallel-merged their shards
-    /// underneath); across workers the accumulators fold with
-    /// [`UtteranceReport::merge_parallel`] at read time, because the workers
-    /// decode concurrently — summing their frame counts would overstate the
-    /// wall-clock audio the server saw, exactly the distinction the two merge
-    /// operations exist for.
-    hardware: Mutex<Vec<HashMap<Arc<str>, UtteranceReport>>>,
     /// The tracing handle: disabled unless the server was spawned through
     /// [`AsrServer::spawn_observed`], and then every admitted request's span
     /// events record through it.
@@ -294,15 +289,13 @@ struct Shared {
 }
 
 impl Shared {
-    /// The counters of a registered model.  Admission interns every request's
-    /// model through the registry, so a name reaching the workers is always
-    /// present.
-    fn counters(&self, name: &str) -> &Counters {
-        &self
-            .models
+    /// The registry slot of a registered model.  Admission interns every
+    /// request's model through the registry, so a name reaching the workers
+    /// is always present.
+    fn model(&self, name: &str) -> &ModelState {
+        self.models
             .get(name)
             .expect("admitted request references a registered model")
-            .counters
     }
 }
 
@@ -475,6 +468,7 @@ impl AsrServer {
                 ModelState {
                     current: RwLock::new(version),
                     counters: Counters::default(),
+                    hardware: Mutex::new(None),
                 },
             );
         }
@@ -484,7 +478,6 @@ impl AsrServer {
             models: map,
             default_model: default_name.expect("into_parts validated the default name"),
             next_stream_id: AtomicU64::new(0),
-            hardware: Mutex::new(vec![HashMap::new(); config.workers]),
             telemetry,
         });
         let workers = (0..config.workers)
@@ -674,7 +667,7 @@ impl AsrServer {
             return Err(ServeError::Closed);
         }
         let admission = command.admission();
-        let counters = || self.shared.counters(&admission.model.name);
+        let counters = || &self.shared.model(&admission.model.name).counters;
         if command.bounded() {
             if let Err(rejection) = self.check_quotas(&queue, admission) {
                 counters().rejected.fetch_add(1, Ordering::Relaxed);
@@ -751,7 +744,8 @@ impl AsrServer {
             return Err(error);
         }
         self.shared
-            .counters(&admission.model.name)
+            .model(&admission.model.name)
+            .counters
             .stream_sessions
             .fetch_add(1, Ordering::Relaxed);
         Ok(StreamHandle {
@@ -826,50 +820,33 @@ impl AsrServer {
             .map(|m| fold_stats(std::iter::once(&m.counters)))
     }
 
-    /// The hardware report of the whole served stream so far.  Within each
-    /// worker a model's served utterances fold sequentially with
-    /// [`UtteranceReport::merge`], and the worker's per-model accumulators
-    /// fold sequentially too (one thread decoded them in series, in sorted
-    /// name order for determinism); the per-worker reports then fold with
-    /// [`UtteranceReport::merge_parallel`], since the workers decode
-    /// concurrently — work counters (senones, HMM updates, energy) add
-    /// across workers while frame/audio figures take the maximum instead of
-    /// multiplying the wall-clock stream length by M.  With one worker and
-    /// one model this is exactly the single-batcher fold.  `None` until a
-    /// hardware-backed utterance completes (software backends keep no
-    /// report).
+    /// The hardware report of everything served so far: each model's
+    /// report ([`AsrServer::model_hardware_report`]) folded with
+    /// [`UtteranceReport::merge`] in sorted name order, so frames, audio
+    /// seconds, work counters and energies add over every served utterance,
+    /// however the workers split them.  `None` until a hardware-backed
+    /// utterance completes (software backends keep no report).
     pub fn hardware_report(&self) -> Option<UtteranceReport> {
-        self.fold_hardware(|_| true)
+        let mut names: Vec<&Arc<str>> = self.shared.models.keys().collect();
+        names.sort();
+        names
+            .into_iter()
+            .filter_map(|name| self.model_hardware_report(name))
+            .reduce(|acc, report| acc.merge(&report))
     }
 
-    /// One model's hardware report: its per-worker accumulators folded with
-    /// [`UtteranceReport::merge_parallel`] (the workers decode the model
-    /// concurrently).  `None` for an unregistered name or before a
-    /// hardware-backed utterance of this model completes.
+    /// One model's hardware report: its served utterances folded with
+    /// [`UtteranceReport::merge`], across versions and workers.  `None` for
+    /// an unregistered name or before a hardware-backed utterance of this
+    /// model completes.
     pub fn model_hardware_report(&self, name: &str) -> Option<UtteranceReport> {
-        self.fold_hardware(|model| model == name)
-    }
-
-    /// Folds the accumulators of the models `include` selects: sequentially
-    /// within a worker, in sorted name order, then in parallel across
-    /// workers.
-    fn fold_hardware(&self, include: impl Fn(&str) -> bool) -> Option<UtteranceReport> {
-        let slots = self
-            .shared
+        self.shared
+            .models
+            .get(name)?
             .hardware
             .lock()
-            .expect("hardware report lock poisoned");
-        slots
-            .iter()
-            .filter_map(|worker| {
-                let mut names: Vec<&Arc<str>> = worker.keys().filter(|n| include(n)).collect();
-                names.sort();
-                names
-                    .into_iter()
-                    .map(|name| worker[name].clone())
-                    .reduce(|acc, report| acc.merge(&report))
-            })
-            .reduce(|acc, report| acc.merge_parallel(&report))
+            .expect("hardware report lock poisoned")
+            .clone()
     }
 
     /// Number of requests currently waiting in the queue.
@@ -1139,21 +1116,18 @@ impl DecoderPool<'_> {
 
 /// Resolves a result-producing command — a decode or a stream finish — the
 /// one way: `serve` produces its outcome, timed as its service; the queue
-/// wait, the outcome and `worker`'s per-model hardware accumulator
-/// (sequential [`UtteranceReport::merge`] within a worker; the parallel fold
-/// across workers happens at read time in [`AsrServer::hardware_report`])
-/// are recorded, the trace terminates, a bounded command's quota is
-/// released, and the slot is fulfilled.
+/// wait, the outcome and the model's hardware report are recorded, the
+/// trace terminates, a bounded command's quota is released, and the slot is
+/// fulfilled.
 fn resolve(
     shared: &Shared,
-    worker: usize,
     request: &Request,
     slot: &Slot,
     serve: impl FnOnce() -> Result<DecodeResult, ServeError>,
 ) {
     let admission = request.command.admission();
-    let model = &admission.model.name;
-    let c = shared.counters(model);
+    let model = shared.model(&admission.model.name);
+    let c = &model.counters;
     c.queue_wait.record(request.enqueued.elapsed());
     let started = Instant::now();
     let outcome = serve();
@@ -1162,15 +1136,14 @@ fn resolve(
         Ok(result) => {
             c.completed.fetch_add(1, Ordering::Relaxed);
             if let Some(report) = &result.hardware {
-                let mut slots = shared
+                let mut acc = model
                     .hardware
                     .lock()
                     .expect("hardware report lock poisoned");
-                let merged = match slots[worker].remove(model) {
-                    Some(acc) => acc.merge(report),
+                *acc = Some(match acc.take() {
+                    Some(folded) => folded.merge(report),
                     None => report.clone(),
-                };
-                slots[worker].insert(Arc::clone(model), merged);
+                });
             }
         }
         Err(_) => {
@@ -1313,7 +1286,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
             }
         }
         for (name, count) in &decodes {
-            let c = shared.counters(name);
+            let c = &shared.model(name).counters;
             c.batches.fetch_add(1, Ordering::Relaxed);
             c.largest_batch.fetch_max(*count as u64, Ordering::Relaxed);
         }
@@ -1349,7 +1322,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     shared
                         .telemetry
                         .emit(admission.trace, &SpanEvent::DecodeStarted { worker });
-                    resolve(shared, worker, request, slot, || {
+                    resolve(shared, request, slot, || {
                         let (mut decoder, loan) = pool.lend(model)?;
                         let result = model
                             .recognizer
@@ -1379,7 +1352,8 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     admission,
                 } => {
                     shared
-                        .counters(&admission.model.name)
+                        .model(&admission.model.name)
+                        .counters
                         .stream_chunks
                         .fetch_add(1, Ordering::Relaxed);
                     if let Some(Ok(stream)) = sessions.get_mut(id) {
@@ -1423,7 +1397,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &ServeConfig) {
                     id,
                     slot,
                     admission,
-                } => resolve(shared, worker, request, slot, || {
+                } => resolve(shared, request, slot, || {
                     match sessions.remove(id) {
                         Some(Ok(stream)) => {
                             let (result, decoder) = stream.session.finish();
@@ -1773,7 +1747,7 @@ mod tests {
         assert_eq!(stats.failed, 1);
     }
 
-    fn bare_shared(workers: usize) -> Shared {
+    fn bare_shared() -> Shared {
         let task = task();
         let name: Arc<str> = Arc::from(DEFAULT_MODEL);
         let version = Arc::new(ModelVersion {
@@ -1787,6 +1761,7 @@ mod tests {
             ModelState {
                 current: RwLock::new(version),
                 counters: Counters::default(),
+                hardware: Mutex::new(None),
             },
         );
         Shared {
@@ -1795,7 +1770,6 @@ mod tests {
             models,
             default_model: name,
             next_stream_id: AtomicU64::new(0),
-            hardware: Mutex::new(vec![HashMap::new(); workers]),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -1828,7 +1802,7 @@ mod tests {
         // Drive the failure path directly: whatever takes a worker down, the
         // queue must close and pending futures must resolve instead of
         // hanging.
-        let shared = bare_shared(1);
+        let shared = bare_shared();
         let future = enqueue_decode(&shared);
         fail_pending(&shared);
         assert!(shared.queue.lock().unwrap().closed);
@@ -1839,7 +1813,7 @@ mod tests {
     fn the_exit_guard_fires_on_panic_but_not_on_normal_exit() {
         // Normal exit: a worker returning from its loop must leave the queue
         // open and its siblings' pending work intact.
-        let shared = bare_shared(2);
+        let shared = bare_shared();
         let future = enqueue_decode(&shared);
         drop(CloseOnExit(&shared));
         assert!(!shared.queue.lock().unwrap().closed);
@@ -2293,7 +2267,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_worker_hardware_reports_fold_in_parallel() {
+    fn multi_worker_hardware_reports_add_every_utterance() {
         let task = task();
         let server = AsrServer::spawn(
             recognizer(&task, DecoderConfig::hardware(2)),
@@ -2309,11 +2283,9 @@ mod tests {
             future.wait().unwrap();
         }
         let report = server.hardware_report().expect("merged stream report");
-        // Frames fold with max across workers (concurrent lanes do not add
-        // wall-clock audio), so the figure is between one utterance's worth
-        // (perfectly even split... still >= frames) and the sequential sum.
-        assert!(report.frames >= frames);
-        assert!(report.frames <= 4 * frames);
+        // Every served utterance adds its frames, however the two workers
+        // split the four requests.
+        assert_eq!(report.frames, 4 * frames);
         server.close();
     }
 

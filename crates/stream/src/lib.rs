@@ -13,8 +13,8 @@
 //!                                           utterances)    chunk)
 //!                                                              │
 //!                 StreamOutcome { DecodeResult, StreamTiming } ◄┘
-//!                  (per-chunk latency + stream RTF folded into
-//!                   the hardware UtteranceReport)
+//!                  (hardware UtteranceReport in the result;
+//!                   per-chunk latency + stream RTF beside it)
 //! ```
 //!
 //! A [`StreamingRecognizer`] opens [`AudioStreamSession`]s: continuous raw
@@ -39,10 +39,10 @@
 //! Between chunks, the session surfaces [`PartialHypothesis`] snapshots —
 //! prefix-consistent, monotone previews of the final result.  Every chunk's
 //! wall-clock latency and audio coverage is recorded into an
-//! [`asr_hw::StreamTiming`], which [`StreamOutcome`] carries and which is
-//! folded into the hardware [`UtteranceReport`](asr_hw::UtteranceReport) on
-//! hardware backends — so a streamed decode reports its host real-time
-//! factor next to the SoC's simulated one.
+//! [`asr_hw::StreamTiming`], which [`StreamOutcome`] carries beside the
+//! decode result — so a streamed decode reports its host real-time factor
+//! next to the SoC's simulated one in the result's hardware
+//! [`UtteranceReport`](asr_hw::UtteranceReport).
 //!
 //! # Example
 //!

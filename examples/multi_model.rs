@@ -72,6 +72,7 @@ fn main() -> Result<(), LvcsrError> {
     let dictation_set = dictation_task.synthesize_test_set(16, 3, 0.3);
     let mut dictation_pending = Vec::new();
     let mut command_pending = Vec::new();
+    let mut command_frames = 0usize;
     for (i, (features, _)) in dictation_set.iter().enumerate() {
         dictation_pending.push(server.submit(features.clone())?);
         let (word, spelling, _) = command_dict
@@ -79,10 +80,12 @@ fn main() -> Result<(), LvcsrError> {
             .nth(i % command_dict.len())
             .expect("command in dictionary");
         let audio = synth.render_words(&command_dict, &[word], 1000 + i as u64);
+        let features = fe.process(&audio);
+        command_frames += features.len();
         command_pending.push((
             spelling,
             server.submit(
-                DecodeRequest::new(fe.process(&audio))
+                DecodeRequest::new(features)
                     .model("voice_command")
                     .tenant("robot-7"),
             )?,
@@ -116,9 +119,17 @@ fn main() -> Result<(), LvcsrError> {
         }
     }
 
+    // Each model's report covers exactly the frames submitted to it: the
+    // dictation set twice (before and after the swap) and every command.
+    let dictation_frames: usize = dictation_set.iter().map(|(f, _)| f.len()).sum();
     for name in server.models() {
         let stats = server.model_stats(&name).expect("registered model");
         let report = server.model_hardware_report(&name).expect("served model");
+        let submitted = match name.as_str() {
+            "dictation" => 2 * dictation_frames,
+            _ => command_frames,
+        };
+        assert_eq!(report.frames, submitted, "model '{name}' report frames");
         println!(
             "\nmodel '{name}' (version {}):",
             server.model_version(&name).expect("version")

@@ -117,6 +117,12 @@ fn main() -> Result<(), LvcsrError> {
         report.energy.average_power_w()
     );
 
+    // The report adds every served utterance, and keeps one senone count
+    // per shard of the 4-shard machine.
+    let submitted: usize = test_set.iter().map(|(features, _)| features.len()).sum();
+    assert_eq!(report.frames, submitted, "report covers every served frame");
+    assert_eq!(report.shard_senones.len(), 4, "one count per shard");
+
     // 7. The run directory ends with the hardware report next to the
     //    per-request spans.
     sink.record(&report.snapshot_fact());

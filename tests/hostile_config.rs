@@ -1,13 +1,12 @@
 //! Hostile decoder configurations.
 //!
-//! Every numeric field of a `DecoderConfig`, of its `GmmSelectionConfig`
-//! and of the `SocConfig` of a hardware backend is drawn from a valid value,
+//! Every numeric field of a `DecoderConfig`, of its `GmmSelectionConfig`,
+//! of the `SocConfig` of a hardware backend and the shard count of a
+//! sharded backend (one or two nesting levels) is drawn from a valid value,
 //! zero, −1, NaN, ±∞ and `f32::MAX` (an integer field takes the saturating
 //! cast of the same draw: 0 or `usize::MAX`).  Each configuration must
 //! either be refused with `DecodeError::InvalidConfig` or build a
-//! recogniser that decodes a tiny utterance without panicking.  The shard
-//! count of a sharded backend is not drawn: it sizes how many scorers are
-//! built, so its hostile values are memory requests, not scores.
+//! recogniser that decodes a tiny utterance without panicking.
 
 use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{DecodeError, DecoderConfig, Recognizer, ScoringBackendKind};
@@ -57,17 +56,28 @@ impl XorShift {
     }
 }
 
+/// A plain backend, or one sharded at one or two nesting levels with a
+/// drawn shard count at each level.
+fn hostile_backend(rng: &mut XorShift) -> ScoringBackendKind {
+    let leaf = match rng.below(3) {
+        0 => ScoringBackendKind::Software,
+        1 => ScoringBackendKind::Simd,
+        _ => ScoringBackendKind::Hardware(SocConfig {
+            num_structures: rng.usize_or(2),
+            datapath_width: MantissaWidth::PAPER_SWEEP[rng.below(3)],
+        }),
+    };
+    let levels = rng.below(3);
+    (0..levels).fold(leaf, |inner, _| ScoringBackendKind::Sharded {
+        shards: rng.usize_or(2),
+        inner: Box::new(inner),
+    })
+}
+
 fn hostile_config(rng: &mut XorShift) -> DecoderConfig {
     let base = DecoderConfig::default();
     let mut config = DecoderConfig {
-        backend: match rng.below(3) {
-            0 => ScoringBackendKind::Software,
-            1 => ScoringBackendKind::Simd,
-            _ => ScoringBackendKind::Hardware(SocConfig {
-                num_structures: rng.usize_or(2),
-                datapath_width: MantissaWidth::PAPER_SWEEP[rng.below(3)],
-            }),
-        },
+        backend: hostile_backend(rng),
         beam: rng.f32_or(base.beam),
         word_beam: rng.f32_or(base.word_beam),
         max_active_hmms: rng.usize_or(base.max_active_hmms),

@@ -248,6 +248,53 @@ fn stream_hardware_report_matches_a_direct_fold() {
     assert!((got.energy.audio_seconds - want.energy.audio_seconds).abs() < 1e-12);
 }
 
+/// Two workers over a 4-shard machine report exactly what the utterances
+/// they served add up to: a sequential `UtteranceReport::merge` fold of
+/// direct decodes, with one senone count per shard of the machine, however
+/// the workers split the requests.
+#[test]
+fn multi_worker_sharded_report_adds_every_served_utterance() {
+    let task = build_task();
+    let utterances: Vec<Vec<Vec<f32>>> = (0..12)
+        .map(|seed| {
+            task.synthesize_utterance(1 + seed as usize % 2, 0.2, 60 + seed)
+                .0
+        })
+        .collect();
+    let direct = build_recognizer(&task, DecoderConfig::sharded_hardware(4));
+    let mut want = lvcsr::hw::UtteranceReport::default();
+    for features in &utterances {
+        let result = direct.decode_features(features).expect("direct decode");
+        want = want.merge(result.hardware.as_ref().expect("report"));
+    }
+    // Two-request flushes, so both workers take a share of the burst.
+    let server = AsrServer::spawn(
+        build_recognizer(&task, DecoderConfig::sharded_hardware(4)),
+        ServeConfig::default().workers(2).max_batch(2),
+    )
+    .expect("server");
+    let futures: Vec<_> = utterances
+        .iter()
+        .map(|u| server.submit(u.clone()).expect("submit"))
+        .collect();
+    for future in futures {
+        future.wait().expect("queued decode");
+    }
+    let got = server.hardware_report().expect("server report");
+    assert_eq!(got.frames, want.frames);
+    assert_eq!(got.senones_scored, want.senones_scored);
+    assert_eq!(got.hmm_updates, want.hmm_updates);
+    assert_eq!(got.shard_senones, want.shard_senones);
+    assert_eq!(got.shard_senones.len(), 4);
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+    assert!(close(got.energy.audio_seconds, want.energy.audio_seconds));
+    assert!(close(
+        got.energy.total_energy_j(),
+        want.energy.total_energy_j()
+    ));
+    server.close();
+}
+
 /// Shutdown is graceful: accepted work drains, later submissions fail
 /// `Closed`, and nothing hangs.
 #[test]

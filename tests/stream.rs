@@ -169,8 +169,7 @@ fn audio_streamer(backend: ScoringBackendKind, vad: VadConfig) -> StreamingRecog
 /// backend: one timed chunk per non-empty feature push — with a statics-only
 /// frontend each push is one hop of at most one frame, so that is one chunk
 /// per decoded frame — and the audio those pushes carried, frames × the
-/// 10 ms frame shift.  Hardware backends fold the same record into their
-/// report.
+/// 10 ms frame shift.  Hardware backends report the same frames.
 #[test]
 fn audio_session_timing_covers_every_feature_push_on_every_backend() {
     let mut audio = vec![0.0f32; 3_200];
@@ -197,11 +196,11 @@ fn audio_session_timing_covers_every_feature_push_on_every_backend() {
             (audio_s - frames as f64 * 0.010).abs() < 1e-9,
             "backend {backend_index}: {audio_s} s for {frames} frames"
         );
-        // The SoC and sharded backends fold the record into their report.
+        // The SoC and sharded backends report the same frames in hardware.
         let hw = outcome.result.hardware.as_ref();
         assert_eq!(hw.is_some(), backend_index >= 2, "backend {backend_index}");
         if let Some(hw) = hw {
-            assert_eq!(hw.streaming.as_ref(), Some(&outcome.timing));
+            assert_eq!(hw.frames, frames, "backend {backend_index}");
         }
     }
 }
