@@ -151,15 +151,6 @@ impl SenonePool {
         self.senones.iter().map(|s| s.score(x)).collect()
     }
 
-    /// Scores only the given subset of senones, returning `(id, score)` pairs —
-    /// this is what the phone-decode stage asks for after the word-decode
-    /// feedback restricts the active set.
-    pub fn score_subset(&self, ids: &[SenoneId], x: &[f32]) -> Vec<(SenoneId, LogProb)> {
-        ids.iter()
-            .filter_map(|&id| self.get(id).map(|s| (id, s.score(x))))
-            .collect()
-    }
-
     /// Total stored parameter count over all senones.
     pub fn param_count(&self) -> usize {
         self.senones.iter().map(|s| s.param_count()).sum()
@@ -231,19 +222,15 @@ mod tests {
     }
 
     #[test]
-    fn scoring_all_and_subsets() {
+    fn scoring_all_and_single_senones() {
         let p = pool(20, 4);
         let x = [0.3f32, 0.2, 0.1, 0.0];
         let all = p.score_all(&x);
         assert_eq!(all.len(), 20);
-        let subset_ids: Vec<SenoneId> = [2u32, 5, 19].iter().map(|&i| SenoneId(i)).collect();
-        let subset = p.score_subset(&subset_ids, &x);
-        assert_eq!(subset.len(), 3);
-        for (id, score) in subset {
-            assert_eq!(score.raw(), all[id.index()].raw());
+        for id in [2u32, 5, 19].map(SenoneId) {
+            assert_eq!(p.score(id, &x).unwrap().raw(), all[id.index()].raw());
         }
-        // Out-of-range ids are skipped in subsets and error in single scoring.
-        assert_eq!(p.score_subset(&[SenoneId(99)], &x).len(), 0);
+        // Out-of-range ids error in single scoring.
         assert!(p.score(SenoneId(99), &x).is_err());
         assert!(p.score(SenoneId(0), &x).is_ok());
     }

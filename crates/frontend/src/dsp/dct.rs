@@ -1,6 +1,10 @@
 //! Type-II discrete cosine transform used to decorrelate log mel energies
 //! into cepstral coefficients.
 
+/// Outputs per block of the column-major basis: one block holds the 13
+/// cepstra of every configuration in use, as four SSE registers.
+const LANES: usize = 16;
+
 /// A DCT-II plan from `input_len` log-mel energies to `output_len` cepstra.
 ///
 /// Uses the orthonormal normalisation so energy is preserved when
@@ -20,7 +24,10 @@
 pub struct DctII {
     input_len: usize,
     output_len: usize,
-    /// Row-major `output_len × input_len` cosine basis.
+    /// Column-major cosine basis in blocks of [`LANES`] outputs: block `b`
+    /// holds, input after input, the weights of outputs
+    /// `b·LANES..(b+1)·LANES` (zero past `output_len`), so one input updates
+    /// a whole block of accumulators in one vectorisable step.
     basis: Vec<f32>,
 }
 
@@ -37,19 +44,20 @@ impl DctII {
             "cannot produce more cepstra than filterbank channels"
         );
         let n = input_len as f32;
-        let mut basis = Vec::with_capacity(input_len * output_len);
-        for k in 0..output_len {
-            let scale = if k == 0 {
-                (1.0 / n).sqrt()
-            } else {
-                (2.0 / n).sqrt()
-            };
+        let (dc_scale, ac_scale) = ((1.0 / n).sqrt(), (2.0 / n).sqrt());
+        let blocks = output_len.div_ceil(LANES);
+        let mut basis = Vec::with_capacity(blocks * LANES * input_len);
+        for block in 0..blocks {
             for i in 0..input_len {
-                basis.push(
+                basis.extend((block * LANES..(block + 1) * LANES).map(|k| {
+                    if k >= output_len {
+                        return 0.0;
+                    }
+                    let scale = if k == 0 { dc_scale } else { ac_scale };
                     scale
                         * (std::f32::consts::PI * k as f32 * (2.0 * i as f32 + 1.0) / (2.0 * n))
-                            .cos(),
-                );
+                            .cos()
+                }));
             }
         }
         DctII {
@@ -70,7 +78,10 @@ impl DctII {
     }
 
     /// Applies the transform, writing the `output_len` coefficients into
-    /// `out`.
+    /// `out`.  Each coefficient is the sum of its products in input order,
+    /// starting from the value an empty [`Iterator::sum`] returns (`+0.0` on
+    /// older toolchains, `-0.0` on newer ones), so it equals that sum bit for
+    /// bit on every toolchain.
     ///
     /// # Panics
     ///
@@ -78,8 +89,16 @@ impl DctII {
     pub fn apply(&self, input: &[f32], out: &mut [f32]) {
         assert_eq!(input.len(), self.input_len, "DCT input length mismatch");
         assert_eq!(out.len(), self.output_len, "DCT output length mismatch");
-        for (o, row) in out.iter_mut().zip(self.basis.chunks_exact(self.input_len)) {
-            *o = row.iter().zip(input).map(|(&b, &x)| b * x).sum();
+        let start: f32 = std::iter::empty::<f32>().sum();
+        let blocks = self.basis.chunks_exact(LANES * self.input_len);
+        for (out, block) in out.chunks_mut(LANES).zip(blocks) {
+            let mut acc = [start; LANES];
+            for (column, &x) in block.chunks_exact(LANES).zip(input) {
+                for (a, &b) in acc.iter_mut().zip(column) {
+                    *a += b * x;
+                }
+            }
+            out.copy_from_slice(&acc[..out.len()]);
         }
     }
 }
@@ -94,6 +113,30 @@ mod tests {
         let mut out = vec![0.0; dct.output_len()];
         dct.apply(input, &mut out);
         out
+    }
+
+    #[test]
+    fn column_major_sums_equal_the_row_major_iterator_sums() {
+        // Each coefficient must be `Σ basis·x` in input order from the start
+        // value `Iterator::sum` uses, bit for bit, whatever the loop nesting.
+        let dct = DctII::new(40, 13);
+        assert_eq!(dct.basis.len(), 40 * LANES);
+        let inputs = [
+            (0..40)
+                .map(|i| (i as f32 * 0.77).sin() * 20.0)
+                .collect::<Vec<_>>(),
+            vec![-0.0; 40],
+            (0..40)
+                .map(|i| if i == 7 { f32::INFINITY } else { -(i as f32) })
+                .collect(),
+        ];
+        for input in &inputs {
+            let got = dct_of(&dct, input);
+            for (k, g) in got.iter().enumerate() {
+                let want: f32 = (0..40).map(|i| dct.basis[i * LANES + k] * input[i]).sum();
+                assert_eq!(g.to_bits(), want.to_bits(), "coefficient {k} of {input:?}");
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,11 @@ pub fn mel_to_hz(mel: f32) -> f32 {
 #[derive(Debug, Clone)]
 pub struct MelFilterBank {
     num_filters: usize,
-    /// For each filter, (start_bin, weights) — only the non-zero span is stored.
-    filters: Vec<(usize, Vec<f32>)>,
+    /// Every filter's weights over its span of bins, filter after filter.
+    weights: Vec<f32>,
+    /// For each filter, its first bin and the end of its run in `weights`;
+    /// the run starts where the previous filter's ends.
+    spans: Vec<(usize, usize)>,
     num_bins: usize,
 }
 
@@ -76,14 +79,14 @@ impl MelFilterBank {
         let hz_per_bin = sample_rate_hz as f32 / fft_size as f32;
         let bin_of = |hz: f32| -> f32 { hz / hz_per_bin };
 
-        let mut filters = Vec::with_capacity(num_filters);
+        let mut weights = Vec::new();
+        let mut spans = Vec::with_capacity(num_filters);
         for f in 0..num_filters {
             let left = bin_of(edges_hz[f]);
             let centre = bin_of(edges_hz[f + 1]);
             let right = bin_of(edges_hz[f + 2]);
             let start = left.ceil().max(0.0) as usize;
             let end = (right.floor() as usize).min(num_bins - 1);
-            let mut weights = Vec::new();
             for bin in start..=end {
                 let b = bin as f32;
                 let w = if b <= centre {
@@ -99,11 +102,14 @@ impl MelFilterBank {
                 };
                 weights.push(w.max(0.0));
             }
-            filters.push((start, weights));
+            // A filter too narrow to cover a bin is empty: pin its start
+            // inside the spectrum so its span slices as empty.
+            spans.push((start.min(num_bins), weights.len()));
         }
         MelFilterBank {
             num_filters,
-            filters,
+            weights,
+            spans,
             num_bins,
         }
     }
@@ -133,13 +139,21 @@ impl MelFilterBank {
             "power spectrum length mismatch"
         );
         assert_eq!(out.len(), self.num_filters, "filter output length mismatch");
-        for (o, (start, weights)) in out.iter_mut().zip(&self.filters) {
-            let energy: f32 = weights
+        // All the weighted sums first, then all the logs: the sums are short
+        // dependent chains that overlap each other only when no `ln` call
+        // stands between them.
+        let mut from = 0;
+        for (o, &(start, to)) in out.iter_mut().zip(&self.spans) {
+            let weights = &self.weights[from..to];
+            *o = weights
                 .iter()
-                .zip(power_spectrum.get(*start..).unwrap_or_default())
+                .zip(&power_spectrum[start..start + weights.len()])
                 .map(|(&w, &p)| w * p)
                 .sum();
-            *o = energy.max(floor).ln();
+            from = to;
+        }
+        for o in out.iter_mut() {
+            *o = o.max(floor).ln();
         }
     }
 }

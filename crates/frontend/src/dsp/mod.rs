@@ -1,7 +1,7 @@
 //! Signal-processing primitives used by the MFCC pipeline.
 //!
 //! Everything is implemented from scratch (no external DSP crates): windowing
-//! and framing, a radix-2 complex FFT with a real-input power spectrum, the
+//! and framing, a radix-2 FFT that gives the power spectrum of a real frame, the
 //! mel filter bank and the DCT-II.
 
 pub mod dct;
@@ -10,6 +10,6 @@ pub mod mel;
 pub mod window;
 
 pub use dct::DctII;
-pub use fft::{Complex, Fft};
+pub use fft::Fft;
 pub use mel::{hz_to_mel, mel_to_hz, MelFilterBank};
 pub use window::{hamming_window, pre_emphasis, FrameIter};

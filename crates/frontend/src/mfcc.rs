@@ -3,21 +3,22 @@
 use crate::cmn::CepstralMeanNorm;
 use crate::config::{FrontendConfig, FrontendError};
 use crate::delta::DeltaComputer;
-use crate::dsp::{hamming_window, pre_emphasis, Complex, DctII, Fft, FrameIter, MelFilterBank};
+use crate::dsp::{hamming_window, pre_emphasis, DctII, Fft, FrameIter, MelFilterBank};
 use crate::FeatureVector;
 
 /// Log-mel floor that keeps exact digital silence away from `ln 0`.
 const LOG_MEL_FLOOR: f32 = 1.0e-10;
 
 /// Caller-owned working memory of [`MfccExtractor::frame_cepstra`]: the
-/// windowed frame, the `N/2` complex points of the half-size FFT, the power
-/// spectrum and the log-mel energies.  Build it once with
-/// [`MfccExtractor::scratch`] and reuse it for every frame, so the kernel
-/// allocates nothing.
+/// windowed frame, the half-size FFT's `N/2` points as split real and
+/// imaginary lanes, the power spectrum and the log-mel energies.  Build it
+/// once with [`MfccExtractor::scratch`] and reuse it for every frame, so the
+/// kernel allocates nothing.
 #[derive(Debug, Clone)]
 pub struct MfccScratch {
     windowed: Vec<f32>,
-    fft: Vec<Complex>,
+    /// Real lanes, then imaginary lanes, of the FFT's points.
+    fft: Vec<f32>,
     spectrum: Vec<f32>,
     log_mel: Vec<f32>,
 }
@@ -88,7 +89,7 @@ impl MfccExtractor {
     pub fn scratch(&self) -> MfccScratch {
         MfccScratch {
             windowed: vec![0.0; self.window.len()],
-            fft: vec![Complex::ZERO; self.fft.size() / 2],
+            fft: vec![0.0; self.fft.size()],
             spectrum: vec![0.0; self.filterbank.num_bins()],
             log_mel: vec![0.0; self.filterbank.num_filters()],
         }

@@ -22,6 +22,7 @@ use asr_frontend::dsp::FrameIter;
 use asr_frontend::mfcc::{MfccExtractor, MfccScratch};
 use asr_frontend::{CepstralMeanNorm, FeatureVector, FrontendConfig, FrontendError};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The most recent `slots` frames of a sequence, by absolute frame index,
 /// in one flat buffer reused for the whole stream.
@@ -214,7 +215,10 @@ impl IncrementalDelta {
 /// [`finish_utterance`](StreamingFrontend::finish_utterance) at an endpoint.
 #[derive(Debug, Clone)]
 pub struct StreamingFrontend {
-    extractor: MfccExtractor,
+    /// The window, FFT, mel and DCT plan; a
+    /// [`StreamingRecognizer`](crate::StreamingRecognizer) builds it once and
+    /// shares it with every session it opens.
+    extractor: Arc<MfccExtractor>,
     /// The MFCC kernel's working memory, reused for every frame.
     scratch: MfccScratch,
     cmn: Option<CepstralMeanNorm>,
@@ -238,7 +242,13 @@ impl StreamingFrontend {
     /// Returns [`FrontendError::InvalidConfig`] if the configuration fails
     /// validation.
     pub fn new(config: FrontendConfig) -> Result<Self, FrontendError> {
-        config.validate()?;
+        Ok(Self::with_extractor(Arc::new(MfccExtractor::new(config)?)))
+    }
+
+    /// A streaming frontend on an already built MFCC plan, whose
+    /// configuration it takes.
+    pub(crate) fn with_extractor(extractor: Arc<MfccExtractor>) -> Self {
+        let config = extractor.config();
         let cmn = config.cepstral_mean_norm.then(|| config.live_cmn());
         let delta = IncrementalDelta::new(
             config.num_cepstra,
@@ -246,8 +256,7 @@ impl StreamingFrontend {
             config.use_delta,
             config.use_delta_delta,
         );
-        let extractor = MfccExtractor::new(config)?;
-        Ok(StreamingFrontend {
+        StreamingFrontend {
             scratch: extractor.scratch(),
             extractor,
             cmn,
@@ -256,7 +265,7 @@ impl StreamingFrontend {
             last_raw: None,
             samples_seen: 0,
             frames_emitted: 0,
-        })
+        }
     }
 
     /// The configuration this frontend was built with.

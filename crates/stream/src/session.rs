@@ -6,9 +6,11 @@ use crate::frontend::StreamingFrontend;
 use crate::vad::{hop_rms, EnergyVad, VadEvent};
 use crate::{StreamConfig, StreamError};
 use asr_core::{DecodeResult, DecodeSession, PartialHypothesis, PhoneDecoder, Recognizer};
+use asr_frontend::MfccExtractor;
 use asr_hw::StreamTiming;
 use asr_obs::{Outcome, RequestKind, SpanEvent, Telemetry, TraceId};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything produced by one streamed utterance: the decode result (with
@@ -50,11 +52,14 @@ pub enum StreamEvent {
 }
 
 /// The streaming façade over a [`Recognizer`]: owns it plus the stream
-/// configuration, and opens sessions.
+/// configuration and the frontend's MFCC plan, and opens sessions.
 #[derive(Debug)]
 pub struct StreamingRecognizer {
     recognizer: Recognizer,
     config: StreamConfig,
+    /// The window, FFT, mel and DCT plan of `config.frontend`, built once
+    /// and shared by every audio session.
+    extractor: Arc<MfccExtractor>,
     telemetry: Telemetry,
 }
 
@@ -69,6 +74,7 @@ impl StreamingRecognizer {
     pub fn new(recognizer: Recognizer, config: StreamConfig) -> Result<Self, StreamError> {
         config.validate()?;
         Ok(StreamingRecognizer {
+            extractor: Arc::new(MfccExtractor::new(config.frontend.clone())?),
             recognizer,
             config,
             telemetry: Telemetry::disabled(),
@@ -130,9 +136,9 @@ impl StreamingRecognizer {
     ///
     /// Returns [`StreamError::InvalidConfig`] when the configured frontend's
     /// feature dimension does not match the acoustic model's, and propagates
-    /// frontend and backend construction failures: the session builds its
-    /// one phone decoder here, which then serves every utterance it
-    /// endpoints.
+    /// backend construction failures: the session builds its one phone
+    /// decoder here, which then serves every utterance it endpoints.  Its
+    /// frontend runs on the MFCC plan this recogniser built once.
     pub fn audio_session(&self) -> Result<AudioStreamSession<'_>, StreamError> {
         let frontend_dim = self.config.frontend.feature_dim();
         let model_dim = self.recognizer.model().feature_dim();
@@ -162,7 +168,7 @@ impl StreamingRecognizer {
         Ok(AudioStreamSession {
             owner: self,
             trace,
-            frontend: StreamingFrontend::new(self.config.frontend.clone())?,
+            frontend: StreamingFrontend::with_extractor(Arc::clone(&self.extractor)),
             vad: EnergyVad::new(self.config.vad.clone()),
             hop,
             residue: Vec::with_capacity(hop),
