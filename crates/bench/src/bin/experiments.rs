@@ -6,205 +6,8 @@
 //! cargo run -p asr-bench --bin experiments --release -- e1 e3  # a subset
 //! ```
 
-use asr_bench::*;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id || a == "all");
-
-    println!("== Reproduction of 'Architecture for Low Power Large Vocabulary Speech Recognition' (SOCC 2006) ==\n");
-
-    if want("e1") {
-        println!("-- E1: acoustic-model memory and worst-case bandwidth vs mantissa width --");
-        println!(
-            "{:<16} {:>14} {:>14} {:>16} {:>16}",
-            "mantissa", "paper MB", "measured MB", "paper GB/s", "measured GB/s"
-        );
-        for row in e1_memory_bandwidth() {
-            println!(
-                "{:<16} {:>14.2} {:>14.2} {:>16.3} {:>16.3}",
-                format!("{}", row.width),
-                row.paper_memory_mb,
-                row.measured_memory_mb,
-                row.paper_bandwidth_gbps,
-                row.measured_bandwidth_gbps
-            );
-        }
-        println!();
-    }
-
-    if want("e2") {
-        println!("-- E2: synthesis results (power / area of the dedicated structures) --");
-        let r = e2_power_area();
-        println!(
-            "one structure power   : paper {:.3} W, model {:.3} W",
-            r.paper_structure_power_w, r.model_structure_power_w
-        );
-        println!(
-            "two structures power  : paper {:.3} W, model {:.3} W",
-            r.paper_total_power_w, r.model_total_power_w
-        );
-        println!(
-            "one structure area    : paper {:.1} mm2, model {:.1} mm2",
-            r.paper_structure_area_mm2, r.model_structure_area_mm2
-        );
-        println!(
-            "two structures area   : paper {:.1} mm2, model {:.1} mm2",
-            r.paper_total_area_mm2, r.model_total_area_mm2
-        );
-        println!(
-            "measured decode power : {:.3} W (clock-gated, OPU activity {:.2})",
-            r.measured_decode_power_w, r.measured_opu_activity
-        );
-        println!();
-    }
-
-    if want("e3") {
-        println!("-- E3: word error rate vs mantissa width (synthetic WSJ5K-like task) --");
-        println!(
-            "{:<16} {:>10} {:>14} {:>12}",
-            "mantissa", "WER", "paper bound", "ref words"
-        );
-        for row in e3_wer_vs_mantissa(200, 6, 4, 0.3) {
-            println!(
-                "{:<16} {:>9.1}% {:>14} {:>12}",
-                format!("{}", row.width),
-                100.0 * row.wer,
-                row.paper_bound
-                    .map(|b| format!("< {:.0}%", 100.0 * b))
-                    .unwrap_or_else(|| "-".into()),
-                row.reference_words
-            );
-        }
-        println!();
-    }
-
-    if want("e4") {
-        println!("-- E4: active senone fraction (word-decode feedback) --");
-        let r = e4_active_senones(200, 3);
-        println!(
-            "with feedback   : mean {:.1}% of inventory, peak {:.1}%",
-            100.0 * r.with_feedback_mean,
-            100.0 * r.with_feedback_peak
-        );
-        println!(
-            "without feedback: mean {:.1}%",
-            100.0 * r.without_feedback_mean
-        );
-        println!(
-            "paper claim     : well below {:.0}%",
-            100.0 * r.paper_claim_upper_bound
-        );
-        println!(
-            "dictionary size : {:.1} Mb (paper: ~11 Mb)",
-            r.dictionary_megabits
-        );
-        println!();
-    }
-
-    if want("e5") {
-        println!("-- E5: real-time capacity of the 50 MHz structures --");
-        let r = e5_realtime_capacity(200);
-        println!(
-            "cycles per senone (39 dims x 8 Gaussians) : {}",
-            r.cycles_per_senone
-        );
-        println!(
-            "senones per 10 ms frame, 1 structure      : {}",
-            r.senones_per_frame_one_structure
-        );
-        println!(
-            "senones per 10 ms frame, 2 structures     : {}",
-            r.senones_per_frame_two_structures
-        );
-        println!(
-            "capacity as fraction of 6000 senones      : {:.1}%",
-            100.0 * r.capacity_fraction_of_inventory
-        );
-        println!(
-            "measured worst frame RTF (2 structures)   : {:.3}",
-            r.measured_worst_rtf
-        );
-        println!(
-            "measured real-time frame fraction         : {:.1}%",
-            100.0 * r.measured_real_time_fraction
-        );
-        println!();
-    }
-
-    if want("e6") {
-        println!("-- E6: related-work comparison (paper Section V) --");
-        print!("{}", e6_comparison(2_500).to_text());
-        println!();
-    }
-
-    if want("e7") {
-        println!("-- E7: Conditional Down Sampling ablation (four-layer fast GMM scheme) --");
-        println!(
-            "{:<12} {:>10} {:>20} {:>14} {:>12}",
-            "CDS period", "WER", "senones/frame", "OPU activity", "power (W)"
-        );
-        for row in e7_cds_ablation(200, 3) {
-            println!(
-                "{:<12} {:>9.1}% {:>20.1} {:>14.3} {:>12.3}",
-                row.cds_period,
-                100.0 * row.wer,
-                row.mean_senones_per_frame,
-                row.opu_activity,
-                row.average_power_w
-            );
-        }
-        println!();
-    }
-
-    if want("f1") {
-        println!("-- F1: Figure 1 pipeline breakdown (per frame) --");
-        let r = f1_pipeline_breakdown(200);
-        println!(
-            "OP unit cycles/frame (busiest structure) : {:.0} of {}",
-            r.opu_cycles_per_frame, r.cycle_budget
-        );
-        println!(
-            "Viterbi unit cycles/frame                 : {:.0}",
-            r.viterbi_cycles_per_frame
-        );
-        println!(
-            "host CPU cycles/frame (software stages)   : {:.0}",
-            r.host_cycles_per_frame
-        );
-        println!(
-            "flash traffic per frame                   : {:.0} bytes",
-            r.flash_bytes_per_frame
-        );
-        println!();
-    }
-
-    if want("f2") {
-        println!("-- F2: Observation Probability unit (Figure 2) --");
-        let r = f2_opu_figures();
-        println!(
-            "logadd SRAM           : {} bytes (paper: 512)",
-            r.logadd_sram_bytes
-        );
-        println!("logadd max abs error  : {:.4} nats", r.logadd_max_error);
-        println!("cycles per Gaussian   : {}", r.cycles_per_gaussian);
-        println!("cycles per senone     : {}", r.cycles_per_senone);
-        println!("max |hw - sw| score   : {:.4} nats", r.max_score_deviation);
-        println!();
-    }
-
-    if want("f3") {
-        println!("-- F3: Viterbi decoder unit (Figure 3) --");
-        println!(
-            "{:<10} {:>16} {:>18}",
-            "states", "cycles/HMM", "HMMs per frame"
-        );
-        for row in f3_viterbi_figures() {
-            println!(
-                "{:<10} {:>16} {:>18}",
-                row.states, row.cycles_per_hmm, row.hmms_per_frame
-            );
-        }
-        println!();
-    }
+    print!("{}", asr_bench::render_report(want));
 }

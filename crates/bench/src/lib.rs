@@ -11,6 +11,7 @@
 
 pub mod bench_json;
 pub mod experiments;
+pub mod report;
 
 pub use experiments::{
     batch_bench_task, build_eval_task, e1_memory_bandwidth, e2_power_area, e3_wer_vs_mantissa,
@@ -18,3 +19,4 @@ pub use experiments::{
     f2_opu_figures, f3_viterbi_figures, serve_bench_task, E1Row, E2Report, E3Row, E4Report,
     E5Report, E7Row, F1Report, F2Report, F3Row,
 };
+pub use report::render_report;

@@ -47,8 +47,8 @@ pub use lattice::{WordLattice, WordLatticeEntry};
 pub use phone_decode::PhoneDecoder;
 pub use recognizer::{DecodeResult, Hypothesis, Recognizer};
 pub use scorer::{
-    software_step_hmm, HmmStepResult, SenoneScoreArena, SenoneScorer, SimdScorer, SocScorer,
-    SoftwareScorer,
+    software_step_hmm, HmmStateScores, HmmStepResult, SenoneScoreArena, SenoneScorer, SimdScorer,
+    SocScorer, SoftwareScorer,
 };
 pub use search::{SearchNetwork, SearchOutcome, SearchState, TokenPassingSearch};
 pub use session::{DecodeSession, PartialHypothesis};

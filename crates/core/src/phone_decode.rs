@@ -374,7 +374,7 @@ mod tests {
         let a = hw.step_hmm(&prev, LogProb::new(-3.0), t, &obs).unwrap();
         let b = sw.step_hmm(&prev, LogProb::new(-3.0), t, &obs).unwrap();
         assert_eq!(a.scores.len(), n);
-        for (x, y) in a.scores.iter().zip(&b.scores) {
+        for (x, y) in a.scores.iter().zip(b.scores.iter()) {
             assert!((x.raw() - y.raw()).abs() < 1e-3);
         }
         assert!((a.exit_score.raw() - b.exit_score.raw()).abs() < 1e-3);

@@ -16,7 +16,7 @@
 //! frame.
 
 use crate::DecodeError;
-use asr_acoustic::{AcousticError, AcousticModel, SenoneId, TransitionMatrix};
+use asr_acoustic::{AcousticError, AcousticModel, HmmTopology, SenoneId, TransitionMatrix};
 use asr_float::LogProb;
 use asr_hw::{SocConfig, SpeechSoc, UtteranceReport};
 
@@ -24,9 +24,60 @@ use asr_hw::{SocConfig, SpeechSoc, UtteranceReport};
 #[derive(Debug, Clone, PartialEq)]
 pub struct HmmStepResult {
     /// New per-state path scores.
-    pub scores: Vec<LogProb>,
+    pub scores: HmmStateScores,
     /// Best score of leaving the HMM this frame.
     pub exit_score: LogProb,
+}
+
+/// Per-state path scores of one HMM, held inline: an HMM has at most
+/// [`HmmTopology::MAX_STATES`] states, so stepping one needs no heap.  Reads
+/// as a `[LogProb]` slice.
+#[derive(Clone, Copy)]
+pub struct HmmStateScores {
+    len: usize,
+    scores: [LogProb; HmmTopology::MAX_STATES],
+}
+
+impl HmmStateScores {
+    /// Copies `scores`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scores` has more than [`HmmTopology::MAX_STATES`] entries.
+    pub fn from_slice(scores: &[LogProb]) -> Self {
+        assert!(
+            scores.len() <= HmmTopology::MAX_STATES,
+            "{} states exceed the {} an HMM can have",
+            scores.len(),
+            HmmTopology::MAX_STATES
+        );
+        let mut inline = [LogProb::zero(); HmmTopology::MAX_STATES];
+        inline[..scores.len()].copy_from_slice(scores);
+        HmmStateScores {
+            len: scores.len(),
+            scores: inline,
+        }
+    }
+}
+
+impl std::ops::Deref for HmmStateScores {
+    type Target = [LogProb];
+
+    fn deref(&self) -> &[LogProb] {
+        &self.scores[..self.len]
+    }
+}
+
+impl PartialEq for HmmStateScores {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for HmmStateScores {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// An object-safe senone-scoring / HMM-stepping backend.
@@ -204,7 +255,10 @@ pub fn software_step_hmm(
             got: prev_scores.len(),
         });
     }
-    let mut scores = Vec::with_capacity(n);
+    let mut scores = HmmStateScores {
+        len: n,
+        scores: [LogProb::zero(); HmmTopology::MAX_STATES],
+    };
     for (j, &obs_j) in senone_scores.iter().enumerate() {
         let mut best = LogProb::zero();
         for (i, a_ij) in transitions.column(j) {
@@ -216,7 +270,7 @@ pub fn software_step_hmm(
         if j == 0 && entry_score.raw() > best.raw() {
             best = entry_score;
         }
-        scores.push(best + obs_j);
+        scores.scores[j] = best + obs_j;
     }
     let mut exit = LogProb::zero();
     for (i, &score_i) in scores.iter().enumerate() {
@@ -288,9 +342,8 @@ impl SenoneScorer for SocScorer {
         let step = self
             .soc
             .step_hmm(prev_scores, entry_score, transitions, senone_scores)?;
-        // The trait's result vector is the step's only allocation.
         Ok(HmmStepResult {
-            scores: step.scores().to_vec(),
+            scores: HmmStateScores::from_slice(step.scores()),
             exit_score: step.exit_score,
         })
     }

@@ -815,7 +815,7 @@ mod tests {
             _senone_scores: &[LogProb],
         ) -> Result<crate::HmmStepResult, DecodeError> {
             Ok(crate::HmmStepResult {
-                scores: vec![LogProb::ONE; prev_scores.len() - 1],
+                scores: crate::HmmStateScores::from_slice(&prev_scores[1..]),
                 exit_score: LogProb::zero(),
             })
         }

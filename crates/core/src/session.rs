@@ -192,6 +192,12 @@ impl<R: Deref<Target = Recognizer>> DecodeSession<R> {
         Ok(())
     }
 
+    /// The words of the current partial hypothesis, without spelling them
+    /// out: a cheap way to see whether [`DecodeSession::partial`] grew.
+    pub fn partial_words(&self) -> &[WordId] {
+        &self.partial_words
+    }
+
     /// The current partial hypothesis (words completed so far).
     pub fn partial(&self) -> PartialHypothesis {
         let spelled = self

@@ -9,7 +9,6 @@
 
 use crate::dictionary::{Dictionary, WordId};
 use asr_acoustic::PhoneId;
-use std::collections::HashMap;
 
 /// Identifier of a node in the [`LexTree`]. The root has id 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,10 +40,10 @@ struct LexNode {
 
 /// A prefix tree over the pronunciations of a [`Dictionary`].
 ///
-/// The tree is built with temporary per-node maps and then frozen into flat
-/// arrays: one `(phone, child)` edge list sorted by phone within each node
-/// and one word list, both indexed by per-node offsets.  Walking the tree
-/// therefore never allocates.
+/// The tree is built with temporary per-node child lists and then frozen
+/// into flat arrays: one `(phone, child)` edge list sorted by phone within
+/// each node and one word list, both indexed by per-node offsets.  Walking
+/// the tree therefore never allocates.
 #[derive(Debug, Clone)]
 pub struct LexTree {
     /// One entry per node plus a trailing sentinel holding the end offsets.
@@ -57,26 +56,35 @@ impl LexTree {
     /// Builds the prefix tree of a dictionary.
     pub fn build(dictionary: &Dictionary) -> Self {
         // Node ids are assigned in insertion order while the tree grows.
+        // Each node's children form a list threaded through `first_child` /
+        // `next_sibling` and searched linearly: a node has at most one child
+        // per phone, so the lists stay short and the build allocates no
+        // per-node table.
+        const NONE: u32 = u32::MAX;
         let mut phones: Vec<Option<PhoneId>> = vec![None];
         let mut depths: Vec<u32> = vec![0];
-        let mut children: Vec<HashMap<PhoneId, LexNodeId>> = vec![HashMap::new()];
+        let mut first_child: Vec<u32> = vec![NONE];
+        let mut next_sibling: Vec<u32> = vec![NONE];
         let mut words: Vec<Vec<WordId>> = vec![Vec::new()];
         for (word, _, pron) in dictionary.iter() {
-            let mut node = LexNodeId::ROOT;
+            let mut node = LexNodeId::ROOT.0;
             for &phone in pron.phones() {
-                if let Some(&child) = children[node.index()].get(&phone) {
-                    node = child;
-                    continue;
+                let mut child = first_child[node as usize];
+                while child != NONE && phones[child as usize] != Some(phone) {
+                    child = next_sibling[child as usize];
                 }
-                let child = LexNodeId(phones.len() as u32);
-                children[node.index()].insert(phone, child);
-                phones.push(Some(phone));
-                depths.push(depths[node.index()] + 1);
-                children.push(HashMap::new());
-                words.push(Vec::new());
+                if child == NONE {
+                    child = phones.len() as u32;
+                    phones.push(Some(phone));
+                    depths.push(depths[node as usize] + 1);
+                    first_child.push(NONE);
+                    next_sibling.push(first_child[node as usize]);
+                    first_child[node as usize] = child;
+                    words.push(Vec::new());
+                }
                 node = child;
             }
-            words[node.index()].push(word);
+            words[node as usize].push(word);
         }
 
         let mut tree = LexTree {
@@ -84,7 +92,7 @@ impl LexTree {
             edges: Vec::with_capacity(phones.len().saturating_sub(1)),
             words: Vec::with_capacity(words.iter().map(Vec::len).sum()),
         };
-        for (i, (node_children, node_words)) in children.iter().zip(&words).enumerate() {
+        for (i, node_words) in words.iter().enumerate() {
             tree.nodes.push(LexNode {
                 phone: phones[i],
                 depth: depths[i],
@@ -92,8 +100,12 @@ impl LexTree {
                 first_word: tree.words.len() as u32,
             });
             let first = tree.edges.len();
-            tree.edges
-                .extend(node_children.iter().map(|(&p, &c)| (p, c)));
+            let mut child = first_child[i];
+            while child != NONE {
+                let phone = phones[child as usize].expect("only the root has no phone");
+                tree.edges.push((phone, LexNodeId(child)));
+                child = next_sibling[child as usize];
+            }
             tree.edges[first..].sort_unstable_by_key(|&(p, _)| p);
             tree.words.extend_from_slice(node_words);
         }

@@ -10,6 +10,7 @@ use crate::dictionary::WordId;
 use crate::LexiconError;
 use asr_float::LogProb;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Maximum n-gram order supported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,8 +88,9 @@ impl NGramModel {
 
     /// Estimates a model of the given order from training sentences
     /// (sequences of word ids, without BOS/EOS which are added internally),
-    /// using add-one smoothing for the n-gram probabilities and unit back-off
-    /// weights.
+    /// using add-one smoothing for the n-gram probabilities and Katz-style
+    /// back-off weights.  The cost is linear in the number of distinct
+    /// n-grams after one sort per order (see `estimate_order`).
     ///
     /// # Errors
     ///
@@ -109,8 +111,6 @@ impl NGramModel {
         let mut uni_counts: HashMap<WordId, u64> = HashMap::new();
         let mut bi_counts: HashMap<(WordId, WordId), u64> = HashMap::new();
         let mut tri_counts: HashMap<(WordId, WordId, WordId), u64> = HashMap::new();
-        let mut hist1_counts: HashMap<WordId, u64> = HashMap::new();
-        let mut hist2_counts: HashMap<(WordId, WordId), u64> = HashMap::new();
         let mut total_words = 0u64;
 
         for s in sentences {
@@ -128,10 +128,10 @@ impl NGramModel {
                 let h2 = padded[i - 2];
                 *uni_counts.entry(w).or_default() += 1;
                 total_words += 1;
-                *hist1_counts.entry(h1).or_default() += 1;
-                *bi_counts.entry((h1, w)).or_default() += 1;
+                if order >= NGramOrder::Bigram {
+                    *bi_counts.entry((h1, w)).or_default() += 1;
+                }
                 if order == NGramOrder::Trigram {
-                    *hist2_counts.entry((h2, h1)).or_default() += 1;
                     *tri_counts.entry((h2, h1, w)).or_default() += 1;
                 }
             }
@@ -147,8 +147,6 @@ impl NGramModel {
             })
             .collect();
         let unseen = LogProb::from_linear(1.0 / (total_words as f64 + v));
-
-        // Helper shared by the back-off weight computations below.
         let uni_prob = |w: WordId| -> f64 {
             uni_counts
                 .get(&w)
@@ -156,76 +154,27 @@ impl NGramModel {
                 .unwrap_or(1.0 / (total_words as f64 + v))
         };
 
-        let mut bigrams = HashMap::new();
-        let mut bigram_backoff = HashMap::new();
-        if order >= NGramOrder::Bigram {
-            for (&(h, w), &c) in &bi_counts {
-                let hist = *hist1_counts.get(&h).unwrap_or(&0);
-                bigrams.insert(
-                    (h, w),
-                    LogProb::from_linear((c as f64 + 1.0) / (hist as f64 + v)),
-                );
-            }
-            // Katz-style back-off weight: the probability mass not claimed by
-            // seen bigrams, redistributed over the unigram mass of the words
-            // not seen after this history, so Σ_w p(w | h) ≤ 1.
-            for &h in hist1_counts.keys() {
-                let mut seen_sum = 0.0f64;
-                let mut seen_uni_sum = 0.0f64;
-                for (&(hh, w), p) in &bigrams {
-                    if hh == h {
-                        seen_sum += p.to_linear();
-                        seen_uni_sum += uni_prob(w);
-                    }
-                }
-                let weight = if seen_uni_sum < 1.0 {
-                    ((1.0 - seen_sum).max(0.0)) / (1.0 - seen_uni_sum)
-                } else {
-                    0.0
-                };
-                bigram_backoff.insert(h, LogProb::from_linear(weight.min(1.0)));
-            }
-        }
+        let (bigrams, bigram_backoff) =
+            estimate_order(bi_counts, v, |(h, w)| (h, w), |_, w| uni_prob(w));
 
-        let mut trigrams = HashMap::new();
-        let mut trigram_backoff = HashMap::new();
-        if order == NGramOrder::Trigram {
-            for (&(h2, h1, w), &c) in &tri_counts {
-                let hist = *hist2_counts.get(&(h2, h1)).unwrap_or(&0);
-                trigrams.insert(
-                    (h2, h1, w),
-                    LogProb::from_linear((c as f64 + 1.0) / (hist as f64 + v)),
-                );
+        // Bigram-level conditional used when a trigram is unseen.
+        let bigram_cond = |h1: WordId, w: WordId| -> f64 {
+            if let Some(p) = bigrams.get(&(h1, w)) {
+                p.to_linear()
+            } else {
+                let backoff = bigram_backoff
+                    .get(&h1)
+                    .map(|b| b.to_linear())
+                    .unwrap_or(1.0);
+                backoff * uni_prob(w)
             }
-            // Bigram-level conditional used when a trigram is unseen.
-            let bigram_cond = |h1: WordId, w: WordId| -> f64 {
-                if let Some(p) = bigrams.get(&(h1, w)) {
-                    p.to_linear()
-                } else {
-                    let backoff = bigram_backoff
-                        .get(&h1)
-                        .map(|b| b.to_linear())
-                        .unwrap_or(1.0);
-                    backoff * uni_prob(w)
-                }
-            };
-            for &(h2, h1) in hist2_counts.keys() {
-                let mut seen_sum = 0.0f64;
-                let mut seen_lower_sum = 0.0f64;
-                for (&(t2, t1, w), p) in &trigrams {
-                    if t2 == h2 && t1 == h1 {
-                        seen_sum += p.to_linear();
-                        seen_lower_sum += bigram_cond(h1, w);
-                    }
-                }
-                let weight = if seen_lower_sum < 1.0 {
-                    ((1.0 - seen_sum).max(0.0)) / (1.0 - seen_lower_sum)
-                } else {
-                    0.0
-                };
-                trigram_backoff.insert((h2, h1), LogProb::from_linear(weight.min(1.0)));
-            }
-        }
+        };
+        let (trigrams, trigram_backoff) = estimate_order(
+            tri_counts,
+            v,
+            |(h2, h1, w)| ((h2, h1), w),
+            |(_, h1), w| bigram_cond(h1, w),
+        );
 
         Ok(NGramModel {
             order,
@@ -334,9 +283,66 @@ impl NGramModel {
     }
 }
 
+/// Add-one probabilities and Katz-style back-off weights of one order from
+/// its n-gram counts.
+///
+/// `split` splits an n-gram into its history and its word, and `lower` is the
+/// next-lower order's conditional `p(w | shortened history)`.  The counts are
+/// sorted by (history, word), so each history's n-grams form one run: its
+/// total count, and then the two sums its back-off weight needs (the mass its
+/// seen n-grams claim and the lower-order mass of the same words), come from
+/// that run alone, added in word order.  Training is therefore linear in the
+/// number of n-grams after the sort, and the sums do not depend on hash-map
+/// iteration order.  The count map is consumed before the tables grow.
+fn estimate_order<K, H>(
+    counts: HashMap<K, u64>,
+    v: f64,
+    split: impl Fn(K) -> (H, WordId),
+    lower: impl Fn(H, WordId) -> f64,
+) -> (HashMap<K, LogProb>, HashMap<H, LogProb>)
+where
+    K: Copy + Ord + Hash,
+    H: Copy + Eq + Hash,
+{
+    let mut sorted: Vec<(K, u64)> = counts.into_iter().collect();
+    sorted.sort_unstable_by_key(|&(key, _)| key);
+    let mut probs = HashMap::with_capacity(sorted.len());
+    let mut backoff = HashMap::new();
+    let mut rest = &sorted[..];
+    while let Some(&(first, _)) = rest.first() {
+        let (history, _) = split(first);
+        let len = rest
+            .iter()
+            .position(|&(key, _)| split(key).0 != history)
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        let hist: u64 = run.iter().map(|&(_, c)| c).sum();
+        let mut seen_sum = 0.0f64;
+        let mut seen_lower_sum = 0.0f64;
+        for &(key, c) in run {
+            let p = LogProb::from_linear((c as f64 + 1.0) / (hist as f64 + v));
+            probs.insert(key, p);
+            seen_sum += p.to_linear();
+            seen_lower_sum += lower(history, split(key).1);
+        }
+        // The probability mass not claimed by the seen n-grams, redistributed
+        // over the lower-order mass of the words not seen after this history,
+        // so Σ_w p(w | h) ≤ 1.
+        let weight = if seen_lower_sum < 1.0 {
+            ((1.0 - seen_sum).max(0.0)) / (1.0 - seen_lower_sum)
+        } else {
+            0.0
+        };
+        backoff.insert(history, LogProb::from_linear(weight.min(1.0)));
+    }
+    (probs, backoff)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn w(i: u32) -> WordId {
         WordId(i)
@@ -419,6 +425,224 @@ mod tests {
         assert!(ppl_common < ppl_rare);
         assert!(ppl_common > 1.0);
         assert_eq!(lm.perplexity(&[]), f64::INFINITY);
+    }
+
+    /// A seeded xorshift stream for the random corpora below.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// `count` sentences of 0–6 words drawn uniformly from `vocab` words.
+    fn random_corpus(seed: u64, vocab: usize, count: usize) -> Vec<Vec<WordId>> {
+        let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        (0..count)
+            .map(|_| {
+                let len = rng.below(7);
+                (0..len).map(|_| w(rng.below(vocab) as u32)).collect()
+            })
+            .collect()
+    }
+
+    /// Every word a probe may name: the vocabulary, one word outside it and
+    /// both sentence boundaries.
+    fn probe_words(vocab: usize) -> Vec<WordId> {
+        (0..=vocab as u32)
+            .map(w)
+            .chain([NGramModel::BOS, NGramModel::EOS])
+            .collect()
+    }
+
+    /// The bits of `log_prob` for every (h2, h1, w) over `probe_words`.
+    fn log_prob_bits(lm: &NGramModel) -> Vec<u32> {
+        let words = probe_words(lm.vocab_size());
+        let mut bits = Vec::new();
+        for &h2 in &words {
+            for &h1 in &words {
+                for &word in &words {
+                    bits.push(lm.log_prob(&[h2, h1], word).raw().to_bits());
+                }
+            }
+        }
+        bits
+    }
+
+    /// The model straight from its definition: counts per position in
+    /// ordered maps, and each history's back-off sums taken over its seen
+    /// words in ascending order.
+    struct Oracle {
+        order: NGramOrder,
+        total: f64,
+        v: f64,
+        uni: BTreeMap<WordId, u64>,
+        bi: BTreeMap<(WordId, WordId), u64>,
+        tri: BTreeMap<(WordId, WordId, WordId), u64>,
+        hist1: BTreeMap<WordId, u64>,
+        hist2: BTreeMap<(WordId, WordId), u64>,
+        bi_backoff: BTreeMap<WordId, LogProb>,
+        tri_backoff: BTreeMap<(WordId, WordId), LogProb>,
+    }
+
+    impl Oracle {
+        fn new(order: NGramOrder, vocab: usize, sentences: &[Vec<WordId>]) -> Self {
+            let mut oracle = Oracle {
+                order,
+                total: 0.0,
+                v: vocab as f64 + 1.0,
+                uni: BTreeMap::new(),
+                bi: BTreeMap::new(),
+                tri: BTreeMap::new(),
+                hist1: BTreeMap::new(),
+                hist2: BTreeMap::new(),
+                bi_backoff: BTreeMap::new(),
+                tri_backoff: BTreeMap::new(),
+            };
+            for s in sentences.iter().filter(|s| !s.is_empty()) {
+                let (mut h2, mut h1) = (NGramModel::BOS, NGramModel::BOS);
+                for &word in s.iter().chain([&NGramModel::EOS]) {
+                    oracle.total += 1.0;
+                    *oracle.uni.entry(word).or_default() += 1;
+                    *oracle.bi.entry((h1, word)).or_default() += 1;
+                    *oracle.tri.entry((h2, h1, word)).or_default() += 1;
+                    *oracle.hist1.entry(h1).or_default() += 1;
+                    *oracle.hist2.entry((h2, h1)).or_default() += 1;
+                    (h2, h1) = (h1, word);
+                }
+            }
+            let weight = |seen: f64, seen_lower: f64| {
+                let weight = if seen_lower < 1.0 {
+                    ((1.0 - seen).max(0.0)) / (1.0 - seen_lower)
+                } else {
+                    0.0
+                };
+                LogProb::from_linear(weight.min(1.0))
+            };
+            for &h in oracle.hist1.keys() {
+                let (mut seen, mut seen_uni) = (0.0, 0.0);
+                for (&(_, word), _) in oracle.bi.range((h, WordId(0))..=(h, WordId(u32::MAX))) {
+                    seen += oracle.bigram(h, word).unwrap().to_linear();
+                    seen_uni += oracle.uni_linear(word);
+                }
+                oracle.bi_backoff.insert(h, weight(seen, seen_uni));
+            }
+            for &(h2, h1) in oracle.hist2.keys() {
+                let (mut seen, mut seen_lower) = (0.0, 0.0);
+                let range = (h2, h1, WordId(0))..=(h2, h1, WordId(u32::MAX));
+                for (&(_, _, word), _) in oracle.tri.range(range) {
+                    seen += oracle.trigram(h2, h1, word).unwrap().to_linear();
+                    seen_lower += oracle.bigram_linear(h1, word);
+                }
+                oracle
+                    .tri_backoff
+                    .insert((h2, h1), weight(seen, seen_lower));
+            }
+            oracle
+        }
+
+        fn uni_linear(&self, word: WordId) -> f64 {
+            let c = self.uni.get(&word).map_or(0.0, |&c| c as f64 + 1.0);
+            c.max(1.0) / (self.total + self.v)
+        }
+
+        fn bigram(&self, h1: WordId, word: WordId) -> Option<LogProb> {
+            let c = *self.bi.get(&(h1, word))?;
+            Some(LogProb::from_linear(
+                (c as f64 + 1.0) / (self.hist1[&h1] as f64 + self.v),
+            ))
+        }
+
+        fn trigram(&self, h2: WordId, h1: WordId, word: WordId) -> Option<LogProb> {
+            let c = *self.tri.get(&(h2, h1, word))?;
+            Some(LogProb::from_linear(
+                (c as f64 + 1.0) / (self.hist2[&(h2, h1)] as f64 + self.v),
+            ))
+        }
+
+        fn bigram_linear(&self, h1: WordId, word: WordId) -> f64 {
+            self.bigram(h1, word).map_or_else(
+                || self.bi_backoff.get(&h1).map_or(1.0, |b| b.to_linear()) * self.uni_linear(word),
+                LogProb::to_linear,
+            )
+        }
+
+        fn log_prob(&self, h2: WordId, h1: WordId, word: WordId) -> LogProb {
+            let unigram = LogProb::from_linear(self.uni_linear(word));
+            let bi_backoff = self.bi_backoff.get(&h1).copied().unwrap_or(LogProb::ONE);
+            let tri_backoff = self
+                .tri_backoff
+                .get(&(h2, h1))
+                .copied()
+                .unwrap_or(LogProb::ONE);
+            // The sums associate as `log_prob` writes them, left to right.
+            match (
+                self.order,
+                self.trigram(h2, h1, word),
+                self.bigram(h1, word),
+            ) {
+                (NGramOrder::Unigram, _, _) => unigram,
+                (NGramOrder::Bigram, _, Some(p)) | (NGramOrder::Trigram, Some(p), _) => p,
+                (NGramOrder::Bigram, _, None) => bi_backoff + unigram,
+                (NGramOrder::Trigram, None, Some(p)) => tri_backoff + p,
+                (NGramOrder::Trigram, None, None) => tri_backoff + bi_backoff + unigram,
+            }
+        }
+    }
+
+    #[test]
+    fn training_matches_the_per_history_definition_bit_for_bit() {
+        for order in [NGramOrder::Unigram, NGramOrder::Bigram, NGramOrder::Trigram] {
+            for vocab in [1, 2, 3, 5, 8] {
+                for seed in 0..12 {
+                    let sentences = random_corpus(seed, vocab, 1 + seed as usize * 4);
+                    if sentences.iter().all(Vec::is_empty) {
+                        continue;
+                    }
+                    let lm = NGramModel::train(order, vocab, &sentences).unwrap();
+                    let oracle = Oracle::new(order, vocab, &sentences);
+                    let words = probe_words(vocab);
+                    for &h2 in &words {
+                        for &h1 in &words {
+                            for &word in &words {
+                                assert_eq!(
+                                    lm.log_prob(&[h2, h1], word).raw().to_bits(),
+                                    oracle.log_prob(h2, h1, word).raw().to_bits(),
+                                    "{order:?}, vocab {vocab}, seed {seed}: \
+                                     p({word:?} | {h2:?} {h1:?})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn training_does_not_depend_on_sentence_order() {
+        let corpora = (0..8).flat_map(|seed| [(seed, 2, 12), (seed, 3, 20), (seed, 7, 60)]);
+        for (seed, vocab, count) in corpora.chain([(0, 40, 300)]) {
+            let sentences = random_corpus(seed, vocab, count);
+            let mut shuffled = sentences.clone();
+            let mut rng = XorShift(0x5EED + seed);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below(i + 1));
+            }
+            assert_ne!(shuffled, sentences, "the shuffle moved something");
+            for order in [NGramOrder::Bigram, NGramOrder::Trigram] {
+                let lm = NGramModel::train(order, vocab, &sentences).unwrap();
+                let relearned = NGramModel::train(order, vocab, &shuffled).unwrap();
+                assert!(
+                    log_prob_bits(&lm) == log_prob_bits(&relearned),
+                    "{order:?}, vocab {vocab}, seed {seed}: the shuffled corpus trains another model"
+                );
+            }
+        }
     }
 
     #[test]

@@ -441,11 +441,11 @@ impl<'r> AudioStreamSession<'r> {
         if !features.is_empty() {
             let started = self.owner.telemetry.is_enabled().then(Instant::now);
             utterance.push_chunk(&features)?;
-            let partial = utterance.session.partial();
-            if partial.words.len() > self.last_partial_words {
-                self.last_partial_words = partial.words.len();
-                let words = partial.words.len();
-                events.push(StreamEvent::Partial(partial));
+            // Spell the partial out only when it grew.
+            let words = utterance.session.partial_words().len();
+            if words > self.last_partial_words {
+                self.last_partial_words = words;
+                events.push(StreamEvent::Partial(utterance.session.partial()));
                 if let Some(started) = started {
                     self.emit(&SpanEvent::PartialEmitted {
                         words,

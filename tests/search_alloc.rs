@@ -1,32 +1,28 @@
 //! Allocation budgets of the decode hot path.
 //!
-//! A warm decode must allocate, inside `TokenPassingSearch::step`,
-//! essentially nothing beyond the one result vector each
-//! `SenoneScorer::step_hmm` call returns: the token table, history arena and
-//! per-frame buffers are reused, and walking the lexical tree borrows.  That
-//! holds on the SIMD backend and on the cycle-accurate SoC, whose own frame
-//! (feature load, senone scoring into the caller's buffer, frame report)
-//! allocates nothing once warm and whose Viterbi step allocates only that
-//! result vector.
+//! A warm decode allocates essentially nothing inside
+//! `TokenPassingSearch::step`: the token table, history arena and per-frame
+//! buffers are reused, walking the lexical tree borrows, and each
+//! `SenoneScorer::step_hmm` call returns its state scores inline.  That holds
+//! on the SIMD backend and on the cycle-accurate SoC, whose own frame
+//! (feature load, senone scoring into the caller's buffer, Viterbi steps,
+//! frame report) allocates nothing once warm.
 //!
 //! The counting allocator below counts per thread, so tests of other
 //! binaries or threads cannot disturb the figure.
 
-use lvcsr::acoustic::{AcousticModel, AcousticModelConfig, SenoneId, TransitionMatrix};
+use lvcsr::acoustic::{AcousticModel, AcousticModelConfig, SenoneId};
 use lvcsr::corpus::Wsj5kTask;
 use lvcsr::decoder::{
-    DecodeError, DecoderConfig, HmmStepResult, PhoneDecoder, Recognizer, SenoneScorer, SocScorer,
+    software_step_hmm, DecoderConfig, PhoneDecoder, Recognizer, SenoneScorer, SocScorer,
     TokenPassingSearch,
 };
 use lvcsr::float::LogProb;
-use lvcsr::hw::{SocConfig, UtteranceReport};
+use lvcsr::hw::SocConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// The most allocations per frame `step` may make beyond one per
-/// `step_hmm` call.
+/// The most allocations per warm frame `step` may make.
 const BUDGET_PER_FRAME: f64 = 0.1;
 
 thread_local! {
@@ -73,61 +69,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Forwards every call to the wrapped backend, counting `step_hmm` calls.
-#[derive(Debug)]
-struct HmmCounting {
-    inner: Box<dyn SenoneScorer>,
-    hmm_calls: Arc<AtomicU64>,
-}
-
-impl SenoneScorer for HmmCounting {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn begin_frame(&mut self, feature: &[f32]) {
-        self.inner.begin_frame(feature);
-    }
-
-    fn score_senones_into(
-        &mut self,
-        model: &AcousticModel,
-        active: &[SenoneId],
-        feature: &[f32],
-        out: &mut Vec<(SenoneId, LogProb)>,
-    ) -> Result<(), DecodeError> {
-        self.inner.score_senones_into(model, active, feature, out)
-    }
-
-    fn step_hmm(
-        &mut self,
-        prev_scores: &[LogProb],
-        entry_score: LogProb,
-        transitions: &TransitionMatrix,
-        senone_scores: &[LogProb],
-    ) -> Result<HmmStepResult, DecodeError> {
-        self.hmm_calls.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .step_hmm(prev_scores, entry_score, transitions, senone_scores)
-    }
-
-    fn dma_fetch(&mut self, bytes: u64) {
-        self.inner.dma_fetch(bytes);
-    }
-
-    fn end_frame(&mut self, active_triphones: usize, lattice_edges: usize) {
-        self.inner.end_frame(active_triphones, lattice_edges);
-    }
-
-    fn finish_utterance(&mut self) -> Option<UtteranceReport> {
-        self.inner.finish_utterance()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
 /// Decodes one utterance to warm `config`'s backend, then checks that
 /// `step` over a second utterance stays within the budget.
 fn assert_warm_step_budget(config: DecoderConfig) {
@@ -140,19 +81,12 @@ fn assert_warm_step_budget(config: DecoderConfig) {
     )
     .expect("recogniser");
     let config = recognizer.config();
-    let hmm_calls = Arc::new(AtomicU64::new(0));
-    let inner = config
+    let scorer = config
         .backend
         .build_scorer(&config.gmm_selection)
         .expect("scorer");
-    let backend = inner.name();
-    let mut decoder = PhoneDecoder::new(
-        Box::new(HmmCounting {
-            inner,
-            hmm_calls: Arc::clone(&hmm_calls),
-        }),
-        config.gmm_selection,
-    );
+    let backend = scorer.name();
+    let mut decoder = PhoneDecoder::new(scorer, config.gmm_selection);
     let search = TokenPassingSearch::new(
         recognizer.model(),
         recognizer.network(),
@@ -171,7 +105,6 @@ fn assert_warm_step_budget(config: DecoderConfig) {
 
     decoder.begin_utterance();
     let mut state = search.begin();
-    let calls_before = hmm_calls.load(Ordering::Relaxed);
     let mut step_allocations = 0;
     for feature in &features {
         let before = allocations();
@@ -180,30 +113,28 @@ fn assert_warm_step_budget(config: DecoderConfig) {
             .expect("step");
         step_allocations += allocations() - before;
     }
-    let calls = hmm_calls.load(Ordering::Relaxed) - calls_before;
     let outcome = search.finish(state);
     assert!(
         !outcome.best_token_words.is_empty(),
         "the decode found words"
     );
 
-    let frames = features.len() as f64;
-    let extra = (step_allocations as f64 - calls as f64) / frames;
+    let per_frame = step_allocations as f64 / features.len() as f64;
     assert!(
-        extra <= BUDGET_PER_FRAME,
-        "{backend}: {step_allocations} allocations in {} frames with {calls} step_hmm calls: \
-         {extra:.3} extra per frame (budget {BUDGET_PER_FRAME})",
+        per_frame <= BUDGET_PER_FRAME,
+        "{backend}: {step_allocations} allocations in {} frames: {per_frame:.3} per frame \
+         (budget {BUDGET_PER_FRAME})",
         features.len()
     );
 }
 
 #[test]
-fn warm_search_step_allocates_only_hmm_step_results() {
+fn warm_search_step_does_not_allocate_per_frame() {
     assert_warm_step_budget(DecoderConfig::simd());
 }
 
 #[test]
-fn warm_hardware_search_step_allocates_only_hmm_step_results() {
+fn warm_hardware_search_step_does_not_allocate_per_frame() {
     assert_warm_step_budget(DecoderConfig::hardware(2));
 }
 
@@ -246,7 +177,7 @@ fn warm_soc_frame_allocates_nothing() {
 }
 
 #[test]
-fn soc_hmm_step_allocates_only_its_result() {
+fn soc_and_software_hmm_steps_allocate_nothing() {
     let model = AcousticModel::untrained(AcousticModelConfig::tiny()).expect("model");
     let transitions = model.transitions();
     let n = transitions.num_states();
@@ -258,7 +189,9 @@ fn soc_hmm_step_allocates_only_its_result() {
         let step = scorer
             .step_hmm(&prev, entry, transitions, &obs)
             .expect("step");
-        assert_eq!(allocations() - before, 1, "only the result vector");
+        let software = software_step_hmm(&prev, entry, transitions, &obs).expect("step");
+        assert_eq!(allocations() - before, 0, "the scores are held inline");
         assert_eq!(step.scores.len(), n);
+        assert_eq!(software.scores.len(), n);
     }
 }

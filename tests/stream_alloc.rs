@@ -9,6 +9,9 @@
 //! * a silent hop through `AudioStreamSession::push_audio` allocates nothing
 //!   (whole hops are borrowed from the caller's chunk and the pre-roll
 //!   recycles its storage).
+//! * a warm in-speech hop under a standing partial allocates little more
+//!   than the frontend returns: the session checks the partial's word count
+//!   before it spells the partial out;
 //! * the hop that opens an audio session's second utterance skips the
 //!   allocations a fresh decoder makes on its first frames: the session
 //!   decodes every utterance on the one decoder it built when it opened.
@@ -16,11 +19,15 @@
 //! The counting allocator below counts per thread, so tests of other
 //! binaries or threads cannot disturb the figures.
 
-use lvcsr::corpus::{ScenarioVoiceTask, TaskConfig, TaskGenerator};
+use lvcsr::corpus::{
+    ScenarioGenerator, ScenarioKind, ScenarioVoiceTask, TaskConfig, TaskGenerator,
+};
 use lvcsr::decoder::{DecoderConfig, Recognizer, ScoringBackendKind};
 use lvcsr::frontend::FrontendConfig;
 use lvcsr::stream::vad::hop_rms;
-use lvcsr::stream::{EnergyVad, StreamConfig, StreamingFrontend, StreamingRecognizer, VadConfig};
+use lvcsr::stream::{
+    EnergyVad, StreamConfig, StreamEvent, StreamingFrontend, StreamingRecognizer, VadConfig,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -186,7 +193,7 @@ fn warm_silent_hop_through_the_audio_session_allocates_nothing() {
     let mut ended = false;
     for chunk in warm.chunks(HOP) {
         for event in session.push_audio(chunk).expect("warm-up") {
-            ended |= matches!(event, lvcsr::stream::StreamEvent::UtteranceEnd(_));
+            ended |= matches!(event, StreamEvent::UtteranceEnd(_));
         }
     }
     assert!(
@@ -245,5 +252,78 @@ fn the_second_utterance_opens_on_the_warm_decoder() {
     assert!(
         second * 4 <= first * 3,
         "opening the second utterance allocated {second} times, the first {first}"
+    );
+}
+
+/// Most extra allocations a warm in-speech hop may make, on average, beyond
+/// the frontend's output while a partial stands.  They are the search's
+/// per-utterance records (word ends, lattice, frame stats) growing by
+/// doubling, about 0.2 per hop on the voice task; spelling the standing
+/// partial out on every hop would cost at least 2 (a word-id vector and one
+/// string per word).
+const STANDING_PARTIAL_BUDGET_PER_HOP: f64 = 0.5;
+
+/// While a partial stands, in-speech hops that emit no event allocate
+/// little more than the frontend returns (one vector per hop that yields
+/// frames, plus one feature vector per frame): the session compares the
+/// partial's word count before it spells the partial out.  The
+/// audio-trained voice task recognises its commands, so partials stand
+/// through much of each utterance.  The session's first utterance warms it
+/// and is not counted.
+#[test]
+fn warm_in_speech_hops_do_not_rebuild_a_standing_partial() {
+    let task = ScenarioVoiceTask::train(11).expect("voice task trains");
+    let scenario = ScenarioGenerator::new(&task.dictionary, 17).generate(ScenarioKind::LongSession);
+    let recognizer = Recognizer::new(
+        task.acoustic_model,
+        task.dictionary,
+        task.language_model,
+        DecoderConfig {
+            backend: ScoringBackendKind::Simd,
+            ..DecoderConfig::default()
+        },
+    )
+    .expect("recogniser");
+    let streamer = StreamingRecognizer::new(
+        recognizer,
+        StreamConfig {
+            frontend: ScenarioVoiceTask::frontend_config(),
+            vad: VadConfig::adaptive(),
+            ..StreamConfig::default()
+        },
+    )
+    .expect("streamer");
+    let mut session = streamer.audio_session().expect("audio session");
+
+    let (mut hops, mut made, mut frontend) = (0u64, 0, 0);
+    let mut partial_words = 0;
+    for hop in scenario.samples.chunks(HOP) {
+        let was_open = session.in_utterance();
+        let frames_before = session.features_emitted();
+        let before = allocations();
+        let events = session.push_audio(hop).expect("hop");
+        let allocated = allocations() - before;
+        let frames = (session.features_emitted() - frames_before) as u64;
+        let warm = session.utterances_finished() >= 1;
+        if warm && was_open && events.is_empty() && frames > 0 && partial_words > 0 {
+            hops += 1;
+            made += allocated;
+            frontend += 1 + frames;
+        }
+        for event in &events {
+            match event {
+                StreamEvent::Partial(partial) => partial_words = partial.words.len(),
+                StreamEvent::UtteranceStarted => partial_words = 0,
+                _ => {}
+            }
+        }
+    }
+    assert!(hops >= 50, "only {hops} counted hops stood under a partial");
+    let extra = made.saturating_sub(frontend) as f64 / hops as f64;
+    assert!(
+        extra <= STANDING_PARTIAL_BUDGET_PER_HOP,
+        "{made} allocations in {hops} in-speech hops under a standing partial, \
+         {frontend} of them frontend output: {extra:.2} extra per hop \
+         (budget {STANDING_PARTIAL_BUDGET_PER_HOP})"
     );
 }
