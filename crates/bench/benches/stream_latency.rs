@@ -106,7 +106,7 @@ fn bench_stream_adversarial(c: &mut Criterion) {
         StreamConfig {
             frontend: ScenarioVoiceTask::frontend_config(),
             vad: VadConfig {
-                adaptive: Some(AdaptiveVadConfig::default()),
+                adaptive: Some(AdaptiveVadConfig),
                 ..VadConfig::default()
             },
             ..StreamConfig::default()

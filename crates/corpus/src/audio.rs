@@ -7,14 +7,17 @@
 //! pipeline relies on.
 
 use asr_acoustic::PhoneId;
+use asr_frontend::FrontendConfig;
 use asr_lexicon::{Dictionary, WordId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Renders phone sequences to PCM samples.
+/// Sample rate of the rendered audio: the frontend's.
+const SAMPLE_RATE_HZ: f32 = FrontendConfig::SAMPLE_RATE_HZ as f32;
+
+/// Renders phone sequences to PCM samples at the frontend's 16 kHz.
 #[derive(Debug, Clone)]
 pub struct AudioSynthesizer {
-    sample_rate_hz: u32,
     phone_duration_s: f32,
     noise_amplitude: f32,
 }
@@ -24,12 +27,10 @@ impl AudioSynthesizer {
     ///
     /// # Panics
     ///
-    /// Panics if the sample rate is zero or the phone duration is not positive.
-    pub fn new(sample_rate_hz: u32, phone_duration_s: f32, noise_amplitude: f32) -> Self {
-        assert!(sample_rate_hz > 0, "sample rate must be positive");
+    /// Panics if the phone duration is not positive.
+    pub fn new(phone_duration_s: f32, noise_amplitude: f32) -> Self {
         assert!(phone_duration_s > 0.0, "phone duration must be positive");
         AudioSynthesizer {
-            sample_rate_hz,
             phone_duration_s,
             noise_amplitude: noise_amplitude.max(0.0),
         }
@@ -37,12 +38,7 @@ impl AudioSynthesizer {
 
     /// A 16 kHz synthesiser with 120 ms phones and mild noise.
     pub fn default_16khz() -> Self {
-        Self::new(16_000, 0.12, 0.01)
-    }
-
-    /// The sample rate.
-    pub fn sample_rate_hz(&self) -> u32 {
-        self.sample_rate_hz
+        Self::new(0.12, 0.01)
     }
 
     /// The three "formant" frequencies assigned to a phone (deterministic in
@@ -58,12 +54,12 @@ impl AudioSynthesizer {
 
     /// Renders one phone.
     pub fn render_phone(&self, phone: PhoneId, rng: &mut StdRng) -> Vec<f32> {
-        let n = (self.sample_rate_hz as f32 * self.phone_duration_s) as usize;
+        let n = (SAMPLE_RATE_HZ * self.phone_duration_s) as usize;
         let formants = self.formants(phone);
         let amps = [0.6f32, 0.3, 0.15];
         (0..n)
             .map(|i| {
-                let t = i as f32 / self.sample_rate_hz as f32;
+                let t = i as f32 / SAMPLE_RATE_HZ;
                 // Attack/decay envelope avoids clicks at phone boundaries.
                 let env = (i.min(n - i) as f32 / (0.1 * n as f32)).min(1.0);
                 let tone: f32 = formants
@@ -91,7 +87,7 @@ impl AudioSynthesizer {
     /// short silence gap between words).
     pub fn render_words(&self, dictionary: &Dictionary, words: &[WordId], seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let gap = vec![0.0f32; (self.sample_rate_hz as f32 * 0.03) as usize];
+        let gap = vec![0.0f32; (SAMPLE_RATE_HZ * 0.03) as usize];
         let mut out = Vec::new();
         for &w in words {
             if let Some(pron) = dictionary.pronunciation(w) {
@@ -120,7 +116,6 @@ mod tests {
     #[test]
     fn renders_expected_length() {
         let synth = AudioSynthesizer::default_16khz();
-        assert_eq!(synth.sample_rate_hz(), 16_000);
         let mut rng = StdRng::seed_from_u64(0);
         let samples = synth.render_phone(PhoneId(3), &mut rng);
         assert_eq!(samples.len(), (16_000.0f32 * 0.12) as usize);
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn different_phones_have_different_spectra() {
-        let synth = AudioSynthesizer::new(16_000, 0.1, 0.0);
+        let synth = AudioSynthesizer::new(0.1, 0.0);
         let a = synth.formants(PhoneId(1));
         let b = synth.formants(PhoneId(30));
         assert_ne!(a, b);
@@ -175,11 +170,5 @@ mod tests {
         // Unknown word ids are skipped gracefully.
         let only_gap = synth.render_words(&dict, &[WordId(9)], 3);
         assert_eq!(only_gap.len(), (16_000.0f32 * 0.03) as usize);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample rate")]
-    fn zero_sample_rate_panics() {
-        AudioSynthesizer::new(0, 0.1, 0.0);
     }
 }

@@ -227,9 +227,7 @@ pub struct SpeechSpan {
 pub struct Scenario {
     /// Which adversarial condition this stream reproduces.
     pub kind: ScenarioKind,
-    /// Sample rate of `samples` in Hz.
-    pub sample_rate_hz: u32,
-    /// The waveform, in `[-1, 1]`.
+    /// The waveform, in `[-1, 1]`, at [`FrontendConfig::SAMPLE_RATE_HZ`].
     pub samples: Vec<f32>,
     /// Ground-truth speech spans, in stream order, non-overlapping.
     pub spans: Vec<SpeechSpan>,
@@ -242,7 +240,7 @@ pub struct Scenario {
 impl Scenario {
     /// Stream duration in seconds.
     pub fn duration_s(&self) -> f32 {
-        self.samples.len() as f32 / self.sample_rate_hz as f32
+        self.samples.len() as f32 / FrontendConfig::SAMPLE_RATE_HZ as f32
     }
 
     /// The utterances an endpointer bridging gaps up to `merge_gap_samples`
@@ -285,14 +283,13 @@ pub struct ScenarioGenerator<'d> {
 struct StreamBuilder<'d> {
     dictionary: &'d Dictionary,
     synth: AudioSynthesizer,
-    sample_rate: u32,
     samples: Vec<f32>,
     spans: Vec<SpeechSpan>,
 }
 
 impl StreamBuilder<'_> {
     fn silence(&mut self, seconds: f32) {
-        let n = (self.sample_rate as f32 * seconds) as usize;
+        let n = (FrontendConfig::SAMPLE_RATE_HZ as f32 * seconds) as usize;
         self.samples.extend(std::iter::repeat(0.0f32).take(n));
     }
 
@@ -302,7 +299,7 @@ impl StreamBuilder<'_> {
     /// span's `end_sample`.
     fn utterance(&mut self, words: &[WordId], seed: u64, gain: f32) {
         let audio = self.synth.render_words(self.dictionary, words, seed);
-        let trailing_gap = (self.sample_rate as f32 * 0.03) as usize;
+        let trailing_gap = (FrontendConfig::SAMPLE_RATE_HZ as f32 * 0.03) as usize;
         let onset_sample = self.samples.len();
         let end_sample = onset_sample + audio.len().saturating_sub(trailing_gap);
         self.samples.extend(audio.iter().map(|s| s * gain));
@@ -320,7 +317,6 @@ impl StreamBuilder<'_> {
     fn into_scenario(self, kind: ScenarioKind, boundary_slack_s: f32) -> Scenario {
         Scenario {
             kind,
-            sample_rate_hz: self.sample_rate,
             samples: self.samples,
             spans: self.spans,
             boundary_slack_s,
@@ -335,14 +331,9 @@ impl<'d> ScenarioGenerator<'d> {
     pub fn new(dictionary: &'d Dictionary, seed: u64) -> Self {
         ScenarioGenerator {
             dictionary,
-            synth: AudioSynthesizer::new(16_000, 0.12, 0.0),
+            synth: AudioSynthesizer::new(0.12, 0.0),
             seed,
         }
-    }
-
-    /// The generator's sample rate (16 kHz).
-    pub fn sample_rate_hz(&self) -> u32 {
-        self.synth.sample_rate_hz()
     }
 
     /// Generates every scenario kind, in [`ScenarioKind::ALL`] order.
@@ -365,7 +356,6 @@ impl<'d> ScenarioGenerator<'d> {
         let mut builder = StreamBuilder {
             dictionary: self.dictionary,
             synth: self.synth.clone(),
-            sample_rate: self.synth.sample_rate_hz(),
             samples: Vec::new(),
             spans: Vec::new(),
         };

@@ -21,43 +21,26 @@ impl std::error::Error for FrontendError {}
 
 /// Configuration of the MFCC frontend.
 ///
-/// The defaults mirror the Sphinx-3 frontend the paper used: 16 kHz input,
-/// 25 ms analysis window, 10 ms shift, 40 mel filters, 13 cepstra, deltas and
-/// delta-deltas appended for a 39-dimensional feature vector.
+/// The frame geometry is the paper's and fixed: 16 kHz input, 25 ms analysis
+/// window, 10 ms shift, 40 mel filters, 13 cepstra (the associated
+/// constants).  What a caller chooses is which derivatives are appended
+/// (deltas and delta-deltas give the 39-dimensional Sphinx vector),
+/// cepstral mean normalisation with its live prior, and the dither.
 ///
 /// # Example
 ///
 /// ```
 /// use asr_frontend::FrontendConfig;
-/// let cfg = FrontendConfig::default();
-/// assert_eq!(cfg.frame_length_samples(), 400);
-/// assert_eq!(cfg.frame_shift_samples(), 160);
-/// assert_eq!(cfg.feature_dim(), 39);
+/// assert_eq!(FrontendConfig::FRAME_LENGTH_SAMPLES, 400);
+/// assert_eq!(FrontendConfig::FRAME_SHIFT_SAMPLES, 160);
+/// assert_eq!(FrontendConfig::default().feature_dim(), 39);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontendConfig {
-    /// Input sample rate in Hz.
-    pub sample_rate_hz: u32,
-    /// Analysis window length in milliseconds (the paper: "typically 25 msecs").
-    pub frame_length_ms: f32,
-    /// Frame shift in milliseconds (the paper: "typically spaced 10 msecs").
-    pub frame_shift_ms: f32,
-    /// Pre-emphasis coefficient (0 disables pre-emphasis).
-    pub pre_emphasis: f32,
-    /// Number of triangular mel filters.
-    pub num_mel_filters: usize,
-    /// Number of cepstral coefficients kept after the DCT (including C0).
-    pub num_cepstra: usize,
-    /// Lowest filterbank edge frequency in Hz.
-    pub low_freq_hz: f32,
-    /// Highest filterbank edge frequency in Hz (`None` → Nyquist).
-    pub high_freq_hz: Option<f32>,
     /// Whether delta (velocity) coefficients are appended.
     pub use_delta: bool,
     /// Whether delta-delta (acceleration) coefficients are appended.
     pub use_delta_delta: bool,
-    /// Window (in frames) used on each side when estimating deltas.
-    pub delta_window: usize,
     /// Whether cepstral mean normalisation is applied per utterance.
     pub cepstral_mean_norm: bool,
     /// Weight, in frames, of the initial mean estimate when CMN runs in
@@ -68,27 +51,19 @@ pub struct FrontendConfig {
     /// (whole-utterance) path.
     pub cmn_prior_frames: f64,
     /// Initial per-coefficient mean estimate for live CMN (`None` → zeros).
-    /// Must have [`FrontendConfig::num_cepstra`] entries when set.  Ignored
+    /// Must have [`FrontendConfig::NUM_CEPSTRA`] entries when set.  Ignored
     /// by the batch path.
     pub cmn_prior_mean: Option<Vec<f64>>,
-    /// Dither amplitude added to the signal to avoid log(0) on digital silence.
+    /// Dither amplitude added to the signal to avoid log(0) on digital
+    /// silence, in `[0, FrontendConfig::MAX_DITHER]`.
     pub dither: f32,
 }
 
 impl Default for FrontendConfig {
     fn default() -> Self {
         FrontendConfig {
-            sample_rate_hz: 16_000,
-            frame_length_ms: 25.0,
-            frame_shift_ms: 10.0,
-            pre_emphasis: 0.97,
-            num_mel_filters: 40,
-            num_cepstra: 13,
-            low_freq_hz: 133.333_3,
-            high_freq_hz: Some(6_855.5),
             use_delta: true,
             use_delta_delta: true,
-            delta_window: 2,
             cepstral_mean_norm: true,
             cmn_prior_frames: 100.0,
             cmn_prior_mean: None,
@@ -98,92 +73,67 @@ impl Default for FrontendConfig {
 }
 
 impl FrontendConfig {
-    /// Analysis window length in samples.
-    pub fn frame_length_samples(&self) -> usize {
-        (self.sample_rate_hz as f32 * self.frame_length_ms / 1000.0).round() as usize
-    }
-
-    /// Frame shift in samples.
-    pub fn frame_shift_samples(&self) -> usize {
-        (self.sample_rate_hz as f32 * self.frame_shift_ms / 1000.0).round() as usize
-    }
-
+    /// Input sample rate in Hz.
+    pub const SAMPLE_RATE_HZ: u32 = 16_000;
+    /// Analysis window length in milliseconds (the paper: "typically 25
+    /// msecs").
+    pub const FRAME_LENGTH_MS: f32 = 25.0;
+    /// Frame shift in milliseconds (the paper: "typically spaced 10 msecs").
+    /// It is the decoder's frame period, `asr_acoustic::FRAME_PERIOD_S`; the
+    /// streaming layer asserts the two equal at compile time.
+    pub const FRAME_SHIFT_MS: f32 = 10.0;
+    /// Pre-emphasis coefficient: `y[n] = x[n] − 0.97·x[n−1]`.
+    pub const PRE_EMPHASIS: f32 = 0.97;
+    /// Number of triangular mel filters.
+    pub const NUM_MEL_FILTERS: usize = 40;
+    /// Number of cepstral coefficients kept after the DCT (including C0).
+    pub const NUM_CEPSTRA: usize = 13;
+    /// Lowest filterbank edge frequency in Hz (Sphinx-3's wideband default).
+    pub const LOW_FREQ_HZ: f32 = 133.333_3;
+    /// Highest filterbank edge frequency in Hz (Sphinx-3's wideband
+    /// default, below the 8 kHz Nyquist frequency).
+    pub const HIGH_FREQ_HZ: f32 = 6_855.5;
+    /// Frames on each side of the delta regression window.
+    pub const DELTA_WINDOW: usize = 2;
+    /// Analysis window length in samples (exact: 25 ms at 16 kHz).
+    pub const FRAME_LENGTH_SAMPLES: usize =
+        (Self::SAMPLE_RATE_HZ as f32 * Self::FRAME_LENGTH_MS / 1000.0) as usize;
+    /// Frame shift in samples (exact: 10 ms at 16 kHz).
+    pub const FRAME_SHIFT_SAMPLES: usize =
+        (Self::SAMPLE_RATE_HZ as f32 * Self::FRAME_SHIFT_MS / 1000.0) as usize;
     /// FFT size: the smallest power of two that holds one analysis window.
-    pub fn fft_size(&self) -> usize {
-        self.frame_length_samples().next_power_of_two()
-    }
+    pub const FFT_SIZE: usize = Self::FRAME_LENGTH_SAMPLES.next_power_of_two();
+    /// The largest accepted dither: the full scale of the `[-1, 1]` input the
+    /// frontend expects.  A larger dither drowns the signal, and a dither
+    /// near `f32::MAX` overflows the power spectrum to non-finite features.
+    pub const MAX_DITHER: f32 = 1.0;
 
     /// Dimension of the final feature vector
     /// (cepstra, optionally + deltas + delta-deltas).
     pub fn feature_dim(&self) -> usize {
-        let mut dim = self.num_cepstra;
+        let mut dim = Self::NUM_CEPSTRA;
         if self.use_delta {
-            dim += self.num_cepstra;
+            dim += Self::NUM_CEPSTRA;
         }
         if self.use_delta_delta {
-            dim += self.num_cepstra;
+            dim += Self::NUM_CEPSTRA;
         }
         dim
-    }
-
-    /// Effective upper filterbank edge.
-    pub fn effective_high_freq(&self) -> f32 {
-        self.high_freq_hz
-            .unwrap_or(self.sample_rate_hz as f32 / 2.0)
-            .min(self.sample_rate_hz as f32 / 2.0)
     }
 
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`FrontendError::InvalidConfig`] when any dimension is zero,
-    /// the window is shorter than the shift, or the filterbank edges are
-    /// inconsistent with the sample rate.
+    /// Returns [`FrontendError::InvalidConfig`] for a dither outside
+    /// `[0, MAX_DITHER]`, a negative or non-finite CMN prior weight, or a CMN
+    /// prior mean with the wrong length or a non-finite entry.
     pub fn validate(&self) -> Result<(), FrontendError> {
-        if self.sample_rate_hz == 0 {
-            return Err(FrontendError::InvalidConfig("sample_rate_hz == 0".into()));
-        }
-        if self.frame_length_ms <= 0.0 || self.frame_shift_ms <= 0.0 {
-            return Err(FrontendError::InvalidConfig(
-                "frame length and shift must be positive".into(),
-            ));
-        }
-        if self.frame_length_ms < self.frame_shift_ms {
-            return Err(FrontendError::InvalidConfig(
-                "frame length must be >= frame shift (overlapping blocks)".into(),
-            ));
-        }
-        if self.num_mel_filters == 0 {
-            return Err(FrontendError::InvalidConfig("num_mel_filters == 0".into()));
-        }
-        if self.num_cepstra == 0 || self.num_cepstra > self.num_mel_filters {
-            return Err(FrontendError::InvalidConfig(
-                "num_cepstra must be in 1..=num_mel_filters".into(),
-            ));
-        }
-        if !(0.0..1.0).contains(&self.pre_emphasis) {
-            return Err(FrontendError::InvalidConfig(
-                "pre_emphasis must be in [0, 1)".into(),
-            ));
-        }
-        let nyquist = self.sample_rate_hz as f32 / 2.0;
-        if self.low_freq_hz < 0.0 || self.low_freq_hz >= nyquist {
-            return Err(FrontendError::InvalidConfig(
-                "low_freq_hz must be in [0, nyquist)".into(),
-            ));
-        }
-        if let Some(hi) = self.high_freq_hz {
-            if hi <= self.low_freq_hz {
-                return Err(FrontendError::InvalidConfig(
-                    "high_freq_hz must exceed low_freq_hz".into(),
-                ));
-            }
-        }
-        if self.use_delta && self.delta_window == 0 {
-            return Err(FrontendError::InvalidConfig(
-                "delta_window must be >= 1 when deltas are enabled".into(),
-            ));
+        if !(0.0..=Self::MAX_DITHER).contains(&self.dither) {
+            return Err(FrontendError::InvalidConfig(format!(
+                "dither must be in [0, {}]",
+                Self::MAX_DITHER
+            )));
         }
         if !self.cmn_prior_frames.is_finite() || self.cmn_prior_frames < 0.0 {
             return Err(FrontendError::InvalidConfig(
@@ -191,11 +141,11 @@ impl FrontendConfig {
             ));
         }
         if let Some(prior) = &self.cmn_prior_mean {
-            if prior.len() != self.num_cepstra {
+            if prior.len() != Self::NUM_CEPSTRA {
                 return Err(FrontendError::InvalidConfig(format!(
-                    "cmn_prior_mean has {} entries but num_cepstra is {}",
+                    "cmn_prior_mean has {} entries but there are {} cepstra",
                     prior.len(),
-                    self.num_cepstra
+                    Self::NUM_CEPSTRA
                 )));
             }
             if prior.iter().any(|v| !v.is_finite()) {
@@ -208,7 +158,7 @@ impl FrontendConfig {
     }
 
     /// Builds the live (streaming) CMN normaliser this configuration
-    /// describes, over [`FrontendConfig::num_cepstra`] coefficients.
+    /// describes, over [`FrontendConfig::NUM_CEPSTRA`] coefficients.
     ///
     /// # Panics
     ///
@@ -216,7 +166,7 @@ impl FrontendConfig {
     /// (every frontend constructor does).
     pub fn live_cmn(&self) -> crate::CepstralMeanNorm {
         crate::CepstralMeanNorm::with_prior(
-            self.num_cepstra,
+            Self::NUM_CEPSTRA,
             self.cmn_prior_frames,
             self.cmn_prior_mean.clone(),
         )
@@ -231,9 +181,9 @@ mod tests {
     fn default_matches_paper_frame_geometry() {
         let cfg = FrontendConfig::default();
         cfg.validate().unwrap();
-        assert_eq!(cfg.frame_length_samples(), 400); // 25 ms @ 16 kHz
-        assert_eq!(cfg.frame_shift_samples(), 160); // 10 ms @ 16 kHz
-        assert_eq!(cfg.fft_size(), 512);
+        assert_eq!(FrontendConfig::FRAME_LENGTH_SAMPLES, 400); // 25 ms @ 16 kHz
+        assert_eq!(FrontendConfig::FRAME_SHIFT_SAMPLES, 160); // 10 ms @ 16 kHz
+        assert_eq!(FrontendConfig::FFT_SIZE, 512);
         assert_eq!(cfg.feature_dim(), 39);
     }
 
@@ -254,33 +204,27 @@ mod tests {
     #[test]
     fn validation_rejects_bad_configs() {
         let base = FrontendConfig::default();
-        let mut c = base.clone();
-        c.sample_rate_hz = 0;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.frame_shift_ms = 30.0;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.num_cepstra = 100;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.num_mel_filters = 0;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.pre_emphasis = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.low_freq_hz = 9_000.0;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.high_freq_hz = Some(10.0);
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.delta_window = 0;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.frame_length_ms = -1.0;
-        assert!(c.validate().is_err());
+        for dither in [
+            -1.0,
+            f32::NAN,
+            f32::INFINITY,
+            FrontendConfig::MAX_DITHER * 1.001,
+            1.0e30,
+        ] {
+            let c = FrontendConfig {
+                dither,
+                ..base.clone()
+            };
+            assert!(c.validate().is_err(), "dither {dither}");
+        }
+        for dither in [0.0, FrontendConfig::MAX_DITHER] {
+            FrontendConfig {
+                dither,
+                ..base.clone()
+            }
+            .validate()
+            .unwrap();
+        }
         let mut c = base.clone();
         c.cmn_prior_frames = -1.0;
         assert!(c.validate().is_err());
@@ -288,7 +232,7 @@ mod tests {
         c.cmn_prior_frames = f64::NAN;
         assert!(c.validate().is_err());
         let mut c = base.clone();
-        c.cmn_prior_mean = Some(vec![0.0; 3]); // needs num_cepstra = 13 entries
+        c.cmn_prior_mean = Some(vec![0.0; 3]); // needs NUM_CEPSTRA = 13 entries
         assert!(c.validate().is_err());
         let mut c = base;
         c.cmn_prior_mean = Some(vec![f64::INFINITY; 13]);
@@ -311,17 +255,6 @@ mod tests {
         let default_cmn = FrontendConfig::default().live_cmn();
         assert_eq!(default_cmn.prior_frames(), 100.0);
         assert!(default_cmn.prior_mean().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn high_freq_clamps_to_nyquist() {
-        let mut cfg = FrontendConfig {
-            high_freq_hz: Some(100_000.0),
-            ..FrontendConfig::default()
-        };
-        assert_eq!(cfg.effective_high_freq(), 8_000.0);
-        cfg.high_freq_hz = None;
-        assert_eq!(cfg.effective_high_freq(), 8_000.0);
     }
 
     #[test]

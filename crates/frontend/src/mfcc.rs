@@ -57,25 +57,18 @@ impl MfccExtractor {
     /// validation.
     pub fn new(config: FrontendConfig) -> Result<Self, FrontendError> {
         config.validate()?;
-        let frame_len = config.frame_length_samples();
-        let fft_size = config.fft_size();
-        let fft = Fft::new(fft_size).ok_or_else(|| {
-            FrontendError::InvalidConfig("FFT size must be a power of two >= 2".into())
-        })?;
-        let filterbank = MelFilterBank::new(
-            config.num_mel_filters,
-            fft_size,
-            config.sample_rate_hz,
-            config.low_freq_hz,
-            config.effective_high_freq(),
-        );
-        let dct = DctII::new(config.num_mel_filters, config.num_cepstra);
         Ok(MfccExtractor {
-            window: hamming_window(frame_len),
+            window: hamming_window(FrontendConfig::FRAME_LENGTH_SAMPLES),
             config,
-            fft,
-            filterbank,
-            dct,
+            fft: Fft::new(FrontendConfig::FFT_SIZE).expect("the FFT size is a power of two"),
+            filterbank: MelFilterBank::new(
+                FrontendConfig::NUM_MEL_FILTERS,
+                FrontendConfig::FFT_SIZE,
+                FrontendConfig::SAMPLE_RATE_HZ,
+                FrontendConfig::LOW_FREQ_HZ,
+                FrontendConfig::HIGH_FREQ_HZ,
+            ),
+            dct: DctII::new(FrontendConfig::NUM_MEL_FILTERS, FrontendConfig::NUM_CEPSTRA),
         })
     }
 
@@ -84,8 +77,7 @@ impl MfccExtractor {
         &self.config
     }
 
-    /// Working memory for [`MfccExtractor::frame_cepstra`], sized for this
-    /// extractor's configuration.
+    /// Working memory for [`MfccExtractor::frame_cepstra`].
     pub fn scratch(&self) -> MfccScratch {
         MfccScratch {
             windowed: vec![0.0; self.window.len()],
@@ -100,19 +92,13 @@ impl MfccExtractor {
     ///
     /// # Panics
     ///
-    /// Panics if the frame is not exactly one analysis window long, if `out`
-    /// does not hold [`FrontendConfig::num_cepstra`] values, or if `scratch`
-    /// was built for another configuration.
+    /// Panics if the frame is not exactly one analysis window long or if
+    /// `out` does not hold [`FrontendConfig::NUM_CEPSTRA`] values.
     pub fn frame_cepstra(&self, frame: &[f32], scratch: &mut MfccScratch, out: &mut [f32]) {
         assert_eq!(
             frame.len(),
             self.window.len(),
             "frame must be exactly one analysis window"
-        );
-        assert_eq!(
-            scratch.windowed.len(),
-            frame.len(),
-            "scratch was built for another configuration"
         );
         for ((w, &s), &h) in scratch.windowed.iter_mut().zip(frame).zip(&self.window) {
             *w = s * h;
@@ -141,10 +127,9 @@ impl Frontend {
     /// Returns [`FrontendError::InvalidConfig`] if the configuration fails
     /// validation.
     pub fn new(config: FrontendConfig) -> Result<Self, FrontendError> {
-        let delta = DeltaComputer::new(config.delta_window.max(1));
         Ok(Frontend {
             extractor: MfccExtractor::new(config)?,
-            delta,
+            delta: DeltaComputer::new(FrontendConfig::DELTA_WINDOW),
         })
     }
 
@@ -159,7 +144,7 @@ impl Frontend {
     /// yield an empty result.
     pub fn process(&self, samples: &[f32]) -> Vec<FeatureVector> {
         let cfg = self.extractor.config();
-        let mut emphasized = pre_emphasis(samples, cfg.pre_emphasis);
+        let mut emphasized = pre_emphasis(samples, FrontendConfig::PRE_EMPHASIS);
         if cfg.dither > 0.0 {
             // Deterministic tiny dither keeps log() away from -inf on exact
             // digital silence without requiring a random source here.
@@ -170,11 +155,11 @@ impl Frontend {
         let mut scratch = self.extractor.scratch();
         let mut cepstra: Vec<Vec<f32>> = FrameIter::new(
             &emphasized,
-            cfg.frame_length_samples(),
-            cfg.frame_shift_samples(),
+            FrontendConfig::FRAME_LENGTH_SAMPLES,
+            FrontendConfig::FRAME_SHIFT_SAMPLES,
         )
         .map(|frame| {
-            let mut c = vec![0.0; cfg.num_cepstra];
+            let mut c = vec![0.0; FrontendConfig::NUM_CEPSTRA];
             self.extractor.frame_cepstra(frame, &mut scratch, &mut c);
             c
         })
@@ -188,14 +173,10 @@ impl Frontend {
 
     /// Number of feature frames `process` would produce for `num_samples`
     /// input samples.
-    pub fn expected_frames(&self, num_samples: usize) -> usize {
-        let cfg = self.extractor.config();
-        let len = cfg.frame_length_samples();
-        let shift = cfg.frame_shift_samples();
-        if num_samples < len {
-            0
-        } else {
-            (num_samples - len) / shift + 1
+    pub fn expected_frames(num_samples: usize) -> usize {
+        match num_samples.checked_sub(FrontendConfig::FRAME_LENGTH_SAMPLES) {
+            None => 0,
+            Some(rest) => rest / FrontendConfig::FRAME_SHIFT_SAMPLES + 1,
         }
     }
 }
@@ -216,7 +197,7 @@ mod tests {
         let fe = Frontend::new(cfg.clone()).unwrap();
         let samples = tone(440.0, 1.0, 16_000);
         let feats = fe.process(&samples);
-        assert_eq!(feats.len(), fe.expected_frames(samples.len()));
+        assert_eq!(feats.len(), Frontend::expected_frames(samples.len()));
         assert_eq!(feats.len(), 98);
         assert!(feats.iter().all(|f| f.len() == cfg.feature_dim()));
         assert!(feats.iter().flatten().all(|v| v.is_finite()));
@@ -226,7 +207,7 @@ mod tests {
     fn short_input_yields_nothing() {
         let fe = Frontend::new(FrontendConfig::default()).unwrap();
         assert!(fe.process(&[0.0; 100]).is_empty());
-        assert_eq!(fe.expected_frames(100), 0);
+        assert_eq!(Frontend::expected_frames(100), 0);
     }
 
     #[test]
@@ -234,6 +215,20 @@ mod tests {
         let fe = Frontend::new(FrontendConfig::default()).unwrap();
         let feats = fe.process(&vec![0.0; 8000]);
         assert!(!feats.is_empty());
+        assert!(feats.iter().flatten().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn the_largest_accepted_dither_gives_finite_features() {
+        let fe = Frontend::new(FrontendConfig {
+            dither: FrontendConfig::MAX_DITHER,
+            ..FrontendConfig::default()
+        })
+        .unwrap();
+        let mut samples = tone(440.0, 1.0, 16_000);
+        samples.extend(vec![0.0; 8000]);
+        let feats = fe.process(&samples);
+        assert_eq!(feats.len(), Frontend::expected_frames(samples.len()));
         assert!(feats.iter().flatten().all(|v| v.is_finite()));
     }
 
@@ -298,7 +293,6 @@ mod tests {
         let mut out = [f32::NAN; 13];
         ex.frame_cepstra(&[0.0; 400], &mut ex.scratch(), &mut out);
         assert!(out.iter().all(|c| c.is_finite()));
-        assert_eq!(ex.config().num_cepstra, 13);
     }
 
     #[test]
@@ -323,21 +317,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "another configuration")]
-    fn scratch_of_another_configuration_panics() {
-        let ex = MfccExtractor::new(FrontendConfig::default()).unwrap();
-        let other = MfccExtractor::new(FrontendConfig {
-            frame_length_ms: 20.0,
-            ..FrontendConfig::default()
-        })
-        .unwrap();
-        ex.frame_cepstra(&[0.0; 400], &mut other.scratch(), &mut [0.0; 13]);
-    }
-
-    #[test]
     fn invalid_config_is_rejected() {
         let cfg = FrontendConfig {
-            num_cepstra: 0,
+            dither: f32::NAN,
             ..FrontendConfig::default()
         };
         assert!(Frontend::new(cfg.clone()).is_err());

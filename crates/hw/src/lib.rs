@@ -63,6 +63,9 @@ pub use opu::{ObservationProbabilityUnit, OpuStats};
 pub use power::{AreaBudget, EnergyReport, HostCpuModel, PowerModel};
 pub use soc::{FrameReport, SocConfig, SpeechSoc, UtteranceReport};
 pub use viterbi_unit::{ViterbiUnit, ViterbiUnitStats};
+// The period each simulated frame's cycles are budgeted in, re-exported so
+// the streaming layer times its chunks by the same constant.
+pub use asr_acoustic::FRAME_PERIOD_S;
 
 /// Errors produced by the hardware simulators.
 #[derive(Debug, Clone, PartialEq)]

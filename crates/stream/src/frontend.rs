@@ -11,7 +11,7 @@
 //!   because the utterance mean is unknowable mid-stream;
 //! * **deltas** are computed incrementally: a frame's feature vector is
 //!   emitted once its full regression context has arrived (a fixed lookahead
-//!   of `delta_window` frames per derivative order), and
+//!   of [`FrontendConfig::DELTA_WINDOW`] frames per derivative order), and
 //!   [`StreamingFrontend::finish_utterance`] flushes the tail with the same
 //!   edge clamping the offline [`DeltaComputer`](asr_frontend::DeltaComputer)
 //!   applies — so with CMN disabled the streamed features are **bit-identical**
@@ -251,8 +251,8 @@ impl StreamingFrontend {
         let config = extractor.config();
         let cmn = config.cepstral_mean_norm.then(|| config.live_cmn());
         let delta = IncrementalDelta::new(
-            config.num_cepstra,
-            config.delta_window.max(1),
+            FrontendConfig::NUM_CEPSTRA,
+            FrontendConfig::DELTA_WINDOW,
             config.use_delta,
             config.use_delta_delta,
         );
@@ -292,29 +292,19 @@ impl StreamingFrontend {
     /// vector of each frame it analyses (which it returns once the frame's
     /// delta lookahead has arrived).
     pub fn push_samples(&mut self, samples: &[f32]) -> Vec<FeatureVector> {
-        // Only a few scalars of the configuration matter per chunk; copy them
-        // out rather than cloning the whole config on the hot path.
-        let cfg = self.extractor.config();
-        let pre_emphasis = cfg.pre_emphasis;
-        let dither = cfg.dither;
-        let frame_len = cfg.frame_length_samples();
-        let shift = cfg.frame_shift_samples();
-        let num_cepstra = cfg.num_cepstra;
-        let feature_dim = cfg.feature_dim();
+        const ALPHA: f32 = FrontendConfig::PRE_EMPHASIS;
+        let dither = self.extractor.config().dither;
+        let feature_dim = self.extractor.config().feature_dim();
         // Pre-emphasis with cross-chunk history, exactly as the offline pass
         // over the concatenated signal: y[0] = x[0], y[n] = x[n] − α·x[n−1].
         let start = self.buffer.len();
         if let Some((&first, _)) = samples.split_first() {
-            if pre_emphasis == 0.0 {
-                self.buffer.extend_from_slice(samples);
-            } else {
-                self.buffer.push(match self.last_raw {
-                    Some(prev) => first - pre_emphasis * prev,
-                    None => first,
-                });
-                self.buffer
-                    .extend(samples.windows(2).map(|w| w[1] - pre_emphasis * w[0]));
-            }
+            self.buffer.push(match self.last_raw {
+                Some(prev) => first - ALPHA * prev,
+                None => first,
+            });
+            self.buffer
+                .extend(samples.windows(2).map(|w| w[1] - ALPHA * w[0]));
             self.last_raw = samples.last().copied();
         }
         // Deterministic dither, parity-indexed by the absolute sample
@@ -329,12 +319,13 @@ impl StreamingFrontend {
 
         // Slide complete analysis windows over the buffer, then drop the
         // consumed hops in one move.
-        let frames = FrameIter::new(&self.buffer, frame_len, shift);
+        let shift = FrontendConfig::FRAME_SHIFT_SAMPLES;
+        let frames = FrameIter::new(&self.buffer, FrontendConfig::FRAME_LENGTH_SAMPLES, shift);
         let consumed = frames.len() * shift;
         let mut out = Vec::new();
         for frame in frames {
             let mut cepstra = Vec::with_capacity(feature_dim);
-            cepstra.resize(num_cepstra, 0.0);
+            cepstra.resize(FrontendConfig::NUM_CEPSTRA, 0.0);
             self.extractor
                 .frame_cepstra(frame, &mut self.scratch, &mut cepstra);
             if let Some(cmn) = &mut self.cmn {
@@ -522,7 +513,7 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected() {
         let cfg = FrontendConfig {
-            num_cepstra: 0,
+            dither: f32::INFINITY,
             ..FrontendConfig::default()
         };
         assert!(StreamingFrontend::new(cfg).is_err());

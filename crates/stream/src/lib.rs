@@ -118,7 +118,7 @@ use asr_frontend::{FrontendConfig, FrontendError};
 /// energy endpointer.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamConfig {
-    /// Frontend geometry and live-CMN prior
+    /// Feature layout, dither and live-CMN prior
     /// ([`FrontendConfig::cmn_prior_frames`] / `cmn_prior_mean`).
     pub frontend: FrontendConfig,
     /// Energy VAD / endpointing parameters.
@@ -146,7 +146,7 @@ impl StreamConfig {
     /// guaranteed — the stream may start mid-trigger), so
     ///
     /// ```text
-    /// (min_speech_hops + hangover_hops) · frame_shift  ≥  frame_length
+    /// (min_speech_hops + hangover_hops) · FRAME_SHIFT_SAMPLES  ≥  FRAME_LENGTH_SAMPLES
     /// ```
     ///
     /// is exactly the condition under which every `UtteranceEnd` carries at
@@ -156,9 +156,9 @@ impl StreamConfig {
     /// # Errors
     ///
     /// Returns [`StreamError::Frontend`] or [`StreamError::InvalidConfig`]
-    /// for an invalid frontend or VAD configuration, a zero
-    /// `max_utterance_frames`, or a debounce+hangover span shorter than one
-    /// analysis window.
+    /// for an invalid frontend or VAD configuration (including a hop count
+    /// above [`VadConfig::MAX_HOPS`]), a zero `max_utterance_frames`, or a
+    /// debounce+hangover span shorter than one analysis window.
     pub fn validate(&self) -> Result<(), StreamError> {
         self.frontend.validate()?;
         self.vad.validate()?;
@@ -167,14 +167,15 @@ impl StreamConfig {
                 "max_utterance_frames must be >= 1 when set".into(),
             ));
         }
+        // `VadConfig::validate` bounds both hop counts, so this cannot overflow.
         let buffered_samples = (self.vad.min_speech_hops + self.vad.hangover_hops)
-            * self.frontend.frame_shift_samples();
-        if buffered_samples < self.frontend.frame_length_samples() {
+            * FrontendConfig::FRAME_SHIFT_SAMPLES;
+        if buffered_samples < FrontendConfig::FRAME_LENGTH_SAMPLES {
             return Err(StreamError::InvalidConfig(format!(
                 "min_speech_hops + hangover_hops buffer only {buffered_samples} samples, \
                  fewer than one {}-sample analysis window: an endpointed utterance could \
                  be empty",
-                self.frontend.frame_length_samples()
+                FrontendConfig::FRAME_LENGTH_SAMPLES
             )));
         }
         Ok(())
@@ -248,7 +249,7 @@ mod tests {
         StreamConfig::default().validate().unwrap();
         let bad_frontend = StreamConfig {
             frontend: FrontendConfig {
-                num_cepstra: 0,
+                dither: -1.0,
                 ..FrontendConfig::default()
             },
             ..StreamConfig::default()
@@ -314,6 +315,33 @@ mod tests {
             ..StreamConfig::default()
         };
         ok.validate().unwrap();
+    }
+
+    #[test]
+    fn huge_hop_counts_are_refused_without_overflow() {
+        for vad in [
+            VadConfig {
+                min_speech_hops: usize::MAX,
+                ..VadConfig::default()
+            },
+            VadConfig {
+                hangover_hops: usize::MAX,
+                ..VadConfig::default()
+            },
+            VadConfig {
+                preroll_hops: usize::MAX,
+                ..VadConfig::default()
+            },
+        ] {
+            let config = StreamConfig {
+                vad,
+                ..StreamConfig::default()
+            };
+            assert!(
+                matches!(config.validate(), Err(StreamError::InvalidConfig(_))),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,12 +6,19 @@ use crate::frontend::StreamingFrontend;
 use crate::vad::{hop_rms, EnergyVad, VadEvent};
 use crate::{StreamConfig, StreamError};
 use asr_core::{DecodeResult, DecodeSession, PartialHypothesis, PhoneDecoder, Recognizer};
-use asr_frontend::MfccExtractor;
-use asr_hw::StreamTiming;
+use asr_frontend::{FrontendConfig, MfccExtractor};
+use asr_hw::{StreamTiming, FRAME_PERIOD_S};
 use asr_obs::{Outcome, RequestKind, SpanEvent, Telemetry, TraceId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Samples per VAD hop: one frontend frame shift.
+const HOP: usize = FrontendConfig::FRAME_SHIFT_SAMPLES;
+
+// The frontend's hop is the decoder's frame: a chunk's audio coverage and
+// the SoC's real-time budget count the same 10 ms.
+const _: () = assert!(HOP as f64 / FrontendConfig::SAMPLE_RATE_HZ as f64 == FRAME_PERIOD_S);
 
 /// Everything produced by one streamed utterance: the decode result (with
 /// the SoC's hardware report, when the backend keeps one) and the host
@@ -111,10 +118,6 @@ impl StreamingRecognizer {
         &self.config
     }
 
-    fn frame_shift_s(&self) -> f64 {
-        self.config.frontend.frame_shift_ms as f64 / 1000.0
-    }
-
     /// Decodes one utterance pushed as feature chunks, on a phone decoder
     /// built for it alone.  New code opens an [`asr_core::DecodeSession`]
     /// around a decoder it keeps warm instead; this entry stays only for the
@@ -148,9 +151,8 @@ impl StreamingRecognizer {
                  expects {model_dim}"
             )));
         }
-        let hop = self.config.frontend.frame_shift_samples();
         let preroll_len =
-            (self.config.vad.preroll_hops + self.config.vad.min_speech_hops).max(1) * hop;
+            (self.config.vad.preroll_hops + self.config.vad.min_speech_hops).max(1) * HOP;
         let trace = if self.telemetry.is_enabled() {
             let trace = self.telemetry.begin_trace();
             self.telemetry.emit(
@@ -170,8 +172,7 @@ impl StreamingRecognizer {
             trace,
             frontend: StreamingFrontend::with_extractor(Arc::clone(&self.extractor)),
             vad: EnergyVad::new(self.config.vad.clone()),
-            hop,
-            residue: Vec::with_capacity(hop),
+            residue: Vec::with_capacity(HOP),
             preroll: VecDeque::with_capacity(preroll_len),
             preroll_len,
             decoder: Some(self.recognizer.phone_decoder()?),
@@ -192,7 +193,6 @@ impl StreamingRecognizer {
 pub struct Utterance<'r> {
     session: DecodeSession<&'r Recognizer>,
     timing: StreamTiming,
-    frame_shift_s: f64,
     /// `Some` when [`StreamConfig::capture_features`] is on: every pushed
     /// frame, for offline-parity replay.
     captured: Option<Vec<Vec<f32>>>,
@@ -203,7 +203,6 @@ impl<'r> Utterance<'r> {
         Utterance {
             session: DecodeSession::begin(&owner.recognizer, decoder),
             timing: StreamTiming::new(),
-            frame_shift_s: owner.frame_shift_s(),
             captured: owner.config.capture_features.then(Vec::new),
         }
     }
@@ -223,7 +222,7 @@ impl<'r> Utterance<'r> {
         }
         self.timing.record_chunk(
             start.elapsed().as_secs_f64(),
-            frames.len() as f64 * self.frame_shift_s,
+            frames.len() as f64 * FRAME_PERIOD_S,
         );
         Ok(())
     }
@@ -276,7 +275,6 @@ pub struct AudioStreamSession<'r> {
     trace: TraceId,
     frontend: StreamingFrontend,
     vad: EnergyVad,
-    hop: usize,
     /// Samples not yet forming a full hop.
     residue: Vec<f32>,
     /// The samples of recent silence hops, oldest first, replayed into the
@@ -344,7 +342,7 @@ impl<'r> AudioStreamSession<'r> {
     /// Silence hops currently buffered for pre-roll replay — bounded by
     /// `preroll_hops + min_speech_hops` at all times.
     pub fn preroll_buffered(&self) -> usize {
-        self.preroll.len() / self.hop
+        self.preroll.len() / HOP
     }
 
     /// The endpointer's current voiced threshold (adapts when
@@ -369,7 +367,7 @@ impl<'r> AudioStreamSession<'r> {
         let mut events = Vec::new();
         let mut rest = samples;
         if !self.residue.is_empty() {
-            let missing = self.hop - self.residue.len();
+            let missing = HOP - self.residue.len();
             if rest.len() < missing {
                 self.residue.extend_from_slice(rest);
                 return Ok(events);
@@ -386,8 +384,8 @@ impl<'r> AudioStreamSession<'r> {
                 return Err(e);
             }
         }
-        while rest.len() >= self.hop {
-            let (hop, tail) = rest.split_at(self.hop);
+        while rest.len() >= HOP {
+            let (hop, tail) = rest.split_at(HOP);
             rest = tail;
             if let Err(e) = self.process_hop(hop, &mut events) {
                 self.residue.extend_from_slice(rest);
@@ -408,7 +406,7 @@ impl<'r> AudioStreamSession<'r> {
             // Buffer the hop first so the trigger hops themselves (and the
             // configured pre-roll before them) belong to the utterance.
             if self.preroll.len() >= self.preroll_len {
-                self.preroll.drain(..self.hop);
+                self.preroll.drain(..HOP);
             }
             self.preroll.extend(hop);
             if self.vad.push_hop(rms) == Some(VadEvent::SpeechStart) {
@@ -513,7 +511,7 @@ impl<'r> AudioStreamSession<'r> {
 
     /// Streams the buffered pre-roll into `utterance`, one hop per chunk.
     fn replay_preroll(&mut self, utterance: &mut Utterance<'r>) -> Result<(), StreamError> {
-        for buffered in self.preroll.make_contiguous().chunks(self.hop) {
+        for buffered in self.preroll.make_contiguous().chunks(HOP) {
             let features = self.frontend.push_samples(buffered);
             self.features_emitted += features.len();
             if !features.is_empty() {
@@ -910,10 +908,7 @@ mod tests {
         let rec = recognizer(&task, DecoderConfig::software());
         let config = StreamConfig {
             vad: VadConfig {
-                adaptive: Some(crate::vad::AdaptiveVadConfig {
-                    window_hops: 20,
-                    ..Default::default()
-                }),
+                adaptive: Some(crate::vad::AdaptiveVadConfig),
                 ..audio_config().vad
             },
             ..audio_config()

@@ -84,7 +84,7 @@ fn stream_config() -> StreamConfig {
             min_speech_hops: MIN_SPEECH,
             hangover_hops: HANGOVER,
             preroll_hops: PREROLL,
-            adaptive: Some(AdaptiveVadConfig::default()),
+            adaptive: Some(AdaptiveVadConfig),
         },
         max_utterance_frames: None,
         capture_features: true,
@@ -567,7 +567,7 @@ proptest! {
             min_speech_hops: min_speech,
             hangover_hops: hangover,
             preroll_hops: 2,
-            adaptive: (adaptive_flag == 1).then(AdaptiveVadConfig::default),
+            adaptive: (adaptive_flag == 1).then_some(AdaptiveVadConfig),
         };
         config.validate().expect("config is valid");
         let fresh = EnergyVad::new(config.clone());
@@ -590,10 +590,10 @@ proptest! {
                 }
                 None => prop_assert_eq!(was_in, vad.in_speech()),
             }
-            match &config.adaptive {
-                Some(adaptive) => {
-                    prop_assert!(vad.threshold() >= adaptive.min_threshold);
-                    prop_assert!(vad.threshold() <= adaptive.max_threshold);
+            match config.adaptive {
+                Some(AdaptiveVadConfig) => {
+                    prop_assert!(vad.threshold() >= AdaptiveVadConfig::MIN_THRESHOLD);
+                    prop_assert!(vad.threshold() <= AdaptiveVadConfig::MAX_THRESHOLD);
                     let floor = vad.noise_floor().expect("adaptive mode reports a floor");
                     prop_assert!(floor >= 0.0);
                 }

@@ -10,7 +10,7 @@ use lvcsr::corpus::{SyntheticTask, TaskConfig, TaskGenerator};
 use lvcsr::decoder::{
     DecodeResult, DecodeSession, DecoderConfig, PartialHypothesis, Recognizer, ScoringBackendKind,
 };
-use lvcsr::stream::{StreamEvent, StreamingRecognizer, VadConfig};
+use lvcsr::stream::{AdaptiveVadConfig, StreamEvent, StreamingRecognizer, VadConfig};
 use proptest::prelude::*;
 
 fn build_task() -> SyntheticTask {
@@ -231,17 +231,15 @@ fn silent_audio_session_closes_empty() {
 #[test]
 fn hostile_audio_neither_breaks_the_session_nor_deafens_it() {
     let vad = VadConfig::adaptive();
-    let clamps = vad.adaptive.clone().expect("adaptive VAD");
     let streamer = audio_streamer(ScoringBackendKind::Software, vad);
     let mut session = streamer.audio_session().expect("audio session");
     let check_threshold = |threshold: f32, label: &str| {
         assert!(
-            threshold.is_finite()
-                && threshold >= clamps.min_threshold
-                && threshold <= clamps.max_threshold,
+            (AdaptiveVadConfig::MIN_THRESHOLD..=AdaptiveVadConfig::MAX_THRESHOLD)
+                .contains(&threshold),
             "{label}: threshold {threshold} left [{}, {}]",
-            clamps.min_threshold,
-            clamps.max_threshold
+            AdaptiveVadConfig::MIN_THRESHOLD,
+            AdaptiveVadConfig::MAX_THRESHOLD
         );
     };
 
